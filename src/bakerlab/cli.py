@@ -63,19 +63,25 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _resolve(args: argparse.Namespace, spec: dict[str, tuple]):
-    """Merge CLI > config file > defaults for the option spec
-    {name: (converter, default)}."""
+def _resolve(args: argparse.Namespace) -> dict:
+    """Merge CLI > config file > defaults over the command's option table
+    {name: (converter, default)}; config-file values go through the same
+    converters as flags."""
+    spec = args.spec
     file_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(file_values) - set(spec))
+    if unknown:
+        raise BakerlabError(f"{args.config}: unknown key(s): {', '.join(unknown)}")
     resolved = {}
     for name, (conv, default) in spec.items():
-        cli_val = getattr(args, name, None)
-        if cli_val is not None:
-            resolved[name] = cli_val
-        elif name in file_values:
-            resolved[name] = conv(file_values[name])
-        else:
-            resolved[name] = default
+        value = getattr(args, name)
+        if name in file_values:  # checked even when the flag overrides it
+            try:
+                from_file = conv(file_values[name])
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise BakerlabError(f"{args.config}: bad value for {name}: {exc}") from None
+            value = from_file if value is None else value
+        resolved[name] = default if value is None else value
     return resolved
 
 
@@ -93,21 +99,64 @@ def _scheme(s: str) -> ReversalScheme:
         raise argparse.ArgumentTypeError(f"scheme must be 'q4' or 'q3', got {s!r}")
 
 
+def _choice(*values: str):
+    """Converter accepting exactly one of ``values``."""
+
+    def conv(s: str) -> str:
+        if s not in values:
+            allowed = " or ".join(repr(v) for v in values)
+            raise argparse.ArgumentTypeError(f"must be {allowed}, got {s!r}")
+        return s
+
+    return conv
+
+
 def _params_from(resolved: dict) -> MapParams:
     return MapParams(
         ell=resolved["ell"],
         q=resolved["q"],
-        strip_x=resolved.get("strip_x"),
-        strip_eps=resolved.get("strip_eps"),
+        strip_x=resolved["strip_x"],
+        strip_eps=resolved["strip_eps"],
     )
+
+
+def _sim_config(resolved: dict) -> es.SimConfig:
+    return es.SimConfig(
+        params=_params_from(resolved),
+        variant=resolved["variant"],
+        n_ens=resolved["n_ens"],
+        n_iter=resolved["n_iter"],
+        burn_in=resolved["burn_in"],
+        seed=resolved["seed"],
+    )
+
+
+def _cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(v)
+    return _fmt(v)
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """Stream ``rows`` (tuples of str, int or float cells) below ``header``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
+def _write_json(path: Path, obj: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_manifest(out_dir: Path, command: str, resolved: dict, artifacts: list[str], t0: float):
     def jsonable(v):
         if isinstance(v, (MapVariant, ReversalScheme)):
             return v.value
-        if isinstance(v, np.ndarray):
-            return v.tolist()
         return v
 
     manifest = {
@@ -118,11 +167,7 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict, artifacts: list
         "artifacts": artifacts,
         "wall_time_s": round(time.time() - t0, 3),
     }
-    path = out_dir / "manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _out_dir(resolved: dict, command: str) -> Path:
@@ -133,99 +178,91 @@ def _out_dir(resolved: dict, command: str) -> Path:
 
 # ---------------------------------------------------------------- commands
 
+_DENSITY = {
+    "ell": (float, 0.15),
+    "q": (float, 0.0),
+    "variant": (_variant, MapVariant.REVERSIBLE),
+    "strip_x": (float, None),
+    "strip_eps": (float, None),
+    "n_ens": (int, 20_000),
+    "n_iter": (int, 50),
+    "burn_in": (int, 1_000),
+    "bins": (int, 500),
+    "seed": (int, 0),
+    "out": (str, None),
+}
 
-def _cmd_density(args) -> int:
-    spec = {
-        "ell": (float, 0.15),
-        "q": (float, 0.0),
-        "variant": (_variant, MapVariant.REVERSIBLE),
-        "strip_x": (float, None),
-        "strip_eps": (float, None),
-        "n_ens": (int, 20_000),
-        "n_iter": (int, 50),
-        "burn_in": (int, 1_000),
-        "bins": (int, 500),
-        "seed": (int, 0),
-        "out": (str, None),
-    }
-    resolved = _resolve(args, spec)
+
+def _cmd_density(resolved) -> int:
     t0 = time.time()
-    config = es.SimConfig(
-        params=_params_from(resolved),
-        variant=resolved["variant"],
-        n_ens=resolved["n_ens"],
-        n_iter=resolved["n_iter"],
-        burn_in=resolved["burn_in"],
-        seed=resolved["seed"],
-    )
+    config = _sim_config(resolved)
     nb = resolved["bins"]
     hist = es.empirical_density(config, nx=nb, ny=nb)
     out = _out_dir(resolved, "density")
     es.write_histogram_csv(hist, out / "histogram2d.csv", out / "histogram2d.json", config)
-    with open(out / "marginals.csv", "w", newline="") as fh:
-        fh.write("axis,bin,center,count,density\n")
-        for axis, counts in (("x", hist.x_marginal()), ("y", hist.y_marginal())):
-            dens = counts * nb / max(hist.n_samples, 1)
-            for i, (c, d) in enumerate(zip(counts, dens)):
-                center = (i + 0.5) / nb
-                fh.write(f"{axis},{i},{_fmt(center)},{int(c)},{_fmt(d)}\n")
+    marginals = (
+        (axis, i, (i + 0.5) / nb, int(c), d)
+        for axis, counts in (("x", hist.x_marginal()), ("y", hist.y_marginal()))
+        for i, (c, d) in enumerate(zip(counts, counts * nb / max(hist.n_samples, 1)))
+    )
+    _write_csv(out / "marginals.csv", "axis,bin,center,count,density", marginals)
     _write_manifest(out, "density", resolved, ["histogram2d.csv", "histogram2d.json", "marginals.csv"], t0)
     print(f"density: wrote {out}/histogram2d.csv ({hist.n_samples} samples)")
     return 0
 
 
-def _cmd_surface(args) -> int:
-    spec = {
-        "ell_min": (float, 0.05),
-        "ell_max": (float, 0.25),
-        "ell_steps": (int, 21),
-        "q_min": (float, 0.0),
-        "q_max": (float, 0.4),
-        "q_steps": (int, 21),
-        "out": (str, None),
-    }
-    resolved = _resolve(args, spec)
+_SURFACE = {
+    "ell_min": (float, 0.05),
+    "ell_max": (float, 0.25),
+    "ell_steps": (int, 21),
+    "q_min": (float, 0.0),
+    "q_max": (float, 0.4),
+    "q_steps": (int, 21),
+    "out": (str, None),
+}
+
+
+def _cmd_surface(resolved) -> int:
     t0 = time.time()
     ells = np.linspace(resolved["ell_min"], resolved["ell_max"], resolved["ell_steps"])
     qs = np.linspace(resolved["q_min"], resolved["q_max"], resolved["q_steps"])
     out = _out_dir(resolved, "surface")
-    negatives = 0
-    with open(out / "surface.csv", "w", newline="") as fh:
-        fh.write("ell,q,mean_lambda\n")
-        for ell in ells:
-            for q in qs:
-                v = mk.mean_contraction_rate(float(ell), float(q))
-                if v < -1e-12:
-                    negatives += 1
-                fh.write(f"{_fmt(ell)},{_fmt(q)},{_fmt(v)}\n")
+    cells = [(ell, q, mk.mean_contraction_rate(float(ell), float(q))) for ell in ells for q in qs]
+    _write_csv(out / "surface.csv", "ell,q,mean_lambda", cells)
+    negatives = sum(v < -1e-12 for _, _, v in cells)
     _write_manifest(out, "surface", resolved, ["surface.csv"], t0)
     if negatives:
         print(f"surface: WARNING {negatives} grid cells have negative mean contraction rate")
-    print(f"surface: wrote {out}/surface.csv ({len(ells) * len(qs)} cells)")
+    print(f"surface: wrote {out}/surface.csv ({len(cells)} cells)")
     return 0
 
 
-def _fr_spec():
-    return {
-        "ell": (float, 0.15),
-        "q": (float, 0.2),
-        "variant": (_variant, MapVariant.REVERSIBLE),
-        "strip_x": (float, None),
-        "strip_eps": (float, None),
-        "n": (int, 200),
-        "delta": (float, 0.05),
-        "p_max": (float, 2.0),
-        "source": (str, "exact"),
-        "min_count": (int, 25),
-        "n_ens": (int, 10_000),
-        "n_iter": (int, 2_000),
-        "burn_in": (int, 1_000),
-        "seed": (int, 0),
-        "out": (str, None),
-    }
+# shared by fr and ratefunc
+_FR = {
+    "ell": (float, 0.15),
+    "q": (float, 0.2),
+    "variant": (_variant, MapVariant.REVERSIBLE),
+    "strip_x": (float, None),
+    "strip_eps": (float, None),
+    "n": (int, 200),
+    "delta": (float, 0.05),
+    "p_max": (float, 2.0),
+    "source": (_choice("mc", "exact"), "exact"),
+    "min_count": (int, 25),
+    "n_ens": (int, 10_000),
+    "n_iter": (int, 2_000),
+    "burn_in": (int, 1_000),
+    "seed": (int, 0),
+    "out": (str, None),
+}
 
 
-def _fr_histogram(resolved):
+def _fr_family(command: str, resolved: dict, finish) -> int:
+    """Body of fr and ratefunc: the cell masses from the exact DP or the
+    ensemble, ``pi.csv`` and ``zeta.csv``, then ``finish(out, pi, rf)``,
+    which writes the command's own artifact and returns its name and a
+    summary, then the ``fr_meta.json`` sidecar and the manifest."""
+    t0 = time.time()
     fr_cfg = fl.FRConfig(
         n=resolved["n"],
         p_grid=fl.symmetric_grid(resolved["p_max"], 2.0 * resolved["delta"]),
@@ -233,163 +270,104 @@ def _fr_histogram(resolved):
         min_count=resolved["min_count"],
     )
     if resolved["source"] == "exact":
-        dist = mk.contraction_sum_distribution(resolved["ell"], resolved["q"], resolved["n"])
-        return fr_cfg, fl.estimate_pi(fr_cfg, dist)
-    sim = es.SimConfig(
-        params=_params_from(resolved),
-        variant=resolved["variant"],
-        n_ens=resolved["n_ens"],
-        n_iter=resolved["n_iter"],
-        burn_in=resolved["burn_in"],
-        seed=resolved["seed"],
-    )
-    return fr_cfg, fl.estimate_pi(fr_cfg, sim)
-
-
-def _write_fr_sidecar(out, resolved, name="fr_meta.json"):
-    sidecar = {
-        "n": resolved["n"],
-        "delta": resolved["delta"],
-        "ell": resolved["ell"],
-        "q": resolved["q"],
-        "seed": resolved["seed"],
-        "source": resolved["source"],
-    }
-    with open(out / name, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _cmd_fr(args) -> int:
-    resolved = _resolve(args, _fr_spec())
-    if resolved["source"] not in ("mc", "exact"):
-        print(f"fr: error: source must be 'mc' or 'exact', got {resolved['source']!r}", file=sys.stderr)
-        return _USAGE_EXIT
-    t0 = time.time()
-    fr_cfg, pi = _fr_histogram(resolved)
-    out = _out_dir(resolved, "fr")
-    with open(out / "pi.csv", "w", newline="") as fh:
-        fh.write("p,pi_n\n")
-        for p, m in zip(pi.p, pi.mass):
-            fh.write(f"{_fmt(p)},{_fmt(m)}\n")
+        source = mk.contraction_sum_distribution(resolved["ell"], resolved["q"], resolved["n"])
+    else:
+        source = _sim_config(resolved)
+    pi = fl.estimate_pi(fr_cfg, source)
+    out = _out_dir(resolved, command)
+    _write_csv(out / "pi.csv", "p,pi_n", zip(pi.p, pi.mass))
     rf = fl.rate_function(pi)
-    with open(out / "zeta.csv", "w", newline="") as fh:
-        fh.write("p,zeta_n\n")
-        for p, z in zip(rf.p, rf.zeta):
-            if np.isfinite(z):
-                fh.write(f"{_fmt(p)},{_fmt(z)}\n")
-    try:
+    _write_csv(out / "zeta.csv", "p,zeta_n", ((p, z) for p, z in zip(rf.p, rf.zeta) if np.isfinite(z)))
+    artifact, summary = finish(out, pi, rf)
+    _write_json(out / "fr_meta.json", {k: resolved[k] for k in ("n", "delta", "ell", "q", "seed", "source")})
+    _write_manifest(out, command, resolved, ["pi.csv", "zeta.csv", artifact, "fr_meta.json"], t0)
+    print(f"{command}: {summary}; wrote {out}")
+    return 0
+
+
+def _cmd_fr(resolved) -> int:
+    def finish(out, pi, rf):
         chk = fl.fr_check(pi)
-    except InsufficientFluctuationsError as exc:
-        print(f"fr: error: {exc}", file=sys.stderr)
-        return _NUMERIC_EXIT
-    with open(out / "fr.csv", "w", newline="") as fh:
-        fh.write("p,fr_value\n")
-        for p, v in zip(chk.p, chk.value):
-            fh.write(f"{_fmt(p)},{_fmt(v)}\n")
-    _write_fr_sidecar(out, resolved)
-    _write_manifest(out, "fr", resolved, ["pi.csv", "zeta.csv", "fr.csv", "fr_meta.json"], t0)
-    print(f"fr: slope={chk.slope:.6f} over {len(chk.p)} admissible p; wrote {out}")
-    return 0
+        _write_csv(out / "fr.csv", "p,fr_value", zip(chk.p, chk.value))
+        return "fr.csv", f"slope={chk.slope:.6f} over {len(chk.p)} admissible p"
+
+    return _fr_family("fr", resolved, finish)
 
 
-def _cmd_ratefunc(args) -> int:
-    resolved = _resolve(args, _fr_spec())
-    if resolved["source"] not in ("mc", "exact"):
-        print(f"ratefunc: error: source must be 'mc' or 'exact'", file=sys.stderr)
-        return _USAGE_EXIT
-    t0 = time.time()
-    fr_cfg, pi = _fr_histogram(resolved)
-    rf = fl.rate_function(pi)
-    fit = fl.fit_parabola(rf)
-    out = _out_dir(resolved, "ratefunc")
-    with open(out / "pi.csv", "w", newline="") as fh:
-        fh.write("p,pi_n\n")
-        for p, m in zip(pi.p, pi.mass):
-            fh.write(f"{_fmt(p)},{_fmt(m)}\n")
-    with open(out / "zeta.csv", "w", newline="") as fh:
-        fh.write("p,zeta_n\n")
-        for p, z in zip(rf.p, rf.zeta):
-            if np.isfinite(z):
-                fh.write(f"{_fmt(p)},{_fmt(z)}\n")
-    with open(out / "parabola_fit.json", "w") as fh:
-        json.dump(
+def _cmd_ratefunc(resolved) -> int:
+    def finish(out, pi, rf):
+        fit = fl.fit_parabola(rf)
+        _write_json(
+            out / "parabola_fit.json",
             {"a": fit.a, "b": fit.b, "residual": fit.residual, "n_points": fit.n_points},
-            fh,
-            indent=2,
-            sort_keys=True,
         )
-        fh.write("\n")
-    _write_fr_sidecar(out, resolved)
-    _write_manifest(out, "ratefunc", resolved, ["pi.csv", "zeta.csv", "parabola_fit.json", "fr_meta.json"], t0)
-    print(f"ratefunc: a={fit.a:.6f} b={fit.b:.6f}; wrote {out}")
-    return 0
+        return "parabola_fit.json", f"a={fit.a:.6f} b={fit.b:.6f}"
+
+    return _fr_family("ratefunc", resolved, finish)
 
 
-def _cmd_db(args) -> int:
-    spec = {
-        "ell": (float, 0.15),
-        "q": (float, 0.0),
-        "scheme": (_scheme, ReversalScheme.Q4),
-        "out": (str, None),
-    }
-    resolved = _resolve(args, spec)
+_DB = {
+    "ell": (float, 0.15),
+    "q": (float, 0.0),
+    "scheme": (_scheme, ReversalScheme.Q4),
+    "out": (str, None),
+}
+
+
+def _cmd_db(resolved) -> int:
     t0 = time.time()
     report = mk.db_report(resolved["ell"], resolved["q"], resolved["scheme"])
     out = _out_dir(resolved, "db")
-    with open(out / "db.csv", "w", newline="") as fh:
-        fh.write("from,to,forward_weight,reverse_from,reverse_to,reverse_weight,mismatch\n")
-        for p in report.pairs:
-            fh.write(
-                f"{p.source.name},{p.target.name},{_fmt(p.forward_weight)},"
-                f"{p.reverse_source.name},{p.reverse_target.name},"
-                f"{_fmt(p.reverse_weight)},{_fmt(p.mismatch)}\n"
-            )
+    rows = (
+        (p.source.name, p.target.name, p.forward_weight,
+         p.reverse_source.name, p.reverse_target.name, p.reverse_weight, p.mismatch)
+        for p in report.pairs
+    )
+    _write_csv(out / "db.csv", "from,to,forward_weight,reverse_from,reverse_to,reverse_weight,mismatch", rows)
     _write_manifest(out, "db", resolved, ["db.csv"], t0)
     print(f"db: max mismatch = {report.max_mismatch:.17g}; wrote {out}/db.csv")
     return 0
 
 
-def _cmd_transport(args) -> int:
-    spec = {
-        "ell": (float, 0.25),
-        "q": (float, None),
-        "variant": (_variant, MapVariant.REVERSIBLE),
-        "strip_x": (float, None),
-        "strip_eps": (float, None),
-        "mode": (str, "equilibrium"),
-        "n_ens": (int, 100_000),
-        "n_iter": (int, 50),
-        "burn_in": (int, 1_000),
-        "seed": (int, 0),
-        "k_max": (int, 50),
-        "sweep": (str, None),
-        "out": (str, None),
-    }
-    resolved = _resolve(args, spec)
-    if resolved["mode"] not in ("equilibrium", "stationary"):
-        print("transport: error: mode must be 'equilibrium' or 'stationary'", file=sys.stderr)
-        return _USAGE_EXIT
-    t0 = time.time()
-    out = _out_dir(resolved, "transport")
+_TRANSPORT = {
+    "ell": (float, 0.25),
+    "q": (float, None),
+    "variant": (_variant, MapVariant.REVERSIBLE),
+    "strip_x": (float, None),
+    "strip_eps": (float, None),
+    "mode": (_choice("equilibrium", "stationary"), "equilibrium"),
+    "n_ens": (int, 100_000),
+    "n_iter": (int, 50),
+    "burn_in": (int, 1_000),
+    "seed": (int, 0),
+    "k_max": (int, 50),
+    "sweep": (str, None),
+    "out": (str, None),
+}
 
-    if resolved["sweep"]:
-        biases = [float(tok) for tok in resolved["sweep"].split(",") if tok.strip()]
-        base = tp.GKConfig(
-            params=MapParams(ell=0.25, q=0.0),
-            variant=resolved["variant"],
-            n_ens=resolved["n_ens"],
-            n_iter=resolved["n_iter"],
-            seed=resolved["seed"],
-            ensemble_mode="stationary",
-            burn_in=resolved["burn_in"],
-        )
-        rows = tp.bias_sweep(np.array(biases), base)
+
+def _biases(sweep: str) -> np.ndarray:
+    """The comma-separated bias list of ``--sweep``."""
+    try:
+        biases = [float(tok) for tok in sweep.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise BakerlabError(f"--sweep: {exc}") from None
+    if not biases:
+        raise BakerlabError(f"--sweep: no bias values in {sweep!r}")
+    return np.array(biases)
+
+
+def _cmd_transport(resolved) -> int:
+    t0 = time.time()
+    biases = _biases(resolved["sweep"]) if resolved["sweep"] else None
+    out = _out_dir(resolved, "transport")
+    gk_common = {k: resolved[k] for k in ("variant", "n_ens", "n_iter", "seed", "burn_in")}
+
+    if biases is not None:
+        base = tp.GKConfig(params=MapParams(ell=0.25, q=0.0), ensemble_mode="stationary", **gk_common)
+        rows = tp.bias_sweep(biases, base)
         bad = sum(0 if r.converged else 1 for _, r in rows)
-        with open(out / "sweep.csv", "w", newline="") as fh:
-            fh.write("F_e,L,stderr\n")
-            for b, r in rows:
-                fh.write(f"{_fmt(b)},{_fmt(r.value)},{_fmt(r.stderr)}\n")
+        _write_csv(out / "sweep.csv", "F_e,L,stderr", ((b, r.value, r.stderr) for b, r in rows))
         _write_manifest(out, "transport", resolved, ["sweep.csv"], t0)
         print(f"transport: swept {len(rows)} bias values; wrote {out}/sweep.csv")
         if bad:
@@ -401,30 +379,11 @@ def _cmd_transport(args) -> int:
     if q is None:
         q = 0.5 - 2.0 * resolved["ell"]
     mode = "microcanonical-equilibrium" if resolved["mode"] == "equilibrium" else "stationary"
-    cfg = tp.GKConfig(
-        params=MapParams(
-            ell=resolved["ell"],
-            q=q,
-            strip_x=resolved["strip_x"],
-            strip_eps=resolved["strip_eps"],
-        ),
-        variant=resolved["variant"],
-        n_ens=resolved["n_ens"],
-        n_iter=resolved["n_iter"],
-        seed=resolved["seed"],
-        ensemble_mode=mode,
-        burn_in=resolved["burn_in"],
-    )
+    cfg = tp.GKConfig(params=_params_from(dict(resolved, q=q)), ensemble_mode=mode, **gk_common)
     result = tp.green_kubo_estimate(cfg)
     exact = tp.green_kubo_exact(resolved["ell"], resolved["k_max"])
-    with open(out / "convergence.csv", "w", newline="") as fh:
-        fh.write("k,partial_sum\n")
-        for k, ps in enumerate(result.partial_sums):
-            fh.write(f"{k},{_fmt(ps)}\n")
-    with open(out / "convergence_exact.csv", "w", newline="") as fh:
-        fh.write("k,partial_sum\n")
-        for k, ps in enumerate(exact.partial_sums):
-            fh.write(f"{k},{_fmt(ps)}\n")
+    _write_csv(out / "convergence.csv", "k,partial_sum", enumerate(result.partial_sums))
+    _write_csv(out / "convergence_exact.csv", "k,partial_sum", enumerate(exact.partial_sums))
     _write_manifest(out, "transport", resolved, ["convergence.csv", "convergence_exact.csv"], t0)
     print(
         f"transport: L={result.value:.6f} +- {result.stderr:.6f} "
@@ -564,7 +523,7 @@ def _selftest_checks():
     ]
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(resolved) -> int:
     failures = 0
     for name, fn in _selftest_checks():
         try:
@@ -586,74 +545,26 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_common(p: argparse.ArgumentParser, *names):
-    table = {
-        "ell": lambda: p.add_argument("--ell", type=float),
-        "q": lambda: p.add_argument("--q", type=float),
-        "variant": lambda: p.add_argument("--variant", type=_variant),
-        "strip_x": lambda: p.add_argument("--strip-x", dest="strip_x", type=float),
-        "strip_eps": lambda: p.add_argument("--strip-eps", dest="strip_eps", type=float),
-        "n": lambda: p.add_argument("--n", type=int),
-        "n_ens": lambda: p.add_argument("--n-ens", dest="n_ens", type=int),
-        "n_iter": lambda: p.add_argument("--n-iter", dest="n_iter", type=int),
-        "burn_in": lambda: p.add_argument("--burn-in", dest="burn_in", type=int),
-        "seed": lambda: p.add_argument("--seed", type=int),
-        "delta": lambda: p.add_argument("--delta", type=float),
-        "bins": lambda: p.add_argument("--bins", type=int),
-        "source": lambda: p.add_argument("--source", choices=["mc", "exact"]),
-        "scheme": lambda: p.add_argument("--scheme", type=_scheme),
-        "out": lambda: p.add_argument("--out", type=str),
-        "config": lambda: p.add_argument("--config", type=str),
-        "p_max": lambda: p.add_argument("--p-max", dest="p_max", type=float),
-        "min_count": lambda: p.add_argument("--min-count", dest="min_count", type=int),
-        "mode": lambda: p.add_argument("--mode", choices=["equilibrium", "stationary"]),
-        "k_max": lambda: p.add_argument("--k-max", dest="k_max", type=int),
-        "sweep": lambda: p.add_argument("--sweep", type=str, help="comma-separated bias values"),
-    }
-    for name in names:
-        table[name]()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bakerlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"bakerlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("density", help="2-d invariant-density histogram and marginals")
-    _add_common(p, "ell", "q", "variant", "strip_x", "strip_eps", "n_ens", "n_iter",
-                "burn_in", "bins", "seed", "out", "config")
-    p.set_defaults(fn=_cmd_density)
-
-    p = sub.add_parser("surface", help="mean contraction rate over an (ell, q) grid")
-    for flag in ("ell-min", "ell-max", "q-min", "q-max"):
-        p.add_argument(f"--{flag}", dest=flag.replace("-", "_"), type=float)
-    for flag in ("ell-steps", "q-steps"):
-        p.add_argument(f"--{flag}", dest=flag.replace("-", "_"), type=int)
-    _add_common(p, "out", "config")
-    p.set_defaults(fn=_cmd_surface)
-
-    p = sub.add_parser("fr", help="probability cells, rate function and fluctuation-relation check")
-    _add_common(p, "ell", "q", "variant", "strip_x", "strip_eps", "n", "delta", "p_max",
-                "source", "min_count", "n_ens", "n_iter", "burn_in", "seed", "out", "config")
-    p.set_defaults(fn=_cmd_fr)
-
-    p = sub.add_parser("ratefunc", help="rate function with parabola fit")
-    _add_common(p, "ell", "q", "variant", "strip_x", "strip_eps", "n", "delta", "p_max",
-                "source", "min_count", "n_ens", "n_iter", "burn_in", "seed", "out", "config")
-    p.set_defaults(fn=_cmd_ratefunc)
-
-    p = sub.add_parser("db", help="detailed-balance report")
-    _add_common(p, "ell", "q", "scheme", "out", "config")
-    p.set_defaults(fn=_cmd_db)
-
-    p = sub.add_parser("transport", help="Green-Kubo transport estimate or bias sweep")
-    _add_common(p, "ell", "q", "variant", "strip_x", "strip_eps", "mode", "n_ens", "n_iter",
-                "burn_in", "seed", "k_max", "sweep", "out", "config")
-    p.set_defaults(fn=_cmd_transport)
-
-    p = sub.add_parser("selftest", help="run the analytic invariant battery")
-    p.set_defaults(fn=_cmd_selftest)
-
+    commands = (
+        ("density", "2-d invariant-density histogram and marginals", _DENSITY, _cmd_density),
+        ("surface", "mean contraction rate over an (ell, q) grid", _SURFACE, _cmd_surface),
+        ("fr", "probability cells, rate function and fluctuation-relation check", _FR, _cmd_fr),
+        ("ratefunc", "rate function with parabola fit", _FR, _cmd_ratefunc),
+        ("db", "detailed-balance report", _DB, _cmd_db),
+        ("transport", "Green-Kubo transport estimate or bias sweep", _TRANSPORT, _cmd_transport),
+        ("selftest", "run the analytic invariant battery", {}, _cmd_selftest),
+    )
+    for name, help_text, spec, fn in commands:
+        p = sub.add_parser(name, help=help_text)
+        for option, (conv, _) in spec.items():
+            p.add_argument("--" + option.replace("_", "-"), dest=option, type=conv)
+        if spec:
+            p.add_argument("--config", type=str)
+        p.set_defaults(fn=fn, spec=spec)
     return parser
 
 
@@ -661,13 +572,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except BakerlabError as exc:
+        return args.fn(_resolve(args))
+    except (BakerlabError, OSError) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
-    except OSError as exc:
-        print(f"{args.command}: error: {exc}", file=sys.stderr)
-        return _NUMERIC_EXIT
+        numeric = isinstance(exc, (InsufficientFluctuationsError, OSError))
+        return _NUMERIC_EXIT if numeric else _USAGE_EXIT
 
 
 if __name__ == "__main__":

@@ -42,6 +42,7 @@ __all__ = [
     "sample_ensemble",
     "evolve",
     "final_state",
+    "region_stream",
     "empirical_density",
     "region_sequences",
     "transition_counts",
@@ -177,11 +178,16 @@ def final_state(config: SimConfig):
     return drv.x, drv.y
 
 
-def _iter_x(config: SimConfig):
-    """x-only fast path; valid because the x update never reads y."""
+def region_stream(config: SimConfig) -> Iterator[np.ndarray]:
+    """Yield the region occupied by every member at each of the ``n_iter``
+    post-burn-in steps.
+
+    Runs the x-only fast path, valid because the x update never reads y:
+    the regions are bitwise identical to those of ``evolve``.
+    """
     drv = _Driver(config, with_y=False)
     for _ in range(config.n_iter):
-        yield drv.x, drv.regions()
+        yield drv.regions()
         drv.advance()
 
 
@@ -229,7 +235,7 @@ def region_sequences(config: SimConfig, max_bytes: int = 2**28) -> np.ndarray:
             "use a streaming reduction instead"
         )
     out = np.empty((config.n_ens, config.n_iter), dtype=np.int8)
-    for k, (_, r) in enumerate(_iter_x(config)):
+    for k, r in enumerate(region_stream(config)):
         out[:, k] = r
     return out
 
@@ -239,7 +245,7 @@ def transition_counts(config: SimConfig) -> np.ndarray:
     (n_iter - 1 transitions per member)."""
     counts = np.zeros(16, dtype=np.int64)
     prev = None
-    for _, r in _iter_x(config):
+    for r in region_stream(config):
         if prev is not None:
             counts += np.bincount(prev.astype(np.int64) * 4 + r, minlength=16)
         prev = r
@@ -263,7 +269,7 @@ def lambda_segment_means(config: SimConfig, seg_len: int) -> np.ndarray:
     sums = np.zeros((config.n_ens, n_segs))
     acc = np.zeros(config.n_ens)
     seg = 0
-    for k, (_, r) in enumerate(_iter_x(config)):
+    for k, r in enumerate(region_stream(config)):
         if k >= n_segs * seg_len:
             break
         acc += rates[r]
@@ -362,7 +368,7 @@ def odd_observable_mean(
     if config.n_iter < 1:
         raise DomainError("n_iter must be >= 1")
     per_member = np.zeros(config.n_ens)
-    for _, r in _iter_x(config):
+    for r in region_stream(config):
         per_member += phi[r]
     per_member /= config.n_iter
     mean = float(per_member.mean())

@@ -16,8 +16,9 @@ volume-preserving perturbation flips the lower-half y-coordinates inside a
 vertical strip; composing it after the baker step destroys invertibility
 without touching any x-projected statistic.
 
-All functions here are pure and stateless; array variants operate on numpy
-vectors and share the exact comparison order of the scalar code paths.
+All functions here are pure and stateless.  The array functions operate on
+numpy vectors and hold every formula; the scalar ``Point`` functions are thin
+wrappers over them.
 """
 
 from __future__ import annotations
@@ -139,18 +140,31 @@ class ReversibilityReport:
     n_samples: int
 
 
+def _check_x(x: float) -> None:
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"x must lie in [0, 1], got {x}")
+
+
+def _arrays(p: Point):
+    """A scalar point as one-element arrays for the array kernels."""
+    return np.array([p.x]), np.array([p.y])
+
+
+def _point(x: np.ndarray, y: np.ndarray) -> Point:
+    return Point(float(x[0]), float(y[0]))
+
+
 def classify_region(x: float, ell: float) -> Region:
     """Return the partition cell containing ``x``.
 
     Cells are half-open on the right except D, which includes x = 1.
     """
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [0, 1], got {x}")
-    return Region(int(x >= ell) + int(x >= 0.5) + int(x >= 0.75))
+    _check_x(x)
+    return Region(int(region_indices(np.asarray(x), ell)))
 
 
 def region_indices(x: np.ndarray, ell: float) -> np.ndarray:
-    """Vectorized cell lookup; same comparison order as ``classify_region``."""
+    """Vectorized cell lookup, the kernel behind ``classify_region``."""
     return (
         (x >= ell).astype(np.int8) + (x >= 0.5).astype(np.int8) + (x >= 0.75).astype(np.int8)
     )
@@ -172,14 +186,7 @@ def branch_coefficients(params: MapParams):
 
 def jacobian(region: Region, params: MapParams) -> float:
     """Volume ratio of the branch acting on ``region``."""
-    ell, q = params.ell, params.q
-    if region == Region.A:
-        return 1.0 / (4.0 * ell) - q / (2.0 * ell)
-    if region == Region.B:
-        return 1.0 - q / (1.0 - 2.0 * ell)
-    if region == Region.C:
-        return 1.0 + 2.0 * q
-    return 4.0 * ell + 2.0 * q
+    return float(jacobians(params)[region])
 
 
 def jacobians(params: MapParams) -> np.ndarray:
@@ -207,30 +214,25 @@ def contraction_rates(params: MapParams) -> np.ndarray:
 
 def baker_step(p: Point, params: MapParams) -> Point:
     """One application of the reversible baker map."""
-    r = classify_region(p.x, params.ell)
-    ax, bx, ay, by = branch_coefficients(params)
-    x = min(max(ax[r] * p.x + bx[r], 0.0), 1.0)
-    y = min(max(ay[r] * p.y + by[r], 0.0), 1.0)
-    return Point(x, y)
+    return step(p, params, MapVariant.REVERSIBLE)
 
 
 def strip_flip(p: Point, params: MapParams) -> Point:
     """Flip y -> 1 - y for points in the strip with y < 1/2; identity elsewhere.
 
     The flip preserves x and phase-space volume but is not invertible:
-    the lower strip half has no preimage afterwards.
+    the lower strip half has no preimage afterwards.  A zero-width strip
+    flips nothing.
     """
-    if params.strip_x <= p.x <= params.strip_x + params.strip_eps and p.y < 0.5:
-        return Point(p.x, 1.0 - p.y)
-    return p
+    x, y = _arrays(p)
+    return _point(x, _strip_flip_y(x, y, params))
 
 
 def step(p: Point, params: MapParams, variant: MapVariant = MapVariant.REVERSIBLE) -> Point:
     """One iteration of the selected dynamics."""
-    q = baker_step(p, params)
-    if variant is MapVariant.IRREVERSIBLE:
-        q = strip_flip(q, params)
-    return q
+    _check_x(p.x)
+    x, y, _ = step_arrays(*_arrays(p), params, variant)
+    return _point(x, y)
 
 
 def step_arrays(
@@ -248,10 +250,17 @@ def step_arrays(
     ax, bx, ay, by = branch_coefficients(params)
     xn = np.clip(ax[r] * x + bx[r], 0.0, 1.0)
     yn = np.clip(ay[r] * y + by[r], 0.0, 1.0)
-    if variant is MapVariant.IRREVERSIBLE and params.strip_eps > 0.0:
-        flip = (xn >= params.strip_x) & (xn <= params.strip_x + params.strip_eps) & (yn < 0.5)
-        yn = np.where(flip, 1.0 - yn, yn)
+    if variant is MapVariant.IRREVERSIBLE:
+        yn = _strip_flip_y(xn, yn, params)
     return xn, yn, r
+
+
+def _strip_flip_y(x: np.ndarray, y: np.ndarray, params: MapParams) -> np.ndarray:
+    """y after the strip flip; the kernel behind ``strip_flip``."""
+    if params.strip_eps > 0.0:
+        flip = (x >= params.strip_x) & (x <= params.strip_x + params.strip_eps) & (y < 0.5)
+        y = np.where(flip, 1.0 - y, y)
+    return y
 
 
 def time_reversal(p: Point) -> Point:
@@ -263,9 +272,7 @@ def time_reversal(p: Point) -> Point:
     (x, y) -> ((y+1)/2, 2x-1).  At q = 0 the baker map satisfies
     ``baker_step(G(baker_step(p))) == G(p)`` for every interior point.
     """
-    if p.x < 0.5:
-        return Point(0.5 * p.y, 2.0 * p.x)
-    return Point(0.5 * (p.y + 1.0), 2.0 * p.x - 1.0)
+    return _point(*time_reversal_arrays(*_arrays(p)))
 
 
 def time_reversal_arrays(x: np.ndarray, y: np.ndarray):

@@ -28,6 +28,7 @@ __all__ = [
     "transition_matrix",
     "coarse_measure",
     "mean_contraction_rate",
+    "chain_autocovariance",
     "contraction_autocovariance",
     "contraction_c2",
     "db_report",
@@ -104,21 +105,27 @@ def mean_contraction_rate(ell: float, q: float) -> float:
     return float(mu @ contraction_rates(params))
 
 
+def chain_autocovariance(ell: float, phi: np.ndarray, k_max: int) -> np.ndarray:
+    """Stationary autocovariances cov(phi_0, phi_k) of a region observable
+    for k = 0..k_max: (mu * phi) @ P^k phi - (mu @ phi)^2 on the jump chain."""
+    if k_max < 0:
+        raise DomainError("k_max must be >= 0")
+    mu = coarse_measure(ell)
+    P = transition_matrix(ell)
+    mean = float(mu @ phi)
+    weights = mu * phi
+    u = np.array(phi, dtype=float)
+    cov = np.empty(k_max + 1)
+    for k in range(k_max + 1):
+        cov[k] = float(weights @ u) - mean * mean
+        u = P @ u
+    return cov
+
+
 def contraction_autocovariance(ell: float, q: float, k_max: int) -> np.ndarray:
     """Stationary autocovariances cov(L_0, L_k) of the contraction rate for
     k = 0..k_max, computed from the jump chain."""
-    if k_max < 0:
-        raise DomainError("k_max must be >= 0")
-    rates = contraction_rates(MapParams(ell=ell, q=q))
-    mu = coarse_measure(ell)
-    P = transition_matrix(ell)
-    mean = float(mu @ rates)
-    u = rates.copy()
-    cov = np.empty(k_max + 1)
-    for k in range(k_max + 1):
-        cov[k] = float((mu * rates) @ u) - mean * mean
-        u = P @ u
-    return cov
+    return chain_autocovariance(ell, contraction_rates(MapParams(ell=ell, q=q)), k_max)
 
 
 def contraction_c2(ell: float, q: float, k_max: int = 200) -> float:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .ensemble import SimConfig, _Driver
+from .ensemble import SimConfig, region_stream
 from .mapcore import MapParams, MapVariant
-from .markov import coarse_measure, transition_matrix
+from .markov import chain_autocovariance, coarse_measure, transition_matrix
 
 __all__ = [
     "PSI",
@@ -138,25 +138,24 @@ def green_kubo_estimate(config: GKConfig) -> GKResult:
     else:
         psi_mean = mean_current(params.ell)
         burn = config.burn_in
-    drv = _Driver(
+    regions = region_stream(
         SimConfig(
             params=params,
             variant=config.variant,
             n_ens=config.n_ens,
-            n_iter=0,
+            n_iter=config.n_iter,
             burn_in=burn,
             seed=config.seed,
-        ),
-        with_y=False,
+        )
     )
-    psi0 = PSI[drv.regions()]
     member_total = np.zeros(config.n_ens)
     corr = np.empty(config.n_iter)
-    for k in range(config.n_iter):
-        prod = PSI[drv.regions()] * psi0
+    for k, r in enumerate(regions):
+        if k == 0:
+            psi0 = PSI[r]
+        prod = PSI[r] * psi0
         corr[k] = prod.mean() - psi_mean * psi_mean
         member_total += prod
-        drv.advance()
     member_total -= config.n_iter * psi_mean * psi_mean
     partial = np.cumsum(corr)
     value = float(member_total.mean())
@@ -181,17 +180,9 @@ def green_kubo_exact(ell: float, k_max: int) -> GKResult:
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
-    mu = coarse_measure(ell)
-    P = transition_matrix(ell)
-    psi_mean = float(mu @ PSI)
-    weights = mu * PSI
-    u = PSI.copy()
-    terms = np.empty(k_max + 1)
-    for k in range(k_max + 1):
-        terms[k] = float(weights @ u) - psi_mean * psi_mean
-        u = P @ u
+    terms = chain_autocovariance(ell, PSI, k_max)
     partial = np.cumsum(terms)
-    gamma = float(np.sort(np.abs(np.linalg.eigvals(P)))[-2])
+    gamma = float(np.sort(np.abs(np.linalg.eigvals(transition_matrix(ell))))[-2])
     if gamma >= 1.0:
         raise DomainError(f"no spectral gap at ell={ell}: |lambda_2|={gamma}")
     tail = abs(terms[-1]) * gamma / (1.0 - gamma) if gamma > 0 else 0.0
@@ -200,7 +191,7 @@ def green_kubo_exact(ell: float, k_max: int) -> GKResult:
         stderr=None,
         partial_sums=partial,
         converged=True,
-        psi_mean=psi_mean,
+        psi_mean=float(coarse_measure(ell) @ PSI),
         tail_bound=tail,
         second_eigenvalue=gamma,
     )

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from bakerlab.cli import main
+from bakerlab.cli import _resolve, build_parser, main
 from bakerlab.markov import mean_contraction_rate
 
 
@@ -110,6 +111,13 @@ class TestFR:
         assert fit["a"] > 0
         assert fit["b"] > 0
 
+    def test_fr_and_ratefunc_write_identical_cells(self, tmp_path):
+        args = ["--source", "exact", "--n", "200"]
+        assert run(["fr", *args, "--out", str(tmp_path / "fr")]) == 0
+        assert run(["ratefunc", *args, "--out", str(tmp_path / "rf")]) == 0
+        for name in ("pi.csv", "zeta.csv"):
+            assert (tmp_path / "fr" / name).read_bytes() == (tmp_path / "rf" / name).read_bytes()
+
 
 class TestDB:
     def test_equilibrium_q4(self, tmp_path, capsys):
@@ -146,6 +154,14 @@ class TestTransportCmd:
         exact_rows = (out / "convergence_exact.csv").read_text().splitlines()
         assert float(exact_rows[-1].split(",")[1]) == pytest.approx(0.75, abs=1e-14)
 
+    @pytest.mark.parametrize("sweep", ["0.1,abc", ","])
+    def test_bad_sweep_is_usage_error(self, tmp_path, capsys, sweep):
+        out = tmp_path / "t"
+        assert run(["transport", "--sweep", sweep, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("transport: error: --sweep")
+        assert not (out / "sweep.csv").exists()
+
     def test_sweep(self, tmp_path):
         out = tmp_path / "t"
         code = run(["transport", "--sweep", "0.0,0.2", "--n-ens", "20000",
@@ -175,6 +191,86 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("ell 0.2\n")
         assert run(["db", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize(
+        "command, line, key",
+        [("db", "ell = abc", "ell"), ("density", "variant = bogus", "variant"), ("fr", "source = nope", "source")],
+    )
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, command, line, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"{command}: error: ")
+        assert str(cfg) in err[0] and key in err[0]
+
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("nens = 7\n")
+        out = tmp_path / "o"
+        assert run(["db", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("db: error: ") and "nens" in err
+        assert not out.exists()
+
+    def test_every_option_key_accepted(self, tmp_path):
+        """Each key of a command's option table, read from a config file,
+        resolves to the value its flag gives."""
+        parser = build_parser()
+        for command in COMMAND_FLAGS:
+            spec = parser.parse_args([command]).spec
+            for key, (conv, default) in spec.items():
+                if default is not None:
+                    value = str(getattr(default, "value", default))
+                else:
+                    value = "0.3" if conv is float else "x"
+                cfg = tmp_path / f"{command}_{key}.cfg"
+                cfg.write_text(f"{key} = {value}\n")
+                from_file = _resolve(parser.parse_args([command, "--config", str(cfg)]))
+                from_flag = _resolve(parser.parse_args([command, "--" + key.replace("_", "-"), value]))
+                assert from_file == from_flag, (command, key)
+
+    def test_dashed_keys_accepted(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ell-min = 0.1\nell_max = 0.1\nell-steps = 1\nq-steps = 1\n")
+        out = tmp_path / "s"
+        assert run(["surface", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len((out / "surface.csv").read_text().splitlines()) == 2
+
+
+# flags of every subcommand besides -h/--help
+COMMAND_FLAGS = {
+    "density": "ell q variant strip-x strip-eps n-ens n-iter burn-in bins seed out config",
+    "surface": "ell-min ell-max ell-steps q-min q-max q-steps out config",
+    "fr": "ell q variant strip-x strip-eps n delta p-max source min-count n-ens n-iter burn-in seed out config",
+    "ratefunc": "ell q variant strip-x strip-eps n delta p-max source min-count n-ens n-iter burn-in seed out config",
+    "db": "ell q scheme out config",
+    "transport": "ell q variant strip-x strip-eps mode n-ens n-iter burn-in seed k-max sweep out config",
+}
+
+
+def _subcommand_flags(parser, command):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        flag
+        for action in sub.choices[command]._actions
+        for flag in action.option_strings
+        if flag not in ("-h", "--help")
+    }
+
+
+class TestOptionTables:
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_flags_are_table_keys_plus_config(self, command):
+        parser = build_parser()
+        flags = _subcommand_flags(parser, command)
+        spec = parser.parse_args([command]).spec
+        assert flags == {"--" + key.replace("_", "-") for key in spec} | {"--config"}
+        assert flags == {"--" + name for name in COMMAND_FLAGS[command].split()}
+
+    def test_selftest_takes_no_options(self):
+        assert _subcommand_flags(build_parser(), "selftest") == set()
 
 
 class TestUsage:

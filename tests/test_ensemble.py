@@ -25,6 +25,7 @@ from bakerlab.ensemble import (
     odd_observable_mean,
     reflect_rect,
     region_sequences,
+    region_stream,
     sample_ensemble,
     transition_counts,
     uniformity_chi_square,
@@ -75,6 +76,15 @@ class TestEvolve:
         states = list(evolve(cfg))
         assert [s.k for s in states] == [0, 1, 2, 3, 4]
         assert all(s.x.shape == (64,) for s in states)
+
+    def test_region_stream_matches_evolve(self):
+        cfg = SimConfig(params=PARAMS_EQ, variant=MapVariant.IRREVERSIBLE, n_ens=128, n_iter=12, burn_in=7, seed=5)
+        stream = region_stream(cfg)
+        assert iter(stream) is stream  # a generator, consumed lazily
+        regions = list(stream)
+        assert len(regions) == cfg.n_iter
+        for r, state in zip(regions, evolve(cfg)):
+            assert np.array_equal(r, state.region)
 
     def test_degenerate_strip_matches_reversible_bitwise(self):
         params = MapParams(ell=0.15, q=0.0, strip_x=0.2, strip_eps=0.0)

@@ -192,6 +192,10 @@ class TestStripFlip:
         assert strip_flip(Point(0.2, 0.7), params) == Point(0.2, 0.7)
         assert strip_flip(Point(0.9, 0.1), params) == Point(0.9, 0.1)
 
+    def test_zero_width_strip_is_identity(self):
+        params = MapParams(0.15, 0.1, strip_x=0.5, strip_eps=0.0)
+        assert strip_flip(Point(0.5, 0.12), params) == Point(0.5, 0.12)
+
     @given(
         x=st.floats(0.0, 1.0, allow_nan=False),
         y=st.floats(0.0, 1.0, allow_nan=False),
@@ -221,6 +225,10 @@ class TestStep:
         params = MapParams(0.15, 0.1, strip_x=0.2, strip_eps=0.0)
         for p in (Point(0.1, 0.1), Point(0.2, 0.3), Point(0.8, 0.9)):
             assert step(p, params, MapVariant.IRREVERSIBLE) == baker_step(p, params)
+        # baker image (0.5, 0.12) lies on the zero-width strip itself
+        params = MapParams(0.15, 0.1, strip_x=0.5, strip_eps=0.0)
+        p = Point(0.5, 0.2)
+        assert step(p, params, MapVariant.IRREVERSIBLE) == baker_step(p, params)
 
     def test_composition_order_flip_after_map(self):
         params = MapParams(0.25, 0.0, strip_x=0.5, strip_eps=0.5)

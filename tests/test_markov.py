@@ -7,6 +7,7 @@ from bakerlab.errors import CapacityError, DomainError
 from bakerlab.mapcore import MapParams, Region, ReversalScheme, contraction_rates
 from bakerlab.markov import (
     GENERIC_MAX_N,
+    chain_autocovariance,
     coarse_measure,
     contraction_autocovariance,
     contraction_c2,
@@ -247,6 +248,16 @@ class TestAutocovariance:
         # lag covariances decay with the subdominant eigenvalue 0.2
         ratios = cov[2:8] / cov[1:7]
         assert ratios == pytest.approx([0.2] * 6, rel=1e-9)
+
+    def test_chain_autocovariance_backs_both_callers(self):
+        from bakerlab.transport import PSI, green_kubo_exact
+
+        rates = contraction_rates(MapParams(0.15, 0.2))
+        assert np.array_equal(chain_autocovariance(0.15, rates, 10), contraction_autocovariance(0.15, 0.2, 10))
+        terms = chain_autocovariance(0.15, PSI, 10)
+        assert np.array_equal(np.cumsum(terms), green_kubo_exact(0.15, 10).partial_sums)
+        with pytest.raises(DomainError):
+            chain_autocovariance(0.15, PSI, -1)
 
     def test_c2_closed_form(self):
         c = np.log(1.4)
