@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy import stats as sstats
+from scipy.special import chdtrc
 
 from .errors import CapacityError, DomainError
 from .mapcore import (
@@ -386,7 +386,7 @@ def uniformity_chi_square(counts: np.ndarray) -> tuple[float, int, float]:
     expected = total / counts.size
     stat = float(((counts - expected) ** 2 / expected).sum())
     dof = counts.size - 1
-    return stat, dof, float(sstats.chi2.sf(stat, dof))
+    return stat, dof, float(chdtrc(dof, stat))
 
 
 def write_histogram_csv(hist: Histogram2D, csv_path, sidecar_path, config: SimConfig) -> None:

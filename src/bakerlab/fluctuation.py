@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sstats
-from scipy.special import logsumexp
+from scipy.special import chdtrc, logsumexp
 
 from .errors import (
     DomainError,
@@ -151,68 +150,52 @@ def estimate_pi(
     if mode not in ("e_n", "raw"):
         raise DomainError(f"unknown mode {mode!r}")
 
-    if isinstance(source, ContractionDistribution):
+    exact = isinstance(source, ContractionDistribution)
+    if exact:
         if source.n != config.n:
             raise DomainError(f"distribution has n={source.n}, config has n={config.n}")
         mean_rate = source.mean_time_average()
-        values = source.sums if mode == "raw" else None
-        if mode == "e_n":
-            if mean_rate == 0.0 or abs(mean_rate) < 1e-15:
-                raise NormalizationError(
-                    "mean contraction rate is 0 (equilibrium); bin the raw sums "
-                    "with mode='raw' instead"
-                )
-            values = source.sums / (config.n * mean_rate)
+    elif isinstance(source, SimConfig):
+        mean_rate = mean_contraction_rate(source.params.ell, source.params.q)
+    else:
+        raise DomainError(f"unsupported source type {type(source).__name__}")
+    # one equilibrium test for both sources: on the q = 0 line the mean is 0
+    # up to rounding (e.g. -3e-19), and dividing by it would bin noise
+    if mode == "e_n" and abs(mean_rate) < 1e-15:
+        raise NormalizationError(
+            "mean contraction rate is 0 (equilibrium); bin the raw sums "
+            "with mode='raw' instead"
+        )
+
+    if exact:
+        values = source.sums if mode == "raw" else source.sums / (config.n * mean_rate)
         idx = _bin_values(values, config.p_grid, config.delta)
         log_mass = np.full(len(config.p_grid), -np.inf)
         for i in range(len(config.p_grid)):
             sel = idx == i
             if sel.any():
                 log_mass[i] = float(logsumexp(source.log_probs[sel]))
-        return PiHistogram(
-            p=config.p_grid,
-            delta=config.delta,
-            n=config.n,
-            source="exact",
-            log_mass=log_mass,
-            counts=None,
-            n_segments=None,
-            normalized=mode == "e_n",
-            mean_rate=mean_rate,
-            min_count=config.min_count,
-        )
-
-    if isinstance(source, SimConfig):
-        params = source.params
-        mean_rate = mean_contraction_rate(params.ell, params.q)
+        counts = n_segments = None
+    else:
         averages = lambda_segment_means(source, config.n)
-        if mode == "e_n":
-            if mean_rate == 0.0:
-                raise NormalizationError(
-                    "mean contraction rate is 0 (equilibrium); bin the raw sums "
-                    "with mode='raw' instead"
-                )
-            values = averages / mean_rate
-        else:
-            values = averages * config.n
+        values = averages / mean_rate if mode == "e_n" else averages * config.n
         idx = _bin_values(values, config.p_grid, config.delta)
         counts = np.bincount(idx[idx >= 0], minlength=len(config.p_grid)).astype(np.int64)
+        n_segments = len(values)
         with np.errstate(divide="ignore"):
-            log_mass = np.log(counts) - np.log(len(values))
-        return PiHistogram(
-            p=config.p_grid,
-            delta=config.delta,
-            n=config.n,
-            source="mc",
-            log_mass=log_mass,
-            counts=counts,
-            n_segments=len(values),
-            normalized=mode == "e_n",
-            mean_rate=mean_rate,
-            min_count=config.min_count,
-        )
-
-    raise DomainError(f"unsupported source type {type(source).__name__}")
+            log_mass = np.log(counts) - np.log(n_segments)
+    return PiHistogram(
+        p=config.p_grid,
+        delta=config.delta,
+        n=config.n,
+        source="exact" if exact else "mc",
+        log_mass=log_mass,
+        counts=counts,
+        n_segments=n_segments,
+        normalized=mode == "e_n",
+        mean_rate=mean_rate,
+        min_count=config.min_count,
+    )
 
 
 @dataclass(frozen=True)
@@ -386,7 +369,7 @@ def variant_equivalence_test(
         contrib = (k1 * oa - k2 * ob) ** 2 / (oa + ob)
     stat = float(np.nansum(contrib))
     dof = max(len(oa) - 1, 1)
-    pvalue = float(sstats.chi2.sf(stat, dof))
+    pvalue = float(chdtrc(dof, stat))
     return EquivalenceReport(
         statistic=stat,
         dof=dof,

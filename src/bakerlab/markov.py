@@ -33,11 +33,14 @@ __all__ = [
     "contraction_c2",
     "db_report",
     "contraction_sum_distribution",
+    "MAX_N",
     "GENERIC_MAX_N",
 ]
 
-# dense DP over (n_A, n_B, n_C) counts; beyond this use lattice-collapsible
-# parameter families or accept the capacity error
+# caps on n for contraction_sum_distribution: MAX_N for every parameter set,
+# GENERIC_MAX_N off the lattice-collapsible families, whose DP state holds
+# 3(n+1)^2 coordinates (n_A, n_B, n_D - n_A) per region
+MAX_N = 2000
 GENERIC_MAX_N = 128
 
 
@@ -244,35 +247,38 @@ def _lattice_structure(rates: np.ndarray, tol: float = 1e-12):
     return None
 
 
-def _lattice_dp(ell: float, m: np.ndarray, n: int):
-    """Log-space DP over (current region, integer lattice coordinate)."""
+# incoming edges of the jump chain: A <- {B, D}, B <- {B, D}, C <- {A, C}, D <- {A, C}
+_SOURCES = ((1, 3), (1, 3), (0, 2), (0, 2))
+
+
+def _log_dp(ell: float, m: np.ndarray, lo: np.ndarray, shape: tuple, n: int):
+    """Log-space DP over (current region, integer coordinate vector c).
+
+    Visiting region r adds the shift ``m[r]`` to c, and c lives in the box
+    with lower corner ``lo`` and extent ``shape``.  Returns the reachable
+    coordinates, one row each, and their log-probabilities."""
     mu = coarse_measure(ell)
     P = transition_matrix(ell)
     with np.errstate(divide="ignore"):
         lp = np.log(P)
-    size = 2 * n + 1
-    off = n
-    state = np.full((4, size), -np.inf)
+    state = np.full((4,) + shape, -np.inf)
     for r in range(4):
-        state[r, off + m[r]] = np.log(mu[r])
+        state[(r,) + tuple(m[r] - lo)] = np.log(mu[r])
 
-    def shifted(row: np.ndarray, k: int) -> np.ndarray:
-        out = np.full(size, -np.inf)
-        if k == 0:
-            out[:] = row
-        elif k > 0:
-            out[k:] = row[:-k]
-        else:
-            out[:k] = row[-k:]
-        return out
-
-    # incoming edges: A <- {B, D}, B <- {B, D}, C <- {A, C}, D <- {A, C}
-    sources = {0: (1, 3), 1: (1, 3), 2: (0, 2), 3: (0, 2)}
+    # per target region: the box cells its shift moves into (dst) and the
+    # cells that stay inside the box (src); the rest would leave it
+    moves = [
+        (
+            tuple(slice(k, None) if k > 0 else slice(None, k or None) for k in mr),
+            tuple(slice(None, -k) if k > 0 else slice(-k, None) for k in mr),
+        )
+        for mr in m
+    ]
     for _ in range(n - 1):
-        new = np.empty_like(state)
-        for tgt, (s1, s2) in sources.items():
-            acc = np.logaddexp(state[s1] + lp[s1, tgt], state[s2] + lp[s2, tgt])
-            new[tgt] = shifted(acc, int(m[tgt]))
+        new = np.full_like(state, -np.inf)
+        for tgt, (s1, s2) in enumerate(_SOURCES):
+            dst, src = moves[tgt]
+            new[(tgt,) + dst] = np.logaddexp(state[s1][src] + lp[s1, tgt], state[s2][src] + lp[s2, tgt])
         state = new
 
     with np.errstate(invalid="ignore"):
@@ -280,74 +286,60 @@ def _lattice_dp(ell: float, m: np.ndarray, n: int):
         for r in range(1, 4):
             total = np.logaddexp(total, state[r])
     mask = total > -np.inf
-    lattice = np.arange(-n, n + 1)[mask]
-    return lattice, total[mask]
+    return np.argwhere(mask) + lo, total[mask]
 
 
-def _generic_dp(ell: float, rates: np.ndarray, n: int):
-    """Dense DP over (current region, n_A, n_B, n_C) visit counts."""
-    if n > GENERIC_MAX_N:
-        raise CapacityError(
-            f"n={n} exceeds the generic-parameter limit {GENERIC_MAX_N}; "
-            "only the q=0 and q=1/2-2*ell families support larger n"
-        )
-    mu = coarse_measure(ell)
-    P = transition_matrix(ell)
-    size = n + 1
-    state = np.zeros((4, size, size, size))
-    unit = {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1), 3: (0, 0, 0)}
-    for r in range(4):
-        state[(r,) + unit[r]] = mu[r]
-    sources = {0: (1, 3), 1: (1, 3), 2: (0, 2), 3: (0, 2)}
-    for _ in range(n - 1):
-        new = np.zeros_like(state)
-        for tgt, (s1, s2) in sources.items():
-            inflow = state[s1] * P[s1, tgt] + state[s2] * P[s2, tgt]
-            da, db, dc = unit[tgt]
-            new[tgt, da:, db:, dc:] += inflow[: size - da, : size - db, : size - dc]
-        state = new
+def _generic_sums(ell: float, rates: np.ndarray, n: int):
+    """Atoms of the sum for generic rates, from the visit counts.
 
-    mass = state.sum(axis=0)
-    na, nb, nc = np.nonzero(mass)
-    nd = n - na - nb - nc
+    After A the chain stays in {C, D} until it leaves D, and after D it
+    stays in {A, B} until it leaves A, so A and D alternate and
+    e = n_D - n_A lies in {-1, 0, 1}: the DP tracks c = (n_A, n_B, e)."""
+    m = np.array([[1, 0, -1], [0, 1, 0], [0, 0, 0], [0, 0, 1]])
+    coords, log_probs = _log_dp(ell, m, np.array([0, 0, -1]), (n + 1, n + 1, 3), n)
+    na, nb, e = coords.T
+    nd = na + e
+    nc = n - na - nb - nd
     values = na * rates[0] + nb * rates[1] + nc * rates[2] + nd * rates[3]
-    probs = mass[na, nb, nc]
-    # merge count vectors that land on the same sum value
+    # merge count vectors that land on the same sum value: an atom within
+    # 1e-9 of the first value of the current group joins that group
     order = np.argsort(values, kind="stable")
-    values, probs = values[order], probs[order]
-    merged_v, merged_p = [], []
-    for v, p in zip(values, probs):
-        if merged_v and abs(v - merged_v[-1]) <= 1e-9:
-            merged_p[-1] += p
-        else:
-            merged_v.append(v)
-            merged_p.append(p)
-    return np.array(merged_v), np.log(np.array(merged_p))
+    values, log_probs = values[order], log_probs[order]
+    flat, starts = values.tolist(), [0]
+    for i, v in enumerate(flat):
+        if v - flat[starts[-1]] > 1e-9:
+            starts.append(i)
+    return values[starts], np.logaddexp.reduceat(log_probs, starts)
 
 
-def contraction_sum_distribution(
-    ell: float, q: float, n: int, max_n: int = 2000
-) -> ContractionDistribution:
+def contraction_sum_distribution(ell: float, q: float, n: int) -> ContractionDistribution:
     """Exact law of the n-step contraction sum of the stationary jump chain.
 
-    The sum depends on the region sequence only through visit counts.  On
-    the q = 0 and q = 1/2 - 2 ell families the counts collapse to a single
-    signed difference, giving an O(n^2) log-space DP good up to ``max_n``;
-    elsewhere a dense O(n^3)-state DP is used and n is capped at
+    The sum depends on the region sequence only through visit counts, which
+    one log-space DP tracks as an integer coordinate vector.  On the q = 0
+    and q = 1/2 - 2 ell families the counts collapse to a single signed
+    difference, giving 2n+1 states per region and O(n^2) work up to
+    ``MAX_N``; elsewhere the coordinates are (n_A, n_B, n_D - n_A), giving
+    3(n+1)^2 states per region and O(n^3) work, and n is capped at
     ``GENERIC_MAX_N``.
     """
     _validate_ell(ell)
     if n < 1:
         raise DomainError("n must be >= 1")
-    if n > max_n:
-        raise CapacityError(f"n={n} exceeds the configured limit {max_n}")
+    if n > MAX_N:
+        raise CapacityError(f"n={n} exceeds the limit {MAX_N}")
     rates = contraction_rates(MapParams(ell=ell, q=q))
     if np.max(np.abs(rates)) == 0.0:
         return ContractionDistribution(n=n, sums=np.zeros(1), log_probs=np.zeros(1))
     lattice = _lattice_structure(rates)
     if lattice is not None:
         m, scale = lattice
-        coords, log_probs = _lattice_dp(ell, m, n)
-        return ContractionDistribution(n=n, sums=scale * coords, log_probs=log_probs)
-    values, log_probs = _generic_dp(ell, rates, n)
+        coords, log_probs = _log_dp(ell, m[:, None], np.array([-n]), (2 * n + 1,), n)
+        return ContractionDistribution(n=n, sums=scale * coords[:, 0], log_probs=log_probs)
+    if n > GENERIC_MAX_N:
+        raise CapacityError(
+            f"n={n} exceeds the generic-parameter limit {GENERIC_MAX_N}; "
+            "only the q=0 and q=1/2-2*ell families support larger n"
+        )
+    values, log_probs = _generic_sums(ell, rates, n)
     return ContractionDistribution(n=n, sums=values, log_probs=log_probs)

@@ -1,9 +1,14 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bakerlab
 from bakerlab.cli import _resolve, build_parser, main
 from bakerlab.markov import mean_contraction_rate
 
@@ -117,6 +122,16 @@ class TestFR:
         assert run(["ratefunc", *args, "--out", str(tmp_path / "rf")]) == 0
         for name in ("pi.csv", "zeta.csv"):
             assert (tmp_path / "fr" / name).read_bytes() == (tmp_path / "rf" / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["fr", "ratefunc"])
+    def test_equilibrium_mc_source_is_usage_error(self, command, tmp_path, capsys):
+        # same refusal as the exact source; nothing is binned or written
+        out = tmp_path / command
+        code = run([command, "--q", "0", "--source", "mc", "--n-ens", "200",
+                    "--n-iter", "400", "--burn-in", "50", "--out", str(out)])
+        assert code == 1
+        assert "mean contraction rate is 0 (equilibrium)" in capsys.readouterr().err
+        assert not (out / "pi.csv").exists()
 
 
 class TestDB:
@@ -288,3 +303,11 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             run(["density", "--variant", "sideways"])
         assert exc.value.code == 1
+
+
+class TestImport:
+    def test_import_leaves_scipy_stats_out(self):
+        src = str(Path(bakerlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, bakerlab, bakerlab.cli; assert 'scipy.stats' not in sys.modules"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -157,6 +157,13 @@ class TestEmpiricalDensity:
         stat, dof, pvalue = uniformity_chi_square(hist.counts.reshape(-1))
         assert pvalue > 0.001
 
+    @pytest.mark.parametrize("bins", [2, 10, 60, 100])
+    def test_uniformity_pvalue_is_chi2_survival(self, bins):
+        counts = np.random.default_rng(bins).poisson(50, size=bins)
+        stat, dof, pvalue = uniformity_chi_square(counts)
+        assert dof == bins - 1
+        assert pvalue == float(sstats.chi2.sf(stat, dof))
+
     def test_sample_count(self):
         cfg = SimConfig(params=PARAMS_EQ, n_ens=300, n_iter=7, burn_in=10, seed=1)
         hist = empirical_density(cfg, nx=8, ny=8)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats as sstats
 
 from bakerlab.errors import (
     DomainError,
@@ -89,6 +90,12 @@ class TestEstimatePi:
         dist = contraction_sum_distribution(0.15, 0.0, 50)
         with pytest.raises(NormalizationError):
             estimate_pi(fr_config(50), dist)
+
+    def test_mc_normalization_error_at_equilibrium(self):
+        # the stationary mean at (0.15, 0) is a rounding residue (-3e-19), not 0.0
+        sim = SimConfig(params=MapParams(0.15, 0.0), n_ens=200, n_iter=500, burn_in=50, seed=3)
+        with pytest.raises(NormalizationError):
+            estimate_pi(fr_config(50), sim)
 
     def test_raw_mode_at_equilibrium(self):
         dist = contraction_sum_distribution(0.15, 0.0, 50)
@@ -235,6 +242,14 @@ class TestVariantEquivalence:
         rep = variant_equivalence_test(a, b, seg_len=50)
         assert not rep.identical
         assert rep.passed, (rep.statistic, rep.pvalue)
+
+    def test_pvalue_is_chi2_survival(self):
+        base = dict(n_ens=500, n_iter=500, burn_in=100)
+        a = SimConfig(params=MapParams(ELL, Q), seed=31, **base)
+        b = SimConfig(params=MapParams(ELL, Q), seed=32, **base)
+        rep = variant_equivalence_test(a, b, seg_len=50)
+        assert rep.dof > 1
+        assert rep.pvalue == float(sstats.chi2.sf(rep.statistic, rep.dof))
 
     def test_different_parameters_fail(self):
         base = dict(n_ens=2_000, n_iter=1_000, burn_in=300)

@@ -200,15 +200,33 @@ class TestContractionSumDistribution:
         assert np.abs(dist.sums + dist.sums[::-1]).max() < 1e-12
         assert np.abs(dist.probs - dist.probs[::-1]).max() < 1e-12
 
-    def test_normalization_deep(self):
-        dist = contraction_sum_distribution(0.15, 0.2, 500)
+    @pytest.mark.parametrize(
+        "ell,q,n",
+        [
+            pytest.param(0.15, 0.2, 500, id="lattice-500"),
+            pytest.param(0.2, 0.05, 64, id="generic-64"),
+            pytest.param(0.2, 0.05, GENERIC_MAX_N, id="generic-max"),
+        ],
+    )
+    def test_normalization_deep(self, ell, q, n):
+        dist = contraction_sum_distribution(ell, q, n)
         assert abs(dist.probs.sum() - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("n", [1, 7, 64, 500])
-    def test_mean_is_stationary(self, n):
-        dist = contraction_sum_distribution(0.15, 0.2, n)
+    @pytest.mark.parametrize(
+        "ell,q,n",
+        [
+            pytest.param(0.15, 0.2, 1, id="1"),
+            pytest.param(0.15, 0.2, 7, id="7"),
+            pytest.param(0.15, 0.2, 64, id="64"),
+            pytest.param(0.15, 0.2, 500, id="500"),
+            pytest.param(0.2, 0.05, 64, id="generic-64"),
+            pytest.param(0.2, 0.05, GENERIC_MAX_N, id="generic-max"),
+        ],
+    )
+    def test_mean_is_stationary(self, ell, q, n):
+        dist = contraction_sum_distribution(ell, q, n)
         assert dist.mean_time_average() == pytest.approx(
-            mean_contraction_rate(0.15, 0.2), abs=5e-12
+            mean_contraction_rate(ell, q), abs=5e-12
         )
 
     def test_point_mass_at_conservative_point(self):
