@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import BakerlabError, InsufficientFluctuationsError
+from .errors import BakerlabError, DomainError, InsufficientFluctuationsError
 from .mapcore import (
     MapParams,
     MapVariant,
@@ -224,6 +224,9 @@ _SURFACE = {
 
 def _cmd_surface(resolved) -> int:
     t0 = time.time()
+    for name in ("ell_steps", "q_steps"):
+        if resolved[name] < 1:
+            raise DomainError(f"{name} must be >= 1, got {resolved[name]}")
     ells = np.linspace(resolved["ell_min"], resolved["ell_max"], resolved["ell_steps"])
     qs = np.linspace(resolved["q_min"], resolved["q_max"], resolved["q_steps"])
     out = _out_dir(resolved, "surface")
@@ -357,9 +360,17 @@ def _biases(sweep: str) -> np.ndarray:
     return np.array(biases)
 
 
+# options that --sweep derives from each bias or does not use
+_NOT_SWEPT = ("ell", "q", "mode", "strip_x", "strip_eps", "k_max")
+
+
 def _cmd_transport(resolved) -> int:
     t0 = time.time()
     biases = _biases(resolved["sweep"]) if resolved["sweep"] else None
+    if biases is not None:
+        for name in _NOT_SWEPT:
+            if resolved[name] != _TRANSPORT[name][1]:
+                raise BakerlabError(f"--{name.replace('_', '-')} cannot be combined with --sweep")
     out = _out_dir(resolved, "transport")
     gk_common = {k: resolved[k] for k in ("variant", "n_ens", "n_iter", "seed", "burn_in")}
 

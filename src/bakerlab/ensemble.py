@@ -1,8 +1,8 @@
 """Deterministic parallel Monte Carlo engine for the baker dynamics.
 
-Ensembles are evolved as numpy vectors; every random draw comes from a
-counter-based generator keyed by the configured seed, so a configuration
-determines its outputs exactly, independent of how the work is scheduled.
+Ensembles are evolved as numpy vectors by one sequential loop; every
+random draw comes from a counter-based (Philox) stream keyed by the
+configured seed, so a configuration determines its outputs exactly.
 Reductions (histograms, segment sums, transition counts) are accumulated
 in fixed member order.
 
@@ -14,7 +14,7 @@ seed, and internal fast paths may skip the y update entirely.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -26,7 +26,6 @@ from .mapcore import (
     MapVariant,
     Region,
     ReversalScheme,
-    branch_coefficients,
     contraction_rates,
     region_indices,
     region_reverse,
@@ -77,41 +76,36 @@ def _dither_gen(seed: int, subkey: np.uint64):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class _Driver:
-    """Sequential state advance shared by every reduction, so that any two
-    reductions over the same config see bitwise-identical x streams."""
+def _dither(v: np.ndarray, gen) -> np.ndarray:
+    return np.clip(v + (gen.random(len(v)) - 0.5) * 2.0 * _DITHER_SCALE, 0.0, 1.0)
 
-    def __init__(self, config: SimConfig, with_y: bool = True):
-        self.params = config.params
-        self.variant = config.variant
-        self.with_y = with_y
-        self.dither = _needs_dither(config.params)
-        if self.dither:
-            self._gx = _dither_gen(config.seed, _DITHER_SUBKEY_X)
-            self._gy = _dither_gen(config.seed, _DITHER_SUBKEY_Y) if with_y else None
-        pts = sample_ensemble(config.n_ens, config.seed)
-        self.x = np.ascontiguousarray(pts[:, 0])
-        self.y = np.ascontiguousarray(pts[:, 1]) if with_y else None
-        self._ax, self._bx, self._ay, self._by = branch_coefficients(config.params)
-        for _ in range(config.burn_in):
-            self.advance()
 
-    def regions(self) -> np.ndarray:
-        return region_indices(self.x, self.params.ell)
+def _run(config: SimConfig, with_y: bool = True):
+    """The one sequential state advance behind every ensemble entry point,
+    so that any two reductions over the same config see bitwise-identical
+    x streams.
 
-    def advance(self) -> None:
-        if self.with_y:
-            self.x, self.y, _ = step_arrays(self.x, self.y, self.params, self.variant)
-        else:
-            r = self.regions()
-            self.x = np.clip(self._ax[r] * self.x + self._bx[r], 0.0, 1.0)
-        if self.dither:
-            n = len(self.x)
-            self.x = np.clip(self.x + (self._gx.random(n) - 0.5) * 2.0 * _DITHER_SCALE, 0.0, 1.0)
-            if self.with_y:
-                self.y = np.clip(
-                    self.y + (self._gy.random(n) - 0.5) * 2.0 * _DITHER_SCALE, 0.0, 1.0
-                )
+    Samples the ensemble, discards ``burn_in`` steps, then yields
+    ``(x, y, region)`` at each of the ``n_iter`` kept steps (``y`` is None
+    when ``with_y`` is false).  The yielded arrays are the loop's own state: the next step
+    replaces them rather than writing into them.
+    """
+    params = config.params
+    pts = sample_ensemble(config.n_ens, config.seed)
+    x = np.ascontiguousarray(pts[:, 0])
+    y = np.ascontiguousarray(pts[:, 1]) if with_y else None
+    del pts  # else the (n_ens, 2) sample lives as long as the generator
+    dither = _needs_dither(params)
+    if dither:
+        gx = _dither_gen(config.seed, _DITHER_SUBKEY_X)
+        gy = _dither_gen(config.seed, _DITHER_SUBKEY_Y)
+    for k in range(config.burn_in + config.n_iter):
+        if k >= config.burn_in:
+            yield x, y, region_indices(x, params.ell)
+        x, y, _ = step_arrays(x, y, params, config.variant)
+        if dither:
+            x = _dither(x, gx)
+            y = None if y is None else _dither(y, gy)
 
 
 @dataclass(frozen=True)
@@ -163,19 +157,15 @@ def evolve(config: SimConfig) -> Iterator[StepState]:
     Each yielded state carries copies of the coordinate arrays and the
     region occupied at that step; ``n_iter`` states are produced in total.
     """
-    drv = _Driver(config)
-    for k in range(config.n_iter):
-        yield StepState(k, drv.x.copy(), drv.y.copy(), drv.regions())
-        drv.advance()
+    for k, (x, y, region) in enumerate(_run(config)):
+        yield StepState(k, x.copy(), y.copy(), region)
 
 
 def final_state(config: SimConfig):
     """Coordinates after burn_in + n_iter steps (n_iter = 0 returns the
     burned-in initial ensemble)."""
-    drv = _Driver(config)
-    for _ in range(config.n_iter):
-        drv.advance()
-    return drv.x, drv.y
+    x, y, _ = next(_run(replace(config, burn_in=config.burn_in + config.n_iter, n_iter=1)))
+    return x, y
 
 
 def region_stream(config: SimConfig) -> Iterator[np.ndarray]:
@@ -185,10 +175,8 @@ def region_stream(config: SimConfig) -> Iterator[np.ndarray]:
     Runs the x-only fast path, valid because the x update never reads y:
     the regions are bitwise identical to those of ``evolve``.
     """
-    drv = _Driver(config, with_y=False)
-    for _ in range(config.n_iter):
-        yield drv.regions()
-        drv.advance()
+    for _, _, region in _run(config, with_y=False):
+        yield region
 
 
 @dataclass
@@ -218,9 +206,9 @@ def empirical_density(config: SimConfig, nx: int = 500, ny: int = 500) -> Histog
     if nx < 1 or ny < 1:
         raise DomainError("bin counts must be >= 1")
     counts = np.zeros(nx * ny, dtype=np.int64)
-    for state in evolve(config):
-        ix = np.minimum((state.x * nx).astype(np.int64), nx - 1)
-        iy = np.minimum((state.y * ny).astype(np.int64), ny - 1)
+    for x, y, _ in _run(config):
+        ix = np.minimum((x * nx).astype(np.int64), nx - 1)
+        iy = np.minimum((y * ny).astype(np.int64), ny - 1)
         counts += np.bincount(ix * ny + iy, minlength=nx * ny)
     n_samples = config.n_ens * config.n_iter
     return Histogram2D(nx=nx, ny=ny, counts=counts.reshape(nx, ny), n_samples=n_samples)
@@ -308,6 +296,18 @@ class MeasureEstimate:
     n_samples: int
 
 
+def _member_average(config: SimConfig, steps) -> tuple[float, float]:
+    """Mean over members of each member's time average of the per-step
+    values ``steps``, with the standard error from the spread of those time
+    averages (nan for a single member)."""
+    per_member = np.zeros(config.n_ens)
+    for values in steps:
+        per_member += values
+    per_member /= config.n_iter
+    se = float(per_member.std(ddof=1) / np.sqrt(config.n_ens)) if config.n_ens > 1 else float("nan")
+    return float(per_member.mean()), se
+
+
 def measure_estimate(config: SimConfig, rect: RectSet) -> MeasureEstimate:
     """Long-run fraction of post-burn-in states inside ``rect``.
 
@@ -316,15 +316,7 @@ def measure_estimate(config: SimConfig, rect: RectSet) -> MeasureEstimate:
     """
     if config.n_iter < 1:
         raise DomainError("n_iter must be >= 1 for a measure estimate")
-    per_member = np.zeros(config.n_ens)
-    for state in evolve(config):
-        per_member += rect.contains(state.x, state.y)
-    per_member /= config.n_iter
-    frac = float(per_member.mean())
-    if config.n_ens > 1:
-        se = float(per_member.std(ddof=1) / np.sqrt(config.n_ens))
-    else:
-        se = float("nan")
+    frac, se = _member_average(config, (rect.contains(x, y) for x, y, _ in _run(config)))
     return MeasureEstimate(fraction=frac, stderr=se, n_samples=config.n_ens * config.n_iter)
 
 
@@ -367,13 +359,7 @@ def odd_observable_mean(
             raise DomainError(f"phi is not odd under {scheme.value}: region {r.name}")
     if config.n_iter < 1:
         raise DomainError("n_iter must be >= 1")
-    per_member = np.zeros(config.n_ens)
-    for r in region_stream(config):
-        per_member += phi[r]
-    per_member /= config.n_iter
-    mean = float(per_member.mean())
-    se = float(per_member.std(ddof=1) / np.sqrt(config.n_ens)) if config.n_ens > 1 else float("nan")
-    return mean, se
+    return _member_average(config, (phi[r] for r in region_stream(config)))
 
 
 def uniformity_chi_square(counts: np.ndarray) -> tuple[float, int, float]:

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.special import chdtrc, logsumexp
 
 from .errors import (
+    CapacityError,
     DomainError,
     FitError,
     InsufficientFluctuationsError,
@@ -44,12 +45,21 @@ __all__ = [
 ]
 
 
+# widest p grid accepted; the exact source pours its atoms cell by cell
+_MAX_GRID_CELLS = 10_001
+
+
 def symmetric_grid(p_max: float, spacing: float = 0.1) -> np.ndarray:
     """Cell centers -p_max..p_max built from integers so the grid is
     exactly symmetric."""
-    if p_max <= 0 or spacing <= 0:
+    if not (p_max > 0 and spacing > 0):
         raise DomainError("p_max and spacing must be positive")
-    k = int(round(p_max / spacing))
+    k = round(min(p_max / spacing, _MAX_GRID_CELLS))  # min() keeps inf out of round()
+    if 2 * k + 1 > _MAX_GRID_CELLS:
+        raise CapacityError(
+            f"a p grid over [-{p_max}, {p_max}] at spacing {spacing} exceeds "
+            f"the limit of {_MAX_GRID_CELLS} cells"
+        )
     return np.arange(-k, k + 1) * spacing
 
 
@@ -66,6 +76,8 @@ class FRConfig:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("n must be >= 1")
+        if self.min_count < 1:
+            raise DomainError(f"min_count must be >= 1, got {self.min_count}")
         if self.delta <= 0:
             raise DomainError("delta must be positive")
         grid = np.asarray(self.p_grid, dtype=float)

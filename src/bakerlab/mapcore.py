@@ -237,7 +237,7 @@ def step(p: Point, params: MapParams, variant: MapVariant = MapVariant.REVERSIBL
 
 def step_arrays(
     x: np.ndarray,
-    y: np.ndarray,
+    y: np.ndarray | None,
     params: MapParams,
     variant: MapVariant = MapVariant.REVERSIBLE,
 ):
@@ -245,10 +245,13 @@ def step_arrays(
 
     Returns ``(x_new, y_new, regions)`` where ``regions`` holds the cell each
     point occupied *before* the step, i.e. the branch that was applied.
+    With ``y=None`` only x advances (it never reads y) and ``y_new`` is None.
     """
     r = region_indices(x, params.ell)
     ax, bx, ay, by = branch_coefficients(params)
     xn = np.clip(ax[r] * x + bx[r], 0.0, 1.0)
+    if y is None:
+        return xn, None, r
     yn = np.clip(ay[r] * y + by[r], 0.0, 1.0)
     if variant is MapVariant.IRREVERSIBLE:
         yn = _strip_flip_y(xn, yn, params)

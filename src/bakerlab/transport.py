@@ -13,7 +13,7 @@ chain expression sum_k [psi^T diag(mu) P^k psi - <psi>^2].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -209,15 +209,6 @@ def bias_sweep(
     rows = []
     for b in np.asarray(biases, dtype=float):
         ell = ell_of_bias(float(b))
-        params = MapParams(ell=ell, q=0.5 - 2.0 * ell)
-        cfg = GKConfig(
-            params=params,
-            variant=base.variant,
-            n_ens=base.n_ens,
-            n_iter=base.n_iter,
-            seed=base.seed,
-            ensemble_mode="stationary",
-            burn_in=base.burn_in,
-        )
+        cfg = replace(base, params=MapParams(ell=ell, q=0.5 - 2.0 * ell), ensemble_mode="stationary")
         rows.append((float(b), green_kubo_estimate(cfg)))
     return rows

@@ -305,6 +305,33 @@ class TestUsage:
         assert exc.value.code == 1
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["surface", "--ell-steps", "-1"],
+            ["surface", "--q-steps", "0"],
+            ["fr", "--p-max", "1e9"],
+            ["fr", "--p-max", "nan"],
+            ["ratefunc", "--delta", "1e-300"],
+            ["fr", "--source", "mc", "--min-count", "0"],
+            ["fr", "--source", "mc", "--min-count", "-5"],
+            ["transport", "--sweep", "0.1", "--ell", "0.2"],
+            ["transport", "--sweep", "0.1", "--mode", "stationary"],
+            ["transport", "--sweep", "0.1", "--k-max", "20"],
+        ],
+        ids=" ".join,
+    )
+    def test_one_line_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert run(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"{argv[0]}: error: ")
+        assert "Traceback" not in err[0]
+        assert not out.exists()
+
+
 class TestImport:
     def test_import_leaves_scipy_stats_out(self):
         src = str(Path(bakerlab.__file__).resolve().parents[1])

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,14 +78,36 @@ class TestEvolve:
         assert [s.k for s in states] == [0, 1, 2, 3, 4]
         assert all(s.x.shape == (64,) for s in states)
 
-    def test_region_stream_matches_evolve(self):
-        cfg = SimConfig(params=PARAMS_EQ, variant=MapVariant.IRREVERSIBLE, n_ens=128, n_iter=12, burn_in=7, seed=5)
+    @pytest.mark.parametrize("params", [PARAMS_EQ, MapParams(ell=0.25, q=0.0)], ids=["0.15", "0.25-dither"])
+    def test_region_stream_matches_evolve(self, params):
+        cfg = SimConfig(params=params, variant=MapVariant.IRREVERSIBLE, n_ens=128, n_iter=12, burn_in=7, seed=5)
         stream = region_stream(cfg)
         assert iter(stream) is stream  # a generator, consumed lazily
         regions = list(stream)
         assert len(regions) == cfg.n_iter
         for r, state in zip(regions, evolve(cfg)):
             assert np.array_equal(r, state.region)
+
+    @pytest.mark.parametrize("ell", [0.15, 0.25])
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_final_state_is_last_evolved_state(self, ell, k):
+        cfg = SimConfig(params=MapParams(ell=ell, q=0.1), variant=MapVariant.IRREVERSIBLE,
+                        n_ens=128, n_iter=k, burn_in=5, seed=3)
+        x, y = final_state(cfg)
+        *_, last = evolve(replace(cfg, n_iter=k + 1))
+        assert np.array_equal(x, last.x)
+        assert np.array_equal(y, last.y)
+
+    def test_yielded_states_are_copies(self):
+        cfg = SimConfig(params=PARAMS_EQ, n_ens=64, n_iter=8, burn_in=3, seed=2)
+        reference = list(evolve(cfg))
+        for state, ref in zip(evolve(cfg), reference):
+            assert np.array_equal(state.x, ref.x)
+            assert np.array_equal(state.y, ref.y)
+            assert np.array_equal(state.region, ref.region)
+            state.x[:] = 0.5
+            state.y[:] = 0.5
+            state.region[:] = 0
 
     def test_degenerate_strip_matches_reversible_bitwise(self):
         params = MapParams(ell=0.15, q=0.0, strip_x=0.2, strip_eps=0.0)

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats as sstats
 
 from bakerlab.errors import (
+    CapacityError,
     DomainError,
     FitError,
     InsufficientFluctuationsError,
@@ -68,6 +69,16 @@ class TestFRConfig:
         g = symmetric_grid(2.0, 0.1)
         assert len(g) == 41
         assert np.abs(g + g[::-1]).max() == 0.0
+
+    @pytest.mark.parametrize("min_count", [0, -5])
+    def test_min_count_must_be_positive(self, min_count):
+        with pytest.raises(DomainError, match="min_count"):
+            FRConfig(n=10, p_grid=symmetric_grid(1.0, 0.1), min_count=min_count)
+
+    @pytest.mark.parametrize("p_max, spacing", [(1e9, 0.1), (2.0, 2e-300), (1e308, 1e-300)])
+    def test_symmetric_grid_cell_cap(self, p_max, spacing):
+        with pytest.raises(CapacityError):
+            symmetric_grid(p_max, spacing)
 
 
 class TestEstimatePi:
