@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 _MAX_ENSEMBLE = 50_000_000
+# widest 2-d histogram accepted (2000 x 2000): its counts and the per-step
+# bincount each take 8 bytes a cell, 32 MB apiece at the cap
+_MAX_HIST_CELLS = 4_000_000
 
 # At ell = 1/4 (and only there) every branch has x-slope exactly 2, so a
 # float64 orbit sheds one significand bit per step and collapses onto the
@@ -77,7 +80,14 @@ def _dither_gen(seed: int, subkey: np.uint64):
 
 
 def _dither(v: np.ndarray, gen) -> np.ndarray:
-    return np.clip(v + (gen.random(len(v)) - 0.5) * 2.0 * _DITHER_SCALE, 0.0, 1.0)
+    """``clip(v + (u - 0.5) * 2 * _DITHER_SCALE, 0, 1)`` for uniform u,
+    computed in place in the one array of draws."""
+    d = gen.random(len(v))
+    d -= 0.5
+    d *= 2.0
+    d *= _DITHER_SCALE
+    d += v
+    return np.clip(d, 0.0, 1.0, out=d)
 
 
 def _run(config: SimConfig, with_y: bool = True):
@@ -205,6 +215,10 @@ def empirical_density(config: SimConfig, nx: int = 500, ny: int = 500) -> Histog
     """Histogram of all post-burn-in states (n_ens * n_iter samples)."""
     if nx < 1 or ny < 1:
         raise DomainError("bin counts must be >= 1")
+    if nx * ny > _MAX_HIST_CELLS:
+        raise CapacityError(
+            f"a {nx} x {ny} histogram exceeds the limit of {_MAX_HIST_CELLS} cells"
+        )
     counts = np.zeros(nx * ny, dtype=np.int64)
     for x, y, _ in _run(config):
         ix = np.minimum((x * nx).astype(np.int64), nx - 1)
@@ -380,10 +394,8 @@ def write_histogram_csv(hist: Histogram2D, csv_path, sidecar_path, config: SimCo
     sidecar with the generating configuration and normalization."""
     with open(csv_path, "w", newline="") as fh:
         fh.write("x_bin,y_bin,count\n")
-        for i in range(hist.nx):
-            row = hist.counts[i]
-            for j in range(hist.ny):
-                fh.write(f"{i},{j},{row[j]}\n")
+        for i, row in enumerate(hist.counts.tolist()):
+            fh.writelines(f"{i},{j},{count}\n" for j, count in enumerate(row))
     sidecar = {
         "nx": hist.nx,
         "ny": hist.ny,

@@ -175,8 +175,8 @@ def estimate_pi(
     # up to rounding (e.g. -3e-19), and dividing by it would bin noise
     if mode == "e_n" and abs(mean_rate) < 1e-15:
         raise NormalizationError(
-            "mean contraction rate is 0 (equilibrium); bin the raw sums "
-            "with mode='raw' instead"
+            "mean contraction rate is 0 (equilibrium), so the normalized "
+            "statistic e_n is undefined; choose q > 0"
         )
 
     if exact:

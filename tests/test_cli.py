@@ -319,6 +319,7 @@ class TestBadInput:
             ["transport", "--sweep", "0.1", "--ell", "0.2"],
             ["transport", "--sweep", "0.1", "--mode", "stationary"],
             ["transport", "--sweep", "0.1", "--k-max", "20"],
+            ["density", "--bins", "2001", "--n-ens", "1", "--n-iter", "1", "--burn-in", "0"],
         ],
         ids=" ".join,
     )

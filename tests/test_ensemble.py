@@ -187,6 +187,14 @@ class TestEmpiricalDensity:
         assert dof == bins - 1
         assert pvalue == float(sstats.chi2.sf(stat, dof))
 
+    def test_cell_cap(self):
+        from bakerlab.ensemble import _MAX_HIST_CELLS
+
+        assert 500 * 500 <= _MAX_HIST_CELLS < 2001 * 2000
+        cfg = SimConfig(params=PARAMS_EQ, n_ens=1, n_iter=1, burn_in=0, seed=1)
+        with pytest.raises(CapacityError, match="2001 x 2000"):
+            empirical_density(cfg, nx=2001, ny=2000)
+
     def test_sample_count(self):
         cfg = SimConfig(params=PARAMS_EQ, n_ens=300, n_iter=7, burn_in=10, seed=1)
         hist = empirical_density(cfg, nx=8, ny=8)

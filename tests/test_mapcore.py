@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bakerlab import mapcore
 from bakerlab.errors import DomainError
 from bakerlab.mapcore import (
     MapParams,
@@ -247,6 +248,73 @@ class TestStep:
                 out = step(Point(pts[i, 0], pts[i, 1]), params, variant)
                 assert (xs[i], ys[i]) == out
                 assert rs[i] == classify_region(pts[i, 0], params.ell)
+
+
+def _unblocked_step(x, y, params, variant):
+    """The whole-array expression ``step_arrays`` must reproduce bit for bit."""
+    ax, bx, ay, by = branch_coefficients(params)
+    r = (x >= params.ell).astype(np.int8) + (x >= 0.5).astype(np.int8) + (x >= 0.75).astype(np.int8)
+    xn = np.clip(ax[r] * x + bx[r], 0.0, 1.0)
+    if y is None:
+        return xn, None, r
+    yn = np.clip(ay[r] * y + by[r], 0.0, 1.0)
+    if variant is MapVariant.IRREVERSIBLE and params.strip_eps > 0.0:
+        hi = params.strip_x + params.strip_eps
+        flip = (xn >= params.strip_x) & (xn <= hi) & (yn < 0.5)
+        yn = np.where(flip, 1.0 - yn, yn)
+    return xn, yn, r
+
+
+class TestBlockedKernel:
+    B = mapcore._BLOCK
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            MapParams(0.15, 0.2),
+            MapParams(0.1, 0.0, strip_x=0.3, strip_eps=0.2),
+            MapParams(0.2, 0.1, strip_x=0.5, strip_eps=0.0),
+            MapParams(0.25, 0.0),
+        ],
+        ids=["default-strip", "custom-strip", "zero-width-strip", "ell-quarter"],
+    )
+    def test_matches_unblocked_expression(self, params, n):
+        gen = np.random.default_rng(n)
+        # partition and strip edges, where a tie decides the branch or the flip
+        edges = [0.0, params.ell, 0.5, 0.75, 1.0, params.strip_x, params.strip_x + params.strip_eps]
+        x0 = gen.random(n)
+        x0[: len(edges)] = edges[:n]
+        y0 = gen.random(n)
+        y0[: 3] = [0.0, 0.5, np.nextafter(0.5, 0.0)][:n]
+        for variant in MapVariant:
+            for with_y in (True, False):
+                x, y = x0, (y0 if with_y else None)
+                xr, yr = x, y
+                for _ in range(6):
+                    x, y, r = step_arrays(x, y, params, variant)
+                    xr, yr, rr = _unblocked_step(xr, yr, params, variant)
+                    assert np.array_equal(x, xr) and np.array_equal(r, rr)
+                    assert r.dtype == np.int8
+                    assert (y is None) == (yr is None)
+                    if with_y:
+                        assert np.array_equal(y, yr)
+
+    def test_outputs_are_new_float64_arrays(self):
+        params = MapParams(0.15, 0.2)
+        pts = np.random.default_rng(3).random((self.B + 5, 2))
+        x, y = pts[:, 0], pts[:, 1]  # strided views: the kernel reads any layout
+        before = pts.copy()
+        for variant in MapVariant:
+            xn, yn, r = step_arrays(x, y, params, variant)
+            assert np.array_equal(pts, before)
+            assert xn.dtype == yn.dtype == np.float64 and r.dtype == np.int8
+            assert xn.shape == yn.shape == r.shape == (self.B + 5,)
+            for out in (xn, yn, r):
+                assert not np.shares_memory(out, pts)
+            assert not np.shares_memory(xn, yn)
+        xn, none, r = step_arrays(x.astype(np.float32), None, params)
+        assert none is None and xn.dtype == np.float64
 
 
 class TestTimeReversal:
