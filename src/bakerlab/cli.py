@@ -131,6 +131,13 @@ def _sim_config(resolved: dict) -> es.SimConfig:
     )
 
 
+def _refuse_set(resolved: dict, spec: dict, names: tuple, context: str) -> None:
+    """Refuse the first of ``names`` set off its ``spec`` default: ``context`` ignores it."""
+    for name in names:
+        if resolved[name] != spec[name][1]:
+            raise BakerlabError(f"--{name.replace('_', '-')} cannot be combined with {context}")
+
+
 def _cell(v) -> str:
     if isinstance(v, str):
         return v
@@ -259,9 +266,12 @@ _FR = {
     "out": (str, None),
 }
 
+# options that only the mc source reads
+_MC_ONLY = ("variant", "strip_x", "strip_eps", "n_ens", "n_iter", "burn_in", "seed", "min_count")
+
 
 def _fr_family(command: str, resolved: dict, finish) -> int:
-    """Body of fr and ratefunc: the cell masses from the exact DP or the
+    """Body of fr and ratefunc: the cell masses from the exact law or the
     ensemble, ``pi.csv`` and ``zeta.csv``, then ``finish(out, pi, rf)``,
     which writes the command's own artifact and returns its name and a
     summary, then the ``fr_meta.json`` sidecar and the manifest."""
@@ -273,6 +283,7 @@ def _fr_family(command: str, resolved: dict, finish) -> int:
         min_count=resolved["min_count"],
     )
     if resolved["source"] == "exact":
+        _refuse_set(resolved, _FR, _MC_ONLY, "--source exact")
         source = mk.contraction_sum_distribution(resolved["ell"], resolved["q"], resolved["n"])
     else:
         source = _sim_config(resolved)
@@ -368,9 +379,7 @@ def _cmd_transport(resolved) -> int:
     t0 = time.time()
     biases = _biases(resolved["sweep"]) if resolved["sweep"] else None
     if biases is not None:
-        for name in _NOT_SWEPT:
-            if resolved[name] != _TRANSPORT[name][1]:
-                raise BakerlabError(f"--{name.replace('_', '-')} cannot be combined with --sweep")
+        _refuse_set(resolved, _TRANSPORT, _NOT_SWEPT, "--sweep")
     out = _out_dir(resolved, "transport")
     gk_common = {k: resolved[k] for k in ("variant", "n_ens", "n_iter", "seed", "burn_in")}
 

@@ -45,7 +45,8 @@ __all__ = [
 ]
 
 
-# widest p grid accepted; the exact source pours its atoms cell by cell
+# widest p grid accepted; it bounds the per-cell arrays and CSV rows (the
+# exact source pours its atoms in one sorted pass, whatever the cell count)
 _MAX_GRID_CELLS = 10_001
 
 
@@ -122,7 +123,7 @@ def _bin_values(values: np.ndarray, grid: np.ndarray, delta: float):
 
 @dataclass(frozen=True)
 class PiHistogram:
-    """Per-cell probability mass of the (normalized) time average."""
+    """Per-cell probability mass of the normalized time average."""
 
     p: np.ndarray
     delta: float
@@ -131,7 +132,6 @@ class PiHistogram:
     log_mass: np.ndarray
     counts: np.ndarray | None
     n_segments: int | None
-    normalized: bool
     mean_rate: float
     min_count: int
 
@@ -146,22 +146,14 @@ class PiHistogram:
         return self.log_mass > -np.inf
 
 
-def estimate_pi(
-    config: FRConfig,
-    source: SimConfig | ContractionDistribution,
-    mode: str = "e_n",
-) -> PiHistogram:
-    """Cell masses of the time-average statistic.
+def estimate_pi(config: FRConfig, source: SimConfig | ContractionDistribution) -> PiHistogram:
+    """Cell masses of e_n, the time average over the stationary mean rate
+    (rejected at equilibrium, where that mean is 0).
 
     A ``SimConfig`` source is evolved and cut into non-overlapping length-n
     segments; a ``ContractionDistribution`` source has its exact atoms
-    poured into the same cells.  ``mode="e_n"`` normalizes by the
-    stationary mean rate (rejected at equilibrium, where that mean is 0);
-    ``mode="raw"`` bins the unnormalized n-step sum.
+    poured into the same cells.
     """
-    if mode not in ("e_n", "raw"):
-        raise DomainError(f"unknown mode {mode!r}")
-
     exact = isinstance(source, ContractionDistribution)
     if exact:
         if source.n != config.n:
@@ -173,24 +165,24 @@ def estimate_pi(
         raise DomainError(f"unsupported source type {type(source).__name__}")
     # one equilibrium test for both sources: on the q = 0 line the mean is 0
     # up to rounding (e.g. -3e-19), and dividing by it would bin noise
-    if mode == "e_n" and abs(mean_rate) < 1e-15:
+    if abs(mean_rate) < 1e-15:
         raise NormalizationError(
             "mean contraction rate is 0 (equilibrium), so the normalized "
             "statistic e_n is undefined; choose q > 0"
         )
 
     if exact:
-        values = source.sums if mode == "raw" else source.sums / (config.n * mean_rate)
-        idx = _bin_values(values, config.p_grid, config.delta)
+        idx = _bin_values(source.sums / (config.n * mean_rate), config.p_grid, config.delta)
+        # one stable sort by cell keeps each cell's atoms in their order
+        order = np.argsort(idx, kind="stable")
+        cells, starts = np.unique(idx[order], return_index=True)
         log_mass = np.full(len(config.p_grid), -np.inf)
-        for i in range(len(config.p_grid)):
-            sel = idx == i
-            if sel.any():
-                log_mass[i] = float(logsumexp(source.log_probs[sel]))
+        for cell, log_probs in zip(cells, np.split(source.log_probs[order], starts[1:])):
+            if cell >= 0:
+                log_mass[cell] = float(logsumexp(log_probs))
         counts = n_segments = None
     else:
-        averages = lambda_segment_means(source, config.n)
-        values = averages / mean_rate if mode == "e_n" else averages * config.n
+        values = lambda_segment_means(source, config.n) / mean_rate
         idx = _bin_values(values, config.p_grid, config.delta)
         counts = np.bincount(idx[idx >= 0], minlength=len(config.p_grid)).astype(np.int64)
         n_segments = len(values)
@@ -204,7 +196,6 @@ def estimate_pi(
         log_mass=log_mass,
         counts=counts,
         n_segments=n_segments,
-        normalized=mode == "e_n",
         mean_rate=mean_rate,
         min_count=config.min_count,
     )
@@ -235,7 +226,7 @@ class FRCheck:
 
     ``value[i]`` is log(pi(p)/pi(-p)) / (n * mean_rate) for admissible
     positive p (the asymptotic prediction is value = p); ``ratio`` is
-    value/p.  In unnormalized (equilibrium) mode the divisor is just n.
+    value/p.
     """
 
     p: np.ndarray
@@ -245,20 +236,14 @@ class FRCheck:
     slope: float
     n: int
     source: str
-    normalized: bool
 
 
-def fr_check(pi: PiHistogram, mean_rate: float | None = None) -> FRCheck:
+def fr_check(pi: PiHistogram) -> FRCheck:
     """Compare cell masses at opposite p and fit the through-origin slope
     of the log-ratio statistic against p."""
-    if mean_rate is None:
-        mean_rate = pi.mean_rate
-    if pi.normalized:
-        if mean_rate is None or mean_rate <= 0:
-            raise NormalizationError("normalized check needs a positive mean rate")
-        scale = pi.n * mean_rate
-    else:
-        scale = float(pi.n)
+    if pi.mean_rate <= 0:
+        raise NormalizationError("normalized check needs a positive mean rate")
+    scale = pi.n * pi.mean_rate
 
     adm = pi.admissible()
     m = len(pi.p)
@@ -287,7 +272,6 @@ def fr_check(pi: PiHistogram, mean_rate: float | None = None) -> FRCheck:
         slope=slope,
         n=pi.n,
         source=pi.source,
-        normalized=pi.normalized,
     )
 
 

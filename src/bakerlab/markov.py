@@ -2,10 +2,10 @@
 
 Projecting the baker dynamics onto the x-axis yields a two-cell transfer
 matrix for densities and, on the four-cell partition, a Markov jump chain
-whose transition matrix depends on ``ell`` only.  Everything in this module
-is computed in closed form; eigen-solvers appear solely in cross-checking
-helpers.  The exact finite-n distribution of the accumulated contraction
-rate doubles as the oracle backing every Monte Carlo fluctuation result.
+whose transition matrix depends on ``ell`` only; eigen-solvers appear
+solely in cross-checking helpers.  The exact finite-n law of the accumulated
+contraction rate, a closed-form count law (a 1-d DP on two lattice families),
+doubles as the oracle backing every Monte Carlo fluctuation result.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import CapacityError, DomainError
 from .mapcore import MapParams, Region, ReversalScheme, contraction_rates, region_reverse
@@ -34,14 +35,11 @@ __all__ = [
     "db_report",
     "contraction_sum_distribution",
     "MAX_N",
-    "GENERIC_MAX_N",
 ]
 
-# caps on n for contraction_sum_distribution: MAX_N for every parameter set,
-# GENERIC_MAX_N off the lattice-collapsible families, whose DP state holds
-# 3(n+1)^2 coordinates (n_A, n_B, n_D - n_A) per region
+# cap on n for contraction_sum_distribution: at MAX_N the generic law holds
+# about 3.0M atoms
 MAX_N = 2000
-GENERIC_MAX_N = 128
 
 
 def _validate_ell(ell: float) -> None:
@@ -251,34 +249,26 @@ def _lattice_structure(rates: np.ndarray, tol: float = 1e-12):
 _SOURCES = ((1, 3), (1, 3), (0, 2), (0, 2))
 
 
-def _log_dp(ell: float, m: np.ndarray, lo: np.ndarray, shape: tuple, n: int):
-    """Log-space DP over (current region, integer coordinate vector c).
-
-    Visiting region r adds the shift ``m[r]`` to c, and c lives in the box
-    with lower corner ``lo`` and extent ``shape``.  Returns the reachable
-    coordinates, one row each, and their log-probabilities."""
+def _log_dp(ell: float, m: np.ndarray, n: int):
+    """Log-space DP over (current region, signed count c in [-n, n]); visiting
+    region r adds ``m[r]``.  Returns the reachable c and their log-probabilities."""
     mu = coarse_measure(ell)
     P = transition_matrix(ell)
     with np.errstate(divide="ignore"):
         lp = np.log(P)
-    state = np.full((4,) + shape, -np.inf)
+    size = 2 * n + 1
+    state = np.full((4, size), -np.inf)
     for r in range(4):
-        state[(r,) + tuple(m[r] - lo)] = np.log(mu[r])
+        state[r, m[r] + n] = np.log(mu[r])
 
-    # per target region: the box cells its shift moves into (dst) and the
-    # cells that stay inside the box (src); the rest would leave it
-    moves = [
-        (
-            tuple(slice(k, None) if k > 0 else slice(None, k or None) for k in mr),
-            tuple(slice(None, -k) if k > 0 else slice(-k, None) for k in mr),
-        )
-        for mr in m
-    ]
+    # per target region: the cells its shift moves into (dst) and the cells
+    # they come from (src); a count that would leave [-n, n] is dropped
+    moves = [(slice(max(k, 0), size + min(k, 0)), slice(max(-k, 0), size - max(k, 0))) for k in m]
     for _ in range(n - 1):
         new = np.full_like(state, -np.inf)
         for tgt, (s1, s2) in enumerate(_SOURCES):
             dst, src = moves[tgt]
-            new[(tgt,) + dst] = np.logaddexp(state[s1][src] + lp[s1, tgt], state[s2][src] + lp[s2, tgt])
+            new[tgt, dst] = np.logaddexp(state[s1, src] + lp[s1, tgt], state[s2, src] + lp[s2, tgt])
         state = new
 
     with np.errstate(invalid="ignore"):
@@ -286,42 +276,59 @@ def _log_dp(ell: float, m: np.ndarray, lo: np.ndarray, shape: tuple, n: int):
         for r in range(1, 4):
             total = np.logaddexp(total, state[r])
     mask = total > -np.inf
-    return np.argwhere(mask) + lo, total[mask]
+    return np.flatnonzero(mask) - n, total[mask]
 
 
 def _generic_sums(ell: float, rates: np.ndarray, n: int):
-    """Atoms of the sum for generic rates, from the visit counts.
+    """Atoms of the sum for generic rates, in closed form from the counts.
 
-    After A the chain stays in {C, D} until it leaves D, and after D it
-    stays in {A, B} until it leaves A, so A and D alternate and
-    e = n_D - n_A lies in {-1, 0, 1}: the DP tracks c = (n_A, n_B, e)."""
-    m = np.array([[1, 0, -1], [0, 1, 0], [0, 0, 0], [0, 0, 1]])
-    coords, log_probs = _log_dp(ell, m, np.array([0, 0, -1]), (n + 1, n + 1, 3), n)
-    na, nb, e = coords.T
+    A path is its start half plus its switch steps: A leaves the left half
+    {A, B} and D the right half {C, D}, so A and D alternate and
+    e = n_D - n_A lies in {-1, 0, 1}.  The switch steps cut the path into
+    n_D + 1 left and n_A right segments for a left start (e <= 0), n_D left
+    and n_A + 1 right ones for a right start (e >= 0).  The n_B (n_C) stay
+    steps fill the L left (R right) segments in C(n_B+L-1, L-1)
+    (C(n_C+R-1, R-1)) ways, and each such path weighs
+    (2 ell)^n_A (1-2 ell)^n_B 2^-(n_C+n_D) / (1+4 ell), times 4 ell when it
+    starts on the right."""
+    h = (n + 1) // 2  # n_A <= h, as 2 n_A - 1 <= n_A + n_D <= n
+    a, b, e = np.arange(h + 1)[:, None, None], np.arange(n + 1)[:, None], np.arange(-1, 2)
+    # n_C >= 0 and n_D >= 0, and with no switch step the path is B^n or C^n
+    reachable = (2 * a + b + e <= n) & (a + e >= 0) & ((a > 0) | (e != 0) | (b == 0) | (b == n))
+    na, nb, e = np.nonzero(reachable)  # in (n_A, n_B, e) order
+    e -= 1
     nd = na + e
     nc = n - na - nb - nd
+    log_fact = gammaln(np.arange(1.0, n + 2))  # log k!; a running sum of log k drifts by ~1e-11
+
+    def log_ways(stays, segments):  # log C(stays+segments-1, segments-1); no segment holds no stay
+        ways = log_fact[stays + segments - 1] - log_fact[stays] - log_fact[segments - 1]
+        return np.where(segments > 0, ways, np.log(stays == 0))
+
+    with np.errstate(divide="ignore"):
+        left = np.where(e <= 0, log_ways(nb, nd + 1) + log_ways(nc, na), -np.inf)
+        right = np.where(e >= 0, log_ways(nb, nd) + log_ways(nc, na + 1) + np.log(4.0 * ell), -np.inf)
+    log_probs = np.logaddexp(left, right) + (
+        na * np.log(2.0 * ell) + nb * np.log(1.0 - 2.0 * ell) - (nc + nd) * np.log(2.0) - np.log(1.0 + 4.0 * ell)
+    )
     values = na * rates[0] + nb * rates[1] + nc * rates[2] + nd * rates[3]
-    # merge count vectors that land on the same sum value: an atom within
-    # 1e-9 of the first value of the current group joins that group
+    # merge count vectors that land on the same sum value: sorted neighbours within
+    # 1e-9 join one group (which spans only rounding error), valued at its first atom
     order = np.argsort(values, kind="stable")
     values, log_probs = values[order], log_probs[order]
-    flat, starts = values.tolist(), [0]
-    for i, v in enumerate(flat):
-        if v - flat[starts[-1]] > 1e-9:
-            starts.append(i)
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > 1e-9)
     return values[starts], np.logaddexp.reduceat(log_probs, starts)
 
 
 def contraction_sum_distribution(ell: float, q: float, n: int) -> ContractionDistribution:
     """Exact law of the n-step contraction sum of the stationary jump chain.
 
-    The sum depends on the region sequence only through visit counts, which
-    one log-space DP tracks as an integer coordinate vector.  On the q = 0
-    and q = 1/2 - 2 ell families the counts collapse to a single signed
-    difference, giving 2n+1 states per region and O(n^2) work up to
-    ``MAX_N``; elsewhere the coordinates are (n_A, n_B, n_D - n_A), giving
-    3(n+1)^2 states per region and O(n^3) work, and n is capped at
-    ``GENERIC_MAX_N``.
+    The sum depends on the region sequence only through visit counts.  On
+    the q = 0 and q = 1/2 - 2 ell families the counts collapse to a single
+    signed difference, which a log-space DP over 2n+1 states per region
+    tracks in O(n^2) work; elsewhere each atom (n_A, n_B, n_D - n_A) has a
+    closed-form log-probability made of log-binomials, O(n^2) atoms in all.
+    Both serve n up to ``MAX_N``.
     """
     _validate_ell(ell)
     if n < 1:
@@ -334,12 +341,7 @@ def contraction_sum_distribution(ell: float, q: float, n: int) -> ContractionDis
     lattice = _lattice_structure(rates)
     if lattice is not None:
         m, scale = lattice
-        coords, log_probs = _log_dp(ell, m[:, None], np.array([-n]), (2 * n + 1,), n)
-        return ContractionDistribution(n=n, sums=scale * coords[:, 0], log_probs=log_probs)
-    if n > GENERIC_MAX_N:
-        raise CapacityError(
-            f"n={n} exceeds the generic-parameter limit {GENERIC_MAX_N}; "
-            "only the q=0 and q=1/2-2*ell families support larger n"
-        )
+        counts, log_probs = _log_dp(ell, m, n)
+        return ContractionDistribution(n=n, sums=scale * counts, log_probs=log_probs)
     values, log_probs = _generic_sums(ell, rates, n)
     return ContractionDistribution(n=n, sums=values, log_probs=log_probs)

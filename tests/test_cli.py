@@ -109,6 +109,13 @@ class TestFR:
         assert code == 2
         assert "negative fluctuations" in capsys.readouterr().err
 
+    def test_generic_parameters_beyond_128(self, tmp_path):
+        out = tmp_path / "fr"
+        assert run(["fr", "--source", "exact", "--ell", "0.1", "--q", "0.1", "--n", "300",
+                    "--p-max", "8", "--out", str(out)]) == 0
+        mass = [float(row.split(",")[1]) for row in (out / "pi.csv").read_text().splitlines()[1:]]
+        assert sum(mass) == pytest.approx(1.0, abs=1e-10)
+
     def test_ratefunc_fit_artifacts(self, tmp_path):
         out = tmp_path / "rf"
         assert run(["ratefunc", "--source", "exact", "--n", "200", "--out", str(out)]) == 0
@@ -320,6 +327,14 @@ class TestBadInput:
             ["transport", "--sweep", "0.1", "--mode", "stationary"],
             ["transport", "--sweep", "0.1", "--k-max", "20"],
             ["density", "--bins", "2001", "--n-ens", "1", "--n-iter", "1", "--burn-in", "0"],
+            ["fr", "--source", "exact", "--strip-x", "5"],
+            ["fr", "--source", "exact", "--n-ens", "5", "--seed", "9", "--min-count", "1000"],
+            ["fr", "--n-iter", "10"],
+            ["fr", "--seed", "9"],
+            ["fr", "--min-count", "1000"],
+            ["ratefunc", "--variant", "irreversible"],
+            ["ratefunc", "--source", "exact", "--strip-eps", "0.01"],
+            ["ratefunc", "--burn-in", "7"],
         ],
         ids=" ".join,
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import stats as sstats
+from scipy.special import logsumexp
 
 from bakerlab.errors import (
     CapacityError,
@@ -14,6 +15,7 @@ from bakerlab.markov import contraction_sum_distribution, mean_contraction_rate
 from bakerlab.ensemble import SimConfig
 from bakerlab.fluctuation import (
     FRConfig,
+    _bin_values,
     estimate_pi,
     fit_parabola,
     fr_check,
@@ -108,14 +110,21 @@ class TestEstimatePi:
         with pytest.raises(NormalizationError):
             estimate_pi(fr_config(50), sim)
 
-    def test_raw_mode_at_equilibrium(self):
-        dist = contraction_sum_distribution(0.15, 0.0, 50)
-        cfg = FRConfig(n=50, p_grid=symmetric_grid(1.0, 0.1), delta=0.05)
-        pi = estimate_pi(cfg, dist, mode="raw")
-        assert pi.normalized is False
-        assert pi.mass.sum() == pytest.approx(1.0, abs=1e-12)
-        # support is the three lattice atoms 0, +-log(1/(4 ell))
-        assert (pi.mass > 0).sum() == 3
+    def test_exact_pour_matches_per_cell_logsumexp(self):
+        # cells with gaps between them (2 delta < spacing) and atoms off the
+        # grid: each cell's mass is logsumexp over its atoms in their order
+        n = 40
+        dist = contraction_sum_distribution(0.1, 0.1, n)
+        cfg = FRConfig(n=n, p_grid=symmetric_grid(7.0, 0.2), delta=0.08)
+        idx = _bin_values(dist.sums / (n * dist.mean_time_average()), cfg.p_grid, cfg.delta)
+        assert (idx == -1).any() and np.bincount(idx[idx >= 0]).max() > 20
+        expected = np.full(len(cfg.p_grid), -np.inf)
+        for i in range(len(cfg.p_grid)):
+            if (idx == i).any():
+                expected[i] = logsumexp(dist.log_probs[idx == i])
+        got = estimate_pi(cfg, dist).log_mass
+        assert np.array_equal(got, expected)
+        assert np.isinf(got).any()
 
     def test_mc_matches_exact_cell_by_cell(self):
         n = 50

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_distribution, stationary_by_eigensolve
 
 from bakerlab.errors import CapacityError, DomainError
 from bakerlab.mapcore import MapParams, Region, ReversalScheme, contraction_rates
 from bakerlab.markov import (
-    GENERIC_MAX_N,
+    MAX_N,
+    _generic_sums,
     chain_autocovariance,
     coarse_measure,
     contraction_autocovariance,
@@ -205,7 +208,7 @@ class TestContractionSumDistribution:
         [
             pytest.param(0.15, 0.2, 500, id="lattice-500"),
             pytest.param(0.2, 0.05, 64, id="generic-64"),
-            pytest.param(0.2, 0.05, GENERIC_MAX_N, id="generic-max"),
+            pytest.param(0.2, 0.05, MAX_N, id="generic-max"),
         ],
     )
     def test_normalization_deep(self, ell, q, n):
@@ -220,7 +223,7 @@ class TestContractionSumDistribution:
             pytest.param(0.15, 0.2, 64, id="64"),
             pytest.param(0.15, 0.2, 500, id="500"),
             pytest.param(0.2, 0.05, 64, id="generic-64"),
-            pytest.param(0.2, 0.05, GENERIC_MAX_N, id="generic-max"),
+            pytest.param(0.2, 0.05, MAX_N, id="generic-max"),
         ],
     )
     def test_mean_is_stationary(self, ell, q, n):
@@ -228,6 +231,34 @@ class TestContractionSumDistribution:
         assert dist.mean_time_average() == pytest.approx(
             mean_contraction_rate(ell, q), abs=5e-12
         )
+
+    @settings(max_examples=30, deadline=None)
+    @given(ell=st.floats(0.01, 0.25), q=st.floats(0.01, 0.45), n=st.integers(1, 6))
+    def test_closed_form_matches_brute_force(self, ell, q, n):
+        assume(abs(q - (0.5 - 2.0 * ell)) > 1e-3)  # off the lattice family
+        values, probs = brute_force_distribution(ell, q, n)
+        dist = contraction_sum_distribution(ell, q, n)
+        assert len(values) == len(dist.sums)
+        assert np.abs(values - dist.sums).max() < 1e-12
+        assert np.abs(probs - dist.probs).max() < 1e-12
+
+    @pytest.mark.parametrize("ell,q", [(0.15, 0.2), (0.15, 0.0)])
+    def test_closed_form_on_lattice_rates(self, ell, q):
+        # the closed form holds for any rates; on a lattice family it must
+        # reproduce the lattice DP's atoms
+        dist = contraction_sum_distribution(ell, q, MAX_N)
+        sums, log_probs = _generic_sums(ell, contraction_rates(MapParams(ell, q)), MAX_N)
+        assert len(sums) == len(dist.sums)
+        assert np.abs(sums - dist.sums).max() < 1e-12
+        assert np.abs(np.exp(log_probs) - dist.probs).max() < 1e-11
+
+    def test_equilibrium_support_is_three_atoms(self):
+        # on the q = 0 line the sum is (n_D - n_A) log(1/(4 ell)) with
+        # |n_D - n_A| <= 1
+        dist = contraction_sum_distribution(0.15, 0.0, 50)
+        c = np.log(1.0 / 0.6)
+        assert dist.sums == pytest.approx([-c, 0.0, c], rel=1e-12)
+        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_point_mass_at_conservative_point(self):
         dist = contraction_sum_distribution(0.25, 0.0, 100)
@@ -244,7 +275,7 @@ class TestContractionSumDistribution:
         with pytest.raises(CapacityError):
             contraction_sum_distribution(0.15, 0.2, 2001)
         with pytest.raises(CapacityError):
-            contraction_sum_distribution(0.2, 0.05, GENERIC_MAX_N + 1)
+            contraction_sum_distribution(0.2, 0.05, MAX_N + 1)
         with pytest.raises(DomainError):
             contraction_sum_distribution(0.15, 0.2, 0)
 
