@@ -3,87 +3,9 @@ family with a tunable irreversibility mechanism."""
 
 __version__ = "0.1.0"
 
-from .errors import (
-    BakerlabError,
-    CapacityError,
-    DomainError,
-    FitError,
-    InsufficientFluctuationsError,
-    NormalizationError,
-)
-from .mapcore import (
-    MapParams,
-    MapVariant,
-    Point,
-    Region,
-    ReversalScheme,
-    ReversibilityReport,
-    baker_step,
-    check_reversibility,
-    classify_region,
-    contraction_rate,
-    contraction_rates,
-    jacobian,
-    jacobians,
-    region_reverse,
-    step,
-    strip_flip,
-    time_reversal,
-)
-from .markov import (
-    ContractionDistribution,
-    DBPair,
-    DBReport,
-    ProjectedDensity,
-    coarse_measure,
-    contraction_autocovariance,
-    contraction_c2,
-    contraction_sum_distribution,
-    db_report,
-    mean_contraction_rate,
-    stationary_density,
-    transfer_matrix,
-    transition_matrix,
-)
-from .ensemble import (
-    Histogram2D,
-    MeasureEstimate,
-    RectSet,
-    SimConfig,
-    empirical_density,
-    evolve,
-    final_state,
-    lambda_segment_means,
-    measure_estimate,
-    odd_observable_mean,
-    reflect_rect,
-    region_sequences,
-    sample_ensemble,
-    transition_counts,
-    uniformity_chi_square,
-)
-from .fluctuation import (
-    FRCheck,
-    FRConfig,
-    ParabolaFit,
-    PiHistogram,
-    RateFunction,
-    estimate_pi,
-    fit_parabola,
-    fr_check,
-    rate_function,
-    symmetric_grid,
-    time_average,
-    variant_equivalence_test,
-)
-from .transport import (
-    GKConfig,
-    GKResult,
-    PSI,
-    bias_of_ell,
-    bias_sweep,
-    ell_of_bias,
-    green_kubo_estimate,
-    green_kubo_exact,
-    mean_current,
-)
+from .errors import *
+from .mapcore import *
+from .markov import *
+from .ensemble import *
+from .fluctuation import *
+from .transport import *

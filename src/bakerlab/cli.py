@@ -111,7 +111,14 @@ def _choice(*values: str):
     return conv
 
 
+# the flip strip, which only the irreversible variant reads; None is the
+# map's own default, the B slab
+_STRIP = {"strip_x": (float, None), "strip_eps": (float, None)}
+
+
 def _params_from(resolved: dict) -> MapParams:
+    if resolved["variant"] is not MapVariant.IRREVERSIBLE:
+        _refuse_set(resolved, _STRIP, tuple(_STRIP), "--variant reversible")
     return MapParams(
         ell=resolved["ell"],
         q=resolved["q"],
@@ -189,8 +196,7 @@ _DENSITY = {
     "ell": (float, 0.15),
     "q": (float, 0.0),
     "variant": (_variant, MapVariant.REVERSIBLE),
-    "strip_x": (float, None),
-    "strip_eps": (float, None),
+    **_STRIP,
     "n_ens": (int, 20_000),
     "n_iter": (int, 50),
     "burn_in": (int, 1_000),
@@ -209,8 +215,8 @@ def _cmd_density(resolved) -> int:
     es.write_histogram_csv(hist, out / "histogram2d.csv", out / "histogram2d.json", config)
     marginals = (
         (axis, i, (i + 0.5) / nb, int(c), d)
-        for axis, counts in (("x", hist.x_marginal()), ("y", hist.y_marginal()))
-        for i, (c, d) in enumerate(zip(counts, counts * nb / max(hist.n_samples, 1)))
+        for axis, marginal in (("x", hist.x_marginal), ("y", hist.y_marginal))
+        for i, (c, d) in enumerate(zip(marginal(), marginal(density=True)))
     )
     _write_csv(out / "marginals.csv", "axis,bin,center,count,density", marginals)
     _write_manifest(out, "density", resolved, ["histogram2d.csv", "histogram2d.json", "marginals.csv"], t0)
@@ -252,8 +258,7 @@ _FR = {
     "ell": (float, 0.15),
     "q": (float, 0.2),
     "variant": (_variant, MapVariant.REVERSIBLE),
-    "strip_x": (float, None),
-    "strip_eps": (float, None),
+    **_STRIP,
     "n": (int, 200),
     "delta": (float, 0.05),
     "p_max": (float, 2.0),
@@ -347,8 +352,7 @@ _TRANSPORT = {
     "ell": (float, 0.25),
     "q": (float, None),
     "variant": (_variant, MapVariant.REVERSIBLE),
-    "strip_x": (float, None),
-    "strip_eps": (float, None),
+    **_STRIP,
     "mode": (_choice("equilibrium", "stationary"), "equilibrium"),
     "n_ens": (int, 100_000),
     "n_iter": (int, 50),
@@ -378,13 +382,12 @@ _NOT_SWEPT = ("ell", "q", "mode", "strip_x", "strip_eps", "k_max")
 def _cmd_transport(resolved) -> int:
     t0 = time.time()
     biases = _biases(resolved["sweep"]) if resolved["sweep"] else None
-    if biases is not None:
-        _refuse_set(resolved, _TRANSPORT, _NOT_SWEPT, "--sweep")
-    out = _out_dir(resolved, "transport")
     gk_common = {k: resolved[k] for k in ("variant", "n_ens", "n_iter", "seed", "burn_in")}
 
     if biases is not None:
+        _refuse_set(resolved, _TRANSPORT, _NOT_SWEPT, "--sweep")
         base = tp.GKConfig(params=MapParams(ell=0.25, q=0.0), ensemble_mode="stationary", **gk_common)
+        out = _out_dir(resolved, "transport")
         rows = tp.bias_sweep(biases, base)
         bad = sum(0 if r.converged else 1 for _, r in rows)
         _write_csv(out / "sweep.csv", "F_e,L,stderr", ((b, r.value, r.stderr) for b, r in rows))
@@ -395,11 +398,14 @@ def _cmd_transport(resolved) -> int:
             return _NUMERIC_EXIT
         return 0
 
+    if resolved["mode"] == "equilibrium":  # the uniform start needs no burn-in
+        _refuse_set(resolved, _TRANSPORT, ("burn_in",), "--mode equilibrium")
     q = resolved["q"]
     if q is None:
         q = 0.5 - 2.0 * resolved["ell"]
     mode = "microcanonical-equilibrium" if resolved["mode"] == "equilibrium" else "stationary"
     cfg = tp.GKConfig(params=_params_from(dict(resolved, q=q)), ensemble_mode=mode, **gk_common)
+    out = _out_dir(resolved, "transport")
     result = tp.green_kubo_estimate(cfg)
     exact = tp.green_kubo_exact(resolved["ell"], resolved["k_max"])
     _write_csv(out / "convergence.csv", "k,partial_sum", enumerate(result.partial_sums))

@@ -1,5 +1,14 @@
 """Exception hierarchy shared by all bakerlab modules."""
 
+__all__ = [
+    "BakerlabError",
+    "DomainError",
+    "CapacityError",
+    "NormalizationError",
+    "InsufficientFluctuationsError",
+    "FitError",
+]
+
 
 class BakerlabError(Exception):
     """Base class for all package-specific errors."""

@@ -12,7 +12,6 @@ doubles long before n reaches the supported range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import chdtrc, logsumexp
@@ -25,7 +24,6 @@ from .errors import (
     NormalizationError,
 )
 from .ensemble import SimConfig, lambda_segment_means
-from .mapcore import MapParams, contraction_rates
 from .markov import ContractionDistribution, mean_contraction_rate
 
 __all__ = [
@@ -36,7 +34,6 @@ __all__ = [
     "ParabolaFit",
     "EquivalenceReport",
     "symmetric_grid",
-    "time_average",
     "estimate_pi",
     "rate_function",
     "fr_check",
@@ -98,16 +95,6 @@ class FRConfig:
     @property
     def spacing(self) -> float:
         return float(self.p_grid[1] - self.p_grid[0])
-
-
-def time_average(regions: Sequence[int], params: MapParams) -> float:
-    """Contraction-rate time average of one symbolic segment:
-    -(1/n) sum log J(region_k)."""
-    r = np.asarray(regions, dtype=np.int64)
-    if r.size == 0:
-        raise DomainError("empty region sequence")
-    rates = contraction_rates(params)
-    return float(rates[r].mean())
 
 
 def _bin_values(values: np.ndarray, grid: np.ndarray, delta: float):

@@ -16,12 +16,11 @@ volume-preserving perturbation flips the lower-half y-coordinates inside a
 vertical strip; composing it after the baker step destroys invertibility
 without touching any x-projected statistic.
 
-All functions here are pure and stateless.  The array functions operate on
-numpy vectors and hold every formula; the scalar ``Point`` functions are thin
-wrappers over them.  The ensemble step kernel ``step_arrays`` walks the
-members in cache-sized blocks: per block it looks up the regions, fetches
-every branch coefficient with one gather from a cached table, and writes
-the affine update, the clip and the flip in place into the new arrays.
+All functions here are pure and stateless and operate on numpy vectors.
+The ensemble step kernel ``step_arrays`` walks the members in cache-sized
+blocks: per block it looks up the regions, fetches every branch coefficient
+with one gather from a cached table, and writes the affine update, the clip
+and the flip in place into the new arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,21 +37,13 @@ __all__ = [
     "Region",
     "MapVariant",
     "ReversalScheme",
-    "Point",
     "MapParams",
     "ReversibilityReport",
-    "classify_region",
     "region_indices",
     "branch_coefficients",
-    "jacobian",
     "jacobians",
-    "contraction_rate",
     "contraction_rates",
-    "baker_step",
-    "strip_flip",
-    "step",
     "step_arrays",
-    "time_reversal",
     "time_reversal_arrays",
     "region_reverse",
     "check_reversibility",
@@ -93,11 +83,6 @@ class ReversalScheme(enum.Enum):
 
     Q4 = "q4"
     Q3 = "q3"
-
-
-class Point(NamedTuple):
-    x: float
-    y: float
 
 
 @dataclass(frozen=True)
@@ -149,31 +134,11 @@ class ReversibilityReport:
     n_samples: int
 
 
-def _check_x(x: float) -> None:
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [0, 1], got {x}")
-
-
-def _arrays(p: Point):
-    """A scalar point as one-element arrays for the array kernels."""
-    return np.array([p.x]), np.array([p.y])
-
-
-def _point(x: np.ndarray, y: np.ndarray) -> Point:
-    return Point(float(x[0]), float(y[0]))
-
-
-def classify_region(x: float, ell: float) -> Region:
-    """Return the partition cell containing ``x``.
+def region_indices(x: np.ndarray, ell: float) -> np.ndarray:
+    """Partition cell of each x, as int8 region indices.
 
     Cells are half-open on the right except D, which includes x = 1.
     """
-    _check_x(x)
-    return Region(int(region_indices(np.asarray(x), ell)))
-
-
-def region_indices(x: np.ndarray, ell: float) -> np.ndarray:
-    """Vectorized cell lookup, the kernel behind ``classify_region``."""
     r = np.greater_equal(x, ell).view(np.int8)
     r += np.greater_equal(x, 0.5).view(np.int8)
     r += np.greater_equal(x, 0.75).view(np.int8)
@@ -204,11 +169,6 @@ def _coefficient_table(params: MapParams, with_y: bool) -> np.ndarray:
     return table
 
 
-def jacobian(region: Region, params: MapParams) -> float:
-    """Volume ratio of the branch acting on ``region``."""
-    return float(jacobians(params)[region])
-
-
 def jacobians(params: MapParams) -> np.ndarray:
     """All four branch volume ratios, indexed by region."""
     ell, q = params.ell, params.q
@@ -222,39 +182,9 @@ def jacobians(params: MapParams) -> np.ndarray:
     )
 
 
-def contraction_rate(region: Region, params: MapParams) -> float:
-    """Local phase-space contraction rate: minus the log volume ratio."""
-    return -float(np.log(jacobian(region, params)))
-
-
 def contraction_rates(params: MapParams) -> np.ndarray:
     """Contraction rates for all four regions."""
     return -np.log(jacobians(params))
-
-
-def baker_step(p: Point, params: MapParams) -> Point:
-    """One application of the reversible baker map."""
-    return step(p, params, MapVariant.REVERSIBLE)
-
-
-def strip_flip(p: Point, params: MapParams) -> Point:
-    """Flip y -> 1 - y for points in the strip with y < 1/2; identity elsewhere.
-
-    The flip preserves x and phase-space volume but is not invertible:
-    the lower strip half has no preimage afterwards.  A zero-width strip
-    flips nothing.
-    """
-    x, y = _arrays(p)
-    if params.strip_eps > 0.0:
-        y = np.where(_in_strip(x, y, params), 1.0 - y, y)
-    return _point(x, y)
-
-
-def step(p: Point, params: MapParams, variant: MapVariant = MapVariant.REVERSIBLE) -> Point:
-    """One iteration of the selected dynamics."""
-    _check_x(p.x)
-    x, y, _ = step_arrays(*_arrays(p), params, variant)
-    return _point(x, y)
 
 
 def step_arrays(
@@ -263,11 +193,14 @@ def step_arrays(
     params: MapParams,
     variant: MapVariant = MapVariant.REVERSIBLE,
 ):
-    """Vectorized iteration.
+    """One iteration of the selected dynamics.
 
     Returns ``(x_new, y_new, regions)`` where ``regions`` holds the cell each
     point occupied *before* the step, i.e. the branch that was applied.
     With ``y=None`` only x advances (it never reads y) and ``y_new`` is None.
+    The irreversible variant then flips y -> 1 - y where the new point lies
+    in the strip with y < 1/2; x is untouched and a zero-width strip flips
+    nothing.
 
     Members are stepped in blocks of ``_BLOCK``, written in place into the
     new arrays, so that every temporary stays in cache; the arithmetic is
@@ -313,20 +246,15 @@ def _in_strip(x: np.ndarray, y: np.ndarray, params: MapParams) -> np.ndarray:
     return f
 
 
-def time_reversal(p: Point) -> Point:
-    """Self-inverse time-reversal map.
+def time_reversal_arrays(x: np.ndarray, y: np.ndarray):
+    """Self-inverse time-reversal map G.
 
     Reflects each half square across its main (lower-left to upper-right)
     diagonal: the left half [0,1/2) x [0,1] maps onto the lower half via
     (x, y) -> (y/2, 2x) and the right half onto the upper half via
-    (x, y) -> ((y+1)/2, 2x-1).  At q = 0 the baker map satisfies
-    ``baker_step(G(baker_step(p))) == G(p)`` for every interior point.
+    (x, y) -> ((y+1)/2, 2x-1).  At q = 0 the baker map M satisfies
+    M G M = G at every interior point.
     """
-    return _point(*time_reversal_arrays(*_arrays(p)))
-
-
-def time_reversal_arrays(x: np.ndarray, y: np.ndarray):
-    """Vectorized ``time_reversal``."""
     left = x < 0.5
     xg = np.where(left, 0.5 * y, 0.5 * (y + 1.0))
     yg = np.where(left, 2.0 * x, 2.0 * x - 1.0)

@@ -30,7 +30,6 @@ __all__ = [
     "coarse_measure",
     "mean_contraction_rate",
     "chain_autocovariance",
-    "contraction_autocovariance",
     "contraction_c2",
     "db_report",
     "contraction_sum_distribution",
@@ -123,17 +122,11 @@ def chain_autocovariance(ell: float, phi: np.ndarray, k_max: int) -> np.ndarray:
     return cov
 
 
-def contraction_autocovariance(ell: float, q: float, k_max: int) -> np.ndarray:
-    """Stationary autocovariances cov(L_0, L_k) of the contraction rate for
-    k = 0..k_max, computed from the jump chain."""
-    return chain_autocovariance(ell, contraction_rates(MapParams(ell=ell, q=q)), k_max)
-
-
 def contraction_c2(ell: float, q: float, k_max: int = 200) -> float:
     """Integrated autocovariance C2 = var + 2 sum_{k>=1} cov(L_0, L_k);
     the curvature of the Gaussian rate-function approximation is
     mean^2 / (2 C2)."""
-    cov = contraction_autocovariance(ell, q, k_max)
+    cov = chain_autocovariance(ell, contraction_rates(MapParams(ell=ell, q=q)), k_max)
     return float(cov[0] + 2.0 * cov[1:].sum())
 
 

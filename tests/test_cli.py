@@ -335,6 +335,10 @@ class TestBadInput:
             ["ratefunc", "--variant", "irreversible"],
             ["ratefunc", "--source", "exact", "--strip-eps", "0.01"],
             ["ratefunc", "--burn-in", "7"],
+            ["transport", "--ell", "0.25", "--q", "0", "--mode", "equilibrium", "--burn-in", "500"],
+            ["density", "--n-ens", "2000", "--n-iter", "2", "--burn-in", "5", "--strip-x", "0.3", "--strip-eps", "0.1"],
+            ["fr", "--source", "mc", "--strip-eps", "0.1"],
+            ["transport", "--mode", "stationary", "--ell", "0.2", "--strip-x", "0.3"],
         ],
         ids=" ".join,
     )
@@ -354,3 +358,19 @@ class TestImport:
         env = {**os.environ, "PYTHONPATH": src}
         code = "import sys, bakerlab, bakerlab.cli; assert 'scipy.stats' not in sys.modules"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_package_exports_each_module_all(self):
+        from bakerlab import ensemble, errors, fluctuation, mapcore, markov, transport
+
+        for module in (errors, mapcore, markov, ensemble, fluctuation, transport):
+            for name in module.__all__:
+                assert getattr(bakerlab, name) is getattr(module, name), (module.__name__, name)
+        scalar_layer = ("Point", "classify_region", "jacobian", "contraction_rate", "baker_step",
+                        "strip_flip", "step", "time_reversal")
+        for module, names in (
+            (bakerlab, scalar_layer + ("time_average", "contraction_autocovariance")),
+            (mapcore, scalar_layer),
+            (fluctuation, ("time_average",)),
+            (markov, ("contraction_autocovariance",)),
+        ):
+            assert not [name for name in names if hasattr(module, name)], module.__name__

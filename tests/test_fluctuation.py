@@ -10,7 +10,7 @@ from bakerlab.errors import (
     InsufficientFluctuationsError,
     NormalizationError,
 )
-from bakerlab.mapcore import MapParams, MapVariant, Region, ReversalScheme, region_reverse
+from bakerlab.mapcore import MapParams, MapVariant, Region, ReversalScheme, contraction_rates, region_reverse
 from bakerlab.markov import contraction_sum_distribution, mean_contraction_rate
 from bakerlab.ensemble import SimConfig
 from bakerlab.fluctuation import (
@@ -21,7 +21,6 @@ from bakerlab.fluctuation import (
     fr_check,
     rate_function,
     symmetric_grid,
-    time_average,
     variant_equivalence_test,
 )
 
@@ -34,28 +33,27 @@ def fr_config(n, p_max=2.0, delta=0.05, min_count=25):
 
 
 class TestTimeAverage:
+    """The contraction-rate time average of a symbolic segment is
+    ``contraction_rates(params)[segment].mean()``."""
+
     def test_constant_b_sequence(self):
-        params = MapParams(ELL, Q)
-        assert time_average([Region.B] * 10, params) == pytest.approx(np.log(1.4), rel=1e-12)
+        rates = contraction_rates(MapParams(ELL, Q))
+        assert rates[[Region.B] * 10].mean() == pytest.approx(np.log(1.4), rel=1e-12)
 
     def test_balanced_a_d_at_equilibrium(self):
-        params = MapParams(0.15, 0.0)
+        rates = contraction_rates(MapParams(0.15, 0.0))
         seq = [Region.A, Region.D, Region.D, Region.A]
-        assert abs(time_average(seq, params)) < 1e-15
+        assert abs(rates[seq].mean()) < 1e-15
 
     def test_reversed_sequence_negates(self):
-        params = MapParams(ELL, Q)
+        rates = contraction_rates(MapParams(ELL, Q))
         gen = np.random.Generator(np.random.Philox(key=np.uint64(3)))
         seq = [Region(int(r)) for r in gen.integers(0, 4, size=40)]
         rev = [region_reverse(r, ReversalScheme.Q3) for r in reversed(seq)]
-        assert time_average(rev, params) == pytest.approx(-time_average(seq, params), abs=1e-12)
-        params0 = MapParams(0.15, 0.0)
+        assert rates[rev].mean() == pytest.approx(-rates[seq].mean(), abs=1e-12)
+        rates0 = contraction_rates(MapParams(0.15, 0.0))
         rev4 = [region_reverse(r, ReversalScheme.Q4) for r in reversed(seq)]
-        assert time_average(rev4, params0) == pytest.approx(-time_average(seq, params0), abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            time_average([], MapParams(ELL, Q))
+        assert rates0[rev4].mean() == pytest.approx(-rates0[seq].mean(), abs=1e-12)
 
 
 class TestFRConfig:

@@ -8,27 +8,34 @@ from bakerlab.errors import DomainError
 from bakerlab.mapcore import (
     MapParams,
     MapVariant,
-    Point,
     Region,
     ReversalScheme,
-    baker_step,
     branch_coefficients,
     check_reversibility,
-    classify_region,
-    contraction_rate,
     contraction_rates,
-    jacobian,
     jacobians,
     region_indices,
     region_reverse,
-    step,
     step_arrays,
-    strip_flip,
-    time_reversal,
     time_reversal_arrays,
 )
 
 ELL_GRID = [0.05, 0.1, 0.15, 0.2, 0.25]
+
+
+def _step1(x, y, params, variant=MapVariant.REVERSIBLE):
+    """The image of one point under ``step_arrays``, as floats."""
+    xn, yn, _ = step_arrays(np.array([x]), np.array([y]), params, variant)
+    return float(xn[0]), float(yn[0])
+
+
+def _both_variants(x, y, params):
+    """Images of one point under the bare map and with the flip after it."""
+    return _step1(x, y, params), _step1(x, y, params, MapVariant.IRREVERSIBLE)
+
+
+def _in_strip(x, y, params):
+    return params.strip_x <= x <= params.strip_x + params.strip_eps and y < 0.5
 
 
 class TestParams:
@@ -60,25 +67,15 @@ class TestParams:
 
 class TestClassify:
     def test_interval_lookup(self):
-        assert classify_region(0.10, 0.15) is Region.A
-        assert classify_region(0.5, 0.15) is Region.C
-        assert classify_region(1.0, 0.15) is Region.D
-        assert classify_region(0.15, 0.15) is Region.B
-        assert classify_region(0.75, 0.15) is Region.D
-
-    def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            classify_region(-0.01, 0.15)
-        with pytest.raises(DomainError):
-            classify_region(1.01, 0.15)
+        r = region_indices(np.array([0.10, 0.5, 1.0, 0.15, 0.75]), 0.15)
+        assert r.tolist() == [Region.A, Region.C, Region.D, Region.B, Region.D]
 
     @given(
         x=st.floats(0.0, 1.0, allow_nan=False),
         ell=st.floats(0.01, 0.25, allow_nan=False),
     )
-    def test_total_and_consistent_with_vector_path(self, x, ell):
-        r = classify_region(x, ell)
-        assert r == Region(int(region_indices(np.array([x]), ell)[0]))
+    def test_total(self, x, ell):
+        r = Region(int(region_indices(np.array([x]), ell)[0]))
         bounds = {
             Region.A: (0.0, ell),
             Region.B: (ell, 0.5),
@@ -90,18 +87,17 @@ class TestClassify:
 
 class TestBakerStep:
     def test_branch_a_example(self):
-        assert baker_step(Point(0.1, 0.2), MapParams(0.25, 0.0)) == Point(0.7, 0.6)
+        assert _step1(0.1, 0.2, MapParams(0.25, 0.0)) == (0.7, 0.6)
 
     def test_branch_c_fixes_y_zero(self):
         for q in (0.0, 0.2, 0.3):
-            out = baker_step(Point(0.6, 0.0), MapParams(0.15, q))
-            assert out == Point(0.7, 0.0)
+            assert _step1(0.6, 0.0, MapParams(0.15, q)) == (0.7, 0.0)
 
     @pytest.mark.parametrize("q", [0.0, 0.2])
     def test_branch_a_y_image(self, q):
         params = MapParams(0.15, q)
-        lo = baker_step(Point(0.05, 0.0), params).y
-        hi = baker_step(Point(0.05, 1.0), params).y
+        _, lo = _step1(0.05, 0.0, params)
+        _, hi = _step1(0.05, 1.0, params)
         assert lo == pytest.approx(0.5 + q, abs=1e-15)
         assert hi == pytest.approx(1.0, abs=1e-15)
 
@@ -116,13 +112,9 @@ class TestBakerStep:
     def test_branch_x_images(self):
         params = MapParams(0.15, 0.1)
         eps = 1e-12
-        assert baker_step(Point(0.0, 0.5), params).x == pytest.approx(0.5)
-        assert baker_step(Point(0.15 - eps, 0.5), params).x == pytest.approx(1.0, abs=1e-9)
-        assert baker_step(Point(0.15, 0.5), params).x == pytest.approx(0.0)
-        assert baker_step(Point(0.5 - eps, 0.5), params).x == pytest.approx(0.5, abs=1e-9)
-        assert baker_step(Point(0.5, 0.5), params).x == pytest.approx(0.5)
-        assert baker_step(Point(0.75, 0.5), params).x == pytest.approx(0.0)
-        assert baker_step(Point(1.0, 0.5), params).x == pytest.approx(0.5)
+        x = np.array([0.0, 0.15 - eps, 0.15, 0.5 - eps, 0.5, 0.75, 1.0])
+        xn, _, _ = step_arrays(x, None, params)
+        assert xn == pytest.approx([0.5, 1.0, 0.0, 0.5, 0.5, 0.0, 0.5], abs=1e-9)
 
     @given(
         x=st.floats(0.0, 1.0, allow_nan=False),
@@ -132,9 +124,9 @@ class TestBakerStep:
     )
     @settings(max_examples=200)
     def test_image_stays_in_square(self, x, y, ell, q):
-        out = baker_step(Point(x, y), MapParams(ell, q))
-        assert 0.0 <= out.x <= 1.0
-        assert 0.0 <= out.y <= 1.0
+        xn, yn = _step1(x, y, MapParams(ell, q))
+        assert 0.0 <= xn <= 1.0
+        assert 0.0 <= yn <= 1.0
 
 
 class TestJacobians:
@@ -149,11 +141,6 @@ class TestJacobians:
         J = jacobians(MapParams(0.15, 0.0))
         assert J == pytest.approx([5.0 / 3.0, 1.0, 1.0, 0.6], rel=1e-14)
 
-    def test_scalar_matches_vector(self):
-        params = MapParams(0.12, 0.07)
-        for r in Region:
-            assert jacobian(r, params) == jacobians(params)[r]
-
     def test_bc_product_is_one_on_biased_family(self):
         for ell in (0.05, 0.15, 0.2):
             J = jacobians(MapParams(ell, 0.5 - 2.0 * ell))
@@ -164,13 +151,12 @@ class TestJacobians:
 
 class TestContractionRate:
     def test_zero_at_unit_jacobian(self):
-        for r in Region:
-            assert contraction_rate(r, MapParams(0.25, 0.0)) == 0.0
+        assert contraction_rates(MapParams(0.25, 0.0)).tolist() == [0.0] * 4
 
     def test_b_and_c_are_opposite(self):
-        params = MapParams(0.15, 0.2)
-        assert contraction_rate(Region.B, params) == pytest.approx(np.log(1.4), rel=1e-12)
-        assert contraction_rate(Region.C, params) == pytest.approx(-np.log(1.4), rel=1e-12)
+        rates = contraction_rates(MapParams(0.15, 0.2))
+        assert rates[Region.B] == pytest.approx(np.log(1.4), rel=1e-12)
+        assert rates[Region.C] == pytest.approx(-np.log(1.4), rel=1e-12)
 
     def test_a_d_sum(self):
         for ell in ELL_GRID:
@@ -184,70 +170,82 @@ class TestContractionRate:
 
 
 class TestStripFlip:
+    """The flip, seen as the difference between the irreversible and the
+    reversible step of the same point."""
+
     def test_flips_lower_strip_half(self):
         params = MapParams(0.15)  # strip [0.15, 0.5]
-        assert strip_flip(Point(0.2, 0.1), params) == Point(0.2, 0.9)
+        rev, irr = _both_variants(0.85, 0.5, params)  # D image (0.2, 0.15)
+        assert _in_strip(*rev, params)
+        assert irr == (rev[0], 1.0 - rev[1])
 
     def test_identity_upper_half_and_outside(self):
         params = MapParams(0.15)
-        assert strip_flip(Point(0.2, 0.7), params) == Point(0.2, 0.7)
-        assert strip_flip(Point(0.9, 0.1), params) == Point(0.9, 0.1)
+        for x, y in ((0.3, 0.9), (0.6, 0.2)):  # images (0.21, 0.93), (0.7, 0.1)
+            rev, irr = _both_variants(x, y, params)
+            assert not _in_strip(*rev, params)
+            assert irr == rev
 
     def test_zero_width_strip_is_identity(self):
-        params = MapParams(0.15, 0.1, strip_x=0.5, strip_eps=0.0)
-        assert strip_flip(Point(0.5, 0.12), params) == Point(0.5, 0.12)
+        gen = np.random.default_rng(5)
+        x, y = gen.random(1_000), gen.random(1_000)
+        y[0] = 0.1  # the first image lies in the lower half, on the strip
+        for x0 in (0.2, 0.45, 0.6, 0.85):  # branches B, B, C, D
+            x[0] = x0
+            strip_x = _step1(x0, y[0], MapParams(0.15, 0.1))[0]
+            params = MapParams(0.15, 0.1, strip_x=strip_x, strip_eps=0.0)
+            rev = step_arrays(x, y, params)
+            irr = step_arrays(x, y, params, MapVariant.IRREVERSIBLE)
+            assert _in_strip(rev[0][0], rev[1][0], params)
+            for a, b in zip(rev, irr):
+                assert np.array_equal(a, b)
 
     @given(
         x=st.floats(0.0, 1.0, allow_nan=False),
         y=st.floats(0.0, 1.0, allow_nan=False),
+        ell=st.floats(0.01, 0.25, allow_nan=False),
+        q=st.floats(0.0, 0.45, allow_nan=False),
+        strip_x=st.floats(0.0, 0.99, allow_nan=False),
+        strip_eps=st.floats(0.0, 1.0, allow_nan=False),
     )
-    def test_preserves_x_exactly_and_stays_in_square(self, x, y):
-        out = strip_flip(Point(x, y), MapParams(0.15))
-        assert out.x == x
-        assert 0.0 <= out.y <= 1.0
+    @settings(max_examples=200)
+    def test_preserves_x_exactly_and_stays_in_square(self, x, y, ell, q, strip_x, strip_eps):
+        params = MapParams(ell, q, strip_x=strip_x, strip_eps=min(strip_eps, 1.0 - strip_x))
+        (xr, yr), (xi, yi) = _both_variants(x, y, params)
+        assert xi == xr  # bitwise
+        assert 0.0 <= yi <= 1.0
+        if params.strip_eps > 0.0 and _in_strip(xr, yr, params):
+            assert yi == 1.0 - yr
+        else:
+            assert yi == yr
 
     def test_preserves_horizontal_widths(self):
-        # image of [a, b] x {y0} in the lower strip half keeps its width
-        a, b, y0 = 0.2, 0.45, 0.3
+        # two D-branch images at the same height in the lower strip half,
+        # (0.2, 0.15) and (0.45, 0.15), keep their horizontal distance
         params = MapParams(0.15)
-        pa = strip_flip(Point(a, y0), params)
-        pb = strip_flip(Point(b, y0), params)
-        assert pb.x - pa.x == pytest.approx(b - a, abs=0)
-        assert pa.y == pb.y == 1.0 - y0
+        rev_a, irr_a = _both_variants(0.85, 0.5, params)
+        rev_b, irr_b = _both_variants(0.975, 0.5, params)
+        assert irr_b[0] - irr_a[0] == rev_b[0] - rev_a[0]
+        assert irr_a[1] == irr_b[1] == 1.0 - rev_a[1]
 
 
 class TestStep:
-    def test_reversible_equals_baker(self):
-        params = MapParams(0.15, 0.1)
-        p = Point(0.3, 0.8)
-        assert step(p, params, MapVariant.REVERSIBLE) == baker_step(p, params)
-
     def test_degenerate_strip_is_reversible(self):
         params = MapParams(0.15, 0.1, strip_x=0.2, strip_eps=0.0)
-        for p in (Point(0.1, 0.1), Point(0.2, 0.3), Point(0.8, 0.9)):
-            assert step(p, params, MapVariant.IRREVERSIBLE) == baker_step(p, params)
+        for x, y in ((0.1, 0.1), (0.2, 0.3), (0.8, 0.9)):
+            rev, irr = _both_variants(x, y, params)
+            assert irr == rev
         # baker image (0.5, 0.12) lies on the zero-width strip itself
         params = MapParams(0.15, 0.1, strip_x=0.5, strip_eps=0.0)
-        p = Point(0.5, 0.2)
-        assert step(p, params, MapVariant.IRREVERSIBLE) == baker_step(p, params)
+        rev, irr = _both_variants(0.5, 0.2, params)
+        assert irr == rev
 
     def test_composition_order_flip_after_map(self):
         params = MapParams(0.25, 0.0, strip_x=0.5, strip_eps=0.5)
         # baker image (0.7, 0.6) has y >= 1/2, so the flip is the identity
-        assert step(Point(0.1, 0.2), params, MapVariant.IRREVERSIBLE) == Point(0.7, 0.6)
+        assert _step1(0.1, 0.2, params, MapVariant.IRREVERSIBLE) == (0.7, 0.6)
         # baker image (0.7, 0.1) lands in the lower strip half and flips
-        assert step(Point(0.6, 0.2), params, MapVariant.IRREVERSIBLE) == Point(0.7, 0.9)
-
-    def test_arrays_match_scalar(self):
-        params = MapParams(0.15, 0.2)
-        gen = np.random.Generator(np.random.Philox(key=np.uint64(1)))
-        pts = gen.random((256, 2))
-        for variant in MapVariant:
-            xs, ys, rs = step_arrays(pts[:, 0].copy(), pts[:, 1].copy(), params, variant)
-            for i in range(len(pts)):
-                out = step(Point(pts[i, 0], pts[i, 1]), params, variant)
-                assert (xs[i], ys[i]) == out
-                assert rs[i] == classify_region(pts[i, 0], params.ell)
+        assert _step1(0.6, 0.2, params, MapVariant.IRREVERSIBLE) == (0.7, 0.9)
 
 
 def _unblocked_step(x, y, params, variant):
@@ -317,12 +315,17 @@ class TestBlockedKernel:
         assert none is None and xn.dtype == np.float64
 
 
+def _reverse1(x, y):
+    gx, gy = time_reversal_arrays(np.array([x]), np.array([y]))
+    return float(gx[0]), float(gy[0])
+
+
 class TestTimeReversal:
     def test_reflects_left_half_onto_bottom(self):
-        assert time_reversal(Point(0.3, 0.4)) == Point(0.2, 0.6)
+        assert _reverse1(0.3, 0.4) == (0.2, 0.6)
 
     def test_fixes_right_diagonal_points(self):
-        assert time_reversal(Point(0.75, 0.5)) == Point(0.75, 0.5)
+        assert _reverse1(0.75, 0.5) == (0.75, 0.5)
 
     @given(
         x=st.floats(0.0, 1.0, allow_nan=False),
@@ -332,17 +335,9 @@ class TestTimeReversal:
         # the image of {x < 1/2, y = 1} sits exactly on the x = 1/2 branch
         # seam, the one (measure-zero) set where the piecewise inverse flips
         assume(not (x < 0.5 and y == 1.0))
-        p = Point(x, y)
-        pp = time_reversal(time_reversal(p))
-        assert pp.x == pytest.approx(x, abs=1e-15)
-        assert pp.y == pytest.approx(y, abs=1e-15)
-
-    def test_array_variant_matches(self):
-        gen = np.random.Generator(np.random.Philox(key=np.uint64(2)))
-        pts = gen.random((128, 2))
-        gx, gy = time_reversal_arrays(pts[:, 0], pts[:, 1])
-        for i in range(len(pts)):
-            assert time_reversal(Point(pts[i, 0], pts[i, 1])) == (gx[i], gy[i])
+        xx, yy = _reverse1(*_reverse1(x, y))
+        assert xx == pytest.approx(x, abs=1e-15)
+        assert yy == pytest.approx(y, abs=1e-15)
 
 
 class TestReversibility:

@@ -12,7 +12,6 @@ from bakerlab.markov import (
     _generic_sums,
     chain_autocovariance,
     coarse_measure,
-    contraction_autocovariance,
     contraction_c2,
     contraction_sum_distribution,
     db_report,
@@ -289,7 +288,7 @@ class TestContractionSumDistribution:
 
 class TestAutocovariance:
     def test_variance_and_geometric_decay(self):
-        cov = contraction_autocovariance(0.15, 0.2, 10)
+        cov = chain_autocovariance(0.15, contraction_rates(MapParams(0.15, 0.2)), 10)
         c = np.log(1.4)
         # var = c^2 (mu_B + mu_C) - mean^2
         mean = mean_contraction_rate(0.15, 0.2)
@@ -301,8 +300,8 @@ class TestAutocovariance:
     def test_chain_autocovariance_backs_both_callers(self):
         from bakerlab.transport import PSI, green_kubo_exact
 
-        rates = contraction_rates(MapParams(0.15, 0.2))
-        assert np.array_equal(chain_autocovariance(0.15, rates, 10), contraction_autocovariance(0.15, 0.2, 10))
+        cov = chain_autocovariance(0.15, contraction_rates(MapParams(0.15, 0.2)), 10)
+        assert contraction_c2(0.15, 0.2, 10) == float(cov[0] + 2.0 * cov[1:].sum())
         terms = chain_autocovariance(0.15, PSI, 10)
         assert np.array_equal(np.cumsum(terms), green_kubo_exact(0.15, 10).partial_sums)
         with pytest.raises(DomainError):

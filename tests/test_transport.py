@@ -3,7 +3,7 @@ import pytest
 
 from bakerlab.errors import DomainError
 from bakerlab.mapcore import MapParams, MapVariant, Region, ReversalScheme, region_reverse
-from bakerlab.markov import coarse_measure
+from bakerlab.markov import coarse_measure, transition_matrix
 from bakerlab.transport import (
     GKConfig,
     PSI,
@@ -74,11 +74,13 @@ class TestExactTransport:
         assert abs(res.value - 0.75) < 1e-14
 
     def test_second_eigenvalue(self):
-        res = green_kubo_exact(0.15, 30)
-        assert res.second_eigenvalue == pytest.approx(0.2, abs=1e-9)
-        for ell in ELL_GRID:
-            r = green_kubo_exact(ell, 10)
-            assert r.second_eigenvalue < 1.0
+        # the closed form |1/2 - 2 ell|: an eigen-solve of the defective
+        # matrix at ell = 1/4 returns about 4.5e-9 instead of 0
+        assert green_kubo_exact(0.25, 10).second_eigenvalue == 0.0
+        assert green_kubo_exact(0.15, 30).second_eigenvalue == pytest.approx(0.2, abs=1e-15)
+        for ell in ELL_GRID[:-1]:
+            solved = np.sort(np.abs(np.linalg.eigvals(transition_matrix(ell))))[-2]
+            assert abs(green_kubo_exact(ell, 10).second_eigenvalue - solved) <= 1e-14
 
     def test_terms_decay_geometrically(self):
         res = green_kubo_exact(0.15, 40)
