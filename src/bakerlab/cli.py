@@ -127,15 +127,22 @@ def _params_from(resolved: dict) -> MapParams:
     )
 
 
-def _sim_config(resolved: dict) -> es.SimConfig:
+def _sim_config(resolved: dict, burn_in: int) -> es.SimConfig:
     return es.SimConfig(
         params=_params_from(resolved),
         variant=resolved["variant"],
         n_ens=resolved["n_ens"],
         n_iter=resolved["n_iter"],
-        burn_in=resolved["burn_in"],
+        burn_in=burn_in,
         seed=resolved["seed"],
     )
+
+
+# The ensemble starts x in its exact stationary law, so the x-only commands
+# (fr and ratefunc with --source mc, transport) discard no steps and refuse
+# a --burn-in off its default; only density, whose y starts uniform, reads it.
+_XONLY_START = {"x": "stationary", "burn_in_steps": 0}
+_STATIONARY_X = "whose x starts in its stationary law"
 
 
 def _refuse_set(resolved: dict, spec: dict, names: tuple, context: str) -> None:
@@ -167,7 +174,10 @@ def _write_json(path: Path, obj: dict) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out_dir: Path, command: str, resolved: dict, artifacts: list[str], t0: float):
+def _write_manifest(out_dir: Path, command: str, resolved: dict, artifacts: list[str], t0: float,
+                    start: dict | None = None):
+    """``start`` records where a Monte Carlo run starts its ensemble."""
+
     def jsonable(v):
         if isinstance(v, (MapVariant, ReversalScheme)):
             return v.value
@@ -181,6 +191,8 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict, artifacts: list
         "artifacts": artifacts,
         "wall_time_s": round(time.time() - t0, 3),
     }
+    if start is not None:
+        manifest["start"] = start
     _write_json(out_dir / "manifest.json", manifest)
 
 
@@ -208,7 +220,7 @@ _DENSITY = {
 
 def _cmd_density(resolved) -> int:
     t0 = time.time()
-    config = _sim_config(resolved)
+    config = _sim_config(resolved, resolved["burn_in"])
     nb = resolved["bins"]
     hist = es.empirical_density(config, nx=nb, ny=nb)
     out = _out_dir(resolved, "density")
@@ -219,7 +231,8 @@ def _cmd_density(resolved) -> int:
         for i, (c, d) in enumerate(zip(marginal(), marginal(density=True)))
     )
     _write_csv(out / "marginals.csv", "axis,bin,center,count,density", marginals)
-    _write_manifest(out, "density", resolved, ["histogram2d.csv", "histogram2d.json", "marginals.csv"], t0)
+    start = {"x": "stationary", "y": "uniform", "burn_in_steps": config.burn_in}
+    _write_manifest(out, "density", resolved, ["histogram2d.csv", "histogram2d.json", "marginals.csv"], t0, start)
     print(f"density: wrote {out}/histogram2d.csv ({hist.n_samples} samples)")
     return 0
 
@@ -290,8 +303,11 @@ def _fr_family(command: str, resolved: dict, finish) -> int:
     if resolved["source"] == "exact":
         _refuse_set(resolved, _FR, _MC_ONLY, "--source exact")
         source = mk.contraction_sum_distribution(resolved["ell"], resolved["q"], resolved["n"])
+        start = None
     else:
-        source = _sim_config(resolved)
+        _refuse_set(resolved, _FR, ("burn_in",), f"{command} --source mc, {_STATIONARY_X}")
+        source = _sim_config(resolved, burn_in=0)
+        start = _XONLY_START
     pi = fl.estimate_pi(fr_cfg, source)
     out = _out_dir(resolved, command)
     _write_csv(out / "pi.csv", "p,pi_n", zip(pi.p, pi.mass))
@@ -299,7 +315,7 @@ def _fr_family(command: str, resolved: dict, finish) -> int:
     _write_csv(out / "zeta.csv", "p,zeta_n", ((p, z) for p, z in zip(rf.p, rf.zeta) if np.isfinite(z)))
     artifact, summary = finish(out, pi, rf)
     _write_json(out / "fr_meta.json", {k: resolved[k] for k in ("n", "delta", "ell", "q", "seed", "source")})
-    _write_manifest(out, command, resolved, ["pi.csv", "zeta.csv", artifact, "fr_meta.json"], t0)
+    _write_manifest(out, command, resolved, ["pi.csv", "zeta.csv", artifact, "fr_meta.json"], t0, start)
     print(f"{command}: {summary}; wrote {out}")
     return 0
 
@@ -382,7 +398,8 @@ _NOT_SWEPT = ("ell", "q", "mode", "strip_x", "strip_eps", "k_max")
 def _cmd_transport(resolved) -> int:
     t0 = time.time()
     biases = _biases(resolved["sweep"]) if resolved["sweep"] else None
-    gk_common = {k: resolved[k] for k in ("variant", "n_ens", "n_iter", "seed", "burn_in")}
+    _refuse_set(resolved, _TRANSPORT, ("burn_in",), f"transport, {_STATIONARY_X}")
+    gk_common = {k: resolved[k] for k in ("variant", "n_ens", "n_iter", "seed")}
 
     if biases is not None:
         _refuse_set(resolved, _TRANSPORT, _NOT_SWEPT, "--sweep")
@@ -391,15 +408,13 @@ def _cmd_transport(resolved) -> int:
         rows = tp.bias_sweep(biases, base)
         bad = sum(0 if r.converged else 1 for _, r in rows)
         _write_csv(out / "sweep.csv", "F_e,L,stderr", ((b, r.value, r.stderr) for b, r in rows))
-        _write_manifest(out, "transport", resolved, ["sweep.csv"], t0)
+        _write_manifest(out, "transport", resolved, ["sweep.csv"], t0, _XONLY_START)
         print(f"transport: swept {len(rows)} bias values; wrote {out}/sweep.csv")
         if bad:
             print(f"transport: error: {bad} sweep entries failed the convergence check", file=sys.stderr)
             return _NUMERIC_EXIT
         return 0
 
-    if resolved["mode"] == "equilibrium":  # the uniform start needs no burn-in
-        _refuse_set(resolved, _TRANSPORT, ("burn_in",), "--mode equilibrium")
     q = resolved["q"]
     if q is None:
         q = 0.5 - 2.0 * resolved["ell"]
@@ -410,7 +425,7 @@ def _cmd_transport(resolved) -> int:
     exact = tp.green_kubo_exact(resolved["ell"], resolved["k_max"])
     _write_csv(out / "convergence.csv", "k,partial_sum", enumerate(result.partial_sums))
     _write_csv(out / "convergence_exact.csv", "k,partial_sum", enumerate(exact.partial_sums))
-    _write_manifest(out, "transport", resolved, ["convergence.csv", "convergence_exact.csv"], t0)
+    _write_manifest(out, "transport", resolved, ["convergence.csv", "convergence_exact.csv"], t0, _XONLY_START)
     print(
         f"transport: L={result.value:.6f} +- {result.stderr:.6f} "
         f"(exact chain: {exact.value:.6f}); wrote {out}"

@@ -9,6 +9,11 @@ in fixed member order.
 Because the x-coordinate update never reads y, x-projected reductions are
 bitwise identical between the reversible and irreversible variants at equal
 seed, and internal fast paths may skip the y update entirely.
+
+Every run starts x in its exact stationary law, the piecewise-constant
+density (2, 8 ell)/(1 + 4 ell) on the two halves, by the inverse CDF of the
+same uniforms, and y uniform.  x-only reductions are therefore stationary
+from the first step and need no burn-in; reductions that read y still do.
 """
 
 from __future__ import annotations
@@ -90,21 +95,47 @@ def _dither(v: np.ndarray, gen) -> np.ndarray:
     return np.clip(d, 0.0, 1.0, out=d)
 
 
+def _stationary_x(x: np.ndarray, ell: float) -> None:
+    """Map uniforms ``x`` in place through the inverse CDF of the invariant
+    x-law, density ``(2, 8 ell) / (1 + 4 ell)`` on the halves split at 1/2.
+
+    With ``c = 1/(1 + 4 ell)`` a uniform u goes to ``u (1 + 4 ell)/2`` when
+    ``u < c`` and to ``1/2 + (u - c)(1 + 4 ell)/(8 ell)`` otherwise, so the
+    count of members in the left half equals the count of u below c.  At
+    ell = 1/4 both slopes are 1 and c = 1/2, so the map is the identity bit
+    for bit.  One bool mask is the only temporary, so the start adds no
+    full-length float array to the peak memory of a run.
+    """
+    width = 1.0 + 4.0 * ell
+    c = 1.0 / width
+    mask = np.less(x, c)
+    np.multiply(x, 0.5 * width, out=x, where=mask)
+    right = np.logical_not(mask, out=mask)
+    np.subtract(x, c, out=x, where=right)
+    np.multiply(x, width / (8.0 * ell), out=x, where=right)
+    np.add(x, 0.5, out=x, where=right)
+
+
 def _run(config: SimConfig, with_y: bool = True):
     """The one sequential state advance behind every ensemble entry point,
     so that any two reductions over the same config see bitwise-identical
     x streams.
 
-    Samples the ensemble, discards ``burn_in`` steps, then yields
-    ``(x, y, region)`` at each of the ``n_iter`` kept steps (``y`` is None
-    when ``with_y`` is false).  The yielded arrays are the loop's own state: the next step
-    replaces them rather than writing into them.
+    Starts from the sample of ``sample_ensemble``: its first column goes
+    through the inverse CDF of the exact stationary x-law (``_stationary_x``)
+    and its second column is y, uniform.  The x-projection is then
+    stationary from step 0, whatever the variant; only y needs burn-in.
+    Discards ``burn_in`` steps, then yields ``(x, y, region)`` at each of
+    the ``n_iter`` kept steps (``y`` is None when ``with_y`` is false).  The
+    yielded arrays are the loop's own state: the next step replaces them
+    rather than writing into them.
     """
     params = config.params
     pts = sample_ensemble(config.n_ens, config.seed)
     x = np.ascontiguousarray(pts[:, 0])
     y = np.ascontiguousarray(pts[:, 1]) if with_y else None
     del pts  # else the (n_ens, 2) sample lives as long as the generator
+    _stationary_x(x, params.ell)
     dither = _needs_dither(params)
     if dither:
         gx = _dither_gen(config.seed, _DITHER_SUBKEY_X)
@@ -122,8 +153,12 @@ def _run(config: SimConfig, with_y: bool = True):
 class SimConfig:
     """One reproducible simulation run.
 
-    ``n_iter`` states per member are produced after ``burn_in`` discarded
-    steps; the first produced state is the post-burn-in point itself.
+    The ensemble starts with x in its stationary law and y uniform;
+    ``n_iter`` states per member are produced after ``burn_in`` steps
+    discarded after that start, and the first produced state is the
+    post-burn-in point itself.  x-only reductions are stationary at any
+    ``burn_in``, including 0; the y-marginal needs a burn-in to forget its
+    uniform start.
     """
 
     params: MapParams
@@ -173,7 +208,8 @@ def evolve(config: SimConfig) -> Iterator[StepState]:
 
 def final_state(config: SimConfig):
     """Coordinates after burn_in + n_iter steps (n_iter = 0 returns the
-    burned-in initial ensemble)."""
+    burned-in start: with burn_in = 0, x from the stationary law and y the
+    uniform column of ``sample_ensemble``)."""
     x, y, _ = next(_run(replace(config, burn_in=config.burn_in + config.n_iter, n_iter=1)))
     return x, y
 

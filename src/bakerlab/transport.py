@@ -67,11 +67,14 @@ def ell_of_bias(b: float) -> float:
 class GKConfig:
     """Configuration of one transport estimate.
 
-    ``ensemble_mode`` selects the law of the initial conditions:
-    "stationary" burns uniform samples in under the configured dynamics,
-    "microcanonical-equilibrium" samples the uniform measure directly and
-    requires the locally conservative point ell = 1/4, q = 0 (where uniform
-    is invariant and the mean current vanishes).
+    The ensemble starts x in its exact stationary law (see
+    ``ensemble.SimConfig``), and the current reads x alone, so the
+    estimate needs no burn-in; ``burn_in`` steps, 0 by default, are
+    discarded after that start.  ``ensemble_mode`` selects the reference
+    mean: "stationary" subtracts the stationary mean current,
+    "microcanonical-equilibrium" takes it as 0, never burns in and requires
+    the locally conservative point ell = 1/4, q = 0 (where the stationary
+    law is uniform and the mean current vanishes).
     """
 
     params: MapParams
@@ -80,7 +83,7 @@ class GKConfig:
     n_iter: int = 50
     seed: int = 0
     ensemble_mode: str = "stationary"
-    burn_in: int = 1_000
+    burn_in: int = 0
 
     def __post_init__(self):
         if self.n_ens < 2:

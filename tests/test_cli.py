@@ -40,6 +40,7 @@ class TestDensity:
         assert manifest["command"] == "density"
         assert manifest["config"]["ell"] == 0.15
         assert set(manifest["artifacts"]) == {"histogram2d.csv", "histogram2d.json", "marginals.csv"}
+        assert manifest["start"] == {"x": "stationary", "y": "uniform", "burn_in_steps": 200}
 
     def test_x_marginal_matches_projected_density(self, tmp_path):
         out = tmp_path / "d"
@@ -105,7 +106,7 @@ class TestFR:
         # 2000 segments populate the bulk but never the negative cells
         out = tmp_path / "fr"
         code = run(["fr", "--source", "mc", "--n", "200", "--n-ens", "100",
-                    "--n-iter", "4000", "--burn-in", "200", "--out", str(out)])
+                    "--n-iter", "4000", "--out", str(out)])
         assert code == 2
         assert "negative fluctuations" in capsys.readouterr().err
 
@@ -135,7 +136,7 @@ class TestFR:
         # same refusal as the exact source; nothing is binned or written
         out = tmp_path / command
         code = run([command, "--q", "0", "--source", "mc", "--n-ens", "200",
-                    "--n-iter", "400", "--burn-in", "50", "--out", str(out)])
+                    "--n-iter", "400", "--out", str(out)])
         assert code == 1
         assert "mean contraction rate is 0 (equilibrium)" in capsys.readouterr().err
         assert not (out / "pi.csv").exists()
@@ -192,6 +193,29 @@ class TestTransportCmd:
         rows = (out / "sweep.csv").read_text().splitlines()
         assert rows[0] == "F_e,L,stderr"
         assert len(rows) == 3
+
+
+class TestManifestStart:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fr", "--source", "mc", "--n", "20", "--n-ens", "2000", "--n-iter", "400"],
+            ["transport", "--mode", "stationary", "--ell", "0.2", "--n-ens", "2000", "--n-iter", "20"],
+            ["transport", "--n-ens", "2000", "--n-iter", "20"],
+            ["transport", "--sweep", "0.1", "--n-ens", "2000", "--n-iter", "20"],
+        ],
+        ids=" ".join,
+    )
+    def test_x_only_runs_start_stationary_without_burn_in(self, tmp_path, argv):
+        out = tmp_path / "o"
+        assert run(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["start"] == {"x": "stationary", "burn_in_steps": 0}
+
+    def test_exact_source_records_no_start(self, tmp_path):
+        out = tmp_path / "fr"
+        assert run(["fr", "--source", "exact", "--n", "50", "--out", str(out)]) == 0
+        assert "start" not in json.loads((out / "manifest.json").read_text())
 
 
 class TestConfigFile:
@@ -336,6 +360,10 @@ class TestBadInput:
             ["ratefunc", "--source", "exact", "--strip-eps", "0.01"],
             ["ratefunc", "--burn-in", "7"],
             ["transport", "--ell", "0.25", "--q", "0", "--mode", "equilibrium", "--burn-in", "500"],
+            ["transport", "--mode", "stationary", "--ell", "0.2", "--burn-in", "500"],
+            ["transport", "--sweep", "0.1", "--burn-in", "0"],
+            ["fr", "--source", "mc", "--burn-in", "200"],
+            ["ratefunc", "--source", "mc", "--burn-in", "0"],
             ["density", "--n-ens", "2000", "--n-iter", "2", "--burn-in", "5", "--strip-x", "0.3", "--strip-eps", "0.1"],
             ["fr", "--source", "mc", "--strip-eps", "0.1"],
             ["transport", "--mode", "stationary", "--ell", "0.2", "--strip-x", "0.3"],

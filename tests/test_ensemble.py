@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from bakerlab.mapcore import (
 )
 from bakerlab.markov import coarse_measure, stationary_density, transition_matrix
 from bakerlab.ensemble import (
+    _run,
     Histogram2D,
     RectSet,
     SimConfig,
@@ -63,14 +65,73 @@ class TestSampling:
         assert pvalue > 0.01
 
 
+def stationary_inverse_cdf(u: np.ndarray, ell: float) -> np.ndarray:
+    """Inverse CDF of the invariant x-law, density (2, 8 ell)/(1 + 4 ell)
+    on the halves, written out independently of the engine."""
+    c = 1.0 / (1.0 + 4.0 * ell)
+    left = u * (1.0 + 4.0 * ell) / 2.0
+    right = 0.5 + (u - c) * (1.0 + 4.0 * ell) / (8.0 * ell)
+    return np.where(u < c, left, right)
+
+
+START_ELLS = [0.01, 0.1, 0.15, 0.25]
+
+
+class TestStationaryStart:
+    @pytest.mark.parametrize("ell", START_ELLS)
+    def test_half_counts_are_exact(self, ell):
+        cfg = SimConfig(params=MapParams(ell, 0.1), n_ens=100_000, n_iter=0, burn_in=0, seed=21)
+        x, _ = final_state(cfg)
+        u = sample_ensemble(cfg.n_ens, cfg.seed)[:, 0]
+        assert (x < 0.5).sum() == (u < 1.0 / (1.0 + 4.0 * ell)).sum()
+        assert x.min() >= 0.0 and x.max() < 1.0
+
+    @pytest.mark.parametrize("ell", START_ELLS)
+    def test_chi_square_per_half_against_density(self, ell):
+        n, bins = 200_000, 25  # bins per half
+        x, _ = final_state(SimConfig(params=MapParams(ell, 0.0), n_ens=n, n_iter=0, burn_in=0, seed=22))
+        rho = stationary_density(ell)
+        for lo, density in ((0.0, rho.rho_l), (0.5, rho.rho_r)):
+            counts = np.histogram(x, bins=bins, range=(lo, lo + 0.5))[0]
+            expected = n * density * 0.5 / bins
+            stat = float(((counts - expected) ** 2 / expected).sum())
+            assert sstats.chi2.sf(stat, bins) > 1e-3, (ell, lo)
+
+    @pytest.mark.parametrize("ell", START_ELLS)
+    def test_half_fractions_stay_stationary(self, ell):
+        n = 100_000
+        c = 1.0 / (1.0 + 4.0 * ell)
+        sigma = np.sqrt(c * (1.0 - c) / n)
+        cfg = SimConfig(params=MapParams(ell, 0.2), n_ens=n, n_iter=51, burn_in=0, seed=23)
+        for k, r in enumerate(region_stream(cfg)):
+            if k in (1, 50):
+                left = float(np.mean(r <= Region.B))
+                assert abs(left - c) <= 5.0 * sigma, (ell, k)
+
+    def test_first_yield_memory_with_y(self):
+        n = 500_000
+        cfg = SimConfig(params=PARAMS_EQ, n_ens=n, n_iter=1, burn_in=0, seed=24)
+        tracemalloc.start()
+        try:
+            run = _run(cfg)
+            next(run)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (n, 2) sample and its two column copies, plus a little
+        assert peak <= 33 * n
+
+
 class TestEvolve:
     def test_zero_iterations_returns_initial_ensemble(self):
-        cfg = SimConfig(params=PARAMS_EQ, n_ens=500, n_iter=0, burn_in=0, seed=9)
-        x, y = final_state(cfg)
         pts = sample_ensemble(500, seed=9)
-        assert np.array_equal(x, pts[:, 0])
-        assert np.array_equal(y, pts[:, 1])
-        assert list(evolve(cfg)) == []
+        for ell in (0.15, 0.25):
+            cfg = SimConfig(params=MapParams(ell, 0.0), n_ens=500, n_iter=0, burn_in=0, seed=9)
+            x, y = final_state(cfg)
+            np.testing.assert_allclose(x, stationary_inverse_cdf(pts[:, 0], ell), rtol=0, atol=1e-15)
+            assert np.array_equal(y, pts[:, 1])
+            assert list(evolve(cfg)) == []
+        assert np.array_equal(x, pts[:, 0])  # at ell = 1/4 the start map is the identity
 
     def test_stream_layout(self):
         cfg = SimConfig(params=PARAMS_EQ, n_ens=64, n_iter=5, burn_in=3, seed=2)

@@ -116,6 +116,15 @@ class TestEstimate:
         assert abs(res.value - 0.75) < 3 * res.stderr
         assert res.converged
 
+    def test_stationary_mode_equals_equilibrium_at_quarter_point(self):
+        # the stationary start is the uniform sample itself at (1/4, 0)
+        base = dict(params=MapParams(0.25, 0.0), n_ens=20_000, n_iter=30, seed=12)
+        a = green_kubo_estimate(GKConfig(ensemble_mode="stationary", **base))
+        b = green_kubo_estimate(GKConfig(ensemble_mode="microcanonical-equilibrium", **base))
+        assert a.value == b.value
+        assert a.stderr == b.stderr
+        assert np.array_equal(a.partial_sums, b.partial_sums)
+
     def test_equilibrium_mode_requires_quarter_point(self):
         with pytest.raises(DomainError):
             GKConfig(params=MapParams(0.15, 0.0), ensemble_mode="microcanonical-equilibrium")
