@@ -255,8 +255,8 @@ def _cmd_surface(resolved) -> int:
             raise DomainError(f"{name} must be >= 1, got {resolved[name]}")
     ells = np.linspace(resolved["ell_min"], resolved["ell_max"], resolved["ell_steps"])
     qs = np.linspace(resolved["q_min"], resolved["q_max"], resolved["q_steps"])
-    out = _out_dir(resolved, "surface")
     cells = [(ell, q, mk.mean_contraction_rate(float(ell), float(q))) for ell in ells for q in qs]
+    out = _out_dir(resolved, "surface")
     _write_csv(out / "surface.csv", "ell,q,mean_lambda", cells)
     negatives = sum(v < -1e-12 for _, _, v in cells)
     _write_manifest(out, "surface", resolved, ["surface.csv"], t0)
@@ -404,8 +404,8 @@ def _cmd_transport(resolved) -> int:
     if biases is not None:
         _refuse_set(resolved, _TRANSPORT, _NOT_SWEPT, "--sweep")
         base = tp.GKConfig(params=MapParams(ell=0.25, q=0.0), ensemble_mode="stationary", **gk_common)
-        out = _out_dir(resolved, "transport")
         rows = tp.bias_sweep(biases, base)
+        out = _out_dir(resolved, "transport")
         bad = sum(0 if r.converged else 1 for _, r in rows)
         _write_csv(out / "sweep.csv", "F_e,L,stderr", ((b, r.value, r.stderr) for b, r in rows))
         _write_manifest(out, "transport", resolved, ["sweep.csv"], t0, _XONLY_START)
@@ -420,9 +420,9 @@ def _cmd_transport(resolved) -> int:
         q = 0.5 - 2.0 * resolved["ell"]
     mode = "microcanonical-equilibrium" if resolved["mode"] == "equilibrium" else "stationary"
     cfg = tp.GKConfig(params=_params_from(dict(resolved, q=q)), ensemble_mode=mode, **gk_common)
-    out = _out_dir(resolved, "transport")
-    result = tp.green_kubo_estimate(cfg)
     exact = tp.green_kubo_exact(resolved["ell"], resolved["k_max"])
+    result = tp.green_kubo_estimate(cfg)
+    out = _out_dir(resolved, "transport")
     _write_csv(out / "convergence.csv", "k,partial_sum", enumerate(result.partial_sums))
     _write_csv(out / "convergence_exact.csv", "k,partial_sum", enumerate(exact.partial_sums))
     _write_manifest(out, "transport", resolved, ["convergence.csv", "convergence_exact.csv"], t0, _XONLY_START)

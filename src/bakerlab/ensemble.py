@@ -19,7 +19,7 @@ from the first step and need no burn-in; reductions that read y still do.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -45,7 +45,6 @@ __all__ = [
     "MeasureEstimate",
     "sample_ensemble",
     "evolve",
-    "final_state",
     "region_stream",
     "empirical_density",
     "region_sequences",
@@ -62,6 +61,8 @@ _MAX_ENSEMBLE = 50_000_000
 # widest 2-d histogram accepted (2000 x 2000): its counts and the per-step
 # bincount each take 8 bytes a cell, 32 MB apiece at the cap
 _MAX_HIST_CELLS = 4_000_000
+# largest int8 (n_ens, n_iter) array that region_sequences materializes
+_MAX_SEQUENCE_BYTES = 2**28
 
 # At ell = 1/4 (and only there) every branch has x-slope exactly 2, so a
 # float64 orbit sheds one significand bit per step and collapses onto the
@@ -206,14 +207,6 @@ def evolve(config: SimConfig) -> Iterator[StepState]:
         yield StepState(k, x.copy(), y.copy(), region)
 
 
-def final_state(config: SimConfig):
-    """Coordinates after burn_in + n_iter steps (n_iter = 0 returns the
-    burned-in start: with burn_in = 0, x from the stationary law and y the
-    uniform column of ``sample_ensemble``)."""
-    x, y, _ = next(_run(replace(config, burn_in=config.burn_in + config.n_iter, n_iter=1)))
-    return x, y
-
-
 def region_stream(config: SimConfig) -> Iterator[np.ndarray]:
     """Yield the region occupied by every member at each of the ``n_iter``
     post-burn-in steps.
@@ -264,12 +257,12 @@ def empirical_density(config: SimConfig, nx: int = 500, ny: int = 500) -> Histog
     return Histogram2D(nx=nx, ny=ny, counts=counts.reshape(nx, ny), n_samples=n_samples)
 
 
-def region_sequences(config: SimConfig, max_bytes: int = 2**28) -> np.ndarray:
+def region_sequences(config: SimConfig) -> np.ndarray:
     """Full (n_ens, n_iter) symbolic trajectories as int8 region indices."""
     need = config.n_ens * config.n_iter
-    if need > max_bytes:
+    if need > _MAX_SEQUENCE_BYTES:
         raise CapacityError(
-            f"region sequences would need {need} bytes, over the {max_bytes} budget; "
+            f"region sequences would need {need} bytes, over the {_MAX_SEQUENCE_BYTES} budget; "
             "use a streaming reduction instead"
         )
     out = np.empty((config.n_ens, config.n_iter), dtype=np.int8)

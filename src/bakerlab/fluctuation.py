@@ -92,10 +92,6 @@ class FRConfig:
             raise DomainError("cells overlap: need 2*delta <= grid spacing")
         object.__setattr__(self, "p_grid", grid)
 
-    @property
-    def spacing(self) -> float:
-        return float(self.p_grid[1] - self.p_grid[0])
-
 
 def _bin_values(values: np.ndarray, grid: np.ndarray, delta: float):
     """Cell index for each value, -1 when the value falls in no cell.
@@ -233,29 +229,23 @@ def fr_check(pi: PiHistogram) -> FRCheck:
     scale = pi.n * pi.mean_rate
 
     adm = pi.admissible()
-    m = len(pi.p)
-    ps, vals, errs = [], [], []
-    for i, p in enumerate(pi.p):
-        if p <= 0:
-            continue
-        j = m - 1 - i
-        if adm[i] and adm[j]:
-            vals.append((pi.log_mass[i] - pi.log_mass[j]) / scale)
-            ps.append(p)
-            if pi.source == "mc":
-                errs.append(np.sqrt(1.0 / pi.counts[i] + 1.0 / pi.counts[j]) / scale)
-    if not ps:
+    # the grid is symmetric: reversing a per-cell array puts -p under +p
+    pairs = (pi.p > 0) & adm & adm[::-1]
+    if not pairs.any():
         raise InsufficientFluctuationsError(
             "insufficient negative fluctuations: no admissible (+p, -p) cell pairs"
         )
-    p_arr = np.array(ps)
-    v_arr = np.array(vals)
+    p_arr = pi.p[pairs]
+    v_arr = (pi.log_mass[pairs] - pi.log_mass[::-1][pairs]) / scale
+    errs = None
+    if pi.source == "mc":
+        errs = np.sqrt(1.0 / pi.counts[pairs] + 1.0 / pi.counts[::-1][pairs]) / scale
     slope = float((p_arr * v_arr).sum() / (p_arr * p_arr).sum())
     return FRCheck(
         p=p_arr,
         value=v_arr,
         ratio=v_arr / p_arr,
-        stderr=np.array(errs) if errs else None,
+        stderr=errs,
         slope=slope,
         n=pi.n,
         source=pi.source,
@@ -272,12 +262,10 @@ class ParabolaFit:
     n_points: int
 
 
-def fit_parabola(rf: RateFunction, p_window: tuple[float, float] | None = None) -> ParabolaFit:
+def fit_parabola(rf: RateFunction) -> ParabolaFit:
     """Fit the finite cells of a rate function with a parabola centered at
-    the mean value p = 1; optionally restricted to a p window."""
+    the mean value p = 1."""
     mask = np.isfinite(rf.zeta)
-    if p_window is not None:
-        mask &= (rf.p >= p_window[0]) & (rf.p <= p_window[1])
     p = rf.p[mask]
     z = rf.zeta[mask]
     if len(p) < 3:
@@ -298,20 +286,19 @@ class EquivalenceReport:
     dof: int
     pvalue: float
     passed: bool
-    alpha: float
     identical: bool
 
 
-def variant_equivalence_test(
-    config_a: SimConfig,
-    config_b: SimConfig,
-    seg_len: int,
-    bins: int = 20,
-    alpha: float = 0.01,
-) -> EquivalenceReport:
-    """Test whether two runs produce the same law of segment averages.
+# histogram bins and significance level of variant_equivalence_test
+_EQUIV_BINS = 20
+_EQUIV_ALPHA = 0.01
 
-    Histograms use shared bin edges spanning the pooled sample; sparsely
+
+def variant_equivalence_test(config_a: SimConfig, config_b: SimConfig, seg_len: int) -> EquivalenceReport:
+    """Test whether two runs produce the same law of segment averages,
+    passing at significance level 0.01.
+
+    Histograms use 20 shared bins spanning the pooled sample; sparsely
     populated edge bins are merged pairwise until every bin has a pooled
     count of at least 10.
     """
@@ -321,8 +308,8 @@ def variant_equivalence_test(
     hi = max(a.max(), b.max())
     if lo == hi:
         identical = bool(np.array_equal(a, b))
-        return EquivalenceReport(0.0, 0, 1.0, True, alpha, identical)
-    edges = np.linspace(lo, hi, bins + 1)
+        return EquivalenceReport(0.0, 0, 1.0, True, identical)
+    edges = np.linspace(lo, hi, _EQUIV_BINS + 1)
     edges[-1] = np.nextafter(hi, np.inf)
     ca, _ = np.histogram(a, bins=edges)
     cb, _ = np.histogram(b, bins=edges)
@@ -357,7 +344,6 @@ def variant_equivalence_test(
         statistic=stat,
         dof=dof,
         pvalue=pvalue,
-        passed=pvalue >= alpha,
-        alpha=alpha,
+        passed=pvalue >= _EQUIV_ALPHA,
         identical=bool(np.array_equal(a, b)),
     )

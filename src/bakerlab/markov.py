@@ -122,11 +122,16 @@ def chain_autocovariance(ell: float, phi: np.ndarray, k_max: int) -> np.ndarray:
     return cov
 
 
-def contraction_c2(ell: float, q: float, k_max: int = 200) -> float:
+# lags summed by contraction_c2; the covariances decay geometrically with
+# ratio |1/2 - 2 ell| < 1/2, so the neglected tail is far below rounding
+_C2_LAGS = 200
+
+
+def contraction_c2(ell: float, q: float) -> float:
     """Integrated autocovariance C2 = var + 2 sum_{k>=1} cov(L_0, L_k);
     the curvature of the Gaussian rate-function approximation is
     mean^2 / (2 C2)."""
-    cov = chain_autocovariance(ell, contraction_rates(MapParams(ell=ell, q=q)), k_max)
+    cov = chain_autocovariance(ell, contraction_rates(MapParams(ell=ell, q=q)), _C2_LAGS)
     return float(cov[0] + 2.0 * cov[1:].sum())
 
 

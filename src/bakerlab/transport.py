@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 from .ensemble import SimConfig, region_stream
-from .mapcore import MapParams, MapVariant
+from .mapcore import MapParams
 from .markov import chain_autocovariance, coarse_measure
 
 __all__ = [
@@ -64,28 +64,26 @@ def ell_of_bias(b: float) -> float:
 
 
 @dataclass(frozen=True)
-class GKConfig:
-    """Configuration of one transport estimate.
+class GKConfig(SimConfig):
+    """A ``SimConfig`` with the defaults and checks of one transport estimate.
 
-    The ensemble starts x in its exact stationary law (see
-    ``ensemble.SimConfig``), and the current reads x alone, so the
-    estimate needs no burn-in; ``burn_in`` steps, 0 by default, are
-    discarded after that start.  ``ensemble_mode`` selects the reference
-    mean: "stationary" subtracts the stationary mean current,
-    "microcanonical-equilibrium" takes it as 0, never burns in and requires
-    the locally conservative point ell = 1/4, q = 0 (where the stationary
-    law is uniform and the mean current vanishes).
+    The ensemble starts x in its exact stationary law, and the current
+    reads x alone, so the estimate needs no burn-in; ``burn_in`` steps, 0
+    by default, are discarded after that start.  ``ensemble_mode`` names
+    the reference ensemble.  "stationary" holds at any parameters;
+    "microcanonical-equilibrium" is only a check that the parameters are
+    the locally conservative point ell = 1/4, q = 0, where the stationary
+    law is uniform and the mean current is exactly 0, so both modes give
+    the same estimate there.
     """
 
-    params: MapParams
-    variant: MapVariant = MapVariant.REVERSIBLE
     n_ens: int = 100_000
     n_iter: int = 50
-    seed: int = 0
-    ensemble_mode: str = "stationary"
     burn_in: int = 0
+    ensemble_mode: str = "stationary"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.n_ens < 2:
             raise DomainError("n_ens must be >= 2")
         if self.n_iter < 1:
@@ -108,8 +106,6 @@ class GKResult:
     partial_sums: np.ndarray
     converged: bool
     psi_mean: float
-    n_ens: int | None = None
-    n_iter: int | None = None
     tail_bound: float | None = None
     second_eigenvalue: float | None = None
 
@@ -134,26 +130,10 @@ def green_kubo_estimate(config: GKConfig) -> GKResult:
     of per-member totals.  A result whose partial sums still drift in the
     last quarter of the k range is flagged, not silently accepted.
     """
-    params = config.params
-    if config.ensemble_mode == "microcanonical-equilibrium":
-        psi_mean = 0.0
-        burn = 0
-    else:
-        psi_mean = mean_current(params.ell)
-        burn = config.burn_in
-    regions = region_stream(
-        SimConfig(
-            params=params,
-            variant=config.variant,
-            n_ens=config.n_ens,
-            n_iter=config.n_iter,
-            burn_in=burn,
-            seed=config.seed,
-        )
-    )
+    psi_mean = mean_current(config.params.ell)
     member_total = np.zeros(config.n_ens)
     corr = np.empty(config.n_iter)
-    for k, r in enumerate(regions):
+    for k, r in enumerate(region_stream(config)):
         if k == 0:
             psi0 = PSI[r]
         prod = PSI[r] * psi0
@@ -169,8 +149,6 @@ def green_kubo_estimate(config: GKConfig) -> GKResult:
         partial_sums=partial,
         converged=_drift_converged(partial, stderr),
         psi_mean=psi_mean,
-        n_ens=config.n_ens,
-        n_iter=config.n_iter,
     )
 
 
@@ -207,9 +185,10 @@ def bias_sweep(
     Every entry reuses the base ensemble sizes and seed; the map parameters
     are derived from the bias.  No smoothing of any kind is applied.
     """
+    biases = [float(b) for b in np.asarray(biases, dtype=float)]
+    ells = [ell_of_bias(b) for b in biases]  # refuse a bad bias before any run
     rows = []
-    for b in np.asarray(biases, dtype=float):
-        ell = ell_of_bias(float(b))
+    for b, ell in zip(biases, ells):
         cfg = replace(base, params=MapParams(ell=ell, q=0.5 - 2.0 * ell), ensemble_mode="stationary")
-        rows.append((float(b), green_kubo_estimate(cfg)))
+        rows.append((b, green_kubo_estimate(cfg)))
     return rows

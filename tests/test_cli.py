@@ -367,6 +367,11 @@ class TestBadInput:
             ["density", "--n-ens", "2000", "--n-iter", "2", "--burn-in", "5", "--strip-x", "0.3", "--strip-eps", "0.1"],
             ["fr", "--source", "mc", "--strip-eps", "0.1"],
             ["transport", "--mode", "stationary", "--ell", "0.2", "--strip-x", "0.3"],
+            ["surface", "--ell-min", "0"],
+            ["transport", "--sweep", "0.1,1.5"],
+            ["transport", "--n-ens", "60000000"],
+            ["transport", "--sweep", "0.1", "--n-ens", "60000000"],
+            ["transport", "--k-max", "0", "--n-ens", "2", "--n-iter", "1"],
         ],
         ids=" ".join,
     )
@@ -395,10 +400,15 @@ class TestImport:
                 assert getattr(bakerlab, name) is getattr(module, name), (module.__name__, name)
         scalar_layer = ("Point", "classify_region", "jacobian", "contraction_rate", "baker_step",
                         "strip_flip", "step", "time_reversal")
-        for module, names in (
-            (bakerlab, scalar_layer + ("time_average", "contraction_autocovariance")),
+        for owner, names in (
+            (bakerlab, scalar_layer + ("time_average", "contraction_autocovariance", "final_state")),
             (mapcore, scalar_layer),
             (fluctuation, ("time_average",)),
             (markov, ("contraction_autocovariance",)),
+            (ensemble, ("final_state",)),
+            (fluctuation.FRConfig, ("spacing",)),
+            (fluctuation.EquivalenceReport, ("alpha",)),
+            (transport.GKResult, ("n_ens", "n_iter")),
         ):
-            assert not [name for name in names if hasattr(module, name)], module.__name__
+            fields = getattr(owner, "__dataclass_fields__", {})
+            assert not [name for name in names if hasattr(owner, name) or name in fields], owner.__name__

@@ -22,7 +22,6 @@ from bakerlab.ensemble import (
     SimConfig,
     empirical_density,
     evolve,
-    final_state,
     lambda_segment_means,
     measure_estimate,
     odd_observable_mean,
@@ -80,8 +79,8 @@ START_ELLS = [0.01, 0.1, 0.15, 0.25]
 class TestStationaryStart:
     @pytest.mark.parametrize("ell", START_ELLS)
     def test_half_counts_are_exact(self, ell):
-        cfg = SimConfig(params=MapParams(ell, 0.1), n_ens=100_000, n_iter=0, burn_in=0, seed=21)
-        x, _ = final_state(cfg)
+        cfg = SimConfig(params=MapParams(ell, 0.1), n_ens=100_000, n_iter=1, burn_in=0, seed=21)
+        x = next(evolve(cfg)).x
         u = sample_ensemble(cfg.n_ens, cfg.seed)[:, 0]
         assert (x < 0.5).sum() == (u < 1.0 / (1.0 + 4.0 * ell)).sum()
         assert x.min() >= 0.0 and x.max() < 1.0
@@ -89,7 +88,7 @@ class TestStationaryStart:
     @pytest.mark.parametrize("ell", START_ELLS)
     def test_chi_square_per_half_against_density(self, ell):
         n, bins = 200_000, 25  # bins per half
-        x, _ = final_state(SimConfig(params=MapParams(ell, 0.0), n_ens=n, n_iter=0, burn_in=0, seed=22))
+        x = next(evolve(SimConfig(params=MapParams(ell, 0.0), n_ens=n, n_iter=1, burn_in=0, seed=22))).x
         rho = stationary_density(ell)
         for lo, density in ((0.0, rho.rho_l), (0.5, rho.rho_r)):
             counts = np.histogram(x, bins=bins, range=(lo, lo + 0.5))[0]
@@ -127,7 +126,8 @@ class TestEvolve:
         pts = sample_ensemble(500, seed=9)
         for ell in (0.15, 0.25):
             cfg = SimConfig(params=MapParams(ell, 0.0), n_ens=500, n_iter=0, burn_in=0, seed=9)
-            x, y = final_state(cfg)
+            start = next(evolve(replace(cfg, n_iter=1)))
+            x, y = start.x, start.y
             np.testing.assert_allclose(x, stationary_inverse_cdf(pts[:, 0], ell), rtol=0, atol=1e-15)
             assert np.array_equal(y, pts[:, 1])
             assert list(evolve(cfg)) == []
@@ -148,16 +148,6 @@ class TestEvolve:
         assert len(regions) == cfg.n_iter
         for r, state in zip(regions, evolve(cfg)):
             assert np.array_equal(r, state.region)
-
-    @pytest.mark.parametrize("ell", [0.15, 0.25])
-    @pytest.mark.parametrize("k", [1, 6])
-    def test_final_state_is_last_evolved_state(self, ell, k):
-        cfg = SimConfig(params=MapParams(ell=ell, q=0.1), variant=MapVariant.IRREVERSIBLE,
-                        n_ens=128, n_iter=k, burn_in=5, seed=3)
-        x, y = final_state(cfg)
-        *_, last = evolve(replace(cfg, n_iter=k + 1))
-        assert np.array_equal(x, last.x)
-        assert np.array_equal(y, last.y)
 
     def test_yielded_states_are_copies(self):
         cfg = SimConfig(params=PARAMS_EQ, n_ens=64, n_iter=8, burn_in=3, seed=2)
@@ -191,9 +181,10 @@ class TestEvolve:
 
 class TestRegionSequences:
     def test_memory_budget(self):
-        cfg = SimConfig(params=PARAMS_EQ, n_ens=1000, n_iter=1000, burn_in=0, seed=0)
+        # 2^29 bytes, twice the cap: refused before anything is allocated
+        cfg = SimConfig(params=PARAMS_EQ, n_ens=2**15, n_iter=2**14, burn_in=0, seed=0)
         with pytest.raises(CapacityError):
-            region_sequences(cfg, max_bytes=10_000)
+            region_sequences(cfg)
 
     def test_matches_stream(self):
         cfg = SimConfig(params=PARAMS_EQ, n_ens=128, n_iter=16, burn_in=7, seed=5)

@@ -300,8 +300,8 @@ class TestAutocovariance:
     def test_chain_autocovariance_backs_both_callers(self):
         from bakerlab.transport import PSI, green_kubo_exact
 
-        cov = chain_autocovariance(0.15, contraction_rates(MapParams(0.15, 0.2)), 10)
-        assert contraction_c2(0.15, 0.2, 10) == float(cov[0] + 2.0 * cov[1:].sum())
+        cov = chain_autocovariance(0.15, contraction_rates(MapParams(0.15, 0.2)), 200)
+        assert contraction_c2(0.15, 0.2) == float(cov[0] + 2.0 * cov[1:].sum())
         terms = chain_autocovariance(0.15, PSI, 10)
         assert np.array_equal(np.cumsum(terms), green_kubo_exact(0.15, 10).partial_sums)
         with pytest.raises(DomainError):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from bakerlab import transport
+from bakerlab.ensemble import SimConfig
 from bakerlab.errors import DomainError
 from bakerlab.mapcore import MapParams, MapVariant, Region, ReversalScheme, region_reverse
 from bakerlab.markov import coarse_measure, transition_matrix
@@ -117,13 +119,23 @@ class TestEstimate:
         assert res.converged
 
     def test_stationary_mode_equals_equilibrium_at_quarter_point(self):
-        # the stationary start is the uniform sample itself at (1/4, 0)
-        base = dict(params=MapParams(0.25, 0.0), n_ens=20_000, n_iter=30, seed=12)
+        # the equilibrium mode only checks the point, so both modes run the
+        # same estimate, burn-in included
+        base = dict(params=MapParams(0.25, 0.0), n_ens=20_000, n_iter=30, seed=12, burn_in=7)
         a = green_kubo_estimate(GKConfig(ensemble_mode="stationary", **base))
         b = green_kubo_estimate(GKConfig(ensemble_mode="microcanonical-equilibrium", **base))
         assert a.value == b.value
         assert a.stderr == b.stderr
         assert np.array_equal(a.partial_sums, b.partial_sums)
+
+    def test_config_is_a_sim_config(self):
+        cfg = GKConfig(params=MapParams(0.25, 0.0))
+        assert isinstance(cfg, SimConfig)
+        assert (cfg.n_ens, cfg.n_iter, cfg.burn_in, cfg.seed) == (100_000, 50, 0, 0)
+        with pytest.raises(DomainError):  # SimConfig's own cap
+            GKConfig(params=MapParams(0.25, 0.0), n_ens=60_000_000)
+        with pytest.raises(DomainError):
+            GKConfig(params=MapParams(0.25, 0.0), burn_in=-1)
 
     def test_equilibrium_mode_requires_quarter_point(self):
         with pytest.raises(DomainError):
@@ -181,6 +193,11 @@ class TestBiasSweep:
         for b, res in rows:
             exact = green_kubo_exact(ell_of_bias(b), 60)
             assert abs(res.value - exact.value) < 3.5 * res.stderr, b
+
+    def test_bad_bias_is_refused_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(transport, "green_kubo_estimate", lambda cfg: pytest.fail("an estimate ran"))
+        with pytest.raises(DomainError):
+            bias_sweep(np.array([0.1, 1.5]), GKConfig(params=MapParams(0.25, 0.0)))
 
     def test_variant_sweeps_coincide(self):
         biases = np.array([0.1, 0.4])
