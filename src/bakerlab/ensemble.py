@@ -18,7 +18,6 @@ from the first step and need no burn-in; reductions that read y still do.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -54,7 +53,6 @@ __all__ = [
     "odd_observable_mean",
     "reflect_rect",
     "uniformity_chi_square",
-    "write_histogram_csv",
 ]
 
 _MAX_ENSEMBLE = 50_000_000
@@ -126,8 +124,8 @@ def _run(config: SimConfig, with_y: bool = True):
     through the inverse CDF of the exact stationary x-law (``_stationary_x``)
     and its second column is y, uniform.  The x-projection is then
     stationary from step 0, whatever the variant; only y needs burn-in.
-    Discards ``burn_in`` steps, then yields ``(x, y, region)`` at each of
-    the ``n_iter`` kept steps (``y`` is None when ``with_y`` is false).  The
+    Discards ``burn_in`` steps, then yields ``(x, y)`` at each of the
+    ``n_iter`` kept steps (``y`` is None when ``with_y`` is false).  The
     yielded arrays are the loop's own state: the next step replaces them
     rather than writing into them.
     """
@@ -143,8 +141,8 @@ def _run(config: SimConfig, with_y: bool = True):
         gy = _dither_gen(config.seed, _DITHER_SUBKEY_Y)
     for k in range(config.burn_in + config.n_iter):
         if k >= config.burn_in:
-            yield x, y, region_indices(x, params.ell)
-        x, y, _ = step_arrays(x, y, params, config.variant)
+            yield x, y
+        x, y = step_arrays(x, y, params, config.variant)
         if dither:
             x = _dither(x, gx)
             y = None if y is None else _dither(y, gy)
@@ -189,10 +187,13 @@ def sample_ensemble(n: int, seed: int) -> np.ndarray:
     """n i.i.d. uniform points on the unit square as an (n, 2) array.
 
     Point k is a fixed function of (seed, k): values come from a Philox
-    counter stream keyed by the seed, in counter order.
+    counter stream keyed by the seed, in counter order.  The seed is one
+    64-bit key word, so it must lie in [0, 2**64).
     """
     if n < 1:
         raise DomainError("n must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     return gen.random((int(n), 2))
 
@@ -203,8 +204,8 @@ def evolve(config: SimConfig) -> Iterator[StepState]:
     Each yielded state carries copies of the coordinate arrays and the
     region occupied at that step; ``n_iter`` states are produced in total.
     """
-    for k, (x, y, region) in enumerate(_run(config)):
-        yield StepState(k, x.copy(), y.copy(), region)
+    for k, (x, y) in enumerate(_run(config)):
+        yield StepState(k, x.copy(), y.copy(), region_indices(x, config.params.ell))
 
 
 def region_stream(config: SimConfig) -> Iterator[np.ndarray]:
@@ -214,8 +215,8 @@ def region_stream(config: SimConfig) -> Iterator[np.ndarray]:
     Runs the x-only fast path, valid because the x update never reads y:
     the regions are bitwise identical to those of ``evolve``.
     """
-    for _, _, region in _run(config, with_y=False):
-        yield region
+    for x, _ in _run(config, with_y=False):
+        yield region_indices(x, config.params.ell)
 
 
 @dataclass
@@ -249,7 +250,7 @@ def empirical_density(config: SimConfig, nx: int = 500, ny: int = 500) -> Histog
             f"a {nx} x {ny} histogram exceeds the limit of {_MAX_HIST_CELLS} cells"
         )
     counts = np.zeros(nx * ny, dtype=np.int64)
-    for x, y, _ in _run(config):
+    for x, y in _run(config):
         ix = np.minimum((x * nx).astype(np.int64), nx - 1)
         iy = np.minimum((y * ny).astype(np.int64), ny - 1)
         counts += np.bincount(ix * ny + iy, minlength=nx * ny)
@@ -359,7 +360,7 @@ def measure_estimate(config: SimConfig, rect: RectSet) -> MeasureEstimate:
     """
     if config.n_iter < 1:
         raise DomainError("n_iter must be >= 1 for a measure estimate")
-    frac, se = _member_average(config, (rect.contains(x, y) for x, y, _ in _run(config)))
+    frac, se = _member_average(config, (rect.contains(x, y) for x, y in _run(config)))
     return MeasureEstimate(fraction=frac, stderr=se, n_samples=config.n_ens * config.n_iter)
 
 
@@ -416,32 +417,3 @@ def uniformity_chi_square(counts: np.ndarray) -> tuple[float, int, float]:
     stat = float(((counts - expected) ** 2 / expected).sum())
     dof = counts.size - 1
     return stat, dof, float(chdtrc(dof, stat))
-
-
-def write_histogram_csv(hist: Histogram2D, csv_path, sidecar_path, config: SimConfig) -> None:
-    """Write occupation counts as ``x_bin,y_bin,count`` rows plus a JSON
-    sidecar with the generating configuration and normalization."""
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("x_bin,y_bin,count\n")
-        for i, row in enumerate(hist.counts.tolist()):
-            fh.writelines(f"{i},{j},{count}\n" for j, count in enumerate(row))
-    sidecar = {
-        "nx": hist.nx,
-        "ny": hist.ny,
-        "n_samples": hist.n_samples,
-        "bin_area": 1.0 / (hist.nx * hist.ny),
-        "config": {
-            "ell": config.params.ell,
-            "q": config.params.q,
-            "strip_x": config.params.strip_x,
-            "strip_eps": config.params.strip_eps,
-            "variant": config.variant.value,
-            "n_ens": config.n_ens,
-            "n_iter": config.n_iter,
-            "burn_in": config.burn_in,
-            "seed": config.seed,
-        },
-    }
-    with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")

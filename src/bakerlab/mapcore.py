@@ -127,10 +127,16 @@ class MapParams:
 
 @dataclass(frozen=True)
 class ReversibilityReport:
-    """Result of a Monte Carlo reversibility check."""
+    """Result of a Monte Carlo reversibility check.
+
+    ``max_pairing_deviation`` is the largest ``|J[r(p)] J[r(G(F(p)))] - 1|``:
+    at q = 0 the volume ratio of a branch and that of its time-reversed
+    branch are reciprocal.
+    """
 
     max_deviation: float
     mean_deviation: float
+    max_pairing_deviation: float
     n_samples: int
 
 
@@ -195,9 +201,8 @@ def step_arrays(
 ):
     """One iteration of the selected dynamics.
 
-    Returns ``(x_new, y_new, regions)`` where ``regions`` holds the cell each
-    point occupied *before* the step, i.e. the branch that was applied.
-    With ``y=None`` only x advances (it never reads y) and ``y_new`` is None.
+    Returns ``(x_new, y_new)``.  With ``y=None`` only x advances (it never
+    reads y) and ``y_new`` is None.
     The irreversible variant then flips y -> 1 - y where the new point lies
     in the strip with y < 1/2; x is untouched and a zero-width strip flips
     nothing.
@@ -209,13 +214,12 @@ def step_arrays(
     table = _coefficient_table(params, y is not None)
     flip = y is not None and variant is MapVariant.IRREVERSIBLE and params.strip_eps > 0.0
     n = len(x)
-    r = np.empty(n, dtype=np.int8)
     xn = np.empty(n)
     yn = None if y is None else np.empty(n)
     coef = np.empty((min(n, _BLOCK), table.shape[1]))
     for start in range(0, n, _BLOCK):
         b = slice(start, start + _BLOCK)
-        r[b] = rb = region_indices(x[b], params.ell)
+        rb = region_indices(x[b], params.ell)
         c = np.take(table, rb.view(np.uint8), axis=0, mode="clip", out=coef[: len(rb)])
         _affine_clip(c[:, 0], x[b], c[:, 1], xn[b])
         if yn is not None:
@@ -226,7 +230,7 @@ def step_arrays(
                 # itself elsewhere, bit for bit, with no masked loop
                 np.subtract(_in_strip(xn[b], yb, params), yb, out=yb)
                 np.absolute(yb, out=yb)
-    return xn, yn, r
+    return xn, yn
 
 
 def _affine_clip(a: np.ndarray, v: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -279,24 +283,27 @@ def check_reversibility(
 ) -> ReversibilityReport:
     """Measure how well M G M = G holds over random points.
 
-    Draws uniform points p, applies the selected dynamics F on both ends of
-    the reversal, and reports the sup-norm deviation between F(G(F(p))) and
-    G(p).  Deviations at rounding level certify reversibility; order-one
-    deviations mean the identity fails (q != 0, or the irreversible
-    variant inside the strip).
+    Draws the uniform points p of ``sample_ensemble(n_samples, seed)``,
+    applies the selected dynamics F on both ends of the reversal, and
+    reports the sup-norm deviation between F(G(F(p))) and G(p), and the
+    Jacobian pairing between the regions of p and G(F(p)).  Deviations at
+    rounding level certify reversibility; order-one deviations mean the
+    identity fails (q != 0, or the irreversible variant inside the strip).
     """
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    pts = gen.random((int(n_samples), 2))
+    from .ensemble import sample_ensemble  # ensemble imports this module
+
+    pts = sample_ensemble(n_samples, seed)
     x, y = pts[:, 0], pts[:, 1]
-    fx, fy, _ = step_arrays(x, y, params, variant)
+    fx, fy = step_arrays(x, y, params, variant)
     gx, gy = time_reversal_arrays(fx, fy)
-    hx, hy, _ = step_arrays(gx, gy, params, variant)
+    hx, hy = step_arrays(gx, gy, params, variant)
     tx, ty = time_reversal_arrays(x, y)
     dev = np.maximum(np.abs(hx - tx), np.abs(hy - ty))
+    J = jacobians(params)
+    pairing = np.abs(J[region_indices(x, params.ell)] * J[region_indices(gx, params.ell)] - 1.0)
     return ReversibilityReport(
         max_deviation=float(dev.max()),
         mean_deviation=float(dev.mean()),
+        max_pairing_deviation=float(pairing.max()),
         n_samples=int(n_samples),
     )

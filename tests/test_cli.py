@@ -10,6 +10,8 @@ import pytest
 
 import bakerlab
 from bakerlab.cli import _resolve, build_parser, main
+from bakerlab.ensemble import SimConfig, empirical_density
+from bakerlab.mapcore import MapParams
 from bakerlab.markov import mean_contraction_rate
 
 
@@ -34,13 +36,24 @@ class TestDensity:
              "--bins", "20", "--seed", "3", "--out", str(out)]
         )
         assert code == 0
-        for name in ("histogram2d.csv", "histogram2d.json", "marginals.csv", "manifest.json"):
-            assert (out / name).exists()
+        assert {p.name for p in out.iterdir()} == {"histogram2d.csv", "marginals.csv", "manifest.json"}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "density"
         assert manifest["config"]["ell"] == 0.15
-        assert set(manifest["artifacts"]) == {"histogram2d.csv", "histogram2d.json", "marginals.csv"}
+        assert set(manifest["artifacts"]) == {"histogram2d.csv", "marginals.csv"}
         assert manifest["start"] == {"x": "stationary", "y": "uniform", "burn_in_steps": 200}
+
+    def test_histogram_csv_rows(self, tmp_path):
+        out = tmp_path / "d"
+        assert run(["density", "--n-ens", "100", "--n-iter", "5", "--burn-in", "5",
+                    "--bins", "4", "--seed", "1", "--out", str(out)]) == 0
+        lines = (out / "histogram2d.csv").read_text().splitlines()
+        assert lines[0] == "x_bin,y_bin,count"
+        rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
+        assert [r[:2] for r in rows] == [(i, j) for i in range(4) for j in range(4)]
+        cfg = SimConfig(params=MapParams(0.15, 0.0), n_ens=100, n_iter=5, burn_in=5, seed=1)
+        assert [r[2] for r in rows] == empirical_density(cfg, nx=4, ny=4).counts.ravel().tolist()
+        assert sum(r[2] for r in rows) == 100 * 5
 
     def test_x_marginal_matches_projected_density(self, tmp_path):
         out = tmp_path / "d"
@@ -97,9 +110,9 @@ class TestFR:
         assert "slope=" in msg
         slope = float(msg.split("slope=")[1].split()[0])
         assert 0.9 <= slope <= 1.1
-        for name in ("pi.csv", "zeta.csv", "fr.csv", "fr_meta.json", "manifest.json"):
-            assert (out / name).exists()
-        meta = json.loads((out / "fr_meta.json").read_text())
+        assert {p.name for p in out.iterdir()} == {"pi.csv", "zeta.csv", "fr.csv", "manifest.json"}
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        meta = {k: config[k] for k in ("n", "delta", "ell", "q", "seed", "source")}
         assert meta == {"n": 500, "delta": 0.05, "ell": 0.15, "q": 0.2, "seed": 0, "source": "exact"}
 
     def test_insufficient_fluctuations_exit_code(self, tmp_path, capsys):
@@ -120,6 +133,7 @@ class TestFR:
     def test_ratefunc_fit_artifacts(self, tmp_path):
         out = tmp_path / "rf"
         assert run(["ratefunc", "--source", "exact", "--n", "200", "--out", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == {"pi.csv", "zeta.csv", "parabola_fit.json", "manifest.json"}
         fit = json.loads((out / "parabola_fit.json").read_text())
         assert fit["a"] > 0
         assert fit["b"] > 0
@@ -216,6 +230,31 @@ class TestManifestStart:
         out = tmp_path / "fr"
         assert run(["fr", "--source", "exact", "--n", "50", "--out", str(out)]) == 0
         assert "start" not in json.loads((out / "manifest.json").read_text())
+
+
+class TestManifest:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density", "--n-ens", "200", "--n-iter", "2", "--burn-in", "2", "--bins", "4"],
+            ["surface", "--ell-steps", "2", "--q-steps", "2"],
+            ["fr", "--source", "exact", "--n", "50"],
+            ["fr", "--source", "mc", "--n", "20", "--n-ens", "2000", "--n-iter", "400"],
+            ["ratefunc", "--source", "exact", "--n", "50"],
+            ["db"],
+            ["transport", "--n-ens", "2000", "--n-iter", "20"],
+            ["transport", "--sweep", "0.1", "--n-ens", "2000", "--n-iter", "20"],
+        ],
+        ids=" ".join,
+    )
+    def test_manifest_is_the_one_record(self, tmp_path, argv):
+        """Every file a command writes is a listed artifact or the manifest,
+        and the seed appears only in the config."""
+        out = tmp_path / "o"
+        assert run(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {p.name for p in out.iterdir()} == {*manifest["artifacts"], "manifest.json"}
+        assert "seed" not in manifest
 
 
 class TestConfigFile:
@@ -372,6 +411,10 @@ class TestBadInput:
             ["transport", "--n-ens", "60000000"],
             ["transport", "--sweep", "0.1", "--n-ens", "60000000"],
             ["transport", "--k-max", "0", "--n-ens", "2", "--n-iter", "1"],
+            ["density", "--seed", "-1"],
+            ["transport", "--seed", "-1"],
+            ["transport", "--sweep", "0.1", "--seed", "-1"],
+            ["fr", "--source", "mc", "--seed", "18446744073709551616"],
         ],
         ids=" ".join,
     )
@@ -401,11 +444,12 @@ class TestImport:
         scalar_layer = ("Point", "classify_region", "jacobian", "contraction_rate", "baker_step",
                         "strip_flip", "step", "time_reversal")
         for owner, names in (
-            (bakerlab, scalar_layer + ("time_average", "contraction_autocovariance", "final_state")),
+            (bakerlab, scalar_layer + ("time_average", "contraction_autocovariance", "final_state",
+                                       "write_histogram_csv")),
             (mapcore, scalar_layer),
             (fluctuation, ("time_average",)),
             (markov, ("contraction_autocovariance",)),
-            (ensemble, ("final_state",)),
+            (ensemble, ("final_state", "write_histogram_csv")),
             (fluctuation.FRConfig, ("spacing",)),
             (fluctuation.EquivalenceReport, ("alpha",)),
             (transport.GKResult, ("n_ens", "n_iter")),

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 from dataclasses import replace
 
@@ -31,7 +30,6 @@ from bakerlab.ensemble import (
     sample_ensemble,
     transition_counts,
     uniformity_chi_square,
-    write_histogram_csv,
 )
 
 PARAMS_EQ = MapParams(ell=0.15, q=0.0)
@@ -56,6 +54,12 @@ class TestSampling:
         bound = 4.0 * np.sqrt(1_000_000 * 0.25 * 0.75)
         for quad in (left & low, left & ~low, ~left & low, ~left & ~low):
             assert abs(quad.sum() - 250_000) < bound
+
+    def test_seed_is_one_64_bit_key_word(self):
+        for seed in (-1, 2**64):
+            with pytest.raises(DomainError, match="seed"):
+                sample_ensemble(4, seed)
+        assert sample_ensemble(4, 2**64 - 1).shape == (4, 2)
 
     def test_different_seeds_same_law(self):
         a = sample_ensemble(20_000, seed=1)[:, 0]
@@ -356,20 +360,3 @@ class TestSegmentMeans:
         with pytest.raises(DomainError):
             lambda_segment_means(cfg, 11)
 
-
-class TestHistogramExport:
-    def test_csv_and_sidecar(self, tmp_path):
-        cfg = SimConfig(params=PARAMS_EQ, n_ens=100, n_iter=5, burn_in=5, seed=1)
-        hist = empirical_density(cfg, nx=4, ny=3)
-        csv_path = tmp_path / "h.csv"
-        json_path = tmp_path / "h.json"
-        write_histogram_csv(hist, csv_path, json_path, cfg)
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "x_bin,y_bin,count"
-        assert len(lines) == 1 + 4 * 3
-        total = sum(int(line.split(",")[2]) for line in lines[1:])
-        assert total == hist.n_samples
-        meta = json.loads(json_path.read_text())
-        assert meta["config"]["ell"] == 0.15
-        assert meta["config"]["variant"] == "reversible"
-        assert meta["n_samples"] == hist.n_samples

@@ -25,7 +25,7 @@ ELL_GRID = [0.05, 0.1, 0.15, 0.2, 0.25]
 
 def _step1(x, y, params, variant=MapVariant.REVERSIBLE):
     """The image of one point under ``step_arrays``, as floats."""
-    xn, yn, _ = step_arrays(np.array([x]), np.array([y]), params, variant)
+    xn, yn = step_arrays(np.array([x]), np.array([y]), params, variant)
     return float(xn[0]), float(yn[0])
 
 
@@ -113,7 +113,7 @@ class TestBakerStep:
         params = MapParams(0.15, 0.1)
         eps = 1e-12
         x = np.array([0.0, 0.15 - eps, 0.15, 0.5 - eps, 0.5, 0.75, 1.0])
-        xn, _, _ = step_arrays(x, None, params)
+        xn, _ = step_arrays(x, None, params)
         assert xn == pytest.approx([0.5, 1.0, 0.0, 0.5, 0.5, 0.0, 0.5], abs=1e-9)
 
     @given(
@@ -254,13 +254,13 @@ def _unblocked_step(x, y, params, variant):
     r = (x >= params.ell).astype(np.int8) + (x >= 0.5).astype(np.int8) + (x >= 0.75).astype(np.int8)
     xn = np.clip(ax[r] * x + bx[r], 0.0, 1.0)
     if y is None:
-        return xn, None, r
+        return xn, None
     yn = np.clip(ay[r] * y + by[r], 0.0, 1.0)
     if variant is MapVariant.IRREVERSIBLE and params.strip_eps > 0.0:
         hi = params.strip_x + params.strip_eps
         flip = (xn >= params.strip_x) & (xn <= hi) & (yn < 0.5)
         yn = np.where(flip, 1.0 - yn, yn)
-    return xn, yn, r
+    return xn, yn
 
 
 class TestBlockedKernel:
@@ -290,10 +290,9 @@ class TestBlockedKernel:
                 x, y = x0, (y0 if with_y else None)
                 xr, yr = x, y
                 for _ in range(6):
-                    x, y, r = step_arrays(x, y, params, variant)
-                    xr, yr, rr = _unblocked_step(xr, yr, params, variant)
-                    assert np.array_equal(x, xr) and np.array_equal(r, rr)
-                    assert r.dtype == np.int8
+                    x, y = step_arrays(x, y, params, variant)
+                    xr, yr = _unblocked_step(xr, yr, params, variant)
+                    assert np.array_equal(x, xr)
                     assert (y is None) == (yr is None)
                     if with_y:
                         assert np.array_equal(y, yr)
@@ -304,14 +303,14 @@ class TestBlockedKernel:
         x, y = pts[:, 0], pts[:, 1]  # strided views: the kernel reads any layout
         before = pts.copy()
         for variant in MapVariant:
-            xn, yn, r = step_arrays(x, y, params, variant)
+            xn, yn = step_arrays(x, y, params, variant)
             assert np.array_equal(pts, before)
-            assert xn.dtype == yn.dtype == np.float64 and r.dtype == np.int8
-            assert xn.shape == yn.shape == r.shape == (self.B + 5,)
-            for out in (xn, yn, r):
+            assert xn.dtype == yn.dtype == np.float64
+            assert xn.shape == yn.shape == (self.B + 5,)
+            for out in (xn, yn):
                 assert not np.shares_memory(out, pts)
             assert not np.shares_memory(xn, yn)
-        xn, none, r = step_arrays(x.astype(np.float32), None, params)
+        xn, none = step_arrays(x.astype(np.float32), None, params)
         assert none is None and xn.dtype == np.float64
 
 
@@ -360,15 +359,8 @@ class TestReversibility:
 
     def test_jacobian_pairing_at_equilibrium(self):
         for ell in (0.15, 0.25):
-            params = MapParams(ell=ell, q=0.0)
-            gen = np.random.Generator(np.random.Philox(key=np.uint64(7)))
-            pts = gen.random((10_000, 2))
-            J = jacobians(params)
-            r0 = region_indices(pts[:, 0], ell)
-            fx, fy, _ = step_arrays(pts[:, 0], pts[:, 1], params)
-            gx, _ = time_reversal_arrays(fx, fy)
-            r1 = region_indices(gx, ell)
-            assert np.abs(J[r0] * J[r1] - 1.0).max() < 1e-12
+            rep = check_reversibility(MapParams(ell=ell, q=0.0), 10_000, seed=7)
+            assert rep.max_pairing_deviation < 1e-12
 
 
 class TestRegionReverse:
@@ -395,7 +387,7 @@ class TestRegionReverse:
         gen = np.random.Generator(np.random.Philox(key=np.uint64(11)))
         pts = gen.random((5_000, 2))
         r0 = region_indices(pts[:, 0], params.ell)
-        fx, fy, _ = step_arrays(pts[:, 0], pts[:, 1], params)
+        fx, fy = step_arrays(pts[:, 0], pts[:, 1], params)
         gx, _ = time_reversal_arrays(fx, fy)
         r1 = region_indices(gx, params.ell)
         expected = np.array([region_reverse(Region(int(r)), ReversalScheme.Q4) for r in r0])
