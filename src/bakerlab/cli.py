@@ -1,5 +1,6 @@
-"""Command-line orchestration: run experiment families, write plot-ready
-CSV artifacts with JSON manifests.
+"""Command-line orchestration: each experiment family computes its results,
+then writes plot-ready CSV artifacts and a JSON manifest, so a failed run
+writes nothing.
 
 Exit codes: 0 success, 1 usage/validation error, 2 numeric or convergence
 failure, 3 selftest failure.  Floats are written with 17 significant digits
@@ -12,7 +13,9 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -115,26 +118,18 @@ def _choice(*values: str):
 _STRIP = {"strip_x": (float, None), "strip_eps": (float, None)}
 
 
-def _params_from(resolved: dict) -> MapParams:
+def _params_from(resolved: dict) -> tuple[MapParams, dict]:
+    """The map parameters, and the options without the strip unless the
+    irreversible variant reads it."""
     if resolved["variant"] is not MapVariant.IRREVERSIBLE:
-        _refuse_set(resolved, _STRIP, tuple(_STRIP), "--variant reversible")
-    return MapParams(
-        ell=resolved["ell"],
-        q=resolved["q"],
-        strip_x=resolved["strip_x"],
-        strip_eps=resolved["strip_eps"],
-    )
+        resolved = _refuse_set(resolved, _STRIP, tuple(_STRIP), "--variant reversible")
+    return MapParams(resolved["ell"], resolved["q"], resolved.get("strip_x"), resolved.get("strip_eps")), resolved
 
 
-def _sim_config(resolved: dict, burn_in: int) -> es.SimConfig:
-    return es.SimConfig(
-        params=_params_from(resolved),
-        variant=resolved["variant"],
-        n_ens=resolved["n_ens"],
-        n_iter=resolved["n_iter"],
-        burn_in=burn_in,
-        seed=resolved["seed"],
-    )
+def _sim_config(resolved: dict, burn_in: int) -> tuple[es.SimConfig, dict]:
+    params, read = _params_from(resolved)
+    ensemble = {k: resolved[k] for k in ("variant", "n_ens", "n_iter", "seed")}
+    return es.SimConfig(params=params, burn_in=burn_in, **ensemble), read
 
 
 # The ensemble starts x in its exact stationary law, so the x-only commands
@@ -144,11 +139,13 @@ _XONLY_START = {"x": "stationary", "burn_in_steps": 0}
 _STATIONARY_X = "whose x starts in its stationary law"
 
 
-def _refuse_set(resolved: dict, spec: dict, names: tuple, context: str) -> None:
-    """Refuse the first of ``names`` set off its ``spec`` default: ``context`` ignores it."""
+def _refuse_set(resolved: dict, spec: dict, names: tuple, context: str) -> dict:
+    """Refuse the first of ``names`` set off its ``spec`` default: ``context``
+    ignores it.  Returns the options that remain, the ones the run reads."""
     for name in names:
         if resolved[name] != spec[name][1]:
             raise BakerlabError(f"--{name.replace('_', '-')} cannot be combined with {context}")
+    return {k: v for k, v in resolved.items() if k not in names}
 
 
 def _cell(v) -> str:
@@ -178,36 +175,50 @@ def _write_histogram_csv(path: Path, counts: np.ndarray) -> None:
 
 
 def _write_json(path: Path, obj: dict) -> None:
+    """Indented JSON with sorted keys; an enum is written as its value."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=lambda v: v.value)
         fh.write("\n")
 
 
-def _write_manifest(out_dir: Path, command: str, resolved: dict, artifacts: list[str], t0: float,
-                    start: dict | None = None):
-    """``start`` records where a Monte Carlo run starts its ensemble."""
+@dataclass
+class _Run:
+    """What a command computed, for ``_write_run`` to write: its artifacts
+    (file name -> writer, in write order), its summary line, the options it
+    read, where its ensemble started, and a convergence error, if any."""
 
-    def jsonable(v):
-        if isinstance(v, (MapVariant, ReversalScheme)):
-            return v.value
-        return v
+    artifacts: dict[str, Callable[[Path], None]]
+    summary: str
+    config: dict
+    start: dict | None = None
+    error: str | None = None
 
+
+def _write_run(command: str, resolved: dict, compute: Callable[[dict], _Run]) -> int:
+    """Compute, then write: only a computed run creates ``--out``, which
+    then holds its artifacts and the ``manifest.json`` that lists exactly
+    them.  A run with an error still writes, then exits 2."""
+    if resolved["out"] == "":
+        raise BakerlabError("--out must name a directory, got ''")
+    t0 = time.time()
+    run = compute(resolved)
+    out = Path(f"bakerlab_out/{command}" if resolved["out"] is None else resolved["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in run.artifacts.items():
+        write(out / name)
     manifest = {
         "command": command,
         "version": __version__,
-        "config": {k: jsonable(v) for k, v in sorted(resolved.items())},
-        "artifacts": artifacts,
+        "config": run.config,
+        "artifacts": list(run.artifacts),
         "wall_time_s": round(time.time() - t0, 3),
     }
-    if start is not None:
-        manifest["start"] = start
-    _write_json(out_dir / "manifest.json", manifest)
-
-
-def _out_dir(resolved: dict, command: str) -> Path:
-    out = Path(resolved["out"] if resolved.get("out") else f"bakerlab_out/{command}")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    _write_json(out / "manifest.json", manifest if run.start is None else dict(manifest, start=run.start))
+    print(f"{command}: {run.summary}; wrote {out}")
+    if run.error is None:
+        return 0
+    print(f"{command}: error: {run.error}", file=sys.stderr)
+    return _NUMERIC_EXIT
 
 
 # ---------------------------------------------------------------- commands
@@ -226,23 +237,24 @@ _DENSITY = {
 }
 
 
-def _cmd_density(resolved) -> int:
-    t0 = time.time()
-    config = _sim_config(resolved, resolved["burn_in"])
+def _cmd_density(resolved) -> _Run:
+    config, read = _sim_config(resolved, resolved["burn_in"])
     nb = resolved["bins"]
     hist = es.empirical_density(config, nx=nb, ny=nb)
-    out = _out_dir(resolved, "density")
-    _write_histogram_csv(out / "histogram2d.csv", hist.counts)
     marginals = (
         (axis, i, (i + 0.5) / nb, int(c), d)
         for axis, marginal in (("x", hist.x_marginal), ("y", hist.y_marginal))
         for i, (c, d) in enumerate(zip(marginal(), marginal(density=True)))
     )
-    _write_csv(out / "marginals.csv", "axis,bin,center,count,density", marginals)
-    start = {"x": "stationary", "y": "uniform", "burn_in_steps": config.burn_in}
-    _write_manifest(out, "density", resolved, ["histogram2d.csv", "marginals.csv"], t0, start)
-    print(f"density: wrote {out}/histogram2d.csv ({hist.n_samples} samples)")
-    return 0
+    return _Run(
+        {
+            "histogram2d.csv": lambda path: _write_histogram_csv(path, hist.counts),
+            "marginals.csv": lambda path: _write_csv(path, "axis,bin,center,count,density", marginals),
+        },
+        f"{hist.n_samples} samples",
+        read,
+        {"x": "stationary", "y": "uniform", "burn_in_steps": config.burn_in},
+    )
 
 
 _SURFACE = {
@@ -256,22 +268,17 @@ _SURFACE = {
 }
 
 
-def _cmd_surface(resolved) -> int:
-    t0 = time.time()
+def _cmd_surface(resolved) -> _Run:
     for name in ("ell_steps", "q_steps"):
         if resolved[name] < 1:
             raise DomainError(f"{name} must be >= 1, got {resolved[name]}")
     ells = np.linspace(resolved["ell_min"], resolved["ell_max"], resolved["ell_steps"])
     qs = np.linspace(resolved["q_min"], resolved["q_max"], resolved["q_steps"])
     cells = [(ell, q, mk.mean_contraction_rate(float(ell), float(q))) for ell in ells for q in qs]
-    out = _out_dir(resolved, "surface")
-    _write_csv(out / "surface.csv", "ell,q,mean_lambda", cells)
     negatives = sum(v < -1e-12 for _, _, v in cells)
-    _write_manifest(out, "surface", resolved, ["surface.csv"], t0)
-    if negatives:
-        print(f"surface: WARNING {negatives} grid cells have negative mean contraction rate")
-    print(f"surface: wrote {out}/surface.csv ({len(cells)} cells)")
-    return 0
+    warning = f", WARNING {negatives} with a negative mean contraction rate" if negatives else ""
+    artifacts = {"surface.csv": lambda path: _write_csv(path, "ell,q,mean_lambda", cells)}
+    return _Run(artifacts, f"{len(cells)} cells{warning}", resolved)
 
 
 # shared by fr and ratefunc
@@ -296,12 +303,10 @@ _FR = {
 _MC_ONLY = ("variant", "strip_x", "strip_eps", "n_ens", "n_iter", "burn_in", "seed", "min_count")
 
 
-def _fr_family(command: str, resolved: dict, finish) -> int:
+def _fr_family(command: str, resolved: dict) -> tuple[fl.PiHistogram, fl.RateFunction, _Run]:
     """Body of fr and ratefunc: the cell masses from the exact law or the
-    ensemble, ``pi.csv`` and ``zeta.csv``, then ``finish(out, pi, rf)``,
-    which writes the command's own artifact and returns its name and a
-    summary, then the manifest."""
-    t0 = time.time()
+    ensemble and their rate function, with the run that writes ``pi.csv``
+    and ``zeta.csv``; each command adds its own artifact and summary."""
     fr_cfg = fl.FRConfig(
         n=resolved["n"],
         p_grid=fl.symmetric_grid(resolved["p_max"], 2.0 * resolved["delta"]),
@@ -309,43 +314,38 @@ def _fr_family(command: str, resolved: dict, finish) -> int:
         min_count=resolved["min_count"],
     )
     if resolved["source"] == "exact":
-        _refuse_set(resolved, _FR, _MC_ONLY, "--source exact")
+        read = _refuse_set(resolved, _FR, _MC_ONLY, "--source exact")
         source = mk.contraction_sum_distribution(resolved["ell"], resolved["q"], resolved["n"])
         start = None
     else:
-        _refuse_set(resolved, _FR, ("burn_in",), f"{command} --source mc, {_STATIONARY_X}")
-        source = _sim_config(resolved, burn_in=0)
+        read = _refuse_set(resolved, _FR, ("burn_in",), f"{command} --source mc, {_STATIONARY_X}")
+        source, read = _sim_config(read, burn_in=0)
         start = _XONLY_START
     pi = fl.estimate_pi(fr_cfg, source)
-    out = _out_dir(resolved, command)
-    _write_csv(out / "pi.csv", "p,pi_n", zip(pi.p, pi.mass))
     rf = fl.rate_function(pi)
-    _write_csv(out / "zeta.csv", "p,zeta_n", ((p, z) for p, z in zip(rf.p, rf.zeta) if np.isfinite(z)))
-    artifact, summary = finish(out, pi, rf)
-    _write_manifest(out, command, resolved, ["pi.csv", "zeta.csv", artifact], t0, start)
-    print(f"{command}: {summary}; wrote {out}")
-    return 0
+    zeta = ((p, z) for p, z in zip(rf.p, rf.zeta) if np.isfinite(z))
+    artifacts = {
+        "pi.csv": lambda path: _write_csv(path, "p,pi_n", zip(pi.p, pi.mass)),
+        "zeta.csv": lambda path: _write_csv(path, "p,zeta_n", zeta),
+    }
+    return pi, rf, _Run(artifacts, "", read, start)
 
 
-def _cmd_fr(resolved) -> int:
-    def finish(out, pi, rf):
-        chk = fl.fr_check(pi)
-        _write_csv(out / "fr.csv", "p,fr_value", zip(chk.p, chk.value))
-        return "fr.csv", f"slope={chk.slope:.6f} over {len(chk.p)} admissible p"
+def _cmd_fr(resolved) -> _Run:
+    pi, _, run = _fr_family("fr", resolved)
+    chk = fl.fr_check(pi)
+    run.artifacts["fr.csv"] = lambda path: _write_csv(path, "p,fr_value", zip(chk.p, chk.value))
+    run.summary = f"slope={chk.slope:.6f} over {len(chk.p)} admissible p"
+    return run
 
-    return _fr_family("fr", resolved, finish)
 
-
-def _cmd_ratefunc(resolved) -> int:
-    def finish(out, pi, rf):
-        fit = fl.fit_parabola(rf)
-        _write_json(
-            out / "parabola_fit.json",
-            {"a": fit.a, "b": fit.b, "residual": fit.residual, "n_points": fit.n_points},
-        )
-        return "parabola_fit.json", f"a={fit.a:.6f} b={fit.b:.6f}"
-
-    return _fr_family("ratefunc", resolved, finish)
+def _cmd_ratefunc(resolved) -> _Run:
+    _, rf, run = _fr_family("ratefunc", resolved)
+    fit = fl.fit_parabola(rf)
+    fit_json = {"a": fit.a, "b": fit.b, "residual": fit.residual, "n_points": fit.n_points}
+    run.artifacts["parabola_fit.json"] = lambda path: _write_json(path, fit_json)
+    run.summary = f"a={fit.a:.6f} b={fit.b:.6f}"
+    return run
 
 
 _DB = {
@@ -356,19 +356,19 @@ _DB = {
 }
 
 
-def _cmd_db(resolved) -> int:
-    t0 = time.time()
+def _cmd_db(resolved) -> _Run:
     report = mk.db_report(resolved["ell"], resolved["q"], resolved["scheme"])
-    out = _out_dir(resolved, "db")
     rows = (
         (p.source.name, p.target.name, p.forward_weight,
          p.reverse_source.name, p.reverse_target.name, p.reverse_weight, p.mismatch)
         for p in report.pairs
     )
-    _write_csv(out / "db.csv", "from,to,forward_weight,reverse_from,reverse_to,reverse_weight,mismatch", rows)
-    _write_manifest(out, "db", resolved, ["db.csv"], t0)
-    print(f"db: max mismatch = {report.max_mismatch:.17g}; wrote {out}/db.csv")
-    return 0
+    header = "from,to,forward_weight,reverse_from,reverse_to,reverse_weight,mismatch"
+    return _Run(
+        {"db.csv": lambda path: _write_csv(path, header, rows)},
+        f"max mismatch = {report.max_mismatch:.17g}",
+        resolved,
+    )
 
 
 _TRANSPORT = {
@@ -402,45 +402,41 @@ def _biases(sweep: str) -> np.ndarray:
 _NOT_SWEPT = ("ell", "q", "mode", "strip_x", "strip_eps", "k_max")
 
 
-def _cmd_transport(resolved) -> int:
-    t0 = time.time()
-    biases = _biases(resolved["sweep"]) if resolved["sweep"] else None
-    _refuse_set(resolved, _TRANSPORT, ("burn_in",), f"transport, {_STATIONARY_X}")
+def _cmd_transport(resolved) -> _Run:
+    biases = None if resolved["sweep"] is None else _biases(resolved["sweep"])
+    read = _refuse_set(resolved, _TRANSPORT, ("burn_in",), f"transport, {_STATIONARY_X}")
     gk_common = {k: resolved[k] for k in ("variant", "n_ens", "n_iter", "seed")}
 
     if biases is not None:
-        _refuse_set(resolved, _TRANSPORT, _NOT_SWEPT, "--sweep")
+        read = _refuse_set(read, _TRANSPORT, _NOT_SWEPT, "--sweep")
         base = tp.GKConfig(params=MapParams(ell=0.25, q=0.0), ensemble_mode="stationary", **gk_common)
         rows = tp.bias_sweep(biases, base)
-        out = _out_dir(resolved, "transport")
         bad = sum(0 if r.converged else 1 for _, r in rows)
-        _write_csv(out / "sweep.csv", "F_e,L,stderr", ((b, r.value, r.stderr) for b, r in rows))
-        _write_manifest(out, "transport", resolved, ["sweep.csv"], t0, _XONLY_START)
-        print(f"transport: swept {len(rows)} bias values; wrote {out}/sweep.csv")
-        if bad:
-            print(f"transport: error: {bad} sweep entries failed the convergence check", file=sys.stderr)
-            return _NUMERIC_EXIT
-        return 0
+        table = ((b, r.value, r.stderr) for b, r in rows)
+        return _Run(
+            {"sweep.csv": lambda path: _write_csv(path, "F_e,L,stderr", table)},
+            f"swept {len(rows)} bias values",
+            read,
+            _XONLY_START,
+            f"{bad} sweep entries failed the convergence check" if bad else None,
+        )
 
-    q = resolved["q"]
-    if q is None:
-        q = 0.5 - 2.0 * resolved["ell"]
+    q = 0.5 - 2.0 * resolved["ell"] if resolved["q"] is None else resolved["q"]
     mode = "microcanonical-equilibrium" if resolved["mode"] == "equilibrium" else "stationary"
-    cfg = tp.GKConfig(params=_params_from(dict(resolved, q=q)), ensemble_mode=mode, **gk_common)
+    params, read = _params_from(dict(read, q=q))
+    cfg = tp.GKConfig(params=params, ensemble_mode=mode, **gk_common)
     exact = tp.green_kubo_exact(resolved["ell"], resolved["k_max"])
     result = tp.green_kubo_estimate(cfg)
-    out = _out_dir(resolved, "transport")
-    _write_csv(out / "convergence.csv", "k,partial_sum", enumerate(result.partial_sums))
-    _write_csv(out / "convergence_exact.csv", "k,partial_sum", enumerate(exact.partial_sums))
-    _write_manifest(out, "transport", resolved, ["convergence.csv", "convergence_exact.csv"], t0, _XONLY_START)
-    print(
-        f"transport: L={result.value:.6f} +- {result.stderr:.6f} "
-        f"(exact chain: {exact.value:.6f}); wrote {out}"
+    return _Run(
+        {
+            "convergence.csv": lambda path: _write_csv(path, "k,partial_sum", enumerate(result.partial_sums)),
+            "convergence_exact.csv": lambda path: _write_csv(path, "k,partial_sum", enumerate(exact.partial_sums)),
+        },
+        f"L={result.value:.6f} +- {result.stderr:.6f} (exact chain: {exact.value:.6f})",
+        dict(read, q=resolved["q"]),  # the option as given; None means 1/2 - 2 ell
+        _XONLY_START,
+        None if result.converged else "partial sums did not converge",
     )
-    if not result.converged:
-        print("transport: error: partial sums did not converge", file=sys.stderr)
-        return _NUMERIC_EXIT
-    return 0
 
 
 # ---------------------------------------------------------------- selftest
@@ -561,7 +557,7 @@ def _selftest_checks():
     ]
 
 
-def _cmd_selftest(resolved) -> int:
+def _cmd_selftest() -> int:
     failures = 0
     for name, fn in _selftest_checks():
         try:
@@ -607,10 +603,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(_resolve(args))
+        if not args.spec:  # selftest writes nothing
+            return args.fn()
+        return _write_run(args.command, _resolve(args), args.fn)
     except (BakerlabError, OSError) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         numeric = isinstance(exc, (InsufficientFluctuationsError, OSError))

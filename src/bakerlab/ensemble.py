@@ -46,7 +46,6 @@ __all__ = [
     "evolve",
     "region_stream",
     "empirical_density",
-    "region_sequences",
     "transition_counts",
     "lambda_segment_means",
     "measure_estimate",
@@ -59,8 +58,6 @@ _MAX_ENSEMBLE = 50_000_000
 # widest 2-d histogram accepted (2000 x 2000): its counts and the per-step
 # bincount each take 8 bytes a cell, 32 MB apiece at the cap
 _MAX_HIST_CELLS = 4_000_000
-# largest int8 (n_ens, n_iter) array that region_sequences materializes
-_MAX_SEQUENCE_BYTES = 2**28
 
 # At ell = 1/4 (and only there) every branch has x-slope exactly 2, so a
 # float64 orbit sheds one significand bit per step and collapses onto the
@@ -256,20 +253,6 @@ def empirical_density(config: SimConfig, nx: int = 500, ny: int = 500) -> Histog
         counts += np.bincount(ix * ny + iy, minlength=nx * ny)
     n_samples = config.n_ens * config.n_iter
     return Histogram2D(nx=nx, ny=ny, counts=counts.reshape(nx, ny), n_samples=n_samples)
-
-
-def region_sequences(config: SimConfig) -> np.ndarray:
-    """Full (n_ens, n_iter) symbolic trajectories as int8 region indices."""
-    need = config.n_ens * config.n_iter
-    if need > _MAX_SEQUENCE_BYTES:
-        raise CapacityError(
-            f"region sequences would need {need} bytes, over the {_MAX_SEQUENCE_BYTES} budget; "
-            "use a streaming reduction instead"
-        )
-    out = np.empty((config.n_ens, config.n_iter), dtype=np.int8)
-    for k, r in enumerate(region_stream(config)):
-        out[:, k] = r
-    return out
 
 
 def transition_counts(config: SimConfig) -> np.ndarray:

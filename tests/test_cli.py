@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bakerlab
-from bakerlab.cli import _resolve, build_parser, main
+from bakerlab.cli import _MC_ONLY, _NOT_SWEPT, _resolve, build_parser, main
 from bakerlab.ensemble import SimConfig, empirical_density
 from bakerlab.mapcore import MapParams
 from bakerlab.markov import mean_contraction_rate
@@ -112,8 +112,9 @@ class TestFR:
         assert 0.9 <= slope <= 1.1
         assert {p.name for p in out.iterdir()} == {"pi.csv", "zeta.csv", "fr.csv", "manifest.json"}
         config = json.loads((out / "manifest.json").read_text())["config"]
-        meta = {k: config[k] for k in ("n", "delta", "ell", "q", "seed", "source")}
-        assert meta == {"n": 500, "delta": 0.05, "ell": 0.15, "q": 0.2, "seed": 0, "source": "exact"}
+        meta = {k: config[k] for k in ("n", "delta", "ell", "q", "source")}
+        assert meta == {"n": 500, "delta": 0.05, "ell": 0.15, "q": 0.2, "source": "exact"}
+        assert "seed" not in config  # the exact law reads no seed
 
     def test_insufficient_fluctuations_exit_code(self, tmp_path, capsys):
         # 2000 segments populate the bulk but never the negative cells
@@ -121,7 +122,9 @@ class TestFR:
         code = run(["fr", "--source", "mc", "--n", "200", "--n-ens", "100",
                     "--n-iter", "4000", "--out", str(out)])
         assert code == 2
-        assert "negative fluctuations" in capsys.readouterr().err
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "negative fluctuations" in err[0]
+        assert not out.exists()  # pi.csv and zeta.csv were computed, but a failed run writes nothing
 
     def test_generic_parameters_beyond_128(self, tmp_path):
         out = tmp_path / "fr"
@@ -199,6 +202,18 @@ class TestTransportCmd:
         assert err.startswith("transport: error: --sweep")
         assert not (out / "sweep.csv").exists()
 
+    def test_unconverged_estimate_writes_then_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "t"
+        code = run(["transport", "--mode", "stationary", "--ell", "0.01", "--n-ens", "2",
+                    "--n-iter", "10", "--seed", "2", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "transport: error: partial sums did not converge\n"
+        assert "L=" in captured.out
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] == ["convergence.csv", "convergence_exact.csv"]
+        assert {p.name for p in out.iterdir()} == {*manifest["artifacts"], "manifest.json"}
+
     def test_sweep(self, tmp_path):
         out = tmp_path / "t"
         code = run(["transport", "--sweep", "0.0,0.2", "--n-ens", "20000",
@@ -255,6 +270,39 @@ class TestManifest:
         manifest = json.loads((out / "manifest.json").read_text())
         assert {p.name for p in out.iterdir()} == {*manifest["artifacts"], "manifest.json"}
         assert "seed" not in manifest
+
+    @pytest.mark.parametrize(
+        "argv, absent, present",
+        [pytest.param(*case, id=" ".join(case[0])) for case in [
+            (["fr", "--source", "exact", "--n", "50"],
+             _MC_ONLY, ("ell", "q", "n", "delta", "p_max", "source", "out")),
+            (["ratefunc", "--source", "exact", "--n", "50"], _MC_ONLY, ("n", "source")),
+            (["fr", "--source", "mc", "--n", "20", "--n-ens", "2000", "--n-iter", "400"],
+             ("burn_in", "strip_x", "strip_eps"), ("variant", "n_ens", "n_iter", "seed", "min_count")),
+            (["ratefunc", "--source", "mc", "--variant", "irreversible", "--n", "20", "--n-ens", "2000",
+              "--n-iter", "400"], ("burn_in",), ("variant", "strip_x", "strip_eps", "seed")),
+            (["transport", "--n-ens", "2000", "--n-iter", "20"],
+             ("burn_in", "strip_x", "strip_eps"), ("ell", "q", "mode", "k_max", "seed", "sweep")),
+            (["transport", "--sweep", "0.1", "--n-ens", "2000", "--n-iter", "20"],
+             _NOT_SWEPT + ("burn_in",), ("variant", "n_ens", "n_iter", "seed", "sweep")),
+            (["density", "--n-ens", "200", "--n-iter", "2", "--burn-in", "2", "--bins", "4"],
+             ("strip_x", "strip_eps"), ("burn_in", "bins", "seed")),
+            (["density", "--variant", "irreversible", "--n-ens", "200", "--n-iter", "2", "--burn-in", "2"],
+             (), ("burn_in", "strip_x", "strip_eps")),
+        ]],
+    )
+    def test_config_holds_the_options_the_run_read(self, tmp_path, argv, absent, present):
+        """``config`` is the option table minus the options the run refuses
+        off their default: the exact source reads no ensemble option, a
+        sweep no point option, an x-only run no burn-in and a reversible run
+        no strip."""
+        out = tmp_path / "o"
+        assert run(argv + ["--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        spec = build_parser().parse_args([argv[0]]).spec
+        assert set(config) <= set(spec)
+        assert not set(config) & set(absent)
+        assert set(present) <= set(config)
 
 
 class TestConfigFile:
@@ -415,16 +463,38 @@ class TestBadInput:
             ["transport", "--seed", "-1"],
             ["transport", "--sweep", "0.1", "--seed", "-1"],
             ["fr", "--source", "mc", "--seed", "18446744073709551616"],
+            ["transport", "--sweep", ""],
+            ["db", "--out", ""],
         ],
         ids=" ".join,
     )
-    def test_one_line_usage_error(self, tmp_path, capsys, argv):
-        out = tmp_path / "o"
-        assert run(argv + ["--out", str(out)]) == 1
+    def test_one_line_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)  # where the default bakerlab_out/<command> would go
+        assert run(argv if "--out" in argv else argv + ["--out", "o"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"{argv[0]}: error: ")
         assert "Traceback" not in err[0]
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["fr", "--source", "mc", "--n", "200", "--n-ens", "100", "--n-iter", "4000"], 2),
+            (["ratefunc", "--source", "mc", "--n", "200", "--n-ens", "100", "--n-iter", "400",
+              "--min-count", "1000"], 1),
+            (["ratefunc", "--source", "exact", "--n", "1"], 1),
+            (["fr", "--source", "exact", "--n", "1", "--ell", "0.1", "--q", "0.3"], 2),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+    )
+    def test_failed_run_writes_nothing(self, tmp_path, capsys, argv, code):
+        """A run that fails after computing some artifacts writes none of
+        them: the output directory holds a manifest or does not exist."""
+        out = tmp_path / "o"
+        assert run(argv + ["--out", str(out)]) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"{argv[0]}: error: ")
         assert not out.exists()
 
 
@@ -445,11 +515,11 @@ class TestImport:
                         "strip_flip", "step", "time_reversal")
         for owner, names in (
             (bakerlab, scalar_layer + ("time_average", "contraction_autocovariance", "final_state",
-                                       "write_histogram_csv")),
+                                       "write_histogram_csv", "region_sequences")),
             (mapcore, scalar_layer),
             (fluctuation, ("time_average",)),
             (markov, ("contraction_autocovariance",)),
-            (ensemble, ("final_state", "write_histogram_csv")),
+            (ensemble, ("final_state", "write_histogram_csv", "region_sequences", "_MAX_SEQUENCE_BYTES")),
             (fluctuation.FRConfig, ("spacing",)),
             (fluctuation.EquivalenceReport, ("alpha",)),
             (transport.GKResult, ("n_ens", "n_iter")),

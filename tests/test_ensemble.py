@@ -25,7 +25,6 @@ from bakerlab.ensemble import (
     measure_estimate,
     odd_observable_mean,
     reflect_rect,
-    region_sequences,
     region_stream,
     sample_ensemble,
     transition_counts,
@@ -184,18 +183,6 @@ class TestEvolve:
 
 
 class TestRegionSequences:
-    def test_memory_budget(self):
-        # 2^29 bytes, twice the cap: refused before anything is allocated
-        cfg = SimConfig(params=PARAMS_EQ, n_ens=2**15, n_iter=2**14, burn_in=0, seed=0)
-        with pytest.raises(CapacityError):
-            region_sequences(cfg)
-
-    def test_matches_stream(self):
-        cfg = SimConfig(params=PARAMS_EQ, n_ens=128, n_iter=16, burn_in=7, seed=5)
-        seqs = region_sequences(cfg)
-        for k, state in enumerate(evolve(cfg)):
-            assert np.array_equal(seqs[:, k], state.region)
-
     def test_empirical_transition_frequencies(self):
         cfg = SimConfig(params=PARAMS_EQ, n_ens=5_000, n_iter=201, burn_in=500, seed=7)
         counts = transition_counts(cfg)
@@ -350,7 +337,7 @@ class TestSegmentMeans:
         segs = lambda_segment_means(cfg, 25)
         assert segs.shape == (50 * 4,)
         # recompute one member's first segment from its region sequence
-        seqs = region_sequences(cfg)
+        seqs = np.stack(list(region_stream(cfg)), axis=1)
         rates = contraction_rates(cfg.params)
         manual = rates[seqs[0, :25]].mean()
         assert segs[0] == pytest.approx(manual, rel=1e-12)
