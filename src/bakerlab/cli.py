@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .errors import BakerlabError, DomainError, InsufficientFluctuationsError
+from .errors import BakerlabError, DomainError, InsufficientFluctuationsError, WorkerError
 from .mapcore import (
     MapParams,
     MapVariant,
@@ -135,8 +135,12 @@ def _sim_config(resolved: dict, burn_in: int) -> tuple[es.SimConfig, dict]:
 # The ensemble starts x in its exact stationary law, so the x-only commands
 # (fr and ratefunc with --source mc, transport) discard no steps and refuse
 # a --burn-in off its default; only density, whose y starts uniform, reads it.
-_XONLY_START = {"x": "stationary", "burn_in_steps": 0}
 _STATIONARY_X = "whose x starts in its stationary law"
+
+
+def _xonly_start(workers: int) -> dict:
+    """The manifest ``start`` of an x-only run on ``workers`` processes."""
+    return {"x": "stationary", "burn_in_steps": 0, "workers": workers}
 
 
 def _refuse_set(resolved: dict, spec: dict, names: tuple, context: str) -> dict:
@@ -200,9 +204,12 @@ def _write_run(command: str, resolved: dict, compute: Callable[[dict], _Run]) ->
     them.  A run with an error still writes, then exits 2."""
     if resolved["out"] == "":
         raise BakerlabError("--out must name a directory, got ''")
+    out = Path(f"bakerlab_out/{command}" if resolved["out"] is None else resolved["out"])
+    existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():  # refused before the work, not after it
+        raise BakerlabError(f"--out {out}: {existing} exists and is not a directory")
     t0 = time.time()
     run = compute(resolved)
-    out = Path(f"bakerlab_out/{command}" if resolved["out"] is None else resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
     for name, write in run.artifacts.items():
         write(out / name)
@@ -253,7 +260,12 @@ def _cmd_density(resolved) -> _Run:
         },
         f"{hist.n_samples} samples",
         read,
-        {"x": "stationary", "y": "uniform", "burn_in_steps": config.burn_in},
+        {
+            "x": "stationary",
+            "y": "uniform",
+            "burn_in_steps": config.burn_in,
+            "workers": es.worker_count(config.n_ens),
+        },
     )
 
 
@@ -320,7 +332,7 @@ def _fr_family(command: str, resolved: dict) -> tuple[fl.PiHistogram, fl.RateFun
     else:
         read = _refuse_set(resolved, _FR, ("burn_in",), f"{command} --source mc, {_STATIONARY_X}")
         source, read = _sim_config(read, burn_in=0)
-        start = _XONLY_START
+        start = _xonly_start(es.worker_count(source.n_ens))
     pi = fl.estimate_pi(fr_cfg, source)
     rf = fl.rate_function(pi)
     zeta = ((p, z) for p, z in zip(rf.p, rf.zeta) if np.isfinite(z))
@@ -398,6 +410,9 @@ def _biases(sweep: str) -> np.ndarray:
     return np.array(biases)
 
 
+# green_kubo_estimate steps the whole ensemble in one process (region_stream)
+_GK_WORKERS = 1
+
 # options that --sweep derives from each bias or does not use
 _NOT_SWEPT = ("ell", "q", "mode", "strip_x", "strip_eps", "k_max")
 
@@ -417,7 +432,7 @@ def _cmd_transport(resolved) -> _Run:
             {"sweep.csv": lambda path: _write_csv(path, "F_e,L,stderr", table)},
             f"swept {len(rows)} bias values",
             read,
-            _XONLY_START,
+            _xonly_start(_GK_WORKERS),
             f"{bad} sweep entries failed the convergence check" if bad else None,
         )
 
@@ -434,7 +449,7 @@ def _cmd_transport(resolved) -> _Run:
         },
         f"L={result.value:.6f} +- {result.stderr:.6f} (exact chain: {exact.value:.6f})",
         dict(read, q=resolved["q"]),  # the option as given; None means 1/2 - 2 ell
-        _XONLY_START,
+        _xonly_start(_GK_WORKERS),
         None if result.converged else "partial sums did not converge",
     )
 
@@ -610,7 +625,7 @@ def main(argv=None) -> int:
         return _write_run(args.command, _resolve(args), args.fn)
     except (BakerlabError, OSError) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
-        numeric = isinstance(exc, (InsufficientFluctuationsError, OSError))
+        numeric = isinstance(exc, (InsufficientFluctuationsError, WorkerError, OSError))
         return _NUMERIC_EXIT if numeric else _USAGE_EXIT
 
 

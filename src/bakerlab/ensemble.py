@@ -1,10 +1,18 @@
 """Deterministic parallel Monte Carlo engine for the baker dynamics.
 
-Ensembles are evolved as numpy vectors by one sequential loop; every
-random draw comes from a counter-based (Philox) stream keyed by the
-configured seed, so a configuration determines its outputs exactly.
-Reductions (histograms, segment sums, transition counts) are accumulated
-in fixed member order.
+Ensembles are evolved as numpy vectors; every random draw comes from a
+counter-based (Philox) stream keyed by the configured seed, so a
+configuration determines its outputs exactly.  Member k's start and its
+dither draws are fixed positions in those streams, so any contiguous range
+of members can be evolved on its own, bit for bit as in the whole ensemble.
+
+The reductions (histograms, transition counts, segment means, member
+averages) split the members into one contiguous range per worker process,
+at most one per usable CPU and one per ``_MIN_SPLIT_MEMBERS`` members, and
+merge the parts in member order: integer counts are summed and per-member
+arrays concatenated.  Their results are therefore bitwise independent of
+the worker count and of the CPU count.  ``evolve`` and ``region_stream``
+step the whole ensemble in one process.
 
 Because the x-coordinate update never reads y, x-projected reductions are
 bitwise identical between the reversible and irreversible variants at equal
@@ -18,13 +26,15 @@ from the first step and need no burn-in; reductions that read y still do.
 
 from __future__ import annotations
 
+import os
+import signal
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 from scipy.special import chdtrc
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, WorkerError
 from .mapcore import (
     MapParams,
     MapVariant,
@@ -43,6 +53,7 @@ __all__ = [
     "RectSet",
     "MeasureEstimate",
     "sample_ensemble",
+    "worker_count",
     "evolve",
     "region_stream",
     "empirical_density",
@@ -55,6 +66,9 @@ __all__ = [
 ]
 
 _MAX_ENSEMBLE = 50_000_000
+# fewest members per worker process: below it forking a worker costs more
+# than the second core saves (crossover sweep in CHANGES.md)
+_MIN_SPLIT_MEMBERS = 10_000
 # widest 2-d histogram accepted (2000 x 2000): its counts and the per-step
 # bincount each take 8 bytes a cell, 32 MB apiece at the cap
 _MAX_HIST_CELLS = 4_000_000
@@ -75,9 +89,24 @@ def _needs_dither(params: MapParams) -> bool:
     return params.ell == 0.25
 
 
-def _dither_gen(seed: int, subkey: np.uint64):
-    key = np.array([np.uint64(seed), subkey], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _seed_key(seed: int) -> np.uint64:
+    """The seed as the one 64-bit key word of the sample stream."""
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
+    return np.uint64(seed)
+
+
+def _philox(key, start: int) -> np.random.Generator:
+    """A generator over the Philox stream of ``key`` positioned at draw
+    ``start`` (one draw is one 64-bit output, one double).  The counter
+    advances by whole blocks of four draws and the rest of the block is
+    drawn and discarded, so what follows is the stream from ``start`` on,
+    bit for bit."""
+    bits = np.random.Philox(key=key)
+    bits.advance(start // 4)
+    gen = np.random.Generator(bits)
+    gen.random(start % 4)
+    return gen
 
 
 def _dither(v: np.ndarray, gen) -> np.ndarray:
@@ -112,37 +141,138 @@ def _stationary_x(x: np.ndarray, ell: float) -> None:
     np.add(x, 0.5, out=x, where=right)
 
 
-def _run(config: SimConfig, with_y: bool = True):
-    """The one sequential state advance behind every ensemble entry point,
-    so that any two reductions over the same config see bitwise-identical
-    x streams.
+def _run(config: SimConfig, with_y: bool = True, members: tuple[int, int] | None = None):
+    """The one state advance behind every ensemble entry point, so that any
+    two reductions over the same config see bitwise-identical x streams.
 
-    Starts from the sample of ``sample_ensemble``: its first column goes
-    through the inverse CDF of the exact stationary x-law (``_stationary_x``)
-    and its second column is y, uniform.  The x-projection is then
-    stationary from step 0, whatever the variant; only y needs burn-in.
+    ``members = (a, b)`` evolves the members [a, b) only, bit for bit as in
+    the whole ensemble, None (the default) all of them.  They start from
+    rows [a, b) of ``sample_ensemble``: the first column goes through the
+    inverse CDF of the exact stationary x-law (``_stationary_x``) and the
+    second is y, uniform.  The x-projection is then stationary from step 0,
+    whatever the variant; only y needs burn-in.  At ell = 1/4 step k draws
+    the slice [k n_ens + a, k n_ens + b) of each dither stream.
+
     Discards ``burn_in`` steps, then yields ``(x, y)`` at each of the
     ``n_iter`` kept steps (``y`` is None when ``with_y`` is false).  The
     yielded arrays are the loop's own state: the next step replaces them
     rather than writing into them.
     """
-    params = config.params
-    pts = sample_ensemble(config.n_ens, config.seed)
+    params, n = config.params, config.n_ens
+    a, b = (0, n) if members is None else members
+    pts = _philox(_seed_key(config.seed), 2 * a).random((b - a, 2))
     x = np.ascontiguousarray(pts[:, 0])
     y = np.ascontiguousarray(pts[:, 1]) if with_y else None
-    del pts  # else the (n_ens, 2) sample lives as long as the generator
+    del pts  # else the (b - a, 2) sample lives as long as the generator
     _stationary_x(x, params.ell)
     dither = _needs_dither(params)
     if dither:
-        gx = _dither_gen(config.seed, _DITHER_SUBKEY_X)
-        gy = _dither_gen(config.seed, _DITHER_SUBKEY_Y)
+        kx, ky = (np.array([config.seed, sub], dtype=np.uint64) for sub in (_DITHER_SUBKEY_X, _DITHER_SUBKEY_Y))
     for k in range(config.burn_in + config.n_iter):
         if k >= config.burn_in:
             yield x, y
         x, y = step_arrays(x, y, params, config.variant)
         if dither:
-            x = _dither(x, gx)
-            y = None if y is None else _dither(y, gy)
+            x = _dither(x, _philox(kx, k * n + a))
+            y = None if y is None else _dither(y, _philox(ky, k * n + a))
+
+
+def _regions(config: SimConfig, members: tuple[int, int] | None = None):
+    """The regions of the members of ``_run(config, False, members)`` at each
+    kept step."""
+    for x, _ in _run(config, False, members):
+        yield region_indices(x, config.params.ell)
+
+
+def worker_count(n_ens: int) -> int:
+    """Processes that share an ensemble reduction over ``n_ens`` members:
+    one per usable CPU, but at most one per ``_MIN_SPLIT_MEMBERS`` members,
+    and one where the platform cannot fork.  No result depends on it."""
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, n_ens // _MIN_SPLIT_MEMBERS))
+
+
+def _fork(part: Callable[[int, int], np.ndarray], a: int, b: int):
+    """Fork a child that writes the bytes of ``part(a, b)`` to a pipe and
+    exits 0, or on any failure writes a one-line reason and exits 1.
+    Returns the child's pid and the read end of its pipe."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:  # the child never returns: it must not unwind into the caller's stack
+        status = 1
+        try:
+            os.close(r)
+            try:
+                payload = memoryview(np.ascontiguousarray(part(a, b))).cast("B")
+                status = 0
+            except BaseException as exc:  # reported by the parent
+                payload = f"{type(exc).__name__}: {exc}".encode()
+            with open(w, "wb") as pipe:
+                pipe.write(payload)
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _split(n_ens: int, part: Callable[[int, int], np.ndarray], per_member: bool) -> np.ndarray:
+    """``part(a, b)``, a reduction over the members [a, b), run on the
+    contiguous ranges of ``worker_count(n_ens)`` workers and merged in
+    member order: concatenated along the first axis when ``per_member``,
+    else summed (exact for the integer counts summed here).
+
+    The parent forks a child for every range but the first, reduces the
+    first itself, then reads each child's array from its pipe and reaps it.
+    A child that fails or sends the wrong number of bytes raises
+    ``WorkerError`` and nothing is merged.  Children still running when the
+    call ends, by an error or an interrupt, are killed and reaped.
+    """
+    w = worker_count(n_ens)
+    cuts = [n_ens * i // w for i in range(w + 1)]
+    ranges = list(zip(cuts, cuts[1:]))
+    children = {}  # pid -> (read end of its pipe, its range), until reaped
+    try:
+        for a, b in ranges[1:]:
+            pid, pipe = _fork(part, a, b)
+            children[pid] = (pipe, (a, b))
+        parts = [part(*ranges[0])]
+        for pid, (pipe, (a, b)) in list(children.items()):
+            out = np.empty((b - a, *parts[0].shape[1:]) if per_member else parts[0].shape, parts[0].dtype)
+            view = memoryview(out).cast("B")
+            with pipe:
+                got = pipe.readinto(view)
+                extra = len(pipe.read(1))
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code != 0:
+                reason = (
+                    bytes(view[:got]).decode(errors="replace") if code == 1
+                    else f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                )
+                raise WorkerError(f"the worker for members [{a}, {b}) failed: {reason}")
+            if got + extra != out.nbytes:
+                raise WorkerError(f"the worker for members [{a}, {b}) sent {got + extra} bytes, not {out.nbytes}")
+            parts.append(out)
+    finally:
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:  # already gone, still to be reaped
+                pass
+            os.waitpid(pid, 0)
+    if per_member:
+        return np.concatenate(parts)
+    for other in parts[1:]:
+        parts[0] += other
+    return parts[0]
 
 
 @dataclass(frozen=True)
@@ -171,6 +301,7 @@ class SimConfig:
             raise DomainError("n_iter must be >= 0")
         if self.burn_in < 0:
             raise DomainError("burn_in must be >= 0")
+        _seed_key(self.seed)  # checked before any worker starts
 
 
 class StepState(NamedTuple):
@@ -189,10 +320,7 @@ def sample_ensemble(n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    if not 0 <= seed < 2**64:
-        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
-    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    return gen.random((int(n), 2))
+    return _philox(_seed_key(seed), 0).random((int(n), 2))
 
 
 def evolve(config: SimConfig) -> Iterator[StepState]:
@@ -212,8 +340,7 @@ def region_stream(config: SimConfig) -> Iterator[np.ndarray]:
     Runs the x-only fast path, valid because the x update never reads y:
     the regions are bitwise identical to those of ``evolve``.
     """
-    for x, _ in _run(config, with_y=False):
-        yield region_indices(x, config.params.ell)
+    yield from _regions(config)
 
 
 @dataclass
@@ -246,11 +373,16 @@ def empirical_density(config: SimConfig, nx: int = 500, ny: int = 500) -> Histog
         raise CapacityError(
             f"a {nx} x {ny} histogram exceeds the limit of {_MAX_HIST_CELLS} cells"
         )
-    counts = np.zeros(nx * ny, dtype=np.int64)
-    for x, y in _run(config):
-        ix = np.minimum((x * nx).astype(np.int64), nx - 1)
-        iy = np.minimum((y * ny).astype(np.int64), ny - 1)
-        counts += np.bincount(ix * ny + iy, minlength=nx * ny)
+
+    def part(a, b):
+        counts = np.zeros(nx * ny, dtype=np.int64)
+        for x, y in _run(config, True, (a, b)):
+            ix = np.minimum((x * nx).astype(np.int64), nx - 1)
+            iy = np.minimum((y * ny).astype(np.int64), ny - 1)
+            counts += np.bincount(ix * ny + iy, minlength=nx * ny)
+        return counts
+
+    counts = _split(config.n_ens, part, per_member=False)
     n_samples = config.n_ens * config.n_iter
     return Histogram2D(nx=nx, ny=ny, counts=counts.reshape(nx, ny), n_samples=n_samples)
 
@@ -258,13 +390,17 @@ def empirical_density(config: SimConfig, nx: int = 500, ny: int = 500) -> Histog
 def transition_counts(config: SimConfig) -> np.ndarray:
     """4x4 counts of observed one-step region transitions
     (n_iter - 1 transitions per member)."""
-    counts = np.zeros(16, dtype=np.int64)
-    prev = None
-    for r in region_stream(config):
-        if prev is not None:
-            counts += np.bincount(prev.astype(np.int64) * 4 + r, minlength=16)
-        prev = r
-    return counts.reshape(4, 4)
+
+    def part(a, b):
+        counts = np.zeros(16, dtype=np.int64)
+        prev = None
+        for r in _regions(config, (a, b)):
+            if prev is not None:
+                counts += np.bincount(prev.astype(np.int64) * 4 + r, minlength=16)
+            prev = r
+        return counts
+
+    return _split(config.n_ens, part, per_member=False).reshape(4, 4)
 
 
 def lambda_segment_means(config: SimConfig, seg_len: int) -> np.ndarray:
@@ -281,18 +417,22 @@ def lambda_segment_means(config: SimConfig, seg_len: int) -> np.ndarray:
     if n_segs < 1:
         raise DomainError("n_iter too small for one segment")
     rates = contraction_rates(config.params)
-    sums = np.zeros((config.n_ens, n_segs))
-    acc = np.zeros(config.n_ens)
-    seg = 0
-    for k, r in enumerate(region_stream(config)):
-        if k >= n_segs * seg_len:
-            break
-        acc += rates[r]
-        if (k + 1) % seg_len == 0:
-            sums[:, seg] = acc
-            acc[:] = 0.0
-            seg += 1
-    return (sums / seg_len).reshape(-1)
+
+    def part(a, b):
+        sums = np.zeros((b - a, n_segs))
+        acc = np.zeros(b - a)
+        seg = 0
+        for k, r in enumerate(_regions(config, (a, b))):
+            if k >= n_segs * seg_len:
+                break
+            acc += rates[r]
+            if (k + 1) % seg_len == 0:
+                sums[:, seg] = acc
+                acc[:] = 0.0
+                seg += 1
+        return sums
+
+    return (_split(config.n_ens, part, per_member=True) / seg_len).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -323,13 +463,18 @@ class MeasureEstimate:
     n_samples: int
 
 
-def _member_average(config: SimConfig, steps) -> tuple[float, float]:
-    """Mean over members of each member's time average of the per-step
-    values ``steps``, with the standard error from the spread of those time
-    averages (nan for a single member)."""
-    per_member = np.zeros(config.n_ens)
-    for values in steps:
-        per_member += values
+def _member_average(config: SimConfig, values: Callable, with_y: bool) -> tuple[float, float]:
+    """Mean over members of each member's time average of ``values(x, y)``,
+    with the standard error from the spread of those time averages (nan for
+    a single member)."""
+
+    def part(a, b):
+        per_member = np.zeros(b - a)
+        for x, y in _run(config, with_y, (a, b)):
+            per_member += values(x, y)
+        return per_member
+
+    per_member = _split(config.n_ens, part, per_member=True)
     per_member /= config.n_iter
     se = float(per_member.std(ddof=1) / np.sqrt(config.n_ens)) if config.n_ens > 1 else float("nan")
     return float(per_member.mean()), se
@@ -343,7 +488,7 @@ def measure_estimate(config: SimConfig, rect: RectSet) -> MeasureEstimate:
     """
     if config.n_iter < 1:
         raise DomainError("n_iter must be >= 1 for a measure estimate")
-    frac, se = _member_average(config, (rect.contains(x, y) for x, y in _run(config)))
+    frac, se = _member_average(config, rect.contains, with_y=True)
     return MeasureEstimate(fraction=frac, stderr=se, n_samples=config.n_ens * config.n_iter)
 
 
@@ -386,7 +531,8 @@ def odd_observable_mean(
             raise DomainError(f"phi is not odd under {scheme.value}: region {r.name}")
     if config.n_iter < 1:
         raise DomainError("n_iter must be >= 1")
-    return _member_average(config, (phi[r] for r in region_stream(config)))
+    ell = config.params.ell
+    return _member_average(config, lambda x, _: phi[region_indices(x, ell)], with_y=False)
 
 
 def uniformity_chi_square(counts: np.ndarray) -> tuple[float, int, float]:

@@ -7,6 +7,7 @@ __all__ = [
     "NormalizationError",
     "InsufficientFluctuationsError",
     "FitError",
+    "WorkerError",
 ]
 
 
@@ -32,3 +33,7 @@ class InsufficientFluctuationsError(BakerlabError, RuntimeError):
 
 class FitError(BakerlabError, RuntimeError):
     """A least-squares fit is degenerate or under-determined."""
+
+
+class WorkerError(BakerlabError, RuntimeError):
+    """A worker process of an ensemble reduction failed or sent a malformed result."""

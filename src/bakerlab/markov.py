@@ -303,10 +303,16 @@ def _generic_sums(ell: float, rates: np.ndarray, n: int):
         ways = log_fact[stays + segments - 1] - log_fact[stays] - log_fact[segments - 1]
         return np.where(segments > 0, ways, np.log(stays == 0))
 
+    # only e <= 0 starts left and only e >= 0 right, so each case is evaluated
+    # on its own atoms and the two meet in np.logaddexp only where e = 0 (at
+    # e = 1 the left case is -inf, and np.logaddexp(-inf, r) is r exactly)
+    lo, hi = np.flatnonzero(e <= 0), np.flatnonzero(e >= 0)
+    log_start = np.full(len(e), -np.inf)
     with np.errstate(divide="ignore"):
-        left = np.where(e <= 0, log_ways(nb, nd + 1) + log_ways(nc, na), -np.inf)
-        right = np.where(e >= 0, log_ways(nb, nd) + log_ways(nc, na + 1) + np.log(4.0 * ell), -np.inf)
-    log_probs = np.logaddexp(left, right) + (
+        log_start[lo] = log_ways(nb[lo], nd[lo] + 1) + log_ways(nc[lo], na[lo])
+        right = log_ways(nb[hi], nd[hi]) + log_ways(nc[hi], na[hi] + 1) + np.log(4.0 * ell)
+    log_start[hi] = np.logaddexp(log_start[hi], right)
+    log_probs = log_start + (
         na * np.log(2.0 * ell) + nb * np.log(1.0 - 2.0 * ell) - (nc + nd) * np.log(2.0) - np.log(1.0 + 4.0 * ell)
     )
     values = na * rates[0] + nb * rates[1] + nc * rates[2] + nd * rates[3]

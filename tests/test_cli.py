@@ -10,7 +10,7 @@ import pytest
 
 import bakerlab
 from bakerlab.cli import _MC_ONLY, _NOT_SWEPT, _resolve, build_parser, main
-from bakerlab.ensemble import SimConfig, empirical_density
+from bakerlab.ensemble import SimConfig, empirical_density, worker_count
 from bakerlab.mapcore import MapParams
 from bakerlab.markov import mean_contraction_rate
 
@@ -41,7 +41,9 @@ class TestDensity:
         assert manifest["command"] == "density"
         assert manifest["config"]["ell"] == 0.15
         assert set(manifest["artifacts"]) == {"histogram2d.csv", "marginals.csv"}
-        assert manifest["start"] == {"x": "stationary", "y": "uniform", "burn_in_steps": 200}
+        assert manifest["start"] == {
+            "x": "stationary", "y": "uniform", "burn_in_steps": 200, "workers": worker_count(2000)
+        }
 
     def test_histogram_csv_rows(self, tmp_path):
         out = tmp_path / "d"
@@ -239,7 +241,9 @@ class TestManifestStart:
         out = tmp_path / "o"
         assert run(argv + ["--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["start"] == {"x": "stationary", "burn_in_steps": 0}
+        # the Green-Kubo estimate steps its ensemble in one process
+        workers = worker_count(2000) if argv[0] == "fr" else 1
+        assert manifest["start"] == {"x": "stationary", "burn_in_steps": 0, "workers": workers}
 
     def test_exact_source_records_no_start(self, tmp_path):
         out = tmp_path / "fr"
@@ -477,6 +481,22 @@ class TestBadInput:
         assert "Traceback" not in err[0]
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["density", "transport"])
+    @pytest.mark.parametrize("out", ["F", "F/sub"])
+    def test_out_through_a_file_is_refused_before_computing(self, tmp_path, monkeypatch, capsys, command, out):
+        (tmp_path / "F").write_text("keep\n")
+
+        def computed(*args, **kwargs):
+            raise AssertionError("the run was computed")
+
+        monkeypatch.setattr(bakerlab.cli.es, "empirical_density", computed)
+        monkeypatch.setattr(bakerlab.cli.tp, "green_kubo_estimate", computed)
+        assert run([command, "--n-ens", "200000", "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"{command}: error: --out ")
+        assert "not a directory" in err[0]
+        assert (tmp_path / "F").read_text() == "keep\n"
+
     @pytest.mark.parametrize(
         "argv, code",
         [
@@ -498,11 +518,53 @@ class TestBadInput:
         assert not out.exists()
 
 
+class TestWorkers:
+    DENSITY = ["density", "--variant", "irreversible", "--n-ens", "2001", "--n-iter", "3", "--burn-in", "4",
+               "--bins", "6", "--seed", "5"]
+
+    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, force_workers):
+        csv = {}
+        for w in (1, 2, 3):
+            force_workers(2001, w)
+            out = tmp_path / f"w{w}"
+            assert run(self.DENSITY + ["--out", str(out)]) == 0
+            assert json.loads((out / "manifest.json").read_text())["start"]["workers"] == w
+            csv[w] = [(out / name).read_bytes() for name in ("histogram2d.csv", "marginals.csv")]
+        assert csv[1] == csv[2] == csv[3]
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_worker_is_one_line_and_exit_2(self, tmp_path, monkeypatch, capsys, force_workers):
+        force_workers(2001, 2)
+        parent = os.getpid()
+        step = bakerlab.ensemble.step_arrays
+
+        def failing_in_children(*args):
+            if os.getpid() != parent:
+                raise MemoryError("injected")
+            return step(*args)
+
+        monkeypatch.setattr(bakerlab.ensemble, "step_arrays", failing_in_children)
+        out = tmp_path / "o"
+        assert run(self.DENSITY + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["density: error: the worker for members [1000, 2001) failed: MemoryError: injected"]
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestImport:
     def test_import_leaves_scipy_stats_out(self):
         src = str(Path(bakerlab.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         code = "import sys, bakerlab, bakerlab.cli; assert 'scipy.stats' not in sys.modules"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_import_leaves_multiprocessing_out(self):
+        src = str(Path(bakerlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, bakerlab, bakerlab.cli; assert 'multiprocessing' not in sys.modules"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_package_exports_each_module_all(self):

@@ -1,11 +1,14 @@
+import os
+import signal
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from bakerlab.errors import CapacityError, DomainError
+from bakerlab import ensemble
+from bakerlab.errors import CapacityError, DomainError, WorkerError
 from bakerlab.mapcore import (
     MapParams,
     MapVariant,
@@ -29,6 +32,7 @@ from bakerlab.ensemble import (
     sample_ensemble,
     transition_counts,
     uniformity_chi_square,
+    worker_count,
 )
 
 PARAMS_EQ = MapParams(ell=0.15, q=0.0)
@@ -347,3 +351,121 @@ class TestSegmentMeans:
         with pytest.raises(DomainError):
             lambda_segment_means(cfg, 11)
 
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SPLIT_PARAMS = [MapParams(0.15, 0.1), MapParams(0.25, 0.0)]
+
+
+class TestMemberSplit:
+    @pytest.mark.parametrize("start", [0, 1, 2, 3, 4, 5, 6, 7, 1002, 10**6 + 3])
+    def test_positioned_stream_continues_the_fresh_one(self, start):
+        for key in (np.uint64(5), np.array([5, 0xB4C3D11A], dtype=np.uint64)):
+            fresh = np.random.Generator(np.random.Philox(key=key)).random(start + 11)
+            assert ensemble._philox(key, start).random(11).tobytes() == fresh[start:].tobytes()
+
+    @pytest.mark.parametrize("with_y", [True, False], ids=["xy", "x-only"])
+    @pytest.mark.parametrize("params", SPLIT_PARAMS, ids=["0.15", "0.25-dither"])
+    @pytest.mark.parametrize("members", [(0, 37), (37, 101), (1, 2), (98, 101)])
+    def test_range_run_is_a_slice_of_the_whole_run(self, params, with_y, members):
+        a, b = members
+        cfg = SimConfig(params=params, variant=MapVariant.IRREVERSIBLE, n_ens=101, n_iter=6, burn_in=5, seed=7)
+        steps = 0
+        for (x, y), (xs, ys) in zip(_run(cfg, with_y), _run(cfg, with_y, members), strict=True):
+            assert np.array_equal(x[a:b], xs)
+            assert ys is None if not with_y else np.array_equal(y[a:b], ys)
+            steps += 1
+        assert steps == cfg.n_iter
+
+    # odd ensembles whose split points 501 and 333, 667 start the sample
+    # stream inside a Philox block of four draws
+    @pytest.mark.parametrize("n_ens,w", [(1003, 2), (1001, 3)], ids=["w2", "w3"])
+    @pytest.mark.parametrize("variant", list(MapVariant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("params", SPLIT_PARAMS, ids=["0.15", "0.25-dither"])
+    def test_split_reductions_equal_one_worker_bitwise(self, force_workers, params, variant, n_ens, w):
+        cfg = SimConfig(params=params, variant=variant, n_ens=n_ens, n_iter=9, burn_in=4, seed=13)
+        phi = np.array([0.0, 1.0, -1.0, 0.0])
+
+        def reductions():
+            return [
+                empirical_density(cfg, nx=7, ny=9).counts,
+                transition_counts(cfg),
+                lambda_segment_means(cfg, 4),
+                np.array(astuple(measure_estimate(cfg, RectSet(0.1, 0.6, 0.2, 0.9)))),
+                np.array(odd_observable_mean(cfg, phi, ReversalScheme.Q3)),
+            ]
+
+        force_workers(n_ens, 1)
+        whole = reductions()
+        force_workers(n_ens, w)
+        split = reductions()
+        for a, b in zip(whole, split, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert_no_child_left()
+
+    def test_worker_count_follows_ensemble_size(self, monkeypatch):
+        monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 4)
+        m = ensemble._MIN_SPLIT_MEMBERS
+        assert [worker_count(n) for n in (1, m - 1, m, 2 * m - 1, 2 * m, 3 * m, 100 * m)] == [1, 1, 1, 1, 2, 3, 4]
+        monkeypatch.delattr(ensemble.os, "fork")
+        assert worker_count(100 * m) == 1
+
+    def test_failed_child_raises_and_is_reaped(self, monkeypatch, force_workers):
+        cfg = SimConfig(params=PARAMS_EQ, n_ens=1001, n_iter=3, burn_in=2, seed=1)
+        force_workers(cfg.n_ens, 3)
+        parent = os.getpid()
+        step = ensemble.step_arrays
+
+        def failing_in_children(*args):
+            if os.getpid() != parent:
+                raise FloatingPointError("injected")
+            return step(*args)
+
+        monkeypatch.setattr(ensemble, "step_arrays", failing_in_children)
+        with pytest.raises(WorkerError, match=r"members \[333, 667\) failed: FloatingPointError: injected"):
+            empirical_density(cfg, nx=4, ny=4)
+        assert_no_child_left()
+
+    def test_killed_child_raises(self, force_workers):
+        force_workers(10, 2)
+        parent = os.getpid()
+
+        def part(a, b):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return np.zeros(b - a)
+
+        with pytest.raises(WorkerError, match=r"members \[5, 10\) failed: killed by signal 9"):
+            ensemble._split(10, part, per_member=True)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_payload_size_raises(self, force_workers, extra):
+        force_workers(10, 2)
+        parent = os.getpid()
+
+        def part(a, b):
+            return np.zeros(b - a + (extra if os.getpid() != parent else 0))
+
+        with pytest.raises(WorkerError, match=r"members \[5, 10\) sent"):
+            ensemble._split(10, part, per_member=True)
+        assert_no_child_left()
+
+    def test_failed_parent_range_kills_children(self, force_workers):
+        force_workers(12, 3)
+        parent = os.getpid()
+
+        def part(a, b):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            signal.pause()  # a child that would never finish on its own
+
+        with pytest.raises(KeyboardInterrupt):
+            ensemble._split(12, part, per_member=False)
+        assert_no_child_left()

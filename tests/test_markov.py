@@ -286,6 +286,48 @@ class TestContractionSumDistribution:
             assert e_mean == pytest.approx(1.0, abs=1e-12)
 
 
+def _generic_sums_both_starts(ell, rates, n):
+    """Reference for ``_generic_sums``: the same closed form, with both start
+    cases evaluated on every atom and masked by np.where."""
+    from scipy.special import gammaln
+
+    h = (n + 1) // 2
+    a, b, e = np.arange(h + 1)[:, None, None], np.arange(n + 1)[:, None], np.arange(-1, 2)
+    reachable = (2 * a + b + e <= n) & (a + e >= 0) & ((a > 0) | (e != 0) | (b == 0) | (b == n))
+    na, nb, e = np.nonzero(reachable)
+    e -= 1
+    nd = na + e
+    nc = n - na - nb - nd
+    log_fact = gammaln(np.arange(1.0, n + 2))
+
+    def log_ways(stays, segments):
+        ways = log_fact[stays + segments - 1] - log_fact[stays] - log_fact[segments - 1]
+        return np.where(segments > 0, ways, np.log(stays == 0))
+
+    with np.errstate(divide="ignore"):
+        left = np.where(e <= 0, log_ways(nb, nd + 1) + log_ways(nc, na), -np.inf)
+        right = np.where(e >= 0, log_ways(nb, nd) + log_ways(nc, na + 1) + np.log(4.0 * ell), -np.inf)
+    log_probs = np.logaddexp(left, right) + (
+        na * np.log(2.0 * ell) + nb * np.log(1.0 - 2.0 * ell) - (nc + nd) * np.log(2.0) - np.log(1.0 + 4.0 * ell)
+    )
+    values = na * rates[0] + nb * rates[1] + nc * rates[2] + nd * rates[3]
+    order = np.argsort(values, kind="stable")
+    values, log_probs = values[order], log_probs[order]
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > 1e-9)
+    return values[starts], np.logaddexp.reduceat(log_probs, starts)
+
+
+class TestGenericSumsStartCases:
+    @pytest.mark.parametrize("n", [*range(1, 13), 300])
+    @pytest.mark.parametrize("ell,q", [(0.2, 0.05), (0.1, 0.1), (0.22, 0.07)])
+    def test_bitwise_equal_to_both_starts_everywhere(self, ell, q, n):
+        rates = contraction_rates(MapParams(ell, q))
+        sums, log_probs = _generic_sums(ell, rates, n)
+        ref_sums, ref_log_probs = _generic_sums_both_starts(ell, rates, n)
+        assert sums.tobytes() == ref_sums.tobytes()
+        assert log_probs.tobytes() == ref_log_probs.tobytes()
+
+
 class TestAutocovariance:
     def test_variance_and_geometric_decay(self):
         cov = chain_autocovariance(0.15, contraction_rates(MapParams(0.15, 0.2)), 10)
