@@ -410,9 +410,6 @@ def _biases(sweep: str) -> np.ndarray:
     return np.array(biases)
 
 
-# green_kubo_estimate steps the whole ensemble in one process (region_stream)
-_GK_WORKERS = 1
-
 # options that --sweep derives from each bias or does not use
 _NOT_SWEPT = ("ell", "q", "mode", "strip_x", "strip_eps", "k_max")
 
@@ -432,7 +429,7 @@ def _cmd_transport(resolved) -> _Run:
             {"sweep.csv": lambda path: _write_csv(path, "F_e,L,stderr", table)},
             f"swept {len(rows)} bias values",
             read,
-            _xonly_start(_GK_WORKERS),
+            _xonly_start(es.worker_count(base.n_ens)),
             f"{bad} sweep entries failed the convergence check" if bad else None,
         )
 
@@ -449,7 +446,7 @@ def _cmd_transport(resolved) -> _Run:
         },
         f"L={result.value:.6f} +- {result.stderr:.6f} (exact chain: {exact.value:.6f})",
         dict(read, q=resolved["q"]),  # the option as given; None means 1/2 - 2 ell
-        _xonly_start(_GK_WORKERS),
+        _xonly_start(es.worker_count(cfg.n_ens)),
         None if result.converged else "partial sums did not converge",
     )
 

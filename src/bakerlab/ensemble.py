@@ -6,13 +6,13 @@ configuration determines its outputs exactly.  Member k's start and its
 dither draws are fixed positions in those streams, so any contiguous range
 of members can be evolved on its own, bit for bit as in the whole ensemble.
 
-The reductions (histograms, transition counts, segment means, member
-averages) split the members into one contiguous range per worker process,
-at most one per usable CPU and one per ``_MIN_SPLIT_MEMBERS`` members, and
-merge the parts in member order: integer counts are summed and per-member
-arrays concatenated.  Their results are therefore bitwise independent of
-the worker count and of the CPU count.  ``evolve`` and ``region_stream``
-step the whole ensemble in one process.
+Every reduction (histograms, transition counts, segment means, member
+averages, lag products) splits the members into one contiguous range per
+worker process, at most one per usable CPU and one per
+``_MIN_SPLIT_MEMBERS`` members, and merges the parts in member order:
+integer-valued sums are added and per-member rows concatenated.  Their
+results are therefore bitwise independent of the worker count and of the
+CPU count.
 
 Because the x-coordinate update never reads y, x-projected reductions are
 bitwise identical between the reversible and irreversible variants at equal
@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 import signal
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy.special import chdtrc
@@ -48,19 +48,17 @@ from .mapcore import (
 
 __all__ = [
     "SimConfig",
-    "StepState",
     "Histogram2D",
     "RectSet",
     "MeasureEstimate",
     "sample_ensemble",
     "worker_count",
-    "evolve",
-    "region_stream",
     "empirical_density",
     "transition_counts",
     "lambda_segment_means",
     "measure_estimate",
     "odd_observable_mean",
+    "lag_products",
     "reflect_rect",
     "uniformity_chi_square",
 ]
@@ -141,25 +139,28 @@ def _stationary_x(x: np.ndarray, ell: float) -> None:
     np.add(x, 0.5, out=x, where=right)
 
 
-def _run(config: SimConfig, with_y: bool = True, members: tuple[int, int] | None = None):
-    """The one state advance behind every ensemble entry point, so that any
+def _run(config: SimConfig, with_y: bool, members: tuple[int, int]):
+    """The one state advance behind every ensemble reduction, so that any
     two reductions over the same config see bitwise-identical x streams.
 
     ``members = (a, b)`` evolves the members [a, b) only, bit for bit as in
-    the whole ensemble, None (the default) all of them.  They start from
-    rows [a, b) of ``sample_ensemble``: the first column goes through the
-    inverse CDF of the exact stationary x-law (``_stationary_x``) and the
-    second is y, uniform.  The x-projection is then stationary from step 0,
-    whatever the variant; only y needs burn-in.  At ell = 1/4 step k draws
-    the slice [k n_ens + a, k n_ens + b) of each dither stream.
+    the whole ensemble.  They start from rows [a, b) of
+    ``sample_ensemble``: the first column goes through the inverse CDF of
+    the exact stationary x-law (``_stationary_x``) and the second is y,
+    uniform.  The x-projection is then stationary from step 0, whatever
+    the variant; only y needs burn-in.  At ell = 1/4 step k draws the slice
+    [k n_ens + a, k n_ens + b) of each dither stream.
 
-    Discards ``burn_in`` steps, then yields ``(x, y)`` at each of the
-    ``n_iter`` kept steps (``y`` is None when ``with_y`` is false).  The
-    yielded arrays are the loop's own state: the next step replaces them
-    rather than writing into them.
+    Discards ``burn_in`` states, then yields ``(x, y)`` at each of the
+    ``n_iter`` kept states (``y`` is None when ``with_y`` is false), taking
+    ``burn_in + n_iter - 1`` steps in all, and none when ``n_iter`` is 0.
+    The yielded arrays are the loop's own state: the next step replaces
+    them rather than writing into them.
     """
+    if config.n_iter == 0:
+        return
     params, n = config.params, config.n_ens
-    a, b = (0, n) if members is None else members
+    a, b = members
     pts = _philox(_seed_key(config.seed), 2 * a).random((b - a, 2))
     x = np.ascontiguousarray(pts[:, 0])
     y = np.ascontiguousarray(pts[:, 1]) if with_y else None
@@ -169,15 +170,16 @@ def _run(config: SimConfig, with_y: bool = True, members: tuple[int, int] | None
     if dither:
         kx, ky = (np.array([config.seed, sub], dtype=np.uint64) for sub in (_DITHER_SUBKEY_X, _DITHER_SUBKEY_Y))
     for k in range(config.burn_in + config.n_iter):
+        if k > 0:  # step k - 1 leads to state k
+            x, y = step_arrays(x, y, params, config.variant)
+            if dither:
+                x = _dither(x, _philox(kx, (k - 1) * n + a))
+                y = None if y is None else _dither(y, _philox(ky, (k - 1) * n + a))
         if k >= config.burn_in:
             yield x, y
-        x, y = step_arrays(x, y, params, config.variant)
-        if dither:
-            x = _dither(x, _philox(kx, k * n + a))
-            y = None if y is None else _dither(y, _philox(ky, k * n + a))
 
 
-def _regions(config: SimConfig, members: tuple[int, int] | None = None):
+def _regions(config: SimConfig, members: tuple[int, int]):
     """The regions of the members of ``_run(config, False, members)`` at each
     kept step."""
     for x, _ in _run(config, False, members):
@@ -194,10 +196,11 @@ def worker_count(n_ens: int) -> int:
     return max(1, min(cpus, n_ens // _MIN_SPLIT_MEMBERS))
 
 
-def _fork(part: Callable[[int, int], np.ndarray], a: int, b: int):
-    """Fork a child that writes the bytes of ``part(a, b)`` to a pipe and
-    exits 0, or on any failure writes a one-line reason and exits 1.
-    Returns the child's pid and the read end of its pipe."""
+def _fork(part: Callable[[int, int], tuple[np.ndarray, np.ndarray]], a: int, b: int):
+    """Fork a child that writes the bytes of the two arrays of
+    ``part(a, b)`` to a pipe and exits 0, or on any failure writes a
+    one-line reason and exits 1.  Returns the child's pid and the read end
+    of its pipe."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -210,27 +213,33 @@ def _fork(part: Callable[[int, int], np.ndarray], a: int, b: int):
         try:
             os.close(r)
             try:
-                payload = memoryview(np.ascontiguousarray(part(a, b))).cast("B")
+                payload = [np.ascontiguousarray(v).reshape(-1).view(np.uint8) for v in part(a, b)]
                 status = 0
             except BaseException as exc:  # reported by the parent
-                payload = f"{type(exc).__name__}: {exc}".encode()
+                payload = [f"{type(exc).__name__}: {exc}".encode()]
             with open(w, "wb") as pipe:
-                pipe.write(payload)
+                for chunk in payload:
+                    pipe.write(chunk)
         finally:
             os._exit(status)
     os.close(w)
     return pid, open(r, "rb")
 
 
-def _split(n_ens: int, part: Callable[[int, int], np.ndarray], per_member: bool) -> np.ndarray:
-    """``part(a, b)``, a reduction over the members [a, b), run on the
-    contiguous ranges of ``worker_count(n_ens)`` workers and merged in
-    member order: concatenated along the first axis when ``per_member``,
-    else summed (exact for the integer counts summed here).
+def _split(
+    n_ens: int, part: Callable[[int, int], tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``part(a, b)``, a reduction over the members [a, b) that returns
+    ``(sums, rows)``, run on the contiguous ranges of ``worker_count(n_ens)``
+    workers and merged in member order: ``sums`` are added up over the
+    ranges (exact for the integer-valued sums added here) and ``rows``, one
+    row per member, are concatenated.  A reduction with nothing of one kind
+    returns an empty array for it: ``np.empty(0)`` sums, or rows of shape
+    ``(b - a, 0)``.
 
     The parent forks a child for every range but the first, reduces the
-    first itself, then reads each child's array from its pipe and reaps it.
-    A child that fails or sends the wrong number of bytes raises
+    first itself, then reads each child's two arrays from its pipe and
+    reaps it.  A child that fails or sends the wrong number of bytes raises
     ``WorkerError`` and nothing is merged.  Children still running when the
     call ends, by an error or an interrupt, are killed and reaped.
     """
@@ -242,24 +251,25 @@ def _split(n_ens: int, part: Callable[[int, int], np.ndarray], per_member: bool)
         for a, b in ranges[1:]:
             pid, pipe = _fork(part, a, b)
             children[pid] = (pipe, (a, b))
-        parts = [part(*ranges[0])]
+        sums, rows = part(*ranges[0])
+        parts = [rows]
         for pid, (pipe, (a, b)) in list(children.items()):
-            out = np.empty((b - a, *parts[0].shape[1:]) if per_member else parts[0].shape, parts[0].dtype)
-            view = memoryview(out).cast("B")
+            out = np.empty(sums.nbytes + (b - a) * rows[0].nbytes, np.uint8)
             with pipe:
-                got = pipe.readinto(view)
+                got = pipe.readinto(out)
                 extra = len(pipe.read(1))
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
             if code != 0:
                 reason = (
-                    bytes(view[:got]).decode(errors="replace") if code == 1
+                    out[:got].tobytes().decode(errors="replace") if code == 1
                     else f"killed by signal {-code}" if code < 0 else f"exit status {code}"
                 )
                 raise WorkerError(f"the worker for members [{a}, {b}) failed: {reason}")
             if got + extra != out.nbytes:
                 raise WorkerError(f"the worker for members [{a}, {b}) sent {got + extra} bytes, not {out.nbytes}")
-            parts.append(out)
+            sums += out[: sums.nbytes].view(sums.dtype).reshape(sums.shape)
+            parts.append(out[sums.nbytes :].view(rows.dtype).reshape(b - a, *rows.shape[1:]))
     finally:
         for pid, (pipe, _) in children.items():
             pipe.close()
@@ -268,11 +278,7 @@ def _split(n_ens: int, part: Callable[[int, int], np.ndarray], per_member: bool)
             except ProcessLookupError:  # already gone, still to be reaped
                 pass
             os.waitpid(pid, 0)
-    if per_member:
-        return np.concatenate(parts)
-    for other in parts[1:]:
-        parts[0] += other
-    return parts[0]
+    return sums, np.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -304,13 +310,6 @@ class SimConfig:
         _seed_key(self.seed)  # checked before any worker starts
 
 
-class StepState(NamedTuple):
-    k: int
-    x: np.ndarray
-    y: np.ndarray
-    region: np.ndarray
-
-
 def sample_ensemble(n: int, seed: int) -> np.ndarray:
     """n i.i.d. uniform points on the unit square as an (n, 2) array.
 
@@ -321,26 +320,6 @@ def sample_ensemble(n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise DomainError("n must be >= 1")
     return _philox(_seed_key(seed), 0).random((int(n), 2))
-
-
-def evolve(config: SimConfig) -> Iterator[StepState]:
-    """Yield the post-burn-in trajectory, one ensemble-wide state per step.
-
-    Each yielded state carries copies of the coordinate arrays and the
-    region occupied at that step; ``n_iter`` states are produced in total.
-    """
-    for k, (x, y) in enumerate(_run(config)):
-        yield StepState(k, x.copy(), y.copy(), region_indices(x, config.params.ell))
-
-
-def region_stream(config: SimConfig) -> Iterator[np.ndarray]:
-    """Yield the region occupied by every member at each of the ``n_iter``
-    post-burn-in steps.
-
-    Runs the x-only fast path, valid because the x update never reads y:
-    the regions are bitwise identical to those of ``evolve``.
-    """
-    yield from _regions(config)
 
 
 @dataclass
@@ -380,9 +359,9 @@ def empirical_density(config: SimConfig, nx: int = 500, ny: int = 500) -> Histog
             ix = np.minimum((x * nx).astype(np.int64), nx - 1)
             iy = np.minimum((y * ny).astype(np.int64), ny - 1)
             counts += np.bincount(ix * ny + iy, minlength=nx * ny)
-        return counts
+        return counts, np.empty((b - a, 0))
 
-    counts = _split(config.n_ens, part, per_member=False)
+    counts, _ = _split(config.n_ens, part)
     n_samples = config.n_ens * config.n_iter
     return Histogram2D(nx=nx, ny=ny, counts=counts.reshape(nx, ny), n_samples=n_samples)
 
@@ -398,9 +377,9 @@ def transition_counts(config: SimConfig) -> np.ndarray:
             if prev is not None:
                 counts += np.bincount(prev.astype(np.int64) * 4 + r, minlength=16)
             prev = r
-        return counts
+        return counts, np.empty((b - a, 0))
 
-    return _split(config.n_ens, part, per_member=False).reshape(4, 4)
+    return _split(config.n_ens, part)[0].reshape(4, 4)
 
 
 def lambda_segment_means(config: SimConfig, seg_len: int) -> np.ndarray:
@@ -430,9 +409,9 @@ def lambda_segment_means(config: SimConfig, seg_len: int) -> np.ndarray:
                 sums[:, seg] = acc
                 acc[:] = 0.0
                 seg += 1
-        return sums
+        return np.empty(0), sums
 
-    return (_split(config.n_ens, part, per_member=True) / seg_len).reshape(-1)
+    return (_split(config.n_ens, part)[1] / seg_len).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -472,9 +451,9 @@ def _member_average(config: SimConfig, values: Callable, with_y: bool) -> tuple[
         per_member = np.zeros(b - a)
         for x, y in _run(config, with_y, (a, b)):
             per_member += values(x, y)
-        return per_member
+        return np.empty(0), per_member
 
-    per_member = _split(config.n_ens, part, per_member=True)
+    _, per_member = _split(config.n_ens, part)
     per_member /= config.n_iter
     se = float(per_member.std(ddof=1) / np.sqrt(config.n_ens)) if config.n_ens > 1 else float("nan")
     return float(per_member.mean()), se
@@ -533,6 +512,33 @@ def odd_observable_mean(
         raise DomainError("n_iter must be >= 1")
     ell = config.params.ell
     return _member_average(config, lambda x, _: phi[region_indices(x, ell)], with_y=False)
+
+
+def lag_products(config: SimConfig, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of ``phi(r_k) phi(r_0)`` for a region observable ``phi``, where
+    r_k is a member's region at kept step k: over members at each step
+    (``n_iter`` values) and over steps for each member (``n_ens`` values).
+
+    The step sums are added up over the worker ranges, so they are bitwise
+    independent of the worker count when the products are integer-valued,
+    as they are for the current.
+    """
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (4,):
+        raise DomainError("phi must assign one value per region")
+
+    def part(a, b):
+        at_step = np.empty(config.n_iter)
+        per_member = np.zeros(b - a)
+        for k, r in enumerate(_regions(config, (a, b))):
+            if k == 0:
+                phi0 = phi[r]
+            prod = phi[r] * phi0
+            at_step[k] = prod.sum()
+            per_member += prod
+        return at_step, per_member
+
+    return _split(config.n_ens, part)
 
 
 def uniformity_chi_square(counts: np.ndarray) -> tuple[float, int, float]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .ensemble import SimConfig, region_stream
+from .ensemble import SimConfig, lag_products
 from .mapcore import MapParams
 from .markov import chain_autocovariance, coarse_measure
 
@@ -131,14 +131,8 @@ def green_kubo_estimate(config: GKConfig) -> GKResult:
     last quarter of the k range is flagged, not silently accepted.
     """
     psi_mean = mean_current(config.params.ell)
-    member_total = np.zeros(config.n_ens)
-    corr = np.empty(config.n_iter)
-    for k, r in enumerate(region_stream(config)):
-        if k == 0:
-            psi0 = PSI[r]
-        prod = PSI[r] * psi0
-        corr[k] = prod.mean() - psi_mean * psi_mean
-        member_total += prod
+    at_step, member_total = lag_products(config, PSI)
+    corr = at_step / config.n_ens - psi_mean * psi_mean
     member_total -= config.n_iter * psi_mean * psi_mean
     partial = np.cumsum(corr)
     value = float(member_total.mean())

@@ -241,9 +241,7 @@ class TestManifestStart:
         out = tmp_path / "o"
         assert run(argv + ["--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        # the Green-Kubo estimate steps its ensemble in one process
-        workers = worker_count(2000) if argv[0] == "fr" else 1
-        assert manifest["start"] == {"x": "stationary", "burn_in_steps": 0, "workers": workers}
+        assert manifest["start"] == {"x": "stationary", "burn_in_steps": 0, "workers": worker_count(2000)}
 
     def test_exact_source_records_no_start(self, tmp_path):
         out = tmp_path / "fr"
@@ -521,20 +519,30 @@ class TestBadInput:
 class TestWorkers:
     DENSITY = ["density", "--variant", "irreversible", "--n-ens", "2001", "--n-iter", "3", "--burn-in", "4",
                "--bins", "6", "--seed", "5"]
+    TRANSPORT = ["transport", "--variant", "irreversible", "--n-ens", "2001", "--n-iter", "6", "--seed", "5"]
+    RUNS = {
+        "density": (DENSITY, ("histogram2d.csv", "marginals.csv")),
+        "transport": (TRANSPORT + ["--ell", "0.25"], ("convergence.csv",)),
+        "transport --sweep": (TRANSPORT + ["--sweep", "0,0.1,0.5"], ("sweep.csv",)),
+    }
 
-    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, force_workers):
+    @pytest.mark.parametrize("name", list(RUNS))
+    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, force_workers, name):
+        argv, artifacts = self.RUNS[name]
         csv = {}
         for w in (1, 2, 3):
             force_workers(2001, w)
             out = tmp_path / f"w{w}"
-            assert run(self.DENSITY + ["--out", str(out)]) == 0
+            assert run(argv + ["--out", str(out)]) == 0
             assert json.loads((out / "manifest.json").read_text())["start"]["workers"] == w
-            csv[w] = [(out / name).read_bytes() for name in ("histogram2d.csv", "marginals.csv")]
+            csv[w] = [(out / name).read_bytes() for name in artifacts]
         assert csv[1] == csv[2] == csv[3]
         with pytest.raises(ChildProcessError):  # every worker was reaped
             os.waitpid(-1, os.WNOHANG)
 
-    def test_failed_worker_is_one_line_and_exit_2(self, tmp_path, monkeypatch, capsys, force_workers):
+    @pytest.mark.parametrize("name", ["density", "transport"])
+    def test_failed_worker_is_one_line_and_exit_2(self, tmp_path, monkeypatch, capsys, force_workers, name):
+        argv, _ = self.RUNS[name]
         force_workers(2001, 2)
         parent = os.getpid()
         step = bakerlab.ensemble.step_arrays
@@ -546,9 +554,9 @@ class TestWorkers:
 
         monkeypatch.setattr(bakerlab.ensemble, "step_arrays", failing_in_children)
         out = tmp_path / "o"
-        assert run(self.DENSITY + ["--out", str(out)]) == 2
+        assert run(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["density: error: the worker for members [1000, 2001) failed: MemoryError: injected"]
+        assert err == [f"{argv[0]}: error: the worker for members [1000, 2001) failed: MemoryError: injected"]
         assert not out.exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -577,11 +585,13 @@ class TestImport:
                         "strip_flip", "step", "time_reversal")
         for owner, names in (
             (bakerlab, scalar_layer + ("time_average", "contraction_autocovariance", "final_state",
-                                       "write_histogram_csv", "region_sequences")),
+                                       "write_histogram_csv", "region_sequences", "evolve", "region_stream",
+                                       "StepState")),
             (mapcore, scalar_layer),
             (fluctuation, ("time_average",)),
             (markov, ("contraction_autocovariance",)),
-            (ensemble, ("final_state", "write_histogram_csv", "region_sequences", "_MAX_SEQUENCE_BYTES")),
+            (ensemble, ("final_state", "write_histogram_csv", "region_sequences", "_MAX_SEQUENCE_BYTES",
+                        "evolve", "region_stream", "StepState")),
             (fluctuation.FRConfig, ("spacing",)),
             (fluctuation.EquivalenceReport, ("alpha",)),
             (transport.GKResult, ("n_ens", "n_iter")),

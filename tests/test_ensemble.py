@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from bakerlab import ensemble
+from bakerlab import ensemble, transport
 from bakerlab.errors import CapacityError, DomainError, WorkerError
 from bakerlab.mapcore import (
     MapParams,
@@ -15,20 +15,21 @@ from bakerlab.mapcore import (
     Region,
     ReversalScheme,
     contraction_rates,
+    step_arrays,
 )
 from bakerlab.markov import coarse_measure, stationary_density, transition_matrix
 from bakerlab.ensemble import (
+    _regions,
     _run,
     Histogram2D,
     RectSet,
     SimConfig,
     empirical_density,
-    evolve,
+    lag_products,
     lambda_segment_means,
     measure_estimate,
     odd_observable_mean,
     reflect_rect,
-    region_stream,
     sample_ensemble,
     transition_counts,
     uniformity_chi_square,
@@ -83,11 +84,35 @@ def stationary_inverse_cdf(u: np.ndarray, ell: float) -> np.ndarray:
 START_ELLS = [0.01, 0.1, 0.15, 0.25]
 
 
+def whole(config: SimConfig, with_y: bool = True):
+    """``_run`` over all members of ``config``."""
+    return _run(config, with_y, (0, config.n_ens))
+
+
+def reference_run(config: SimConfig, with_y: bool) -> list:
+    """The kept states of ``config`` from a loop written out independently
+    of ``_run``: it steps after every state, the last one included, and at
+    ell = 1/4 step k draws its dither at position k n_ens of each stream."""
+    pts = sample_ensemble(config.n_ens, config.seed)
+    x, y = pts[:, 0].copy(), pts[:, 1].copy() if with_y else None
+    ensemble._stationary_x(x, config.params.ell)
+    keys = [np.array([config.seed, sub], dtype=np.uint64) for sub in (ensemble._DITHER_SUBKEY_X, ensemble._DITHER_SUBKEY_Y)]
+    states = []
+    for k in range(config.burn_in + config.n_iter):
+        if k >= config.burn_in:
+            states.append((x, y))
+        x, y = step_arrays(x, y, config.params, config.variant)
+        if config.params.ell == 0.25:
+            x = ensemble._dither(x, ensemble._philox(keys[0], k * config.n_ens))
+            y = None if y is None else ensemble._dither(y, ensemble._philox(keys[1], k * config.n_ens))
+    return states
+
+
 class TestStationaryStart:
     @pytest.mark.parametrize("ell", START_ELLS)
     def test_half_counts_are_exact(self, ell):
         cfg = SimConfig(params=MapParams(ell, 0.1), n_ens=100_000, n_iter=1, burn_in=0, seed=21)
-        x = next(evolve(cfg)).x
+        x, _ = next(whole(cfg, False))
         u = sample_ensemble(cfg.n_ens, cfg.seed)[:, 0]
         assert (x < 0.5).sum() == (u < 1.0 / (1.0 + 4.0 * ell)).sum()
         assert x.min() >= 0.0 and x.max() < 1.0
@@ -95,7 +120,7 @@ class TestStationaryStart:
     @pytest.mark.parametrize("ell", START_ELLS)
     def test_chi_square_per_half_against_density(self, ell):
         n, bins = 200_000, 25  # bins per half
-        x = next(evolve(SimConfig(params=MapParams(ell, 0.0), n_ens=n, n_iter=1, burn_in=0, seed=22))).x
+        x, _ = next(whole(SimConfig(params=MapParams(ell, 0.0), n_ens=n, n_iter=1, burn_in=0, seed=22), False))
         rho = stationary_density(ell)
         for lo, density in ((0.0, rho.rho_l), (0.5, rho.rho_r)):
             counts = np.histogram(x, bins=bins, range=(lo, lo + 0.5))[0]
@@ -109,7 +134,7 @@ class TestStationaryStart:
         c = 1.0 / (1.0 + 4.0 * ell)
         sigma = np.sqrt(c * (1.0 - c) / n)
         cfg = SimConfig(params=MapParams(ell, 0.2), n_ens=n, n_iter=51, burn_in=0, seed=23)
-        for k, r in enumerate(region_stream(cfg)):
+        for k, r in enumerate(_regions(cfg, (0, n))):
             if k in (1, 50):
                 left = float(np.mean(r <= Region.B))
                 assert abs(left - c) <= 5.0 * sigma, (ell, k)
@@ -119,7 +144,7 @@ class TestStationaryStart:
         cfg = SimConfig(params=PARAMS_EQ, n_ens=n, n_iter=1, burn_in=0, seed=24)
         tracemalloc.start()
         try:
-            run = _run(cfg)
+            run = whole(cfg)
             next(run)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -128,61 +153,69 @@ class TestStationaryStart:
         assert peak <= 33 * n
 
 
-class TestEvolve:
+class TestRun:
     def test_zero_iterations_returns_initial_ensemble(self):
         pts = sample_ensemble(500, seed=9)
         for ell in (0.15, 0.25):
             cfg = SimConfig(params=MapParams(ell, 0.0), n_ens=500, n_iter=0, burn_in=0, seed=9)
-            start = next(evolve(replace(cfg, n_iter=1)))
-            x, y = start.x, start.y
+            x, y = next(whole(replace(cfg, n_iter=1)))
             np.testing.assert_allclose(x, stationary_inverse_cdf(pts[:, 0], ell), rtol=0, atol=1e-15)
             assert np.array_equal(y, pts[:, 1])
-            assert list(evolve(cfg)) == []
+            assert list(whole(cfg)) == []
         assert np.array_equal(x, pts[:, 0])  # at ell = 1/4 the start map is the identity
 
     def test_stream_layout(self):
         cfg = SimConfig(params=PARAMS_EQ, n_ens=64, n_iter=5, burn_in=3, seed=2)
-        states = list(evolve(cfg))
-        assert [s.k for s in states] == [0, 1, 2, 3, 4]
-        assert all(s.x.shape == (64,) for s in states)
+        states = [(x.copy(), y.copy()) for x, y in whole(cfg)]
+        assert len(states) == 5
+        assert all(x.shape == y.shape == (64,) for x, y in states)
+        assert all(y is None for _, y in whole(cfg, False))
 
     @pytest.mark.parametrize("params", [PARAMS_EQ, MapParams(ell=0.25, q=0.0)], ids=["0.15", "0.25-dither"])
-    def test_region_stream_matches_evolve(self, params):
+    def test_x_only_run_matches_run_with_y(self, params):
         cfg = SimConfig(params=params, variant=MapVariant.IRREVERSIBLE, n_ens=128, n_iter=12, burn_in=7, seed=5)
-        stream = region_stream(cfg)
-        assert iter(stream) is stream  # a generator, consumed lazily
-        regions = list(stream)
-        assert len(regions) == cfg.n_iter
-        for r, state in zip(regions, evolve(cfg)):
-            assert np.array_equal(r, state.region)
+        steps = 0
+        for (x, _), (xy_x, _) in zip(whole(cfg, False), whole(cfg, True), strict=True):
+            assert np.array_equal(x, xy_x)
+            steps += 1
+        assert steps == cfg.n_iter
 
-    def test_yielded_states_are_copies(self):
-        cfg = SimConfig(params=PARAMS_EQ, n_ens=64, n_iter=8, burn_in=3, seed=2)
-        reference = list(evolve(cfg))
-        for state, ref in zip(evolve(cfg), reference):
-            assert np.array_equal(state.x, ref.x)
-            assert np.array_equal(state.y, ref.y)
-            assert np.array_equal(state.region, ref.region)
-            state.x[:] = 0.5
-            state.y[:] = 0.5
-            state.region[:] = 0
+    @pytest.mark.parametrize("params", [PARAMS_EQ, MapParams(ell=0.25, q=0.0)], ids=["0.15", "0.25-dither"])
+    @pytest.mark.parametrize("with_y", [True, False], ids=["xy", "x-only"])
+    @pytest.mark.parametrize("burn_in,n_iter", [(7, 12), (0, 1), (5, 0), (0, 0)])
+    def test_no_step_after_the_last_kept_state(self, monkeypatch, params, with_y, burn_in, n_iter):
+        calls = []
+        step = ensemble.step_arrays
+
+        def counting(*args):
+            calls.append(1)
+            return step(*args)
+
+        cfg = SimConfig(params=params, variant=MapVariant.IRREVERSIBLE, n_ens=40, n_iter=n_iter, burn_in=burn_in, seed=6)
+        expected = reference_run(cfg, with_y)
+        monkeypatch.setattr(ensemble, "step_arrays", counting)
+        states = list(whole(cfg, with_y))
+        assert len(calls) == (burn_in + n_iter - 1 if n_iter else 0)
+        assert len(states) == n_iter
+        for (x, y), (ex, ey) in zip(states, expected, strict=True):
+            assert np.array_equal(x, ex)
+            assert y is None if not with_y else np.array_equal(y, ey)
 
     def test_degenerate_strip_matches_reversible_bitwise(self):
         params = MapParams(ell=0.15, q=0.0, strip_x=0.2, strip_eps=0.0)
         a = SimConfig(params=params, variant=MapVariant.REVERSIBLE, n_ens=256, n_iter=20, burn_in=10, seed=3)
         b = SimConfig(params=params, variant=MapVariant.IRREVERSIBLE, n_ens=256, n_iter=20, burn_in=10, seed=3)
-        for sa, sb in zip(evolve(a), evolve(b)):
-            assert np.array_equal(sa.x, sb.x)
-            assert np.array_equal(sa.y, sb.y)
+        for (xa, ya), (xb, yb) in zip(whole(a), whole(b), strict=True):
+            assert np.array_equal(xa, xb)
+            assert np.array_equal(ya, yb)
 
     def test_flip_never_touches_x(self):
         a = SimConfig(params=PARAMS_EQ, variant=MapVariant.REVERSIBLE, n_ens=256, n_iter=30, burn_in=5, seed=4)
         b = SimConfig(params=PARAMS_EQ, variant=MapVariant.IRREVERSIBLE, n_ens=256, n_iter=30, burn_in=5, seed=4)
         same_y = 0
-        for sa, sb in zip(evolve(a), evolve(b)):
-            assert np.array_equal(sa.x, sb.x)
-            assert np.array_equal(sa.region, sb.region)
-            same_y += int(np.array_equal(sa.y, sb.y))
+        for (xa, ya), (xb, yb) in zip(whole(a), whole(b), strict=True):
+            assert np.array_equal(xa, xb)
+            same_y += int(np.array_equal(ya, yb))
         assert same_y < 30  # the flip does act on y
 
 
@@ -335,13 +368,32 @@ class TestOddObservable:
             odd_observable_mean(cfg, contraction_rates(MapParams(0.15, 0.1)), ReversalScheme.Q4)
 
 
+class TestLagProducts:
+    @pytest.mark.parametrize("params", [MapParams(0.15, 0.2), MapParams(0.25, 0.0)], ids=["0.15", "0.25-dither"])
+    def test_sums_of_products_with_the_first_step(self, params):
+        cfg = SimConfig(params=params, n_ens=300, n_iter=12, burn_in=3, seed=8)
+        phi = np.array([0.5, 1.0, -1.0, 2.0])
+        at_step, per_member = lag_products(cfg, phi)
+        seqs = np.stack(list(_regions(cfg, (0, cfg.n_ens))), axis=1)
+        prods = phi[seqs] * phi[seqs[:, :1]]
+        assert at_step.shape == (12,) and per_member.shape == (300,)
+        assert at_step.tobytes() == prods.sum(axis=0).tobytes()
+        assert per_member.tobytes() == prods.sum(axis=1).tobytes()
+
+    def test_rejects_phi_of_wrong_shape(self):
+        cfg = SimConfig(params=PARAMS_EQ, n_ens=10, n_iter=5, burn_in=0, seed=1)
+        for phi in (np.zeros(3), np.zeros((4, 1)), 1.0):
+            with pytest.raises(DomainError, match="one value per region"):
+                lag_products(cfg, phi)
+
+
 class TestSegmentMeans:
     def test_counts_and_values(self):
         cfg = SimConfig(params=MapParams(0.15, 0.2), n_ens=50, n_iter=100, burn_in=50, seed=8)
         segs = lambda_segment_means(cfg, 25)
         assert segs.shape == (50 * 4,)
         # recompute one member's first segment from its region sequence
-        seqs = np.stack(list(region_stream(cfg)), axis=1)
+        seqs = np.stack(list(_regions(cfg, (0, cfg.n_ens))), axis=1)
         rates = contraction_rates(cfg.params)
         manual = rates[seqs[0, :25]].mean()
         assert segs[0] == pytest.approx(manual, rel=1e-12)
@@ -375,7 +427,7 @@ class TestMemberSplit:
         a, b = members
         cfg = SimConfig(params=params, variant=MapVariant.IRREVERSIBLE, n_ens=101, n_iter=6, burn_in=5, seed=7)
         steps = 0
-        for (x, y), (xs, ys) in zip(_run(cfg, with_y), _run(cfg, with_y, members), strict=True):
+        for (x, y), (xs, ys) in zip(whole(cfg, with_y), _run(cfg, with_y, members), strict=True):
             assert np.array_equal(x[a:b], xs)
             assert ys is None if not with_y else np.array_equal(y[a:b], ys)
             steps += 1
@@ -388,15 +440,20 @@ class TestMemberSplit:
     @pytest.mark.parametrize("params", SPLIT_PARAMS, ids=["0.15", "0.25-dither"])
     def test_split_reductions_equal_one_worker_bitwise(self, force_workers, params, variant, n_ens, w):
         cfg = SimConfig(params=params, variant=variant, n_ens=n_ens, n_iter=9, burn_in=4, seed=13)
+        gk_cfg = transport.GKConfig(**vars(cfg))
         phi = np.array([0.0, 1.0, -1.0, 0.0])
 
         def reductions():
+            gk = transport.green_kubo_estimate(gk_cfg)
             return [
                 empirical_density(cfg, nx=7, ny=9).counts,
                 transition_counts(cfg),
                 lambda_segment_means(cfg, 4),
                 np.array(astuple(measure_estimate(cfg, RectSet(0.1, 0.6, 0.2, 0.9)))),
                 np.array(odd_observable_mean(cfg, phi, ReversalScheme.Q3)),
+                *lag_products(cfg, transport.PSI),
+                np.array([gk.value, gk.stderr]),
+                gk.partial_sums,
             ]
 
         force_workers(n_ens, 1)
@@ -439,22 +496,26 @@ class TestMemberSplit:
         def part(a, b):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return np.zeros(b - a)
+            return np.zeros(3), np.zeros(b - a)
 
         with pytest.raises(WorkerError, match=r"members \[5, 10\) failed: killed by signal 9"):
-            ensemble._split(10, part, per_member=True)
+            ensemble._split(10, part)
         assert_no_child_left()
 
     @pytest.mark.parametrize("extra", [-1, 1])
-    def test_wrong_payload_size_raises(self, force_workers, extra):
+    @pytest.mark.parametrize("array", ["sums", "rows"])
+    def test_wrong_payload_size_raises(self, force_workers, array, extra):
         force_workers(10, 2)
         parent = os.getpid()
 
         def part(a, b):
-            return np.zeros(b - a + (extra if os.getpid() != parent else 0))
+            wrong = extra if os.getpid() != parent else 0
+            sums = np.zeros(3 + (wrong if array == "sums" else 0))
+            rows = np.zeros(b - a + (wrong if array == "rows" else 0))
+            return sums, rows
 
         with pytest.raises(WorkerError, match=r"members \[5, 10\) sent"):
-            ensemble._split(10, part, per_member=True)
+            ensemble._split(10, part)
         assert_no_child_left()
 
     def test_failed_parent_range_kills_children(self, force_workers):
@@ -467,5 +528,5 @@ class TestMemberSplit:
             signal.pause()  # a child that would never finish on its own
 
         with pytest.raises(KeyboardInterrupt):
-            ensemble._split(12, part, per_member=False)
+            ensemble._split(12, part)
         assert_no_child_left()
