@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .errors import BakerlabError, DomainError, InsufficientFluctuationsError, WorkerError
+from .errors import BakerlabError, DomainError
 from .mapcore import (
     MapParams,
     MapVariant,
@@ -622,8 +622,8 @@ def main(argv=None) -> int:
         return _write_run(args.command, _resolve(args), args.fn)
     except (BakerlabError, OSError) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
-        numeric = isinstance(exc, (InsufficientFluctuationsError, WorkerError, OSError))
-        return _NUMERIC_EXIT if numeric else _USAGE_EXIT
+        # RuntimeError covers every numeric failure class in bakerlab.errors
+        return _NUMERIC_EXIT if isinstance(exc, (RuntimeError, OSError)) else _USAGE_EXIT
 
 
 if __name__ == "__main__":

@@ -346,6 +346,8 @@ class Histogram2D:
 
 def empirical_density(config: SimConfig, nx: int = 500, ny: int = 500) -> Histogram2D:
     """Histogram of all post-burn-in states (n_ens * n_iter samples)."""
+    if config.n_iter < 1:
+        raise DomainError("n_iter must be >= 1 for a density estimate")
     if nx < 1 or ny < 1:
         raise DomainError("bin counts must be >= 1")
     if nx * ny > _MAX_HIST_CELLS:

@@ -243,38 +243,33 @@ def _lattice_structure(rates: np.ndarray, tol: float = 1e-12):
     return None
 
 
-# incoming edges of the jump chain: A <- {B, D}, B <- {B, D}, C <- {A, C}, D <- {A, C}
-_SOURCES = ((1, 3), (1, 3), (0, 2), (0, 2))
+# the jump chain enters A and B only from {B, D} and C and D only from
+# {A, C}, so the next region's law depends only on the current region's
+# class (r % 2: 0 for A and C, 1 for B and D); entering r draws on that row
+_ENTERED_FROM = (1, 1, 0, 0)
 
 
 def _log_dp(ell: float, m: np.ndarray, n: int):
-    """Log-space DP over (current region, signed count c in [-n, n]); visiting
-    region r adds ``m[r]``.  Returns the reachable c and their log-probabilities."""
-    mu = coarse_measure(ell)
-    P = transition_matrix(ell)
-    with np.errstate(divide="ignore"):
-        lp = np.log(P)
+    """Log-space DP over (class of the current region, signed count c in
+    [-n, n]); visiting region r adds ``m[r]``, which ``_lattice_structure``
+    keeps in {-1, 0, +1}, so one -inf cell on each side of [-n, n] makes
+    every shift a plain slice.  Returns the reachable c and their
+    log-probabilities."""
     size = 2 * n + 1
-    state = np.full((4, size), -np.inf)
-    for r in range(4):
-        state[r, m[r] + n] = np.log(mu[r])
-
-    # per target region: the cells its shift moves into (dst) and the cells
-    # they come from (src); a count that would leave [-n, n] is dropped
-    moves = [(slice(max(k, 0), size + min(k, 0)), slice(max(-k, 0), size - max(k, 0))) for k in m]
+    state = np.full((2, size + 2), -np.inf)  # cell n + 1 + c holds count c
+    np.logaddexp.at(state, (np.arange(4) % 2, n + 1 + m), np.log(coarse_measure(ell)))
+    log_p = np.log([2.0 * ell, 1.0 - 2.0 * ell, 0.5, 0.5])  # of entering A, B, C, D
+    # entering r moves count c - m[r] of row _ENTERED_FROM[r] to c
+    reads = [(row, slice(1 - k, size + 1 - k)) for row, k in zip(_ENTERED_FROM, m)]
+    entered = np.empty((4, size))
     for _ in range(n - 1):
-        new = np.full_like(state, -np.inf)
-        for tgt, (s1, s2) in enumerate(_SOURCES):
-            dst, src = moves[tgt]
-            new[tgt, dst] = np.logaddexp(state[s1, src] + lp[s1, tgt], state[s2, src] + lp[s2, tgt])
-        state = new
+        for r, read in enumerate(reads):
+            np.add(state[read], log_p[r], out=entered[r])
+        np.logaddexp(entered[:2], entered[2:], out=state[:, 1:-1])  # rows A + C, B + D
 
-    with np.errstate(invalid="ignore"):
-        total = state[0]
-        for r in range(1, 4):
-            total = np.logaddexp(total, state[r])
+    total = np.logaddexp(state[0], state[1])
     mask = total > -np.inf
-    return np.flatnonzero(mask) - n, total[mask]
+    return np.flatnonzero(mask) - n - 1, total[mask]
 
 
 def _generic_sums(ell: float, rates: np.ndarray, n: int):
@@ -329,7 +324,7 @@ def contraction_sum_distribution(ell: float, q: float, n: int) -> ContractionDis
 
     The sum depends on the region sequence only through visit counts.  On
     the q = 0 and q = 1/2 - 2 ell families the counts collapse to a single
-    signed difference, which a log-space DP over 2n+1 states per region
+    signed difference, which a log-space DP over 2n+1 states per class
     tracks in O(n^2) work; elsewhere each atom (n_A, n_B, n_D - n_A) has a
     closed-form log-probability made of log-binomials, O(n^2) atoms in all.
     Both serve n up to ``MAX_N``.

@@ -467,6 +467,7 @@ class TestBadInput:
             ["fr", "--source", "mc", "--seed", "18446744073709551616"],
             ["transport", "--sweep", ""],
             ["db", "--out", ""],
+            ["density", "--n-ens", "100", "--n-iter", "0", "--bins", "10"],
         ],
         ids=" ".join,
     )
@@ -501,7 +502,7 @@ class TestBadInput:
             (["fr", "--source", "mc", "--n", "200", "--n-ens", "100", "--n-iter", "4000"], 2),
             (["ratefunc", "--source", "mc", "--n", "200", "--n-ens", "100", "--n-iter", "400",
               "--min-count", "1000"], 1),
-            (["ratefunc", "--source", "exact", "--n", "1"], 1),
+            (["ratefunc", "--source", "exact", "--n", "1"], 2),
             (["fr", "--source", "exact", "--n", "1", "--ell", "0.1", "--q", "0.3"], 2),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),

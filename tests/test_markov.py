@@ -241,7 +241,7 @@ class TestContractionSumDistribution:
         assert np.abs(values - dist.sums).max() < 1e-12
         assert np.abs(probs - dist.probs).max() < 1e-12
 
-    @pytest.mark.parametrize("ell,q", [(0.15, 0.2), (0.15, 0.0)])
+    @pytest.mark.parametrize("ell,q", [(0.15, 0.2), (0.15, 0.0), (0.05, 0.4)])
     def test_closed_form_on_lattice_rates(self, ell, q):
         # the closed form holds for any rates; on a lattice family it must
         # reproduce the lattice DP's atoms
@@ -250,6 +250,9 @@ class TestContractionSumDistribution:
         assert len(sums) == len(dist.sums)
         assert np.abs(sums - dist.sums).max() < 1e-12
         assert np.abs(np.exp(log_probs) - dist.probs).max() < 1e-11
+        # relative, so that atoms far below 1e-11 are compared too; the two
+        # kernels differ by at most 7.2e-11 here
+        assert np.abs(np.expm1(log_probs - dist.log_probs)).max() < 1e-9
 
     def test_equilibrium_support_is_three_atoms(self):
         # on the q = 0 line the sum is (n_D - n_A) log(1/(4 ell)) with
