@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -205,9 +206,13 @@ def _write_run(command: str, resolved: dict, compute: Callable[[dict], _Run]) ->
     if resolved["out"] == "":
         raise BakerlabError("--out must name a directory, got ''")
     out = Path(f"bakerlab_out/{command}" if resolved["out"] is None else resolved["out"])
+    # refused before the work, not after it: the nearest existing path must
+    # be a directory this process may create entries in
     existing = next((p for p in (out, *out.parents) if p.exists()), None)
-    if existing is not None and not existing.is_dir():  # refused before the work, not after it
+    if existing is not None and not existing.is_dir():
         raise BakerlabError(f"--out {out}: {existing} exists and is not a directory")
+    if existing is not None and not os.access(existing, os.W_OK | os.X_OK):
+        raise BakerlabError(f"--out {out}: {existing} is not writable")
     t0 = time.time()
     run = compute(resolved)
     out.mkdir(parents=True, exist_ok=True)
@@ -286,11 +291,14 @@ def _cmd_surface(resolved) -> _Run:
             raise DomainError(f"{name} must be >= 1, got {resolved[name]}")
     ells = np.linspace(resolved["ell_min"], resolved["ell_max"], resolved["ell_steps"])
     qs = np.linspace(resolved["q_min"], resolved["q_max"], resolved["q_steps"])
-    cells = [(ell, q, mk.mean_contraction_rate(float(ell), float(q))) for ell in ells for q in qs]
-    negatives = sum(v < -1e-12 for _, _, v in cells)
+    rates = mk.mean_contraction_rate_grid(ells, qs)
+    cells = (
+        (ell, q, v) for ell, row in zip(ells.tolist(), rates.tolist()) for q, v in zip(qs.tolist(), row)
+    )
+    negatives = int((rates < -1e-12).sum())
     warning = f", WARNING {negatives} with a negative mean contraction rate" if negatives else ""
     artifacts = {"surface.csv": lambda path: _write_csv(path, "ell,q,mean_lambda", cells)}
-    return _Run(artifacts, f"{len(cells)} cells{warning}", resolved)
+    return _Run(artifacts, f"{rates.size} cells{warning}", resolved)
 
 
 # shared by fr and ratefunc

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .errors import CapacityError, DomainError, WorkerError
 from .mapcore import (
@@ -546,6 +545,8 @@ def lag_products(config: SimConfig, phi: np.ndarray) -> tuple[np.ndarray, np.nda
 def uniformity_chi_square(counts: np.ndarray) -> tuple[float, int, float]:
     """Pearson chi-square of observed bin counts against the uniform law;
     returns (statistic, dof, p-value)."""
+    from scipy.special import chdtrc  # imported here so that the CLI never loads scipy
+
     counts = np.asarray(counts, dtype=float)
     total = counts.sum()
     if total <= 0:

@@ -177,14 +177,20 @@ def _coefficient_table(params: MapParams, with_y: bool) -> np.ndarray:
 
 def jacobians(params: MapParams) -> np.ndarray:
     """All four branch volume ratios, indexed by region."""
-    ell, q = params.ell, params.q
-    return np.array(
-        [
+    return _jacobians(params.ell, params.q)
+
+
+def _jacobians(ell, q) -> np.ndarray:
+    """The four volume ratios at broadcast ``ell`` and ``q``, indexed by
+    region along a new last axis; no range check."""
+    return np.stack(
+        np.broadcast_arrays(
             1.0 / (4.0 * ell) - q / (2.0 * ell),
             1.0 - q / (1.0 - 2.0 * ell),
             1.0 + 2.0 * q,
             4.0 * ell + 2.0 * q,
-        ]
+        ),
+        axis=-1,
     )
 
 

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import CapacityError, DomainError
-from .mapcore import MapParams, Region, ReversalScheme, contraction_rates, region_reverse
+from .mapcore import MapParams, Region, ReversalScheme, _jacobians, contraction_rates, region_reverse
 
 __all__ = [
     "ProjectedDensity",
@@ -29,6 +28,7 @@ __all__ = [
     "transition_matrix",
     "coarse_measure",
     "mean_contraction_rate",
+    "mean_contraction_rate_grid",
     "chain_autocovariance",
     "contraction_c2",
     "db_report",
@@ -88,10 +88,16 @@ def coarse_measure(ell: float) -> np.ndarray:
     """Unique stationary measure of the jump chain, indexed by region:
     mu_A = mu_C = mu_D = 2 ell/(1+4 ell) and mu_B = (1-2 ell)/(1+4 ell)."""
     _validate_ell(ell)
+    return _coarse_measure(ell)
+
+
+def _coarse_measure(ell) -> np.ndarray:
+    """``coarse_measure`` at an array of ``ell``, indexed by region along a
+    new last axis; no range check."""
     denom = 1.0 + 4.0 * ell
     a = 2.0 * ell / denom
     b = (1.0 - 2.0 * ell) / denom
-    return np.array([a, b, a, a])
+    return np.stack(np.broadcast_arrays(a, b, a, a), axis=-1)
 
 
 def mean_contraction_rate(ell: float, q: float) -> float:
@@ -100,9 +106,28 @@ def mean_contraction_rate(ell: float, q: float) -> float:
     Vanishes identically on the q = 0 line; on the family q = 1/2 - 2 ell it
     reduces to (1-4 ell)/(1+4 ell) * log(2 (1-2 ell)).
     """
-    params = MapParams(ell=ell, q=q)
-    mu = coarse_measure(ell)
-    return float(mu @ contraction_rates(params))
+    return float(mean_contraction_rate_grid(np.array([ell]), np.array([q]))[0, 0])
+
+
+def mean_contraction_rate_grid(ells: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Stationary mean contraction rates ``mu @ contraction_rates`` at every
+    (ell, q) of a grid, in one pass, of shape (len(ells), len(qs)).
+
+    The first invalid cell in row-major order raises the ``DomainError``
+    that ``MapParams`` raises for it.  Each dot product is a stacked
+    matmul, which rounds as the 1-d ``mu @ rates`` does; a sum over the
+    last axis does not.
+    """
+    ell = np.asarray(ells, dtype=float)[:, None]
+    q = np.asarray(qs, dtype=float)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jac = _jacobians(ell, q)
+    valid = (0.0 < ell) & (ell <= 0.25) & (0.0 <= q) & (q <= 0.5) & (jac.min(axis=-1) > 0.0)
+    if not valid.all():
+        i, j = np.unravel_index(np.argmin(valid), valid.shape)
+        MapParams(ell=float(ell[i, 0]), q=float(q[0, j]))  # raises that cell's error
+    mu = _coarse_measure(ell)
+    return (mu[..., None, :] @ -np.log(jac)[..., :, None])[..., 0, 0]
 
 
 def chain_autocovariance(ell: float, phi: np.ndarray, k_max: int) -> np.ndarray:
@@ -284,6 +309,8 @@ def _generic_sums(ell: float, rates: np.ndarray, n: int):
     (C(n_C+R-1, R-1)) ways, and each such path weighs
     (2 ell)^n_A (1-2 ell)^n_B 2^-(n_C+n_D) / (1+4 ell), times 4 ell when it
     starts on the right."""
+    from scipy.special import gammaln  # only the generic law needs scipy
+
     h = (n + 1) // 2  # n_A <= h, as 2 n_A - 1 <= n_A + n_D <= n
     a, b, e = np.arange(h + 1)[:, None, None], np.arange(n + 1)[:, None], np.arange(-1, 2)
     # n_C >= 0 and n_D >= 0, and with no switch step the path is B^n or C^n

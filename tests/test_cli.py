@@ -496,6 +496,25 @@ class TestBadInput:
         assert "not a directory" in err[0]
         assert (tmp_path / "F").read_text() == "keep\n"
 
+    @pytest.mark.parametrize("out", ["new", "new/sub", "."])
+    def test_unwritable_out_is_refused_before_computing(self, tmp_path, monkeypatch, capsys, out):
+        # os.access is stubbed: a process running as root may write anywhere
+        target = tmp_path / out
+
+        def computed(*args, **kwargs):
+            raise AssertionError("the run was computed")
+
+        def access(path, mode):
+            assert Path(path) == tmp_path and mode == os.W_OK | os.X_OK
+            return False
+
+        monkeypatch.setattr(bakerlab.cli.mk, "db_report", computed)
+        monkeypatch.setattr(bakerlab.cli.os, "access", access)
+        assert run(["db", "--out", str(target)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"db: error: --out {target}: {tmp_path} is not writable"]
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "argv, code",
         [
@@ -564,6 +583,46 @@ class TestWorkers:
 
 
 class TestImport:
+    def test_import_leaves_scipy_out(self):
+        src = str(Path(bakerlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, bakerlab, bakerlab.cli; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    # small forms of the commands whose paths need no scipy
+    SCIPY_FREE_RUNS = [
+        ["db"],
+        ["surface", "--ell-steps", "3", "--q-steps", "3"],
+        ["density", "--n-ens", "2000", "--n-iter", "2", "--burn-in", "3", "--bins", "8"],
+        ["transport", "--n-ens", "2000", "--n-iter", "10", "--k-max", "5"],
+        ["fr", "--source", "mc", "--n", "10", "--n-ens", "500", "--n-iter", "200", "--p-max", "4"],
+        ["fr", "--source", "exact", "--n", "50"],
+    ]
+    GENERIC_EXACT_RUN = ["fr", "--source", "exact", "--ell", "0.1", "--q", "0.1", "--n", "20", "--p-max", "8"]
+
+    @staticmethod
+    def _loads_scipy_special(runs, out):
+        """Run ``runs`` (and selftest) through ``main`` in a fresh
+        interpreter; True if ``scipy.special`` was loaded afterwards."""
+        src = str(Path(bakerlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "import json, sys\n"
+            "from bakerlab.cli import main\n"
+            "runs, out = json.loads(sys.argv[1]), sys.argv[2]\n"
+            "codes = [main(['selftest'])] + [main(r + ['--out', f'{out}/{i}']) for i, r in enumerate(runs)]\n"
+            "assert codes == [0] * len(codes), codes\n"
+            "print('scipy.special' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs), str(out)], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1] == "True"
+
+    def test_scipy_special_loads_only_for_the_generic_exact_law(self, tmp_path):
+        assert not self._loads_scipy_special(self.SCIPY_FREE_RUNS, tmp_path / "free")
+        assert self._loads_scipy_special([self.GENERIC_EXACT_RUN], tmp_path / "generic")
+
     def test_import_leaves_scipy_stats_out(self):
         src = str(Path(bakerlab.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}

@@ -16,6 +16,7 @@ from bakerlab.ensemble import SimConfig
 from bakerlab.fluctuation import (
     FRConfig,
     _bin_values,
+    _logsumexp,
     estimate_pi,
     fit_parabola,
     fr_check,
@@ -123,6 +124,40 @@ class TestEstimatePi:
         got = estimate_pi(cfg, dist).log_mass
         assert np.array_equal(got, expected)
         assert np.isinf(got).any()
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [0.3],
+            [-np.inf],
+            [-np.inf] * 5,
+            [1.5, 1.5, 1.5],
+            [2.0, -1.0, 2.0, 0.5, 2.0],
+            [-np.inf, 2.0, -np.inf, 1.0],
+            [700.0, 700.0],
+            [710.0, 709.0, -np.inf],
+            [800.0, 799.5],
+            [-700.0, -701.0, -700.0],
+            [-800.0, -801.0],
+            [-745.0, -746.0, -745.5],
+            [0.0, -1e-300],
+        ],
+    )
+    def test_logsumexp_matches_scipy_bitwise(self, a):
+        a = np.array(a)
+        assert np.array_equal(_logsumexp(a), logsumexp(a))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 17, 129, 4001])
+    @pytest.mark.parametrize("offset", [0.0, 700.0, -700.0, 800.0, -800.0])
+    def test_logsumexp_matches_scipy_bitwise_on_random_arrays(self, n, offset):
+        rng = np.random.default_rng(n)
+        a = rng.normal(offset, 5.0, n)
+        ties = a.copy()
+        ties[rng.integers(0, n, max(1, n // 4))] = a.max()
+        holes = a.copy()
+        holes[rng.integers(0, n, max(1, n // 3))] = -np.inf
+        for v in (a, ties, holes, np.round(a)):
+            assert np.array_equal(_logsumexp(v), logsumexp(v))
 
     def test_mc_matches_exact_cell_by_cell(self):
         n = 50

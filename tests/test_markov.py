@@ -16,6 +16,7 @@ from bakerlab.markov import (
     contraction_sum_distribution,
     db_report,
     mean_contraction_rate,
+    mean_contraction_rate_grid,
     stationary_density,
     transfer_matrix,
     transition_matrix,
@@ -138,6 +139,41 @@ class TestMeanContractionRate:
         for ell in ELL_GRID:
             for q in (0.05, 0.2, 0.4):
                 assert mean_contraction_rate(ell, q) > 0
+
+
+class TestMeanContractionRateGrid:
+    """The grid is ``mu @ contraction_rates`` at every cell, bit for bit,
+    and fails as the first invalid cell in row-major order fails."""
+
+    @pytest.mark.parametrize("steps", [(1, 1), (5, 1), (21, 21), (101, 101), (37, 53)])
+    def test_equals_per_cell_dot_bitwise(self, steps):
+        ells, qs = np.linspace(0.05, 0.25, steps[0]), np.linspace(0.0, 0.4, steps[1])
+        expected = [
+            [float(coarse_measure(ell) @ contraction_rates(MapParams(ell=ell, q=q))) for q in qs.tolist()]
+            for ell in ells.tolist()
+        ]
+        assert np.array_equal(mean_contraction_rate_grid(ells, qs), expected)
+        assert mean_contraction_rate(ells[-1], qs[-1]) == expected[-1][-1]
+
+    @pytest.mark.parametrize(
+        "ells, qs",
+        [
+            ([0.0, 0.1], [0.0, 0.2]),
+            ([0.1, 0.3], [0.0, 0.6]),
+            ([0.1, 0.3], [0.6, 0.0]),
+            ([0.05, 0.1], [0.3, 0.5]),
+            ([0.1, np.nan], [0.1]),
+            ([0.25], [-0.1, 0.5]),
+        ],
+    )
+    def test_first_invalid_cell_raises_its_error(self, ells, qs):
+        with pytest.raises(DomainError) as per_cell:
+            for ell in ells:
+                for q in qs:
+                    MapParams(ell=ell, q=q)
+        with pytest.raises(DomainError) as grid:
+            mean_contraction_rate_grid(np.array(ells), np.array(qs))
+        assert str(grid.value) == str(per_cell.value)
 
 
 class TestDBReport:
