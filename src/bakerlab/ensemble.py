@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 import signal
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -43,6 +43,8 @@ from .mapcore import (
     region_indices,
     region_reverse,
     step_arrays,
+    _x_gather,
+    _x_step_table,
 )
 
 __all__ = [
@@ -69,6 +71,9 @@ _MIN_SPLIT_MEMBERS = 10_000
 # widest 2-d histogram accepted (2000 x 2000): its counts and the per-step
 # bincount each take 8 bytes a cell, 32 MB apiece at the cap
 _MAX_HIST_CELLS = 4_000_000
+# most segment means one call returns: n_ens x n_segs float64 rows, 200 MB
+# at the cap, gathered in the parent and copied once more by each consumer
+_MAX_SEGMENT_MEANS = 25_000_000
 
 # At ell = 1/4 (and only there) every branch has x-slope exactly 2, so a
 # float64 orbit sheds one significand bit per step and collapses onto the
@@ -138,7 +143,7 @@ def _stationary_x(x: np.ndarray, ell: float) -> None:
     np.add(x, 0.5, out=x, where=right)
 
 
-def _run(config: SimConfig, with_y: bool, members: tuple[int, int]):
+def _run(config: SimConfig, with_y: bool, members: tuple[int, int], phi: np.ndarray | None = None):
     """The one state advance behind every ensemble reduction, so that any
     two reductions over the same config see bitwise-identical x streams.
 
@@ -150,11 +155,21 @@ def _run(config: SimConfig, with_y: bool, members: tuple[int, int]):
     the variant; only y needs burn-in.  At ell = 1/4 step k draws the slice
     [k n_ens + a, k n_ens + b) of each dither stream.
 
-    Discards ``burn_in`` states, then yields ``(x, y)`` at each of the
-    ``n_iter`` kept states (``y`` is None when ``with_y`` is false), taking
-    ``burn_in + n_iter - 1`` steps in all, and none when ``n_iter`` is 0.
-    The yielded arrays are the loop's own state: the next step replaces
-    them rather than writing into them.
+    Discards ``burn_in`` states, then yields ``(x, y, r, v)`` at each of the
+    ``n_iter`` kept states, taking ``burn_in + n_iter - 1`` steps in all,
+    and none when ``n_iter`` is 0.  With ``with_y``, ``step_arrays`` looks
+    the regions up block by block inside each step, taken after the state
+    is yielded, and r and v are None.  Without it, y is None and each
+    state's int8 regions r are looked up once, after the dither; the step
+    that leaves the state is taken before it is yielded, by ``step_arrays``
+    given r, and its one gather of ``_x_step_table(params, phi)`` per member
+    also writes v = phi[r] (0 where ``phi`` is None).  At the last state,
+    which no step leaves, ``_x_gather`` writes v alone.
+
+    x, y and r are the loop's own state: the next step replaces them rather
+    than writing into them.  v is the one buffer that every state's gather
+    writes into, so it holds phi[r] only until the consumer asks for the
+    next state; a consumer that keeps it copies it.
     """
     if config.n_iter == 0:
         return
@@ -168,21 +183,27 @@ def _run(config: SimConfig, with_y: bool, members: tuple[int, int]):
     dither = _needs_dither(params)
     if dither:
         kx, ky = (np.array([config.seed, sub], dtype=np.uint64) for sub in (_DITHER_SUBKEY_X, _DITHER_SUBKEY_Y))
-    for k in range(config.burn_in + config.n_iter):
+    last = config.burn_in + config.n_iter - 1
+    table = xn = r = v = None
+    if not with_y:
+        table, v = _x_step_table(params, phi), np.empty(b - a)
+    for k in range(last + 1):
         if k > 0:  # step k - 1 leads to state k
-            x, y = step_arrays(x, y, params, config.variant)
+            if table is None:
+                x, y = step_arrays(x, y, params, config.variant)
+            else:  # taken at state k - 1
+                x, xn = xn, None
             if dither:
                 x = _dither(x, _philox(kx, (k - 1) * n + a))
                 y = None if y is None else _dither(y, _philox(ky, (k - 1) * n + a))
+        if table is not None:
+            r = region_indices(x, params.ell)
+            if k < last:
+                xn, _ = step_arrays(x, None, params, config.variant, r, table, v)
+            else:
+                _x_gather(r, table, v)
         if k >= config.burn_in:
-            yield x, y
-
-
-def _regions(config: SimConfig, members: tuple[int, int]):
-    """The regions of the members of ``_run(config, False, members)`` at each
-    kept step."""
-    for x, _ in _run(config, False, members):
-        yield region_indices(x, config.params.ell)
+            yield x, y, r, v
 
 
 def worker_count(n_ens: int) -> int:
@@ -356,7 +377,7 @@ def empirical_density(config: SimConfig, nx: int = 500, ny: int = 500) -> Histog
 
     def part(a, b):
         counts = np.zeros(nx * ny, dtype=np.int64)
-        for x, y in _run(config, True, (a, b)):
+        for x, y, _, _ in _run(config, True, (a, b)):
             ix = np.minimum((x * nx).astype(np.int64), nx - 1)
             iy = np.minimum((y * ny).astype(np.int64), ny - 1)
             counts += np.bincount(ix * ny + iy, minlength=nx * ny)
@@ -374,7 +395,7 @@ def transition_counts(config: SimConfig) -> np.ndarray:
     def part(a, b):
         counts = np.zeros(16, dtype=np.int64)
         prev = None
-        for r in _regions(config, (a, b)):
+        for _, _, r, _ in _run(config, False, (a, b)):
             if prev is not None:
                 counts += np.bincount(prev.astype(np.int64) * 4 + r, minlength=16)
             prev = r
@@ -389,27 +410,31 @@ def lambda_segment_means(config: SimConfig, seg_len: int) -> np.ndarray:
 
     Each member contributes ``n_iter // seg_len`` segments; a segment mean
     sums exactly ``seg_len`` region rates starting with the segment's first
-    state.
+    state.  More than ``_MAX_SEGMENT_MEANS`` means in all are refused with
+    ``CapacityError`` before any worker starts.
     """
     if seg_len < 1:
         raise DomainError("seg_len must be >= 1")
     n_segs = config.n_iter // seg_len
     if n_segs < 1:
         raise DomainError("n_iter too small for one segment")
+    if config.n_ens * n_segs > _MAX_SEGMENT_MEANS:
+        raise CapacityError(
+            f"{config.n_ens} members x {n_segs} segments exceed the limit of {_MAX_SEGMENT_MEANS} segment means"
+        )
     rates = contraction_rates(config.params)
+    used = replace(config, n_iter=n_segs * seg_len)  # no state past the last segment is made
 
     def part(a, b):
         sums = np.zeros((b - a, n_segs))
         acc = np.zeros(b - a)
-        seg = 0
-        for k, r in enumerate(_regions(config, (a, b))):
-            if k >= n_segs * seg_len:
-                break
-            acc += rates[r]
+        # v alone passes through enumerate, whose last item stays referenced
+        # until the next one: a held x would outlive the step that replaces it
+        for k, rate in enumerate(v for _, _, _, v in _run(used, False, (a, b), rates)):
+            acc += rate
             if (k + 1) % seg_len == 0:
-                sums[:, seg] = acc
+                sums[:, k // seg_len] = acc
                 acc[:] = 0.0
-                seg += 1
         return np.empty(0), sums
 
     return (_split(config.n_ens, part)[1] / seg_len).reshape(-1)
@@ -443,15 +468,16 @@ class MeasureEstimate:
     n_samples: int
 
 
-def _member_average(config: SimConfig, values: Callable, with_y: bool) -> tuple[float, float]:
-    """Mean over members of each member's time average of ``values(x, y)``,
-    with the standard error from the spread of those time averages (nan for
-    a single member)."""
+def _member_average(config: SimConfig, values: Callable) -> tuple[float, float]:
+    """Mean over members of each member's time average of the per-state
+    arrays that ``values((a, b))`` yields for the members [a, b), with the
+    standard error from the spread of those time averages (nan for a single
+    member)."""
 
     def part(a, b):
         per_member = np.zeros(b - a)
-        for x, y in _run(config, with_y, (a, b)):
-            per_member += values(x, y)
+        for v in values((a, b)):
+            per_member += v
         return np.empty(0), per_member
 
     _, per_member = _split(config.n_ens, part)
@@ -468,7 +494,7 @@ def measure_estimate(config: SimConfig, rect: RectSet) -> MeasureEstimate:
     """
     if config.n_iter < 1:
         raise DomainError("n_iter must be >= 1 for a measure estimate")
-    frac, se = _member_average(config, rect.contains, with_y=True)
+    frac, se = _member_average(config, lambda m: (rect.contains(x, y) for x, y, _, _ in _run(config, True, m)))
     return MeasureEstimate(fraction=frac, stderr=se, n_samples=config.n_ens * config.n_iter)
 
 
@@ -511,8 +537,7 @@ def odd_observable_mean(
             raise DomainError(f"phi is not odd under {scheme.value}: region {r.name}")
     if config.n_iter < 1:
         raise DomainError("n_iter must be >= 1")
-    ell = config.params.ell
-    return _member_average(config, lambda x, _: phi[region_indices(x, ell)], with_y=False)
+    return _member_average(config, lambda m: (v for _, _, _, v in _run(config, False, m, phi)))
 
 
 def lag_products(config: SimConfig, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -530,11 +555,11 @@ def lag_products(config: SimConfig, phi: np.ndarray) -> tuple[np.ndarray, np.nda
 
     def part(a, b):
         at_step = np.empty(config.n_iter)
-        per_member = np.zeros(b - a)
-        for k, r in enumerate(_regions(config, (a, b))):
+        per_member, prod = np.zeros(b - a), np.empty(b - a)
+        for k, v in enumerate(v for _, _, _, v in _run(config, False, (a, b), phi)):  # as in lambda_segment_means
             if k == 0:
-                phi0 = phi[r]
-            prod = phi[r] * phi0
+                phi0 = v.copy()  # the next state's gather overwrites v
+            np.multiply(v, phi0, out=prod)
             at_step[k] = prod.sum()
             per_member += prod
         return at_step, per_member

@@ -20,7 +20,11 @@ All functions here are pure and stateless and operate on numpy vectors.
 The ensemble step kernel ``step_arrays`` walks the members in cache-sized
 blocks: per block it looks up the regions, fetches every branch coefficient
 with one gather from a cached table, and writes the affine update, the clip
-and the flip in place into the new arrays.
+and the flip in place into the new arrays.  The x-only step gathers rows
+``(ax, bx, phi, 0)`` of ``_x_step_table(params, phi)`` at the regions of x
+instead: a caller that looks the regions up itself passes them, and gets
+phi at them, column 2 of the same gather, for the reduction it runs, so
+one lookup and one gather per member serve both.
 """
 
 from __future__ import annotations
@@ -166,11 +170,28 @@ def branch_coefficients(params: MapParams):
 
 
 @lru_cache(maxsize=128)
-def _coefficient_table(params: MapParams, with_y: bool) -> np.ndarray:
-    """``branch_coefficients`` as one (4, 2) table of rows (ax, bx), or
-    (4, 4) of rows (ax, bx, ay, by), so that one gather per member fetches
-    every coefficient its step needs."""
-    table = np.stack(branch_coefficients(params)[: 4 if with_y else 2], axis=1)
+def _coefficient_table(params: MapParams) -> np.ndarray:
+    """``branch_coefficients`` as one (4, 4) table of rows (ax, bx, ay, by),
+    so that one gather per member fetches every coefficient its step
+    needs."""
+    table = np.stack(branch_coefficients(params), axis=1)
+    table.setflags(write=False)
+    return table
+
+
+def _x_step_table(params: MapParams, phi: np.ndarray | None = None) -> np.ndarray:
+    """The read-only (4, 4) table whose row r is ``(ax[r], bx[r], phi[r], 0)``
+    (``phi`` is 0 where None).
+
+    Rows gathered from it at the regions of x are the coefficients of the
+    x-only ``step_arrays``, and their column 2 is the region observable
+    ``phi`` at those regions.  The fourth column pads a row to 32 bytes: a
+    gather of four float64 columns costs what one of two does, and one of
+    three about twice as much.
+    """
+    ax, bx = branch_coefficients(params)[:2]
+    phi = np.zeros(4) if phi is None else np.asarray(phi, dtype=float)
+    table = np.stack([ax, bx, phi, np.zeros(4)], axis=1)
     table.setflags(write=False)
     return table
 
@@ -204,6 +225,9 @@ def step_arrays(
     y: np.ndarray | None,
     params: MapParams,
     variant: MapVariant = MapVariant.REVERSIBLE,
+    regions: np.ndarray | None = None,
+    table: np.ndarray | None = None,
+    values: np.ndarray | None = None,
 ):
     """One iteration of the selected dynamics.
 
@@ -216,27 +240,63 @@ def step_arrays(
     Members are stepped in blocks of ``_BLOCK``, written in place into the
     new arrays, so that every temporary stays in cache; the arithmetic is
     exactly ``clip(a[r] * v + b[r], 0, 1)`` per coordinate, then the flip.
+
+    The x-only step fetches its coefficients with ``_x_gather`` from
+    ``table``, rows ``(ax, bx, phi, 0)`` as built by ``_x_step_table``, at
+    ``regions``, the regions of x.  A caller that has looked them up passes
+    them, and one that reduces phi at them passes ``values`` too, which
+    receives phi[regions]; where ``regions`` or ``table`` is None the
+    kernel looks the regions up or builds the table (phi = 0) itself.  With
+    y all three must be None.
     """
-    table = _coefficient_table(params, y is not None)
-    flip = y is not None and variant is MapVariant.IRREVERSIBLE and params.strip_eps > 0.0
     n = len(x)
     xn = np.empty(n)
-    yn = None if y is None else np.empty(n)
-    coef = np.empty((min(n, _BLOCK), table.shape[1]))
+    if y is None:
+        regions = region_indices(x, params.ell) if regions is None else regions
+        _x_gather(regions, _x_step_table(params) if table is None else table, values, x, xn)
+        return xn, None
+    if regions is not None or table is not None or values is not None:
+        raise ValueError("regions, table and values are for the x-only step; y must be None")
+    table = _coefficient_table(params)
+    flip = variant is MapVariant.IRREVERSIBLE and params.strip_eps > 0.0
+    yn = np.empty(n)
+    coef = np.empty((min(n, _BLOCK), 4))
     for start in range(0, n, _BLOCK):
         b = slice(start, start + _BLOCK)
         rb = region_indices(x[b], params.ell)
         c = np.take(table, rb.view(np.uint8), axis=0, mode="clip", out=coef[: len(rb)])
         _affine_clip(c[:, 0], x[b], c[:, 1], xn[b])
-        if yn is not None:
-            yb = _affine_clip(c[:, 2], y[b], c[:, 3], yn[b])
-            if flip:
-                # after the clip y lies in [0, 1] and is never -0.0 (by >= +0),
-                # so |f - y| is 1 - y where the flip holds (f = 1) and y
-                # itself elsewhere, bit for bit, with no masked loop
-                np.subtract(_in_strip(xn[b], yb, params), yb, out=yb)
-                np.absolute(yb, out=yb)
+        yb = _affine_clip(c[:, 2], y[b], c[:, 3], yn[b])
+        if flip:
+            # after the clip y lies in [0, 1] and is never -0.0 (by >= +0),
+            # so |f - y| is 1 - y where the flip holds (f = 1) and y
+            # itself elsewhere, bit for bit, with no masked loop
+            np.subtract(_in_strip(xn[b], yb, params), yb, out=yb)
+            np.absolute(yb, out=yb)
     return xn, yn
+
+
+def _x_gather(
+    regions: np.ndarray,
+    table: np.ndarray,
+    values: np.ndarray | None,
+    x: np.ndarray | None = None,
+    xn: np.ndarray | None = None,
+) -> None:
+    """One gather per member of the rows of an ``_x_step_table`` at the int8
+    ``regions``, in blocks of ``_BLOCK`` into one cache-sized buffer: column
+    2 is copied into ``values`` unless it is None, and where ``xn`` is given
+    the x step ``clip(ax * x + bx, 0, 1)`` is written into it."""
+    n = len(regions)
+    coef = np.empty((min(n, _BLOCK), 4))
+    for start in range(0, n, _BLOCK):
+        b = slice(start, start + _BLOCK)
+        rb = regions[b]
+        c = table.take(rb.view(np.uint8), axis=0, mode="clip", out=coef[: len(rb)])
+        if values is not None:
+            values[b] = c[:, 2]
+        if xn is not None:
+            _affine_clip(c[:, 0], x[b], c[:, 1], xn[b])
 
 
 def _affine_clip(a: np.ndarray, v: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -244,7 +304,7 @@ def _affine_clip(a: np.ndarray, v: np.ndarray, b: np.ndarray, out: np.ndarray) -
     expression is."""
     np.multiply(a, v, out=out)
     out += b
-    return np.clip(out, 0.0, 1.0, out=out)
+    return out.clip(0.0, 1.0, out=out)  # np.clip's wrapper adds about 1.3 us a call
 
 
 def _in_strip(x: np.ndarray, y: np.ndarray, params: MapParams) -> np.ndarray:

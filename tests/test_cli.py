@@ -440,6 +440,7 @@ class TestBadInput:
             ["transport", "--sweep", "0.1", "--mode", "stationary"],
             ["transport", "--sweep", "0.1", "--k-max", "20"],
             ["density", "--bins", "2001", "--n-ens", "1", "--n-iter", "1", "--burn-in", "0"],
+            ["fr", "--source", "mc", "--n", "1", "--p-max", "1", "--n-ens", "50000", "--n-iter", "1000"],
             ["fr", "--source", "exact", "--strip-x", "5"],
             ["fr", "--source", "exact", "--n-ens", "5", "--seed", "9", "--min-count", "1000"],
             ["fr", "--n-iter", "10"],

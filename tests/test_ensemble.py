@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from bakerlab import ensemble, transport
+from bakerlab import ensemble, mapcore, transport
 from bakerlab.errors import CapacityError, DomainError, WorkerError
 from bakerlab.mapcore import (
     MapParams,
@@ -19,7 +19,7 @@ from bakerlab.mapcore import (
 )
 from bakerlab.markov import coarse_measure, stationary_density, transition_matrix
 from bakerlab.ensemble import (
-    _regions,
+    _MAX_ENSEMBLE,
     _run,
     Histogram2D,
     RectSet,
@@ -84,9 +84,19 @@ def stationary_inverse_cdf(u: np.ndarray, ell: float) -> np.ndarray:
 START_ELLS = [0.01, 0.1, 0.15, 0.25]
 
 
+def states(config: SimConfig, with_y: bool, members: tuple[int, int]):
+    """The ``(x, y)`` of ``_run`` over the members [a, b) of ``config``."""
+    return ((x, y) for x, y, _, _ in _run(config, with_y, members))
+
+
 def whole(config: SimConfig, with_y: bool = True):
-    """``_run`` over all members of ``config``."""
-    return _run(config, with_y, (0, config.n_ens))
+    """``states`` over all members of ``config``."""
+    return states(config, with_y, (0, config.n_ens))
+
+
+def regions(config: SimConfig):
+    """The regions r that the x-only ``_run`` yields over all members."""
+    return (r for _, _, r, _ in _run(config, False, (0, config.n_ens)))
 
 
 def reference_run(config: SimConfig, with_y: bool) -> list:
@@ -134,7 +144,7 @@ class TestStationaryStart:
         c = 1.0 / (1.0 + 4.0 * ell)
         sigma = np.sqrt(c * (1.0 - c) / n)
         cfg = SimConfig(params=MapParams(ell, 0.2), n_ens=n, n_iter=51, burn_in=0, seed=23)
-        for k, r in enumerate(_regions(cfg, (0, n))):
+        for k, r in enumerate(regions(cfg)):
             if k in (1, 50):
                 left = float(np.mean(r <= Region.B))
                 assert abs(left - c) <= 5.0 * sigma, (ell, k)
@@ -374,7 +384,7 @@ class TestLagProducts:
         cfg = SimConfig(params=params, n_ens=300, n_iter=12, burn_in=3, seed=8)
         phi = np.array([0.5, 1.0, -1.0, 2.0])
         at_step, per_member = lag_products(cfg, phi)
-        seqs = np.stack(list(_regions(cfg, (0, cfg.n_ens))), axis=1)
+        seqs = np.stack(list(regions(cfg)), axis=1)
         prods = phi[seqs] * phi[seqs[:, :1]]
         assert at_step.shape == (12,) and per_member.shape == (300,)
         assert at_step.tobytes() == prods.sum(axis=0).tobytes()
@@ -393,7 +403,7 @@ class TestSegmentMeans:
         segs = lambda_segment_means(cfg, 25)
         assert segs.shape == (50 * 4,)
         # recompute one member's first segment from its region sequence
-        seqs = np.stack(list(_regions(cfg, (0, cfg.n_ens))), axis=1)
+        seqs = np.stack(list(regions(cfg)), axis=1)
         rates = contraction_rates(cfg.params)
         manual = rates[seqs[0, :25]].mean()
         assert segs[0] == pytest.approx(manual, rel=1e-12)
@@ -402,6 +412,26 @@ class TestSegmentMeans:
         cfg = SimConfig(params=PARAMS_EQ, n_ens=10, n_iter=10, burn_in=0, seed=1)
         with pytest.raises(DomainError):
             lambda_segment_means(cfg, 11)
+
+    def test_segment_cap_is_checked_from_the_config(self, monkeypatch):
+        cap = ensemble._MAX_SEGMENT_MEANS
+        assert cap >= 20_000 * 20  # the default ``fr --source mc`` and the benchmark's
+        started = []
+
+        def split(n_ens, part):
+            started.append(n_ens)
+            raise InterruptedError  # no member is stepped
+
+        monkeypatch.setattr(ensemble, "_split", split)
+        over = SimConfig(params=PARAMS_EQ, n_ens=_MAX_ENSEMBLE, n_iter=10**9, burn_in=0, seed=1)
+        with pytest.raises(CapacityError, match=f"{_MAX_ENSEMBLE} members x 100000000 segments exceed the limit of {cap}"):
+            lambda_segment_means(over, 10)
+        with pytest.raises(CapacityError):
+            lambda_segment_means(replace(over, n_ens=cap // 1000, n_iter=1001), 1)
+        assert started == []
+        with pytest.raises(InterruptedError):  # at the cap the run starts
+            lambda_segment_means(replace(over, n_ens=cap // 1000, n_iter=1000), 1)
+        assert started == [cap // 1000]
 
 
 
@@ -427,7 +457,7 @@ class TestMemberSplit:
         a, b = members
         cfg = SimConfig(params=params, variant=MapVariant.IRREVERSIBLE, n_ens=101, n_iter=6, burn_in=5, seed=7)
         steps = 0
-        for (x, y), (xs, ys) in zip(whole(cfg, with_y), _run(cfg, with_y, members), strict=True):
+        for (x, y), (xs, ys) in zip(whole(cfg, with_y), states(cfg, with_y, members), strict=True):
             assert np.array_equal(x[a:b], xs)
             assert ys is None if not with_y else np.array_equal(y[a:b], ys)
             steps += 1
@@ -530,3 +560,103 @@ class TestMemberSplit:
         with pytest.raises(KeyboardInterrupt):
             ensemble._split(12, part)
         assert_no_child_left()
+
+
+def place_on_the_edges(monkeypatch, ell: float) -> None:
+    """Make every start in [0, 0.04) sit exactly on a region edge: those in
+    [i/100, (i+1)/100) go to the i-th of ell, 1/2, 3/4 and 1.  The choice
+    depends on a member's start alone, so a range run places the same
+    members as the whole run."""
+    start = ensemble._stationary_x
+
+    def placed(x, ell_):
+        start(x, ell_)
+        cell = np.floor(x * 100.0)
+        for i, edge in enumerate((ell, 0.5, 0.75, 1.0)):
+            x[cell == i] = edge
+
+    monkeypatch.setattr(ensemble, "_stationary_x", placed)
+
+
+XONLY_CASES = [
+    (MapParams(0.25, 0.0), 0, 9),
+    (MapParams(0.25, 0.0), 3, 1),
+    (MapParams(0.15, 0.2), 5, 9),
+    (MapParams(0.15, 0.2), 0, 1),
+]
+
+
+class TestXOnlyPath:
+    """The x-only reductions against a loop written from ``step_arrays``
+    (which looks the regions up itself), ``region_indices`` and ``phi[r]``."""
+
+    PHI = np.array([0.3, -1.7, 2.9, 0.1])  # products that are not integer-valued
+    PHI_ODD = np.array([0.37, 0.0, 0.0, -0.37])  # odd under Q4
+
+    @pytest.mark.parametrize("w", [1, 3], ids=["w1", "w3"])
+    @pytest.mark.parametrize(
+        "params,burn_in,n_iter", XONLY_CASES, ids=["0.25-dither", "0.25-dither-1", "0.15-burn-in", "0.15-1"]
+    )
+    def test_reductions_match_the_reference_loop_bitwise(self, monkeypatch, force_workers, params, burn_in, n_iter, w):
+        cfg = SimConfig(params=params, variant=MapVariant.IRREVERSIBLE, n_ens=1001, n_iter=n_iter, burn_in=burn_in, seed=17)
+        place_on_the_edges(monkeypatch, params.ell)
+        seqs = [ensemble.region_indices(x, params.ell) for x, _ in reference_run(cfg, False)]
+        on_edges = np.isin(next(whole(replace(cfg, burn_in=0, n_iter=1), False))[0], (params.ell, 0.5, 0.75, 1.0))
+        assert 20 <= on_edges.sum() <= 100
+        force_workers(cfg.n_ens, w)
+        cuts = [cfg.n_ens * i // w for i in range(w + 1)]
+
+        seg_len = min(n_iter, 4)
+        rates = contraction_rates(params)
+        sums, acc = np.zeros((cfg.n_ens, n_iter // seg_len)), np.zeros(cfg.n_ens)
+        for k, r in enumerate(seqs[: n_iter // seg_len * seg_len]):
+            acc += rates[r]
+            if (k + 1) % seg_len == 0:
+                sums[:, k // seg_len] = acc
+                acc[:] = 0.0
+        assert lambda_segment_means(cfg, seg_len).tobytes() == (sums / seg_len).reshape(-1).tobytes()
+
+        counts = np.zeros((4, 4), dtype=np.int64)
+        for prev, r in zip(seqs, seqs[1:]):
+            np.add.at(counts, (prev, r), 1)
+        assert np.array_equal(transition_counts(cfg), counts)
+
+        at_step, per_member = np.empty(n_iter), np.zeros(cfg.n_ens)
+        for k, r in enumerate(seqs):
+            prod = self.PHI[r] * self.PHI[seqs[0]]
+            at_step[k] = prod[cuts[0] : cuts[1]].sum()
+            for a, b in zip(cuts[1:], cuts[2:]):  # the worker sums, added in member order
+                at_step[k] += prod[a:b].sum()
+            per_member += prod
+        got_at_step, got_per_member = lag_products(cfg, self.PHI)
+        assert got_at_step.tobytes() == at_step.tobytes()
+        assert got_per_member.tobytes() == per_member.tobytes()
+
+        averages = np.zeros(cfg.n_ens)
+        for r in seqs:
+            averages += self.PHI_ODD[r]
+        averages /= n_iter
+        mean, se = odd_observable_mean(cfg, self.PHI_ODD, ReversalScheme.Q4)
+        assert mean == float(averages.mean())
+        assert se == float(averages.std(ddof=1) / np.sqrt(cfg.n_ens))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("params", [PARAMS_EQ, MapParams(0.25, 0.0)], ids=["0.15", "0.25-dither"])
+    def test_one_region_lookup_per_state(self, monkeypatch, force_workers, params):
+        cfg = SimConfig(params=params, n_ens=64, n_iter=12, burn_in=4, seed=3)
+        force_workers(cfg.n_ens, 1)
+        expected = lambda_segment_means(cfg, 3)
+        lookups = []
+        lookup = ensemble.region_indices
+
+        def counting(*args):
+            lookups.append(1)
+            return lookup(*args)
+
+        def inside_the_step(*args):
+            raise AssertionError("step_arrays looked the regions up again")
+
+        monkeypatch.setattr(ensemble, "region_indices", counting)
+        monkeypatch.setattr(mapcore, "region_indices", inside_the_step)
+        assert lambda_segment_means(cfg, 3).tobytes() == expected.tobytes()
+        assert len(lookups) == cfg.burn_in + cfg.n_iter

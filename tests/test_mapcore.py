@@ -285,10 +285,12 @@ class TestBlockedKernel:
         x0[: len(edges)] = edges[:n]
         y0 = gen.random(n)
         y0[: 3] = [0.0, 0.5, np.nextafter(0.5, 0.0)][:n]
+        phi = np.array([0.5, -1.0, 2.5, 3.0])
+        table = mapcore._x_step_table(params, phi)
         for variant in MapVariant:
             for with_y in (True, False):
                 x, y = x0, (y0 if with_y else None)
-                xr, yr = x, y
+                xr, yr, xg = x, y, x
                 for _ in range(6):
                     x, y = step_arrays(x, y, params, variant)
                     xr, yr = _unblocked_step(xr, yr, params, variant)
@@ -296,6 +298,29 @@ class TestBlockedKernel:
                     assert (y is None) == (yr is None)
                     if with_y:
                         assert np.array_equal(y, yr)
+                    else:  # given regions, whose one gather also writes phi at them
+                        r = region_indices(xg, params.ell)
+                        values = np.full(n, np.nan)
+                        xg, none = step_arrays(xg, None, params, variant, r, table, values)
+                        assert none is None and np.array_equal(xg, xr)
+                        assert np.array_equal(values, phi[r])
+
+    def test_x_step_table(self):
+        params = MapParams(0.15, 0.2)
+        phi = np.array([0.5, -1.0, 2.5, 3.0])
+        ax, bx, _, _ = branch_coefficients(params)
+        for given, column in ((phi, phi), (None, np.zeros(4))):
+            table = mapcore._x_step_table(params, given)
+            assert table.shape == (4, 4) and not table.flags.writeable
+            assert np.array_equal(table, np.stack([ax, bx, column, np.zeros(4)], axis=1))
+        x = np.array([0.1, 0.2, 0.6])
+        r = region_indices(x, params.ell)
+        for extra in ((r,), (None, table), (None, None, np.empty(3))):
+            with pytest.raises(ValueError, match="y must be None"):
+                step_arrays(x, x, params, MapVariant.REVERSIBLE, *extra)
+        values = np.full(3, np.nan)
+        mapcore._x_gather(r, mapcore._x_step_table(params, phi), values)  # phi alone, no step
+        assert np.array_equal(values, phi[r])
 
     def test_outputs_are_new_float64_arrays(self):
         params = MapParams(0.15, 0.2)
