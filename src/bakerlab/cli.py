@@ -170,13 +170,19 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def _write_histogram_csv(path: Path, counts: np.ndarray) -> None:
-    """``x_bin,y_bin,count`` rows of a 2-d histogram, one ``writelines`` per
-    x bin: ``_write_csv`` dispatches on the type of every cell, which about
-    triples the time to write a 500 x 500 grid."""
+    """``x_bin,y_bin,count`` rows of a 2-d histogram, one ``%`` fill of a
+    template that holds every y bin per x bin: ``_write_csv`` dispatches on
+    the type of every cell, and one f-string per cell takes more than twice
+    as long on a 500 x 500 grid.  Only one row is held as Python ints."""
+    nx, ny = counts.shape
+    template = "".join(f"%d,{j},%d\n" for j in range(ny))
+    args = [0] * (2 * ny)  # x bin and count, alternating
     with open(path, "w", newline="") as fh:
         fh.write("x_bin,y_bin,count\n")
-        for i, row in enumerate(counts.tolist()):
-            fh.writelines(f"{i},{j},{count}\n" for j, count in enumerate(row))
+        for i in range(nx):
+            args[0::2] = [i] * ny
+            args[1::2] = counts[i].tolist()
+            fh.write(template % tuple(args))
 
 
 def _write_json(path: Path, obj: dict) -> None:

@@ -10,6 +10,7 @@ doubles as the oracle backing every Monte Carlo fluctuation result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -297,6 +298,46 @@ def _log_dp(ell: float, m: np.ndarray, n: int):
     return np.flatnonzero(mask) - n - 1, total[mask]
 
 
+# cephes lgam's Stirling-series coefficients for x >= 13, highest power first
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n, bitwise equal to ``scipy.special.gammaln(k + 1)``
+    at every k <= MAX_N (a test checks them all).
+
+    Repeats the steps that cephes ``lgam`` takes at an integer x = k + 1, in
+    their order, with scalar ``math.log`` (the libm ``log`` that compiled
+    cephes calls): x < 13 is the log of the exact product (x-1)(x-2)...2, and
+    x >= 13 is Stirling's series, a degree-4 polynomial in 1/x^2.
+    ``math.lgamma`` is not used: it differs from ``gammaln`` by up to 3 ulp
+    at about half of these k.
+    """
+    out = np.empty(n + 1)
+    z = 1.0
+    for k in range(n + 1):
+        x = k + 1.0
+        if x < 13.0:
+            if x >= 3.0:
+                z *= k  # 2 * 3 * ... * k, an exact integer for k <= 11
+            out[k] = math.log(z)
+            continue
+        q = (x - 0.5) * math.log(x) - x + 0.91893853320467274178  # + log sqrt(2 pi)
+        p = 1.0 / (x * x)
+        poly = _LGAM_A[0]
+        for coef in _LGAM_A[1:]:
+            poly = poly * p + coef
+        q += poly / x
+        out[k] = q
+    return out
+
+
 def _generic_sums(ell: float, rates: np.ndarray, n: int):
     """Atoms of the sum for generic rates, in closed form from the counts.
 
@@ -309,8 +350,6 @@ def _generic_sums(ell: float, rates: np.ndarray, n: int):
     (C(n_C+R-1, R-1)) ways, and each such path weighs
     (2 ell)^n_A (1-2 ell)^n_B 2^-(n_C+n_D) / (1+4 ell), times 4 ell when it
     starts on the right."""
-    from scipy.special import gammaln  # only the generic law needs scipy
-
     h = (n + 1) // 2  # n_A <= h, as 2 n_A - 1 <= n_A + n_D <= n
     a, b, e = np.arange(h + 1)[:, None, None], np.arange(n + 1)[:, None], np.arange(-1, 2)
     # n_C >= 0 and n_D >= 0, and with no switch step the path is B^n or C^n
@@ -319,7 +358,8 @@ def _generic_sums(ell: float, rates: np.ndarray, n: int):
     e -= 1
     nd = na + e
     nc = n - na - nb - nd
-    log_fact = gammaln(np.arange(1.0, n + 2))  # log k!; a running sum of log k drifts by ~1e-11
+    # log k!, rounded as scipy's gammaln rounds it; a running sum of log k drifts by ~1e-11
+    log_fact = _log_factorials(n)
 
     def log_ways(stays, segments):  # log C(stays+segments-1, segments-1); no segment holds no stay
         ways = log_fact[stays + segments - 1] - log_fact[stays] - log_fact[segments - 1]

@@ -57,6 +57,18 @@ class TestDensity:
         assert [r[2] for r in rows] == empirical_density(cfg, nx=4, ny=4).counts.ravel().tolist()
         assert sum(r[2] for r in rows) == 100 * 5
 
+    def test_histogram_writer_bytes_match_one_fstring_per_cell(self, tmp_path):
+        from bakerlab.cli import _write_histogram_csv
+
+        counts = np.arange(21, dtype=np.int64).reshape(3, 7) % 4  # zeros in every row
+        counts[1, 5] = 2**40 + 3
+        counts[2, 0] = 2**62
+        _write_histogram_csv(tmp_path / "h.csv", counts)
+        expected = "x_bin,y_bin,count\n" + "".join(
+            f"{i},{j},{count}\n" for i, row in enumerate(counts.tolist()) for j, count in enumerate(row)
+        )
+        assert (tmp_path / "h.csv").read_bytes() == expected.encode()
+
     def test_x_marginal_matches_projected_density(self, tmp_path):
         out = tmp_path / "d"
         run(["density", "--ell", "0.15", "--n-ens", "20000", "--n-iter", "25",
@@ -590,21 +602,27 @@ class TestImport:
         code = "import sys, bakerlab, bakerlab.cli; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
-    # small forms of the commands whose paths need no scipy
+    # small forms of every command, with fr and ratefunc from both sources at
+    # the default (ell, q), which lies on a lattice family, and at the generic
+    # (0.1, 0.1); none of them needs scipy
     SCIPY_FREE_RUNS = [
         ["db"],
         ["surface", "--ell-steps", "3", "--q-steps", "3"],
         ["density", "--n-ens", "2000", "--n-iter", "2", "--burn-in", "3", "--bins", "8"],
         ["transport", "--n-ens", "2000", "--n-iter", "10", "--k-max", "5"],
         ["fr", "--source", "mc", "--n", "10", "--n-ens", "500", "--n-iter", "200", "--p-max", "4"],
+        ["ratefunc", "--source", "mc", "--ell", "0.1", "--q", "0.1", "--n", "10", "--n-ens", "500",
+         "--n-iter", "200", "--p-max", "4"],
         ["fr", "--source", "exact", "--n", "50"],
+        ["ratefunc", "--source", "exact", "--n", "50"],
+        ["fr", "--source", "exact", "--ell", "0.1", "--q", "0.1", "--n", "20", "--p-max", "8"],
+        ["ratefunc", "--source", "exact", "--ell", "0.1", "--q", "0.1", "--n", "64", "--p-max", "8"],
     ]
-    GENERIC_EXACT_RUN = ["fr", "--source", "exact", "--ell", "0.1", "--q", "0.1", "--n", "20", "--p-max", "8"]
 
-    @staticmethod
-    def _loads_scipy_special(runs, out):
-        """Run ``runs`` (and selftest) through ``main`` in a fresh
-        interpreter; True if ``scipy.special`` was loaded afterwards."""
+    def test_no_command_loads_scipy_special(self, tmp_path):
+        """Run every command in ``SCIPY_FREE_RUNS`` (and selftest) through
+        ``main`` in one fresh interpreter; ``scipy.special`` stays unloaded
+        until the probe imports it itself."""
         src = str(Path(bakerlab.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         code = (
@@ -614,15 +632,13 @@ class TestImport:
             "codes = [main(['selftest'])] + [main(r + ['--out', f'{out}/{i}']) for i, r in enumerate(runs)]\n"
             "assert codes == [0] * len(codes), codes\n"
             "print('scipy.special' in sys.modules)\n"
+            "import scipy.special\n"
+            "print('scipy.special' in sys.modules)\n"  # the probe does see the module
         )
-        proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs), str(out)], env=env,
-                              capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(self.SCIPY_FREE_RUNS), str(tmp_path)],
+                              env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout.splitlines()[-1] == "True"
-
-    def test_scipy_special_loads_only_for_the_generic_exact_law(self, tmp_path):
-        assert not self._loads_scipy_special(self.SCIPY_FREE_RUNS, tmp_path / "free")
-        assert self._loads_scipy_special([self.GENERIC_EXACT_RUN], tmp_path / "generic")
+        assert proc.stdout.splitlines()[-2:] == ["False", "True"]
 
     def test_import_leaves_scipy_stats_out(self):
         src = str(Path(bakerlab.__file__).resolve().parents[1])

@@ -10,6 +10,7 @@ from bakerlab.mapcore import MapParams, Region, ReversalScheme, contraction_rate
 from bakerlab.markov import (
     MAX_N,
     _generic_sums,
+    _log_factorials,
     chain_autocovariance,
     coarse_measure,
     contraction_c2,
@@ -356,15 +357,28 @@ def _generic_sums_both_starts(ell, rates, n):
     return values[starts], np.logaddexp.reduceat(log_probs, starts)
 
 
+# every (ell, q) at small n and 300; n = 1000 and MAX_N take log k! up to the
+# largest k the law allows
+_START_CASES = [
+    (ell, q, n) for ell, q in [(0.2, 0.05), (0.1, 0.1), (0.22, 0.07)] for n in [*range(1, 13), 300]
+] + [(0.1, 0.1, 1000), (0.1, 0.1, MAX_N)]
+
+
 class TestGenericSumsStartCases:
-    @pytest.mark.parametrize("n", [*range(1, 13), 300])
-    @pytest.mark.parametrize("ell,q", [(0.2, 0.05), (0.1, 0.1), (0.22, 0.07)])
+    @pytest.mark.parametrize("ell,q,n", _START_CASES)
     def test_bitwise_equal_to_both_starts_everywhere(self, ell, q, n):
         rates = contraction_rates(MapParams(ell, q))
         sums, log_probs = _generic_sums(ell, rates, n)
         ref_sums, ref_log_probs = _generic_sums_both_starts(ell, rates, n)
         assert sums.tobytes() == ref_sums.tobytes()
         assert log_probs.tobytes() == ref_log_probs.tobytes()
+
+
+class TestLogFactorials:
+    def test_bitwise_equal_to_gammaln_at_every_k_the_law_uses(self):
+        from scipy.special import gammaln
+
+        assert _log_factorials(MAX_N).tobytes() == gammaln(np.arange(1.0, MAX_N + 2)).tobytes()
 
 
 class TestAutocovariance:
