@@ -9,10 +9,13 @@ of members can be evolved on its own, bit for bit as in the whole ensemble.
 Every reduction (histograms, transition counts, segment means, member
 averages, lag products) splits the members into one contiguous range per
 worker process, at most one per usable CPU and one per
-``_MIN_SPLIT_MEMBERS`` members, and merges the parts in member order:
-integer-valued sums are added and per-member rows concatenated.  Their
-results are therefore bitwise independent of the worker count and of the
-CPU count.
+``_MIN_SPLIT_MEMBERS`` members.  Each worker evolves its range in
+consecutive chunks of at most ``_CHUNK`` members, each through every step
+before the next starts, so its memory does not grow with its range apart
+from the per-member rows it returns.  Chunks and ranges are merged by one
+rule, in member order: integer-valued sums are added and per-member rows
+concatenated.  Their results are therefore bitwise independent of the
+worker count, the CPU count and the chunk size.
 
 Because the x-coordinate update never reads y, x-projected reductions are
 bitwise identical between the reversible and irreversible variants at equal
@@ -68,11 +71,15 @@ _MAX_ENSEMBLE = 50_000_000
 # fewest members per worker process: below it forking a worker costs more
 # than the second core saves (crossover sweep in CHANGES.md)
 _MIN_SPLIT_MEMBERS = 10_000
-# widest 2-d histogram accepted (2000 x 2000): its counts and the per-step
-# bincount each take 8 bytes a cell, 32 MB apiece at the cap
+# most members a worker evolves at once: 8 bytes a member per array, so x, y
+# and their images fit a 2 MiB L2 (sweep in CHANGES.md)
+_CHUNK = 16_384
+# widest 2-d histogram accepted (2000 x 2000): each worker's counts take 8
+# bytes a cell, 32 MB at the cap, and the parent reads a child's counts into
+# a second such array before adding them
 _MAX_HIST_CELLS = 4_000_000
 # most segment means one call returns: n_ens x n_segs float64 rows, 200 MB
-# at the cap, gathered in the parent and copied once more by each consumer
+# at the cap, held twice in the parent while it concatenates the workers' rows
 _MAX_SEGMENT_MEANS = 25_000_000
 
 # At ell = 1/4 (and only there) every branch has x-slope exactly 2, so a
@@ -247,15 +254,17 @@ def _fork(part: Callable[[int, int], tuple[np.ndarray, np.ndarray]], a: int, b: 
 
 
 def _split(
-    n_ens: int, part: Callable[[int, int], tuple[np.ndarray, np.ndarray]]
+    n_ens: int, part: Callable[[int, int, np.ndarray], np.ndarray], start: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``part(a, b)``, a reduction over the members [a, b) that returns
-    ``(sums, rows)``, run on the contiguous ranges of ``worker_count(n_ens)``
-    workers and merged in member order: ``sums`` are added up over the
-    ranges (exact for the integer-valued sums added here) and ``rows``, one
-    row per member, are concatenated.  A reduction with nothing of one kind
-    returns an empty array for it: ``np.empty(0)`` sums, or rows of shape
-    ``(b - a, 0)``.
+    """``part(c, d, sums)``, a reduction over the members [c, d) that adds
+    into ``sums`` and returns ``rows``, one row per member, run on the
+    contiguous ranges of ``worker_count(n_ens)`` workers, each range cut into
+    consecutive chunks of at most ``_CHUNK`` members, and merged in member
+    order: each worker adds the chunks of its range into its own copy of
+    ``start`` and writes their rows into one array, the parent adds up the
+    workers' sums (exact for the integer-valued sums added here) and
+    concatenates their rows.  A reduction with nothing of one kind takes
+    ``np.empty(0)`` as ``start``, or returns rows of shape ``(d - c, 0)``.
 
     The parent forks a child for every range but the first, reduces the
     first itself, then reads each child's two arrays from its pipe and
@@ -263,15 +272,28 @@ def _split(
     ``WorkerError`` and nothing is merged.  Children still running when the
     call ends, by an error or an interrupt, are killed and reaped.
     """
+
+    def chunked(a, b):
+        sums = start.copy()
+        cuts = [*range(a, b, _CHUNK), b]
+        rows = part(a, cuts[1], sums)
+        if len(cuts) > 2:  # one array takes the rows of every chunk
+            first, rows = rows, np.empty((b - a, *rows.shape[1:]), rows.dtype)
+            rows[: len(first)] = first
+            del first
+            for c, d in zip(cuts[1:], cuts[2:]):
+                rows[c - a : d - a] = part(c, d, sums)
+        return sums, rows
+
     w = worker_count(n_ens)
     cuts = [n_ens * i // w for i in range(w + 1)]
     ranges = list(zip(cuts, cuts[1:]))
     children = {}  # pid -> (read end of its pipe, its range), until reaped
     try:
         for a, b in ranges[1:]:
-            pid, pipe = _fork(part, a, b)
+            pid, pipe = _fork(chunked, a, b)
             children[pid] = (pipe, (a, b))
-        sums, rows = part(*ranges[0])
+        sums, rows = chunked(*ranges[0])
         parts = [rows]
         for pid, (pipe, (a, b)) in list(children.items()):
             out = np.empty(sums.nbytes + (b - a) * rows[0].nbytes, np.uint8)
@@ -375,15 +397,15 @@ def empirical_density(config: SimConfig, nx: int = 500, ny: int = 500) -> Histog
             f"a {nx} x {ny} histogram exceeds the limit of {_MAX_HIST_CELLS} cells"
         )
 
-    def part(a, b):
-        counts = np.zeros(nx * ny, dtype=np.int64)
+    def part(a, b, counts):
         for x, y, _, _ in _run(config, True, (a, b)):
-            ix = np.minimum((x * nx).astype(np.int64), nx - 1)
-            iy = np.minimum((y * ny).astype(np.int64), ny - 1)
-            counts += np.bincount(ix * ny + iy, minlength=nx * ny)
-        return counts, np.empty((b - a, 0))
+            cell = np.minimum((x * nx).astype(np.int64), nx - 1)
+            cell *= ny
+            cell += np.minimum((y * ny).astype(np.int64), ny - 1)
+            np.add.at(counts, cell, 1)  # a bincount would be as long as counts
+        return np.empty((b - a, 0))
 
-    counts, _ = _split(config.n_ens, part)
+    counts, _ = _split(config.n_ens, part, np.zeros(nx * ny, dtype=np.int64))
     n_samples = config.n_ens * config.n_iter
     return Histogram2D(nx=nx, ny=ny, counts=counts.reshape(nx, ny), n_samples=n_samples)
 
@@ -392,16 +414,15 @@ def transition_counts(config: SimConfig) -> np.ndarray:
     """4x4 counts of observed one-step region transitions
     (n_iter - 1 transitions per member)."""
 
-    def part(a, b):
-        counts = np.zeros(16, dtype=np.int64)
+    def part(a, b, counts):
         prev = None
         for _, _, r, _ in _run(config, False, (a, b)):
             if prev is not None:
                 counts += np.bincount(prev.astype(np.int64) * 4 + r, minlength=16)
             prev = r
-        return counts, np.empty((b - a, 0))
+        return np.empty((b - a, 0))
 
-    return _split(config.n_ens, part)[0].reshape(4, 4)
+    return _split(config.n_ens, part, np.zeros(16, dtype=np.int64))[0].reshape(4, 4)
 
 
 def lambda_segment_means(config: SimConfig, seg_len: int) -> np.ndarray:
@@ -425,7 +446,7 @@ def lambda_segment_means(config: SimConfig, seg_len: int) -> np.ndarray:
     rates = contraction_rates(config.params)
     used = replace(config, n_iter=n_segs * seg_len)  # no state past the last segment is made
 
-    def part(a, b):
+    def part(a, b, _):
         sums = np.zeros((b - a, n_segs))
         acc = np.zeros(b - a)
         # v alone passes through enumerate, whose last item stays referenced
@@ -435,9 +456,11 @@ def lambda_segment_means(config: SimConfig, seg_len: int) -> np.ndarray:
             if (k + 1) % seg_len == 0:
                 sums[:, k // seg_len] = acc
                 acc[:] = 0.0
-        return np.empty(0), sums
+        return sums
 
-    return (_split(config.n_ens, part)[1] / seg_len).reshape(-1)
+    means = _split(config.n_ens, part, np.empty(0))[1]
+    means /= seg_len
+    return means.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -474,13 +497,13 @@ def _member_average(config: SimConfig, values: Callable) -> tuple[float, float]:
     standard error from the spread of those time averages (nan for a single
     member)."""
 
-    def part(a, b):
+    def part(a, b, _):
         per_member = np.zeros(b - a)
         for v in values((a, b)):
             per_member += v
-        return np.empty(0), per_member
+        return per_member
 
-    _, per_member = _split(config.n_ens, part)
+    _, per_member = _split(config.n_ens, part, np.empty(0))
     per_member /= config.n_iter
     se = float(per_member.std(ddof=1) / np.sqrt(config.n_ens)) if config.n_ens > 1 else float("nan")
     return float(per_member.mean()), se
@@ -545,26 +568,27 @@ def lag_products(config: SimConfig, phi: np.ndarray) -> tuple[np.ndarray, np.nda
     r_k is a member's region at kept step k: over members at each step
     (``n_iter`` values) and over steps for each member (``n_ens`` values).
 
-    The step sums are added up over the worker ranges, so they are bitwise
-    independent of the worker count when the products are integer-valued,
-    as they are for the current.
+    The step sums are added up over the chunks and the worker ranges, so
+    they are bitwise independent of the worker count and the chunk size when
+    the products are integer-valued, as they are for the current.  For a
+    ``phi`` whose products are not, they depend on where the ranges and the
+    chunks are cut.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (4,):
         raise DomainError("phi must assign one value per region")
 
-    def part(a, b):
-        at_step = np.empty(config.n_iter)
+    def part(a, b, at_step):
         per_member, prod = np.zeros(b - a), np.empty(b - a)
         for k, v in enumerate(v for _, _, _, v in _run(config, False, (a, b), phi)):  # as in lambda_segment_means
             if k == 0:
                 phi0 = v.copy()  # the next state's gather overwrites v
             np.multiply(v, phi0, out=prod)
-            at_step[k] = prod.sum()
+            at_step[k] += prod.sum()
             per_member += prod
-        return at_step, per_member
+        return per_member
 
-    return _split(config.n_ens, part)
+    return _split(config.n_ens, part, np.zeros(config.n_iter))
 
 
 def uniformity_chi_square(counts: np.ndarray) -> tuple[float, int, float]:

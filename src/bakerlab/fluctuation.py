@@ -96,11 +96,17 @@ def _bin_values(values: np.ndarray, grid: np.ndarray, delta: float):
     """Cell index for each value, -1 when the value falls in no cell.
     Shared by the simulated and exact sources so both bin identically."""
     spacing = float(grid[1] - grid[0])
-    idx = np.round((values - grid[0]) / spacing).astype(np.int64)
-    inside = (idx >= 0) & (idx < len(grid))
-    clipped = np.clip(idx, 0, len(grid) - 1)
-    inside &= np.abs(values - grid[clipped]) < delta + 1e-12
-    return np.where(inside, clipped, -1)
+    t = np.subtract(values, grid[0])  # the one float temporary, reused
+    t /= spacing
+    idx = np.round(t, out=t).astype(np.int64)
+    inside = idx >= 0
+    inside &= idx < len(grid)
+    # an index outside the grid is clipped only so that take cannot raise:
+    # its value is already outside
+    np.subtract(values, np.take(grid, idx, mode="clip", out=t), out=t)
+    inside &= np.abs(t, out=t) < delta + 1e-12
+    idx[~inside] = -1
+    return idx
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -182,7 +188,8 @@ def estimate_pi(config: FRConfig, source: SimConfig | ContractionDistribution) -
                 log_mass[cell] = _logsumexp(log_probs)
         counts = n_segments = None
     else:
-        values = lambda_segment_means(source, config.n) / mean_rate
+        values = lambda_segment_means(source, config.n)
+        values /= mean_rate
         idx = _bin_values(values, config.p_grid, config.delta)
         counts = np.bincount(idx[idx >= 0], minlength=len(config.p_grid)).astype(np.int64)
         n_segments = len(values)

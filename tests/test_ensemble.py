@@ -418,7 +418,7 @@ class TestSegmentMeans:
         assert cap >= 20_000 * 20  # the default ``fr --source mc`` and the benchmark's
         started = []
 
-        def split(n_ens, part):
+        def split(n_ens, part, start):
             started.append(n_ens)
             raise InterruptedError  # no member is stepped
 
@@ -441,6 +441,15 @@ def assert_no_child_left():
 
 
 SPLIT_PARAMS = [MapParams(0.15, 0.1), MapParams(0.25, 0.0)]
+SMALL_CHUNKS = [7, 64]  # forced as ``_CHUNK``; None keeps it, one chunk a range
+SPLIT_CASES = [(1003, 2, None), (1001, 3, None)] + [
+    (n_ens, w, chunk) for n_ens, w in [(1003, 1), (1003, 2), (1001, 3)] for chunk in SMALL_CHUNKS
+]
+
+
+def chunk_ids(cases) -> list[str]:
+    """``w<workers>`` per case, and ``-chunk<members>`` for a forced chunk."""
+    return [f"w{w}" + (f"-chunk{chunk}" if chunk else "") for *_, w, chunk in cases]
 
 
 class TestMemberSplit:
@@ -464,11 +473,14 @@ class TestMemberSplit:
         assert steps == cfg.n_iter
 
     # odd ensembles whose split points 501 and 333, 667 start the sample
-    # stream inside a Philox block of four draws
-    @pytest.mark.parametrize("n_ens,w", [(1003, 2), (1001, 3)], ids=["w2", "w3"])
+    # stream inside a Philox block of four draws; chunks of 7 and 64 members
+    # divide none of the ranges
+    @pytest.mark.parametrize("n_ens,w,chunk", SPLIT_CASES, ids=chunk_ids(SPLIT_CASES))
     @pytest.mark.parametrize("variant", list(MapVariant), ids=lambda v: v.value)
     @pytest.mark.parametrize("params", SPLIT_PARAMS, ids=["0.15", "0.25-dither"])
-    def test_split_reductions_equal_one_worker_bitwise(self, force_workers, params, variant, n_ens, w):
+    def test_split_reductions_equal_one_worker_bitwise(self, monkeypatch, force_workers, params, variant, n_ens, w, chunk):
+        """w workers with chunks of ``chunk`` members (None keeps ``_CHUNK``,
+        one chunk a range) against one worker with one chunk."""
         cfg = SimConfig(params=params, variant=variant, n_ens=n_ens, n_iter=9, burn_in=4, seed=13)
         gk_cfg = transport.GKConfig(**vars(cfg))
         phi = np.array([0.0, 1.0, -1.0, 0.0])
@@ -487,13 +499,33 @@ class TestMemberSplit:
             ]
 
         force_workers(n_ens, 1)
-        whole = reductions()
+        whole = reductions()  # one chunk on one worker
         force_workers(n_ens, w)
+        monkeypatch.setattr(ensemble, "_CHUNK", chunk or ensemble._CHUNK)
         split = reductions()
         for a, b in zip(whole, split, strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
         assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "reduction", [lambda cfg: empirical_density(cfg, nx=8, ny=8), transition_counts], ids=["density", "transitions"]
+    )
+    def test_worker_memory_does_not_grow_with_its_range(self, force_workers, reduction):
+        """One worker's traced peak at 4x the members: its chunks bound it,
+        the histogram's 64 cells and the empty rows add nothing per member."""
+        n = 3 * ensemble._CHUNK
+        peaks = []
+        for n_ens in (n, 4 * n):
+            cfg = SimConfig(params=MapParams(0.15, 0.1), variant=MapVariant.IRREVERSIBLE, n_ens=n_ens, n_iter=3, burn_in=2, seed=5)
+            force_workers(n_ens, 1)
+            tracemalloc.start()
+            try:
+                reduction(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
     def test_worker_count_follows_ensemble_size(self, monkeypatch):
         monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
@@ -523,42 +555,44 @@ class TestMemberSplit:
         force_workers(10, 2)
         parent = os.getpid()
 
-        def part(a, b):
+        def part(a, b, sums):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return np.zeros(3), np.zeros(b - a)
+            return np.zeros(b - a)
 
         with pytest.raises(WorkerError, match=r"members \[5, 10\) failed: killed by signal 9"):
-            ensemble._split(10, part)
+            ensemble._split(10, part, np.zeros(3))
         assert_no_child_left()
 
+    # every worker's sums start as a copy of the same array, so only the
+    # rows a child returns can make its payload the wrong size
     @pytest.mark.parametrize("extra", [-1, 1])
-    @pytest.mark.parametrize("array", ["sums", "rows"])
+    @pytest.mark.parametrize("array", ["dtype", "rows"])
     def test_wrong_payload_size_raises(self, force_workers, array, extra):
         force_workers(10, 2)
         parent = os.getpid()
 
-        def part(a, b):
+        def part(a, b, sums):
             wrong = extra if os.getpid() != parent else 0
-            sums = np.zeros(3 + (wrong if array == "sums" else 0))
-            rows = np.zeros(b - a + (wrong if array == "rows" else 0))
-            return sums, rows
+            if array == "dtype":  # rows of half or twice the bytes
+                return np.zeros(b - a, {-1: np.float32, 0: np.float64, 1: np.complex128}[wrong])
+            return np.zeros(b - a + wrong)
 
         with pytest.raises(WorkerError, match=r"members \[5, 10\) sent"):
-            ensemble._split(10, part)
+            ensemble._split(10, part, np.zeros(3))
         assert_no_child_left()
 
     def test_failed_parent_range_kills_children(self, force_workers):
         force_workers(12, 3)
         parent = os.getpid()
 
-        def part(a, b):
+        def part(a, b, sums):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             signal.pause()  # a child that would never finish on its own
 
         with pytest.raises(KeyboardInterrupt):
-            ensemble._split(12, part)
+            ensemble._split(12, part, np.zeros(3))
         assert_no_child_left()
 
 
@@ -586,6 +620,9 @@ XONLY_CASES = [
 ]
 
 
+XONLY_SPLITS = [(w, chunk) for chunk in [None, *SMALL_CHUNKS] for w in (1, 3)]
+
+
 class TestXOnlyPath:
     """The x-only reductions against a loop written from ``step_arrays``
     (which looks the regions up itself), ``region_indices`` and ``phi[r]``."""
@@ -593,17 +630,19 @@ class TestXOnlyPath:
     PHI = np.array([0.3, -1.7, 2.9, 0.1])  # products that are not integer-valued
     PHI_ODD = np.array([0.37, 0.0, 0.0, -0.37])  # odd under Q4
 
-    @pytest.mark.parametrize("w", [1, 3], ids=["w1", "w3"])
+    @pytest.mark.parametrize("w,chunk", XONLY_SPLITS, ids=chunk_ids(XONLY_SPLITS))
     @pytest.mark.parametrize(
         "params,burn_in,n_iter", XONLY_CASES, ids=["0.25-dither", "0.25-dither-1", "0.15-burn-in", "0.15-1"]
     )
-    def test_reductions_match_the_reference_loop_bitwise(self, monkeypatch, force_workers, params, burn_in, n_iter, w):
+    def test_reductions_match_the_reference_loop_bitwise(self, monkeypatch, force_workers, params, burn_in, n_iter, w, chunk):
         cfg = SimConfig(params=params, variant=MapVariant.IRREVERSIBLE, n_ens=1001, n_iter=n_iter, burn_in=burn_in, seed=17)
         place_on_the_edges(monkeypatch, params.ell)
         seqs = [ensemble.region_indices(x, params.ell) for x, _ in reference_run(cfg, False)]
         on_edges = np.isin(next(whole(replace(cfg, burn_in=0, n_iter=1), False))[0], (params.ell, 0.5, 0.75, 1.0))
         assert 20 <= on_edges.sum() <= 100
         force_workers(cfg.n_ens, w)
+        chunk = chunk or ensemble._CHUNK
+        monkeypatch.setattr(ensemble, "_CHUNK", chunk)
         cuts = [cfg.n_ens * i // w for i in range(w + 1)]
 
         seg_len = min(n_iter, 4)
@@ -624,9 +663,15 @@ class TestXOnlyPath:
         at_step, per_member = np.empty(n_iter), np.zeros(cfg.n_ens)
         for k, r in enumerate(seqs):
             prod = self.PHI[r] * self.PHI[seqs[0]]
-            at_step[k] = prod[cuts[0] : cuts[1]].sum()
-            for a, b in zip(cuts[1:], cuts[2:]):  # the worker sums, added in member order
-                at_step[k] += prod[a:b].sum()
+            worker_sums = []
+            for a, b in zip(cuts, cuts[1:]):  # each worker adds its chunk sums in member order
+                total = prod[a : min(a + chunk, b)].sum()
+                for c in range(a + chunk, b, chunk):
+                    total += prod[c : min(c + chunk, b)].sum()
+                worker_sums.append(total)
+            at_step[k] = worker_sums[0]
+            for total in worker_sums[1:]:  # then the worker sums, in member order
+                at_step[k] += total
             per_member += prod
         got_at_step, got_per_member = lag_products(cfg, self.PHI)
         assert got_at_step.tobytes() == at_step.tobytes()

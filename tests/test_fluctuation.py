@@ -159,6 +159,24 @@ class TestEstimatePi:
         for v in (a, ties, holes, np.round(a)):
             assert np.array_equal(_logsumexp(v), logsumexp(v))
 
+    @pytest.mark.parametrize("p_max,spacing,delta", [(2.0, 0.1, 0.05), (7.0, 0.2, 0.08), (8.0, 0.1, 0.025)])
+    def test_bin_values_match_the_formula_bitwise(self, p_max, spacing, delta):
+        """The in-place binning against the formula written out with fresh
+        arrays: round to the nearest grid point, keep it when the value lies
+        within delta + 1e-12 of it."""
+        grid = symmetric_grid(p_max, spacing)
+        rng = np.random.default_rng(int(p_max))
+        edges = np.concatenate([grid + s * (delta + e) for s in (-1, 1) for e in (0.0, 1e-12, -1e-12, 2e-12)])
+        values = np.concatenate([rng.uniform(-1.5 * p_max, 1.5 * p_max, 10_000), grid, grid + spacing / 2, edges])
+        kept = values.copy()
+        idx = np.round((values - grid[0]) / float(grid[1] - grid[0])).astype(np.int64)
+        clipped = np.clip(idx, 0, len(grid) - 1)
+        inside = (idx >= 0) & (idx < len(grid)) & (np.abs(values - grid[clipped]) < delta + 1e-12)
+        got = _bin_values(values, grid, delta)
+        assert got.dtype == np.int64 and got.tobytes() == np.where(inside, clipped, -1).tobytes()
+        assert values.tobytes() == kept.tobytes()  # the input is left as it was
+        assert (got == -1).any() and len(np.unique(got)) == len(grid) + 1
+
     def test_mc_matches_exact_cell_by_cell(self):
         n = 50
         dist = contraction_sum_distribution(ELL, Q, n)
