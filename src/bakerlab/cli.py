@@ -41,10 +41,6 @@ _NUMERIC_EXIT = 2
 _SELFTEST_EXIT = 3
 
 
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
@@ -153,20 +149,30 @@ def _refuse_set(resolved: dict, spec: dict, names: tuple, context: str) -> dict:
     return {k: v for k, v in resolved.items() if k not in names}
 
 
-def _cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(v)
-    return _fmt(v)
+def _conversion(cell_type: type) -> str:
+    """The ``%`` conversion that writes a cell of ``cell_type``: a str or an
+    int as it prints (a bool as its name), any other number as ``%.17g``,
+    which round-trips a float64."""
+    if issubclass(cell_type, (str, bool)):
+        return "%s"
+    if issubclass(cell_type, (int, np.integer)):
+        return "%d"
+    return "%.17g"
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    """Stream ``rows`` (tuples of str, int or float cells) below ``header``."""
+    """Stream ``rows`` (tuples of str, int or float cells) below ``header``,
+    each with one ``%`` fill of a template built once per tuple of cell
+    types."""
+    templates = {}
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(map(_cell, row)) + "\n")
+            types = tuple(map(type, row))
+            template = templates.get(types)
+            if template is None:
+                template = templates[types] = ",".join(map(_conversion, types)) + "\n"
+            fh.write(template % tuple(row))
 
 
 def _write_histogram_csv(path: Path, counts: np.ndarray) -> None:

@@ -79,7 +79,8 @@ _CHUNK = 16_384
 # a second such array before adding them
 _MAX_HIST_CELLS = 4_000_000
 # most segment means one call returns: n_ens x n_segs float64 rows, 200 MB
-# at the cap, held twice in the parent while it concatenates the workers' rows
+# at the cap, held once in the parent, which reads each worker's rows into
+# their slice
 _MAX_SEGMENT_MEANS = 25_000_000
 
 # At ell = 1/4 (and only there) every branch has x-slope exactly 2, so a
@@ -262,23 +263,26 @@ def _split(
     consecutive chunks of at most ``_CHUNK`` members, and merged in member
     order: each worker adds the chunks of its range into its own copy of
     ``start`` and writes their rows into one array, the parent adds up the
-    workers' sums (exact for the integer-valued sums added here) and
-    concatenates their rows.  A reduction with nothing of one kind takes
+    workers' sums (exact for the integer-valued sums added here), and every
+    worker's rows land in their slice of the one ``(n_ens, ...)`` array the
+    parent returns.  A reduction with nothing of one kind takes
     ``np.empty(0)`` as ``start``, or returns rows of shape ``(d - c, 0)``.
 
     The parent forks a child for every range but the first, reduces the
-    first itself, then reads each child's two arrays from its pipe and
-    reaps it.  A child that fails or sends the wrong number of bytes raises
-    ``WorkerError`` and nothing is merged.  Children still running when the
-    call ends, by an error or an interrupt, are killed and reaped.
+    first itself, then reads each child's sums into a buffer and its rows
+    straight into their slice, and reaps it.  A child that fails or sends
+    the wrong number of bytes raises ``WorkerError`` and nothing is merged.
+    Children still running when the call ends, by an error or an interrupt,
+    are killed and reaped.
     """
 
-    def chunked(a, b):
+    def chunked(a, b, n_rows=0):
+        # the rows of [a, b) fill the first b - a of max(n_rows, b - a) rows
         sums = start.copy()
         cuts = [*range(a, b, _CHUNK), b]
         rows = part(a, cuts[1], sums)
-        if len(cuts) > 2:  # one array takes the rows of every chunk
-            first, rows = rows, np.empty((b - a, *rows.shape[1:]), rows.dtype)
+        if len(cuts) > 2 or n_rows > b - a:  # one array takes the rows of every chunk
+            first, rows = rows, np.empty((max(n_rows, b - a), *rows.shape[1:]), rows.dtype)
             rows[: len(first)] = first
             del first
             for c, d in zip(cuts[1:], cuts[2:]):
@@ -293,25 +297,26 @@ def _split(
         for a, b in ranges[1:]:
             pid, pipe = _fork(chunked, a, b)
             children[pid] = (pipe, (a, b))
-        sums, rows = chunked(*ranges[0])
-        parts = [rows]
+        sums, rows = chunked(*ranges[0], n_ens)
+        child_sums = np.empty_like(sums)
         for pid, (pipe, (a, b)) in list(children.items()):
-            out = np.empty(sums.nbytes + (b - a) * rows[0].nbytes, np.uint8)
+            buffers = [child_sums.reshape(-1).view(np.uint8), rows[a:b].reshape(-1).view(np.uint8)]
             with pipe:
-                got = pipe.readinto(out)
+                got = [pipe.readinto(buffer) for buffer in buffers]
                 extra = len(pipe.read(1))
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
             if code != 0:
                 reason = (
-                    out[:got].tobytes().decode(errors="replace") if code == 1
+                    b"".join(buffer[:n].tobytes() for buffer, n in zip(buffers, got)).decode(errors="replace")
+                    if code == 1
                     else f"killed by signal {-code}" if code < 0 else f"exit status {code}"
                 )
                 raise WorkerError(f"the worker for members [{a}, {b}) failed: {reason}")
-            if got + extra != out.nbytes:
-                raise WorkerError(f"the worker for members [{a}, {b}) sent {got + extra} bytes, not {out.nbytes}")
-            sums += out[: sums.nbytes].view(sums.dtype).reshape(sums.shape)
-            parts.append(out[sums.nbytes :].view(rows.dtype).reshape(b - a, *rows.shape[1:]))
+            expected = sum(buffer.nbytes for buffer in buffers)
+            if sum(got) + extra != expected:
+                raise WorkerError(f"the worker for members [{a}, {b}) sent {sum(got) + extra} bytes, not {expected}")
+            sums += child_sums
     finally:
         for pid, (pipe, _) in children.items():
             pipe.close()
@@ -320,7 +325,7 @@ def _split(
             except ProcessLookupError:  # already gone, still to be reaped
                 pass
             os.waitpid(pid, 0)
-    return sums, np.concatenate(parts)
+    return sums, rows
 
 
 @dataclass(frozen=True)

@@ -275,23 +275,61 @@ def _lattice_structure(rates: np.ndarray, tol: float = 1e-12):
 _ENTERED_FROM = (1, 1, 0, 0)
 
 
+# the most negative float; a numpy scalar, which a ufunc takes faster than a Python float
+_FINITE_MIN = np.float64(np.finfo(float).min)
+
+
+def _log_add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """``out = log(exp(a) + exp(b))`` by the formula of ``np.logaddexp``,
+    max + log1p(exp(min - max)), in whole-array calls: numpy's vectorized
+    exp and log1p, where ``np.logaddexp`` calls scalar libm on every element
+    and may round differently.  ``a`` and ``b`` are overwritten.
+
+    A -inf term adds exactly nothing: the max is clipped to the finite range
+    before it is subtracted from the min, so (-inf, -inf) takes exp(-inf) =
+    0, where -inf - -inf would give nan, and raises no floating-point
+    warning."""
+    np.maximum(a, b, out=out)
+    np.minimum(a, b, out=a)
+    np.maximum(out, _FINITE_MIN, out=b)
+    np.subtract(a, b, out=b)
+    np.exp(b, out=b)
+    np.log1p(b, out=b)
+    np.add(out, b, out=out)
+
+
 def _log_dp(ell: float, m: np.ndarray, n: int):
     """Log-space DP over (class of the current region, signed count c in
     [-n, n]); visiting region r adds ``m[r]``, which ``_lattice_structure``
     keeps in {-1, 0, +1}, so one -inf cell on each side of [-n, n] makes
     every shift a plain slice.  Returns the reachable c and their
-    log-probabilities."""
+    log-probabilities.
+
+    Each step writes only the band of c that the next visit can reach,
+    |c| <= k after k visits, or |c| <= 1 on the q = 0 family, where A and D
+    alternate; the cells outside it stay -inf.  The two paths into a cell
+    add up in ``_log_add``."""
     size = 2 * n + 1
     state = np.full((2, size + 2), -np.inf)  # cell n + 1 + c holds count c
     np.logaddexp.at(state, (np.arange(4) % 2, n + 1 + m), np.log(coarse_measure(ell)))
     log_p = np.log([2.0 * ell, 1.0 - 2.0 * ell, 0.5, 0.5])  # of entering A, B, C, D
-    # entering r moves count c - m[r] of row _ENTERED_FROM[r] to c
-    reads = [(row, slice(1 - k, size + 1 - k)) for row, k in zip(_ENTERED_FROM, m)]
+    # in entered and in counts, column n + c holds count c
     entered = np.empty((4, size))
-    for _ in range(n - 1):
-        for r, read in enumerate(reads):
-            np.add(state[read], log_p[r], out=entered[r])
-        np.logaddexp(entered[:2], entered[2:], out=state[:, 1:-1])  # rows A + C, B + D
+    # entering r moves count c - m[r] of row _ENTERED_FROM[r] to c
+    reads = [state[row, 1 - k : size + 1 - k] for row, k in zip(_ENTERED_FROM, m)]
+    counts = state[:, 1:-1]
+
+    def band_views(band):  # the cells |c| <= band of every array a step reads or writes
+        cells = slice(n - band, n + band + 1)
+        moves = [(read[cells], log_p_r, out[cells]) for read, log_p_r, out in zip(reads, log_p, entered)]
+        return moves, entered[:2, cells], entered[2:, cells], counts[:, cells]
+
+    # visits 2, 3, ..., n; on the q = 0 family, m = (-1, 0, 0, 1), the band stays |c| <= 1
+    steps = [band_views(1)] * (n - 1) if m[1] == 0 else map(band_views, range(2, n + 1))
+    for moves, ab, cd, classes in steps:
+        for read, log_p_r, out in moves:
+            np.add(read, log_p_r, out=out)
+        _log_add(ab, cd, classes)  # rows A + C, B + D
 
     total = np.logaddexp(state[0], state[1])
     mask = total > -np.inf

@@ -3,7 +3,10 @@
 These deliberately avoid the library's DP / closed-form code paths: the
 distribution oracle enumerates all 4^n region sequences and weights them
 with the chain law, and the matrix oracles rebuild stationary objects by
-eigen-solving.  They stay independent of what they check.
+eigen-solving.  They stay independent of what they check.  The full-width
+lattice DP is the exception: it is the library's DP before it wrote only the
+reachable band and added its two paths outside ``np.logaddexp``, kept as
+the reference that the band DP must match.
 """
 
 import itertools
@@ -52,3 +55,23 @@ def stationary_by_eigensolve(matrix, left=True):
     idx = int(np.argmin(np.abs(vals - 1.0)))
     v = np.real(vecs[:, idx])
     return v / v.sum()
+
+
+def log_dp_full_width(ell, m, n):
+    """Reference for ``markov._log_dp``: the same DP over (class of the
+    current region, signed count c), with every step adding the two paths
+    into each class by ``np.logaddexp`` over the whole width [-n, n]."""
+    entered_from = (1, 1, 0, 0)  # A and B are entered from {B, D}, C and D from {A, C}
+    size = 2 * n + 1
+    state = np.full((2, size + 2), -np.inf)  # cell n + 1 + c holds count c
+    np.logaddexp.at(state, (np.arange(4) % 2, n + 1 + m), np.log(coarse_measure(ell)))
+    log_p = np.log([2.0 * ell, 1.0 - 2.0 * ell, 0.5, 0.5])  # of entering A, B, C, D
+    reads = [(row, slice(1 - k, size + 1 - k)) for row, k in zip(entered_from, m)]
+    entered = np.empty((4, size))
+    for _ in range(n - 1):
+        for r, read in enumerate(reads):
+            np.add(state[read], log_p[r], out=entered[r])
+        np.logaddexp(entered[:2], entered[2:], out=state[:, 1:-1])  # rows A + C, B + D
+    total = np.logaddexp(state[0], state[1])
+    mask = total > -np.inf
+    return np.flatnonzero(mask) - n - 1, total[mask]

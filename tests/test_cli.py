@@ -93,6 +93,31 @@ class TestDensity:
         assert run(["density", "--ell", "0.9", "--out", str(tmp_path / "x")]) == 1
 
 
+def _joined_cell(v) -> str:
+    """The cell formatting the CSV writer's templates must reproduce."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(v)
+    return format(float(v), ".17g")
+
+
+class TestWriteCsv:
+    def test_templates_write_the_bytes_of_one_join_per_row(self, tmp_path):
+        from bakerlab.cli import _write_csv
+
+        rows = [
+            ("A", 3, np.int64(-7), True, 0.1, np.float64(1e-300), float("nan"), float("inf")),
+            ("B", -2**70, np.int64(2**62), False, -0.0, np.float64(-np.inf), 2.0 / 3.0, np.nan),
+            ("C", 0, np.int64(0), True, 1e22, np.float64(np.pi), -1.5, 5e-324),
+            (1, "mixed", 0.25, np.int64(4), False, "end", 7, np.float64(0.5)),  # another row shape
+            ("A", 4, np.int64(8), False, 2.5, np.float64(-0.1), -float("inf"), 123456789.125),
+        ]
+        _write_csv(tmp_path / "t.csv", "h", rows)
+        expected = "h\n" + "".join(",".join(map(_joined_cell, row)) + "\n" for row in rows)
+        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+
 class TestSurface:
     def test_equilibrium_row_is_zero(self, tmp_path):
         out = tmp_path / "s"

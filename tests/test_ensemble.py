@@ -527,6 +527,23 @@ class TestMemberSplit:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], peaks
 
+    def test_parent_holds_the_rows_once(self, force_workers):
+        """The parent's traced peak over two workers: the returned rows, one
+        chunk's rows and one chunk's state, with each child's rows read
+        straight into their slice (not into a buffer of their own and then
+        a concatenation, which made it about 2.1x)."""
+        n_ens = 8 * ensemble._CHUNK
+        cfg = SimConfig(params=MapParams(0.15, 0.1), variant=MapVariant.IRREVERSIBLE, n_ens=n_ens, n_iter=24, burn_in=0, seed=5)
+        force_workers(n_ens, 2)
+        tracemalloc.start()
+        try:
+            means = lambda_segment_means(cfg, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert means.nbytes == n_ens * 24 * 8
+        assert peak <= 1.3 * means.nbytes, peak / means.nbytes
+
     def test_worker_count_follows_ensemble_size(self, monkeypatch):
         monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
         monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 4)

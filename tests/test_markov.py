@@ -1,15 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_distribution, stationary_by_eigensolve
+from oracles import brute_force_distribution, log_dp_full_width, stationary_by_eigensolve
 
 from bakerlab.errors import CapacityError, DomainError
 from bakerlab.mapcore import MapParams, Region, ReversalScheme, contraction_rates
 from bakerlab.markov import (
     MAX_N,
     _generic_sums,
+    _lattice_structure,
+    _log_add,
+    _log_dp,
     _log_factorials,
     chain_autocovariance,
     coarse_measure,
@@ -372,6 +377,39 @@ class TestGenericSumsStartCases:
         ref_sums, ref_log_probs = _generic_sums_both_starts(ell, rates, n)
         assert sums.tobytes() == ref_sums.tobytes()
         assert log_probs.tobytes() == ref_log_probs.tobytes()
+
+
+# both lattice families: q = 0 and q = 1/2 - 2 ell
+_LATTICE_CASES = [(ell, q) for ell in (0.05, 0.15, 0.24) for q in (0.0, 0.5 - 2.0 * ell)]
+
+
+class TestLatticeDP:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 500, MAX_N])
+    @pytest.mark.parametrize("ell,q", _LATTICE_CASES, ids=[f"{ell}-{q:.2f}" for ell, q in _LATTICE_CASES])
+    def test_band_dp_matches_full_width_logaddexp(self, ell, q, n):
+        # the vectorized exp and log1p round differently from the scalar libm
+        # calls of np.logaddexp; each atom moves by at most 1.2e-13 relative
+        m, _ = _lattice_structure(contraction_rates(MapParams(ell, q)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts, log_probs = _log_dp(ell, m, n)
+        ref_counts, ref_log_probs = log_dp_full_width(ell, m, n)
+        assert np.array_equal(counts, ref_counts)
+        assert np.abs(np.expm1(log_probs - ref_log_probs)).max() <= 1e-12
+        if q == 0.0:  # A and D alternate, so |n_D - n_A| <= 1
+            assert counts.tolist() == [-1, 0, 1]
+
+    def test_log_add_of_minus_inf_adds_nothing(self):
+        x = np.log(0.3)
+        a = np.array([-np.inf, -np.inf, x, x])
+        b = np.array([-np.inf, x, -np.inf, x])
+        out = np.empty(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _log_add(a, b, out)
+        assert out[0] == -np.inf
+        assert out[1] == x and out[2] == x
+        assert abs(out[3] - (x + np.log(2.0))) <= abs(np.spacing(x + np.log(2.0)))  # 1 ulp
 
 
 class TestLogFactorials:
