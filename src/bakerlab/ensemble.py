@@ -6,14 +6,17 @@ configuration determines its outputs exactly.  Member k's start and its
 dither draws are fixed positions in those streams, so any contiguous range
 of members can be evolved on its own, bit for bit as in the whole ensemble.
 
-Every reduction (histograms, transition counts, segment means, member
-averages, lag products) splits the members into one contiguous range per
-worker process, at most one per usable CPU and one per
+Every reduction (histograms, transition counts, segment means and their
+cell counts, member averages, lag products) splits the members into one
+contiguous range per worker process, at most one per usable CPU and one per
 ``_MIN_SPLIT_MEMBERS`` members.  Each worker evolves its range in
 consecutive chunks of at most ``_CHUNK`` members, each through every step
-before the next starts, so its memory does not grow with its range apart
-from the per-member rows it returns.  Chunks and ranges are merged by one
-rule, in member order: integer-valued sums are added and per-member rows
+before the next starts, and each chunk writes its per-member rows straight
+into their slice, so a worker's memory does not grow with its range apart
+from the rows it returns.  Only the segment means, member averages and lag
+products return rows; the histograms, transition counts and segment-mean
+counts return sums alone.  Chunks and ranges are merged by one rule, in
+member order: integer-valued sums are added and per-member rows
 concatenated.  Their results are therefore bitwise independent of the
 worker count, the CPU count and the chunk size.
 
@@ -60,6 +63,7 @@ __all__ = [
     "empirical_density",
     "transition_counts",
     "lambda_segment_means",
+    "segment_mean_counts",
     "measure_estimate",
     "odd_observable_mean",
     "lag_products",
@@ -78,9 +82,10 @@ _CHUNK = 16_384
 # bytes a cell, 32 MB at the cap, and the parent reads a child's counts into
 # a second such array before adding them
 _MAX_HIST_CELLS = 4_000_000
-# most segment means one call returns: n_ens x n_segs float64 rows, 200 MB
-# at the cap, held once in the parent, which reads each worker's rows into
-# their slice
+# most segment means lambda_segment_means returns: n_ens x n_segs float64
+# rows, 200 MB at the cap, held once in the parent, which writes its own
+# range into them and reads each worker's rows into their slice;
+# segment_mean_counts keeps no means, so no such cap bounds it
 _MAX_SEGMENT_MEANS = 25_000_000
 
 # At ell = 1/4 (and only there) every branch has x-slope exactly 2, so a
@@ -255,38 +260,39 @@ def _fork(part: Callable[[int, int], tuple[np.ndarray, np.ndarray]], a: int, b: 
 
 
 def _split(
-    n_ens: int, part: Callable[[int, int, np.ndarray], np.ndarray], start: np.ndarray
+    n_ens: int,
+    part: Callable[[int, int, np.ndarray, np.ndarray], None],
+    start: np.ndarray,
+    row_shape: tuple[int, ...] = (0,),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``part(c, d, sums)``, a reduction over the members [c, d) that adds
-    into ``sums`` and returns ``rows``, one row per member, run on the
-    contiguous ranges of ``worker_count(n_ens)`` workers, each range cut into
-    consecutive chunks of at most ``_CHUNK`` members, and merged in member
-    order: each worker adds the chunks of its range into its own copy of
-    ``start`` and writes their rows into one array, the parent adds up the
-    workers' sums (exact for the integer-valued sums added here), and every
-    worker's rows land in their slice of the one ``(n_ens, ...)`` array the
-    parent returns.  A reduction with nothing of one kind takes
-    ``np.empty(0)`` as ``start``, or returns rows of shape ``(d - c, 0)``.
+    """``part(c, d, sums, rows)``, a reduction over the members [c, d) that
+    adds into ``sums`` and writes one float64 row of shape ``row_shape`` per
+    member into ``rows``, run on the contiguous ranges of
+    ``worker_count(n_ens)`` workers, each range cut into consecutive chunks
+    of at most ``_CHUNK`` members, and merged in member order: each worker
+    adds the chunks of its range into its own copy of ``start`` and each
+    chunk writes its rows into their slice of the worker's rows, the parent
+    adds up the workers' sums (exact for the integer-valued sums added
+    here), and every worker's rows land in their slice of the one
+    ``(n_ens, *row_shape)`` array the parent returns.  A reduction without
+    sums takes ``np.empty(0)`` as ``start``; one without rows keeps the
+    default ``row_shape``, so its rows take no bytes.
 
     The parent forks a child for every range but the first, reduces the
-    first itself, then reads each child's sums into a buffer and its rows
-    straight into their slice, and reaps it.  A child that fails or sends
-    the wrong number of bytes raises ``WorkerError`` and nothing is merged.
-    Children still running when the call ends, by an error or an interrupt,
-    are killed and reaped.
+    first itself straight into the rows it returns, then reads each child's
+    sums into a buffer and its rows straight into their slice, and reaps
+    it.  A child that fails or sends the wrong number of bytes raises
+    ``WorkerError`` and nothing is merged.  Children still running when the
+    call ends, by an error or an interrupt, are killed and reaped.
     """
 
-    def chunked(a, b, n_rows=0):
-        # the rows of [a, b) fill the first b - a of max(n_rows, b - a) rows
+    def chunked(a, b, rows=None):
         sums = start.copy()
-        cuts = [*range(a, b, _CHUNK), b]
-        rows = part(a, cuts[1], sums)
-        if len(cuts) > 2 or n_rows > b - a:  # one array takes the rows of every chunk
-            first, rows = rows, np.empty((max(n_rows, b - a), *rows.shape[1:]), rows.dtype)
-            rows[: len(first)] = first
-            del first
-            for c, d in zip(cuts[1:], cuts[2:]):
-                rows[c - a : d - a] = part(c, d, sums)
+        if rows is None:  # a child's range
+            rows = np.empty((b - a, *row_shape))
+        for c in range(a, b, _CHUNK):
+            d = min(c + _CHUNK, b)
+            part(c, d, sums, rows[c - a : d - a])
         return sums, rows
 
     w = worker_count(n_ens)
@@ -297,7 +303,8 @@ def _split(
         for a, b in ranges[1:]:
             pid, pipe = _fork(chunked, a, b)
             children[pid] = (pipe, (a, b))
-        sums, rows = chunked(*ranges[0], n_ens)
+        rows = np.empty((n_ens, *row_shape))
+        sums, _ = chunked(*ranges[0], rows[: cuts[1]])
         child_sums = np.empty_like(sums)
         for pid, (pipe, (a, b)) in list(children.items()):
             buffers = [child_sums.reshape(-1).view(np.uint8), rows[a:b].reshape(-1).view(np.uint8)]
@@ -402,13 +409,12 @@ def empirical_density(config: SimConfig, nx: int = 500, ny: int = 500) -> Histog
             f"a {nx} x {ny} histogram exceeds the limit of {_MAX_HIST_CELLS} cells"
         )
 
-    def part(a, b, counts):
+    def part(a, b, counts, _):
         for x, y, _, _ in _run(config, True, (a, b)):
             cell = np.minimum((x * nx).astype(np.int64), nx - 1)
             cell *= ny
             cell += np.minimum((y * ny).astype(np.int64), ny - 1)
             np.add.at(counts, cell, 1)  # a bincount would be as long as counts
-        return np.empty((b - a, 0))
 
     counts, _ = _split(config.n_ens, part, np.zeros(nx * ny, dtype=np.int64))
     n_samples = config.n_ens * config.n_iter
@@ -419,15 +425,46 @@ def transition_counts(config: SimConfig) -> np.ndarray:
     """4x4 counts of observed one-step region transitions
     (n_iter - 1 transitions per member)."""
 
-    def part(a, b, counts):
+    def part(a, b, counts, _):
         prev = None
         for _, _, r, _ in _run(config, False, (a, b)):
             if prev is not None:
                 counts += np.bincount(prev.astype(np.int64) * 4 + r, minlength=16)
             prev = r
-        return np.empty((b - a, 0))
 
     return _split(config.n_ens, part, np.zeros(16, dtype=np.int64))[0].reshape(4, 4)
+
+
+def _segment_count(config: SimConfig, seg_len: int) -> int:
+    """Segments of length ``seg_len`` per member, checked to be at least one."""
+    if seg_len < 1:
+        raise DomainError("seg_len must be >= 1")
+    n_segs = config.n_iter // seg_len
+    if n_segs < 1:
+        raise DomainError("n_iter too small for one segment")
+    return n_segs
+
+
+def _segment_means(config: SimConfig, seg_len: int, members: tuple[int, int]):
+    """The one per-segment loop of the segment-mean reductions: yields the
+    means of the members [a, b) over each of their ``n_iter // seg_len``
+    consecutive segments as the segment ends, each mean the sum of
+    ``seg_len`` region rates starting with the segment's first state, over
+    ``seg_len``.  They are yielded in the one buffer that then sums the next
+    segment, so a consumer uses them, or overwrites them, before it asks for
+    the next."""
+    a, b = members
+    n_segs = config.n_iter // seg_len
+    used = replace(config, n_iter=n_segs * seg_len)  # no state past the last segment is made
+    rates, acc = contraction_rates(config.params), np.zeros(b - a)
+    # v alone passes through enumerate, whose last item stays referenced
+    # until the next one: a held x would outlive the step that replaces it
+    for k, rate in enumerate(v for _, _, _, v in _run(used, False, members, rates)):
+        acc += rate
+        if (k + 1) % seg_len == 0:
+            acc /= seg_len
+            yield acc
+            acc[:] = 0.0
 
 
 def lambda_segment_means(config: SimConfig, seg_len: int) -> np.ndarray:
@@ -439,33 +476,42 @@ def lambda_segment_means(config: SimConfig, seg_len: int) -> np.ndarray:
     state.  More than ``_MAX_SEGMENT_MEANS`` means in all are refused with
     ``CapacityError`` before any worker starts.
     """
-    if seg_len < 1:
-        raise DomainError("seg_len must be >= 1")
-    n_segs = config.n_iter // seg_len
-    if n_segs < 1:
-        raise DomainError("n_iter too small for one segment")
+    n_segs = _segment_count(config, seg_len)
     if config.n_ens * n_segs > _MAX_SEGMENT_MEANS:
         raise CapacityError(
             f"{config.n_ens} members x {n_segs} segments exceed the limit of {_MAX_SEGMENT_MEANS} segment means"
         )
-    rates = contraction_rates(config.params)
-    used = replace(config, n_iter=n_segs * seg_len)  # no state past the last segment is made
 
-    def part(a, b, _):
-        sums = np.zeros((b - a, n_segs))
-        acc = np.zeros(b - a)
-        # v alone passes through enumerate, whose last item stays referenced
-        # until the next one: a held x would outlive the step that replaces it
-        for k, rate in enumerate(v for _, _, _, v in _run(used, False, (a, b), rates)):
-            acc += rate
-            if (k + 1) % seg_len == 0:
-                sums[:, k // seg_len] = acc
-                acc[:] = 0.0
-        return sums
+    def part(a, b, _, rows):
+        for j, means in enumerate(_segment_means(config, seg_len, (a, b))):
+            rows[:, j] = means
 
-    means = _split(config.n_ens, part, np.empty(0))[1]
-    means /= seg_len
-    return means.reshape(-1)
+    return _split(config.n_ens, part, np.empty(0), (n_segs,))[1].reshape(-1)
+
+
+def segment_mean_counts(
+    config: SimConfig, seg_len: int, scale: float, cell_of: Callable[[np.ndarray], np.ndarray], n_cells: int
+) -> np.ndarray:
+    """Counts per cell of the ``lambda_segment_means`` of ``config`` over
+    ``scale``: ``cell_of(values)`` gives each value's cell in
+    ``[0, n_cells)``, or -1 for a value in no cell, which is not counted.
+
+    Each chunk of members bins its means as each segment ends, so no
+    worker keeps a mean past its segment and only the ``n_cells`` int64
+    counts leave a worker.  The values binned are the means of
+    ``lambda_segment_means`` divided by ``scale``, bit for bit, so the
+    counts equal a bincount of theirs; only the ensemble cap bounds the
+    number of segments.
+    """
+    _segment_count(config, seg_len)
+
+    def part(a, b, counts, _):
+        for means in _segment_means(config, seg_len, (a, b)):
+            means /= scale
+            cells = cell_of(means)
+            counts += np.bincount(cells[cells >= 0], minlength=n_cells)
+
+    return _split(config.n_ens, part, np.zeros(n_cells, dtype=np.int64))[0]
 
 
 @dataclass(frozen=True)
@@ -502,13 +548,12 @@ def _member_average(config: SimConfig, values: Callable) -> tuple[float, float]:
     standard error from the spread of those time averages (nan for a single
     member)."""
 
-    def part(a, b, _):
-        per_member = np.zeros(b - a)
+    def part(a, b, _, per_member):
+        per_member[:] = 0.0
         for v in values((a, b)):
             per_member += v
-        return per_member
 
-    _, per_member = _split(config.n_ens, part, np.empty(0))
+    _, per_member = _split(config.n_ens, part, np.empty(0), ())
     per_member /= config.n_iter
     se = float(per_member.std(ddof=1) / np.sqrt(config.n_ens)) if config.n_ens > 1 else float("nan")
     return float(per_member.mean()), se
@@ -583,17 +628,17 @@ def lag_products(config: SimConfig, phi: np.ndarray) -> tuple[np.ndarray, np.nda
     if phi.shape != (4,):
         raise DomainError("phi must assign one value per region")
 
-    def part(a, b, at_step):
-        per_member, prod = np.zeros(b - a), np.empty(b - a)
-        for k, v in enumerate(v for _, _, _, v in _run(config, False, (a, b), phi)):  # as in lambda_segment_means
+    def part(a, b, at_step, per_member):
+        per_member[:] = 0.0
+        prod = np.empty(b - a)
+        for k, v in enumerate(v for _, _, _, v in _run(config, False, (a, b), phi)):  # as in _segment_means
             if k == 0:
                 phi0 = v.copy()  # the next state's gather overwrites v
             np.multiply(v, phi0, out=prod)
             at_step[k] += prod.sum()
             per_member += prod
-        return per_member
 
-    return _split(config.n_ens, part, np.zeros(config.n_iter))
+    return _split(config.n_ens, part, np.zeros(config.n_iter), ())
 
 
 def uniformity_chi_square(counts: np.ndarray) -> tuple[float, int, float]:

@@ -22,7 +22,7 @@ from .errors import (
     InsufficientFluctuationsError,
     NormalizationError,
 )
-from .ensemble import SimConfig, lambda_segment_means
+from .ensemble import SimConfig, lambda_segment_means, segment_mean_counts
 from .markov import ContractionDistribution, mean_contraction_rate
 
 __all__ = [
@@ -157,8 +157,9 @@ def estimate_pi(config: FRConfig, source: SimConfig | ContractionDistribution) -
     (rejected at equilibrium, where that mean is 0).
 
     A ``SimConfig`` source is evolved and cut into non-overlapping length-n
-    segments; a ``ContractionDistribution`` source has its exact atoms
-    poured into the same cells.
+    segments, whose means each worker bins as each segment ends, so no
+    segment mean is kept; a ``ContractionDistribution`` source has its exact
+    atoms poured into the same cells.
     """
     exact = isinstance(source, ContractionDistribution)
     if exact:
@@ -188,11 +189,10 @@ def estimate_pi(config: FRConfig, source: SimConfig | ContractionDistribution) -
                 log_mass[cell] = _logsumexp(log_probs)
         counts = n_segments = None
     else:
-        values = lambda_segment_means(source, config.n)
-        values /= mean_rate
-        idx = _bin_values(values, config.p_grid, config.delta)
-        counts = np.bincount(idx[idx >= 0], minlength=len(config.p_grid)).astype(np.int64)
-        n_segments = len(values)
+        counts = segment_mean_counts(
+            source, config.n, mean_rate, lambda v: _bin_values(v, config.p_grid, config.delta), len(config.p_grid)
+        )
+        n_segments = source.n_ens * (source.n_iter // config.n)
         with np.errstate(divide="ignore"):
             log_mass = np.log(counts) - np.log(n_segments)
     return PiHistogram(

@@ -477,7 +477,6 @@ class TestBadInput:
             ["transport", "--sweep", "0.1", "--mode", "stationary"],
             ["transport", "--sweep", "0.1", "--k-max", "20"],
             ["density", "--bins", "2001", "--n-ens", "1", "--n-iter", "1", "--burn-in", "0"],
-            ["fr", "--source", "mc", "--n", "1", "--p-max", "1", "--n-ens", "50000", "--n-iter", "1000"],
             ["fr", "--source", "exact", "--strip-x", "5"],
             ["fr", "--source", "exact", "--n-ens", "5", "--seed", "9", "--min-count", "1000"],
             ["fr", "--n-iter", "10"],
@@ -516,6 +515,17 @@ class TestBadInput:
         assert len(err) == 1
         assert err[0].startswith(f"{argv[0]}: error: ")
         assert "Traceback" not in err[0]
+        assert not any(tmp_path.iterdir())
+
+    def test_segment_means_past_the_kept_means_cap_run(self, tmp_path, capsys):
+        """50,000 members x 1000 segments of n = 1 make 50M segment means,
+        twice the cap on kept means (``_MAX_SEGMENT_MEANS``).  ``fr`` bins
+        them as each segment ends, so the run is not refused: it runs and
+        fails only for want of negative fluctuations."""
+        argv = ["fr", "--source", "mc", "--n", "1", "--p-max", "1", "--n-ens", "50000", "--n-iter", "1000"]
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["fr: error: insufficient negative fluctuations: no admissible (+p, -p) cell pairs"]
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["density", "transport"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as sstats
@@ -12,6 +14,7 @@ from bakerlab.errors import (
 )
 from bakerlab.mapcore import MapParams, MapVariant, Region, ReversalScheme, contraction_rates, region_reverse
 from bakerlab.markov import contraction_sum_distribution, mean_contraction_rate
+from bakerlab import ensemble
 from bakerlab.ensemble import SimConfig
 from bakerlab.fluctuation import (
     FRConfig,
@@ -210,6 +213,33 @@ class TestEstimatePi:
         dist = contraction_sum_distribution(ELL, Q, 10)
         with pytest.raises(DomainError):
             estimate_pi(fr_config(20), dist)
+
+    def test_mc_too_short_a_run_is_refused_before_any_worker_starts(self, monkeypatch):
+        def split(*_):
+            raise AssertionError("a worker started")
+
+        monkeypatch.setattr(ensemble, "_split", split)
+        sim = SimConfig(params=MapParams(ELL, Q), n_ens=10_000_000, n_iter=19, burn_in=0, seed=1)
+        with pytest.raises(DomainError, match="n_iter too small for one segment"):
+            estimate_pi(fr_config(20), sim)
+
+    def test_mc_memory_does_not_grow_with_the_ensemble(self, force_workers):
+        """One worker's traced peak at 4x the members: each chunk bins its
+        segment means as each segment ends, so no (n_ens, n_segs) array is
+        made (one would be 1.5 MB, then 6 MB here)."""
+        n = 3 * ensemble._CHUNK
+        peaks = []
+        for n_ens in (n, 4 * n):
+            sim = SimConfig(params=MapParams(ELL, Q), n_ens=n_ens, n_iter=8, burn_in=0, seed=6)
+            force_workers(n_ens, 1)
+            tracemalloc.start()
+            try:
+                pi = estimate_pi(fr_config(2), sim)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert pi.n_segments == 4 * n_ens and 0 < pi.counts.sum() <= pi.n_segments
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 class TestRateFunction:
