@@ -49,9 +49,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    """Flat key = value text; '#' starts a comment."""
+    """Flat key = value UTF-8 text; '#' starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise BakerlabError(f"--config {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise BakerlabError(f"--config {path}: not UTF-8 text") from None
     out = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

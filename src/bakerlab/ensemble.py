@@ -6,17 +6,17 @@ configuration determines its outputs exactly.  Member k's start and its
 dither draws are fixed positions in those streams, so any contiguous range
 of members can be evolved on its own, bit for bit as in the whole ensemble.
 
-Every reduction (histograms, transition counts, segment means and their
-cell counts, member averages, lag products) splits the members into one
-contiguous range per worker process, at most one per usable CPU and one per
+Every reduction (histograms, transition counts, segment-mean cell counts,
+member averages, lag products) splits the members into one contiguous
+range per worker process, at most one per usable CPU and one per
 ``_MIN_SPLIT_MEMBERS`` members.  Each worker evolves its range in
 consecutive chunks of at most ``_CHUNK`` members, each through every step
 before the next starts, and each chunk writes its per-member rows straight
 into their slice, so a worker's memory does not grow with its range apart
-from the rows it returns.  Only the segment means, member averages and lag
-products return rows; the histograms, transition counts and segment-mean
-counts return sums alone.  Chunks and ranges are merged by one rule, in
-member order: integer-valued sums are added and per-member rows
+from the rows it returns.  Only the member averages and lag products return
+rows, one float per member; the histograms, transition counts and
+segment-mean counts return sums alone.  Chunks and ranges are merged by one
+rule, in member order: integer-valued sums are added and per-member rows
 concatenated.  Their results are therefore bitwise independent of the
 worker count, the CPU count and the chunk size.
 
@@ -62,13 +62,11 @@ __all__ = [
     "worker_count",
     "empirical_density",
     "transition_counts",
-    "lambda_segment_means",
     "segment_mean_counts",
     "measure_estimate",
     "odd_observable_mean",
     "lag_products",
     "reflect_rect",
-    "uniformity_chi_square",
 ]
 
 _MAX_ENSEMBLE = 50_000_000
@@ -82,11 +80,6 @@ _CHUNK = 16_384
 # bytes a cell, 32 MB at the cap, and the parent reads a child's counts into
 # a second such array before adding them
 _MAX_HIST_CELLS = 4_000_000
-# most segment means lambda_segment_means returns: n_ens x n_segs float64
-# rows, 200 MB at the cap, held once in the parent, which writes its own
-# range into them and reads each worker's rows into their slice;
-# segment_mean_counts keeps no means, so no such cap bounds it
-_MAX_SEGMENT_MEANS = 25_000_000
 
 # At ell = 1/4 (and only there) every branch has x-slope exactly 2, so a
 # float64 orbit sheds one significand bit per step and collapses onto the
@@ -435,20 +428,10 @@ def transition_counts(config: SimConfig) -> np.ndarray:
     return _split(config.n_ens, part, np.zeros(16, dtype=np.int64))[0].reshape(4, 4)
 
 
-def _segment_count(config: SimConfig, seg_len: int) -> int:
-    """Segments of length ``seg_len`` per member, checked to be at least one."""
-    if seg_len < 1:
-        raise DomainError("seg_len must be >= 1")
-    n_segs = config.n_iter // seg_len
-    if n_segs < 1:
-        raise DomainError("n_iter too small for one segment")
-    return n_segs
-
-
 def _segment_means(config: SimConfig, seg_len: int, members: tuple[int, int]):
-    """The one per-segment loop of the segment-mean reductions: yields the
-    means of the members [a, b) over each of their ``n_iter // seg_len``
-    consecutive segments as the segment ends, each mean the sum of
+    """The per-segment loop of ``segment_mean_counts``: yields the means of
+    the members [a, b) over each of their ``n_iter // seg_len`` consecutive
+    segments as the segment ends, each mean the sum of
     ``seg_len`` region rates starting with the segment's first state, over
     ``seg_len``.  They are yielded in the one buffer that then sums the next
     segment, so a consumer uses them, or overwrites them, before it asks for
@@ -467,43 +450,24 @@ def _segment_means(config: SimConfig, seg_len: int, members: tuple[int, int]):
             acc[:] = 0.0
 
 
-def lambda_segment_means(config: SimConfig, seg_len: int) -> np.ndarray:
-    """Time-averaged contraction rate over consecutive non-overlapping
-    segments of length ``seg_len``, flattened over members then segments.
-
-    Each member contributes ``n_iter // seg_len`` segments; a segment mean
-    sums exactly ``seg_len`` region rates starting with the segment's first
-    state.  More than ``_MAX_SEGMENT_MEANS`` means in all are refused with
-    ``CapacityError`` before any worker starts.
-    """
-    n_segs = _segment_count(config, seg_len)
-    if config.n_ens * n_segs > _MAX_SEGMENT_MEANS:
-        raise CapacityError(
-            f"{config.n_ens} members x {n_segs} segments exceed the limit of {_MAX_SEGMENT_MEANS} segment means"
-        )
-
-    def part(a, b, _, rows):
-        for j, means in enumerate(_segment_means(config, seg_len, (a, b))):
-            rows[:, j] = means
-
-    return _split(config.n_ens, part, np.empty(0), (n_segs,))[1].reshape(-1)
-
-
 def segment_mean_counts(
     config: SimConfig, seg_len: int, scale: float, cell_of: Callable[[np.ndarray], np.ndarray], n_cells: int
 ) -> np.ndarray:
-    """Counts per cell of the ``lambda_segment_means`` of ``config`` over
-    ``scale``: ``cell_of(values)`` gives each value's cell in
-    ``[0, n_cells)``, or -1 for a value in no cell, which is not counted.
+    """Counts per cell of the segment means of ``config`` over ``scale``:
+    ``cell_of(values)`` gives each value's cell in ``[0, n_cells)``, or -1
+    for a value in no cell, which is not counted.
 
-    Each chunk of members bins its means as each segment ends, so no
-    worker keeps a mean past its segment and only the ``n_cells`` int64
-    counts leave a worker.  The values binned are the means of
-    ``lambda_segment_means`` divided by ``scale``, bit for bit, so the
-    counts equal a bincount of theirs; only the ensemble cap bounds the
-    number of segments.
+    Each member contributes ``n_iter // seg_len`` consecutive segments; a
+    segment mean sums exactly ``seg_len`` region rates starting with the
+    segment's first state.  Each chunk of members bins its means as each
+    segment ends, so no worker keeps a mean past its segment and only the
+    ``n_cells`` int64 counts leave a worker; only the ensemble cap bounds
+    the number of segments.
     """
-    _segment_count(config, seg_len)
+    if seg_len < 1:
+        raise DomainError("seg_len must be >= 1")
+    if config.n_iter < seg_len:
+        raise DomainError("n_iter too small for one segment")
 
     def part(a, b, counts, _):
         for means in _segment_means(config, seg_len, (a, b)):
@@ -639,18 +603,3 @@ def lag_products(config: SimConfig, phi: np.ndarray) -> tuple[np.ndarray, np.nda
             per_member += prod
 
     return _split(config.n_ens, part, np.zeros(config.n_iter), ())
-
-
-def uniformity_chi_square(counts: np.ndarray) -> tuple[float, int, float]:
-    """Pearson chi-square of observed bin counts against the uniform law;
-    returns (statistic, dof, p-value)."""
-    from scipy.special import chdtrc  # imported here so that the CLI never loads scipy
-
-    counts = np.asarray(counts, dtype=float)
-    total = counts.sum()
-    if total <= 0:
-        raise DomainError("empty histogram")
-    expected = total / counts.size
-    stat = float(((counts - expected) ** 2 / expected).sum())
-    dof = counts.size - 1
-    return stat, dof, float(chdtrc(dof, stat))

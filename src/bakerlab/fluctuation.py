@@ -22,7 +22,7 @@ from .errors import (
     InsufficientFluctuationsError,
     NormalizationError,
 )
-from .ensemble import SimConfig, lambda_segment_means, segment_mean_counts
+from .ensemble import SimConfig, segment_mean_counts
 from .markov import ContractionDistribution, mean_contraction_rate
 
 __all__ = [
@@ -31,13 +31,11 @@ __all__ = [
     "RateFunction",
     "FRCheck",
     "ParabolaFit",
-    "EquivalenceReport",
     "symmetric_grid",
     "estimate_pi",
     "rate_function",
     "fr_check",
     "fit_parabola",
-    "variant_equivalence_test",
 ]
 
 
@@ -49,8 +47,8 @@ _MAX_GRID_CELLS = 10_001
 def symmetric_grid(p_max: float, spacing: float = 0.1) -> np.ndarray:
     """Cell centers -p_max..p_max built from integers so the grid is
     exactly symmetric."""
-    if not (p_max > 0 and spacing > 0):
-        raise DomainError("p_max and spacing must be positive")
+    if not (p_max > 0 and 0 < spacing < np.inf):
+        raise DomainError("p_max must be positive and spacing positive and finite")
     k = round(min(p_max / spacing, _MAX_GRID_CELLS))  # min() keeps inf out of round()
     if 2 * k + 1 > _MAX_GRID_CELLS:
         raise CapacityError(
@@ -300,76 +298,3 @@ def fit_parabola(rf: RateFunction) -> ParabolaFit:
     coef, _, _, _ = np.linalg.lstsq(design, z, rcond=None)
     resid = float(np.sqrt(np.mean((design @ coef - z) ** 2)))
     return ParabolaFit(a=float(coef[0]), b=float(coef[1]), residual=resid, n_points=len(p))
-
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Two-sample chi-square comparison of segment-average histograms."""
-
-    statistic: float
-    dof: int
-    pvalue: float
-    passed: bool
-    identical: bool
-
-
-# histogram bins and significance level of variant_equivalence_test
-_EQUIV_BINS = 20
-_EQUIV_ALPHA = 0.01
-
-
-def variant_equivalence_test(config_a: SimConfig, config_b: SimConfig, seg_len: int) -> EquivalenceReport:
-    """Test whether two runs produce the same law of segment averages,
-    passing at significance level 0.01.
-
-    Histograms use 20 shared bins spanning the pooled sample; sparsely
-    populated edge bins are merged pairwise until every bin has a pooled
-    count of at least 10.
-    """
-    from scipy.special import chdtrc  # imported here so that the CLI never loads scipy
-
-    a = lambda_segment_means(config_a, seg_len)
-    b = lambda_segment_means(config_b, seg_len)
-    lo = min(a.min(), b.min())
-    hi = max(a.max(), b.max())
-    if lo == hi:
-        identical = bool(np.array_equal(a, b))
-        return EquivalenceReport(0.0, 0, 1.0, True, identical)
-    edges = np.linspace(lo, hi, _EQUIV_BINS + 1)
-    edges[-1] = np.nextafter(hi, np.inf)
-    ca, _ = np.histogram(a, bins=edges)
-    cb, _ = np.histogram(b, bins=edges)
-
-    merged_a, merged_b = [], []
-    acc_a = acc_b = 0
-    for oa, ob in zip(ca, cb):
-        acc_a += oa
-        acc_b += ob
-        if acc_a + acc_b >= 10:
-            merged_a.append(acc_a)
-            merged_b.append(acc_b)
-            acc_a = acc_b = 0
-    if acc_a + acc_b > 0:
-        if merged_a:
-            merged_a[-1] += acc_a
-            merged_b[-1] += acc_b
-        else:
-            merged_a.append(acc_a)
-            merged_b.append(acc_b)
-    oa = np.array(merged_a, dtype=float)
-    ob = np.array(merged_b, dtype=float)
-    na, nb = oa.sum(), ob.sum()
-    k1 = np.sqrt(nb / na)
-    k2 = np.sqrt(na / nb)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        contrib = (k1 * oa - k2 * ob) ** 2 / (oa + ob)
-    stat = float(np.nansum(contrib))
-    dof = max(len(oa) - 1, 1)
-    pvalue = float(chdtrc(dof, stat))
-    return EquivalenceReport(
-        statistic=stat,
-        dof=dof,
-        pvalue=pvalue,
-        passed=pvalue >= _EQUIV_ALPHA,
-        identical=bool(np.array_equal(a, b)),
-    )

@@ -115,7 +115,7 @@ class MapParams:
             object.__setattr__(self, "strip_eps", 0.5 - self.ell)
         if not 0.0 <= self.strip_x < 1.0:
             raise DomainError(f"strip_x must lie in [0, 1), got {self.strip_x}")
-        if self.strip_eps < 0.0 or self.strip_x + self.strip_eps > 1.0:
+        if not (self.strip_eps >= 0.0 and self.strip_x + self.strip_eps <= 1.0):  # NaN fails too
             raise DomainError(
                 f"strip [{self.strip_x}, {self.strip_x + self.strip_eps}] "
                 "must be contained in [0, 1]"

@@ -505,23 +505,42 @@ class TestBadInput:
             ["transport", "--sweep", ""],
             ["db", "--out", ""],
             ["density", "--n-ens", "100", "--n-iter", "0", "--bins", "10"],
+            ["density", "--variant", "irreversible", "--strip-eps", "nan"],
+            ["fr", "--delta", "inf"],
+            ["fr", "--config", "missing.cfg"],
+            ["fr", "--config", "."],
+            ["fr", "--config", "../latin1.cfg"],
         ],
         ids=" ".join,
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_one_line_usage_error(self, tmp_path, monkeypatch, capsys, argv):
-        monkeypatch.chdir(tmp_path)  # where the default bakerlab_out/<command> would go
+        (tmp_path / "latin1.cfg").write_bytes("ell = 0.15  # \xe9\n".encode("latin-1"))  # not UTF-8
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)  # where the default bakerlab_out/<command> would go
         assert run(argv if "--out" in argv else argv + ["--out", "o"]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"{argv[0]}: error: ")
         assert "Traceback" not in err[0]
-        assert not any(tmp_path.iterdir())
+        assert not any(work.iterdir())
 
-    def test_segment_means_past_the_kept_means_cap_run(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "config, reason", [("missing.cfg", "No such file or directory"), (".", "Is a directory"),
+                           ("latin1.cfg", "not UTF-8 text")]
+    )
+    def test_unreadable_config_names_the_file(self, tmp_path, monkeypatch, capsys, config, reason):
+        (tmp_path / "latin1.cfg").write_bytes(b"ell = 0.15  # \xe9\n")
+        monkeypatch.chdir(tmp_path)
+        assert run(["db", "--config", config, "--out", "o"]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"db: error: --config {config}: {reason}"]
+
+    def test_fifty_million_segment_means_run(self, tmp_path, capsys):
         """50,000 members x 1000 segments of n = 1 make 50M segment means,
-        twice the cap on kept means (``_MAX_SEGMENT_MEANS``).  ``fr`` bins
-        them as each segment ends, so the run is not refused: it runs and
-        fails only for want of negative fluctuations."""
+        400 MB were they kept.  ``fr`` bins them as each segment ends, so no
+        cap on kept means refuses the run: it runs and fails only for want
+        of negative fluctuations."""
         argv = ["fr", "--source", "mc", "--n", "1", "--p-max", "1", "--n-ens", "50000", "--n-iter", "1000"]
         assert run(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
@@ -631,15 +650,9 @@ class TestWorkers:
 
 
 class TestImport:
-    def test_import_leaves_scipy_out(self):
-        src = str(Path(bakerlab.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        code = "import sys, bakerlab, bakerlab.cli; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
     # small forms of every command, with fr and ratefunc from both sources at
     # the default (ell, q), which lies on a lattice family, and at the generic
-    # (0.1, 0.1); none of them needs scipy
+    # (0.1, 0.1)
     SCIPY_FREE_RUNS = [
         ["db"],
         ["surface", "--ell-steps", "3", "--q-steps", "3"],
@@ -654,32 +667,32 @@ class TestImport:
         ["ratefunc", "--source", "exact", "--ell", "0.1", "--q", "0.1", "--n", "64", "--p-max", "8"],
     ]
 
-    def test_no_command_loads_scipy_special(self, tmp_path):
-        """Run every command in ``SCIPY_FREE_RUNS`` (and selftest) through
-        ``main`` in one fresh interpreter; ``scipy.special`` stays unloaded
-        until the probe imports it itself."""
+    def test_package_and_every_command_run_without_scipy(self, tmp_path):
+        """In one fresh interpreter where any scipy import fails, import
+        every name of every module's ``__all__``, then run selftest and
+        every command of ``SCIPY_FREE_RUNS`` through ``main``."""
         src = str(Path(bakerlab.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         code = (
-            "import json, sys\n"
+            "import importlib, json, sys\n"
+            "sys.modules['scipy'] = None\n"  # import scipy, and of any scipy submodule, now raises
+            "for layer in ('errors', 'mapcore', 'markov', 'ensemble', 'fluctuation', 'transport'):\n"
+            "    module = importlib.import_module('bakerlab.' + layer)\n"
+            "    for name in module.__all__:\n"
+            "        getattr(module, name)\n"
             "from bakerlab.cli import main\n"
             "runs, out = json.loads(sys.argv[1]), sys.argv[2]\n"
             "codes = [main(['selftest'])] + [main(r + ['--out', f'{out}/{i}']) for i, r in enumerate(runs)]\n"
             "assert codes == [0] * len(codes), codes\n"
-            "print('scipy.special' in sys.modules)\n"
-            "import scipy.special\n"
-            "print('scipy.special' in sys.modules)\n"  # the probe does see the module
+            "try:\n"
+            "    import scipy.special\n"
+            "except ImportError:\n"
+            "    print('scipy blocked')\n"  # the block did hold
         )
         proc = subprocess.run([sys.executable, "-c", code, json.dumps(self.SCIPY_FREE_RUNS), str(tmp_path)],
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-2:] == ["False", "True"]
-
-    def test_import_leaves_scipy_stats_out(self):
-        src = str(Path(bakerlab.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        code = "import sys, bakerlab, bakerlab.cli; assert 'scipy.stats' not in sys.modules"
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        assert proc.stdout.splitlines()[-1] == "scipy blocked"
 
     def test_import_leaves_multiprocessing_out(self):
         src = str(Path(bakerlab.__file__).resolve().parents[1])
@@ -695,17 +708,19 @@ class TestImport:
                 assert getattr(bakerlab, name) is getattr(module, name), (module.__name__, name)
         scalar_layer = ("Point", "classify_region", "jacobian", "contraction_rate", "baker_step",
                         "strip_flip", "step", "time_reversal")
+        scipy_helpers = ("uniformity_chi_square", "variant_equivalence_test", "EquivalenceReport")  # in tests/stats.py
         for owner, names in (
             (bakerlab, scalar_layer + ("time_average", "contraction_autocovariance", "final_state",
                                        "write_histogram_csv", "region_sequences", "evolve", "region_stream",
-                                       "StepState")),
+                                       "StepState") + scipy_helpers + ("lambda_segment_means",)),
             (mapcore, scalar_layer),
-            (fluctuation, ("time_average",)),
+            (fluctuation, ("time_average", "variant_equivalence_test", "EquivalenceReport", "_EQUIV_BINS",
+                           "_EQUIV_ALPHA")),
             (markov, ("contraction_autocovariance",)),
             (ensemble, ("final_state", "write_histogram_csv", "region_sequences", "_MAX_SEQUENCE_BYTES",
-                        "evolve", "region_stream", "StepState")),
+                        "evolve", "region_stream", "StepState", "lambda_segment_means", "_MAX_SEGMENT_MEANS",
+                        "uniformity_chi_square")),
             (fluctuation.FRConfig, ("spacing",)),
-            (fluctuation.EquivalenceReport, ("alpha",)),
             (transport.GKResult, ("n_ens", "n_iter")),
         ):
             fields = getattr(owner, "__dataclass_fields__", {})

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
+from stats import segment_means, uniformity_chi_square
+
 from bakerlab import ensemble, mapcore, transport
 from bakerlab.errors import CapacityError, DomainError, WorkerError
 from bakerlab.mapcore import (
@@ -27,14 +29,12 @@ from bakerlab.ensemble import (
     SimConfig,
     empirical_density,
     lag_products,
-    lambda_segment_means,
     measure_estimate,
     odd_observable_mean,
     reflect_rect,
     sample_ensemble,
     segment_mean_counts,
     transition_counts,
-    uniformity_chi_square,
     worker_count,
 )
 
@@ -402,7 +402,7 @@ class TestLagProducts:
 class TestSegmentMeans:
     def test_counts_and_values(self):
         cfg = SimConfig(params=MapParams(0.15, 0.2), n_ens=50, n_iter=100, burn_in=50, seed=8)
-        segs = lambda_segment_means(cfg, 25)
+        segs = segment_means(cfg, 25)
         assert segs.shape == (50 * 4,)
         # recompute one member's first segment from its region sequence
         seqs = np.stack(list(regions(cfg)), axis=1)
@@ -410,31 +410,18 @@ class TestSegmentMeans:
         manual = rates[seqs[0, :25]].mean()
         assert segs[0] == pytest.approx(manual, rel=1e-12)
 
-    def test_requires_full_segment(self):
-        cfg = SimConfig(params=PARAMS_EQ, n_ens=10, n_iter=10, burn_in=0, seed=1)
-        with pytest.raises(DomainError):
-            lambda_segment_means(cfg, 11)
 
-    def test_segment_cap_is_checked_from_the_config(self, monkeypatch):
-        cap = ensemble._MAX_SEGMENT_MEANS
-        assert cap >= 20_000 * 20  # the default ``fr --source mc`` and the benchmark's
-        started = []
+def value_cells(means: np.ndarray):
+    """A ``cell_of`` for ``segment_mean_counts`` with one cell per distinct
+    value of ``means``, which a value enters only if it equals that value
+    bit for bit, and the count of each value in ``means``."""
+    values, counts = np.unique(means, return_counts=True)
 
-        def split(n_ens, *_):
-            started.append(n_ens)
-            raise InterruptedError  # no member is stepped
+    def cell_of(v):
+        i = np.minimum(np.searchsorted(values, v), len(values) - 1)
+        return np.where(values[i] == v, i, -1)
 
-        monkeypatch.setattr(ensemble, "_split", split)
-        over = SimConfig(params=PARAMS_EQ, n_ens=_MAX_ENSEMBLE, n_iter=10**9, burn_in=0, seed=1)
-        with pytest.raises(CapacityError, match=f"{_MAX_ENSEMBLE} members x 100000000 segments exceed the limit of {cap}"):
-            lambda_segment_means(over, 10)
-        with pytest.raises(CapacityError):
-            lambda_segment_means(replace(over, n_ens=cap // 1000, n_iter=1001), 1)
-        assert started == []
-        with pytest.raises(InterruptedError):  # at the cap the run starts
-            lambda_segment_means(replace(over, n_ens=cap // 1000, n_iter=1000), 1)
-        assert started == [cap // 1000]
-
+    return cell_of, counts
 
 
 def assert_no_child_left():
@@ -486,13 +473,14 @@ class TestMemberSplit:
         cfg = SimConfig(params=params, variant=variant, n_ens=n_ens, n_iter=9, burn_in=4, seed=13)
         gk_cfg = transport.GKConfig(**vars(cfg))
         phi = np.array([0.0, 1.0, -1.0, 0.0])
+        cell_of, value_counts = value_cells(segment_means(cfg, 4))
 
         def reductions():
             gk = transport.green_kubo_estimate(gk_cfg)
             return [
                 empirical_density(cfg, nx=7, ny=9).counts,
                 transition_counts(cfg),
-                lambda_segment_means(cfg, 4),
+                segment_mean_counts(cfg, 4, 1.0, cell_of, len(value_counts)),
                 np.array(astuple(measure_estimate(cfg, RectSet(0.1, 0.6, 0.2, 0.9)))),
                 np.array(odd_observable_mean(cfg, phi, ReversalScheme.Q3)),
                 *lag_products(cfg, transport.PSI),
@@ -508,6 +496,7 @@ class TestMemberSplit:
         for a, b in zip(whole, split, strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
+        assert whole[2].tobytes() == value_counts.tobytes()  # every mean binned, bit for bit
         assert_no_child_left()
 
     @pytest.mark.parametrize(
@@ -530,25 +519,23 @@ class TestMemberSplit:
         assert peaks[1] <= 1.25 * peaks[0], peaks
 
     def test_parent_holds_the_rows_once(self, force_workers):
-        """The parent's traced peak over two workers, less the returned
-        rows, is one chunk's state: about 9 arrays of ``_CHUNK`` floats,
-        whatever the row width.  Each child's rows are read straight into
-        their slice (a buffer of their own and then a concatenation made
-        the peak about 2.1x the rows), and each chunk writes its rows
-        straight into theirs (rows returned by a chunk and copied into the
-        result added its 24 columns here, 33 arrays in all, 1.20x the
-        rows)."""
-        n_ens = 8 * ensemble._CHUNK
+        """The parent's traced peak over two workers, less the per-member
+        rows that ``lag_products`` returns (32 arrays of ``_CHUNK`` floats),
+        is one chunk's state: about 10 such arrays.  Each child's rows are
+        read straight into their slice (a buffer of the child's 16 arrays
+        made it about 16), and each chunk writes its rows straight into
+        theirs."""
+        n_ens = 32 * ensemble._CHUNK
         cfg = SimConfig(params=MapParams(0.15, 0.1), variant=MapVariant.IRREVERSIBLE, n_ens=n_ens, n_iter=24, burn_in=0, seed=5)
         force_workers(n_ens, 2)
         tracemalloc.start()
         try:
-            means = lambda_segment_means(cfg, 1)
+            _, per_member = lag_products(cfg, transport.PSI)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert means.nbytes == n_ens * 24 * 8
-        assert peak - means.nbytes <= 12 * ensemble._CHUNK * 8, (peak - means.nbytes) / (ensemble._CHUNK * 8)
+        assert per_member.nbytes == n_ens * 8
+        assert peak - per_member.nbytes <= 12 * ensemble._CHUNK * 8, (peak - per_member.nbytes) / (ensemble._CHUNK * 8)
 
     def test_worker_count_follows_ensemble_size(self, monkeypatch):
         monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
@@ -652,7 +639,7 @@ class TestSegmentMeanCounts:
         cfg = SimConfig(params=params, variant=variant, n_ens=n_ens, n_iter=13, burn_in=0, seed=19)
         scale = mean_contraction_rate(params.ell, params.q)
         force_workers(n_ens, 1)
-        idx = self.cells(lambda_segment_means(cfg, 4) / scale)
+        idx = self.cells(segment_means(cfg, 4) / scale)
         assert (idx < 0).any() and (idx >= 0).sum() > n_ens  # some means fall outside every cell
         expected = np.bincount(idx[idx >= 0], minlength=len(self.GRID))
         force_workers(n_ens, w)
@@ -730,7 +717,8 @@ class TestXOnlyPath:
             if (k + 1) % seg_len == 0:
                 sums[:, k // seg_len] = acc
                 acc[:] = 0.0
-        assert lambda_segment_means(cfg, seg_len).tobytes() == (sums / seg_len).reshape(-1).tobytes()
+        cell_of, value_counts = value_cells(sums / seg_len)
+        assert segment_mean_counts(cfg, seg_len, 1.0, cell_of, len(value_counts)).tobytes() == value_counts.tobytes()
 
         counts = np.zeros((4, 4), dtype=np.int64)
         for prev, r in zip(seqs, seqs[1:]):
@@ -764,10 +752,9 @@ class TestXOnlyPath:
         assert_no_child_left()
 
     @pytest.mark.parametrize("params", [PARAMS_EQ, MapParams(0.25, 0.0)], ids=["0.15", "0.25-dither"])
-    def test_one_region_lookup_per_state(self, monkeypatch, force_workers, params):
+    def test_one_region_lookup_per_state(self, monkeypatch, params):
         cfg = SimConfig(params=params, n_ens=64, n_iter=12, burn_in=4, seed=3)
-        force_workers(cfg.n_ens, 1)
-        expected = lambda_segment_means(cfg, 3)
+        expected = segment_means(cfg, 3)
         lookups = []
         lookup = ensemble.region_indices
 
@@ -780,5 +767,5 @@ class TestXOnlyPath:
 
         monkeypatch.setattr(ensemble, "region_indices", counting)
         monkeypatch.setattr(mapcore, "region_indices", inside_the_step)
-        assert lambda_segment_means(cfg, 3).tobytes() == expected.tobytes()
+        assert segment_means(cfg, 3).tobytes() == expected.tobytes()
         assert len(lookups) == cfg.burn_in + cfg.n_iter

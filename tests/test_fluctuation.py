@@ -5,6 +5,8 @@ import pytest
 from scipy import stats as sstats
 from scipy.special import logsumexp
 
+from stats import variant_equivalence_test
+
 from bakerlab.errors import (
     CapacityError,
     DomainError,
@@ -25,7 +27,6 @@ from bakerlab.fluctuation import (
     fr_check,
     rate_function,
     symmetric_grid,
-    variant_equivalence_test,
 )
 
 ELL, Q = 0.15, 0.2
@@ -83,6 +84,12 @@ class TestFRConfig:
     def test_symmetric_grid_cell_cap(self, p_max, spacing):
         with pytest.raises(CapacityError):
             symmetric_grid(p_max, spacing)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("spacing", [np.inf, np.nan, 0.0, -0.1])
+    def test_symmetric_grid_refuses_a_spacing_before_using_it(self, spacing):
+        with pytest.raises(DomainError, match="spacing positive and finite"):
+            symmetric_grid(2.0, spacing)
 
 
 class TestEstimatePi:

@@ -59,6 +59,16 @@ class TestParams:
         with pytest.raises(DomainError):
             MapParams(ell=0.15, strip_x=-0.1, strip_eps=0.2)
 
+    @pytest.mark.parametrize("strip_x, strip_eps", [(0.3, np.nan), (np.nan, 0.1), (0.3, -0.1), (0.3, np.inf)])
+    def test_strip_that_is_not_a_number_or_negative_is_refused(self, strip_x, strip_eps):
+        with pytest.raises(DomainError, match="strip"):
+            MapParams(ell=0.15, strip_x=strip_x, strip_eps=strip_eps)
+
+    @pytest.mark.parametrize("strip_x, strip_eps", [(0.3, 0.0), (0.0, 1.0), (0.5, 0.5), (0.99, 0.01)])
+    def test_strip_on_the_square_edges_is_accepted(self, strip_x, strip_eps):
+        p = MapParams(ell=0.15, strip_x=strip_x, strip_eps=strip_eps)
+        assert (p.strip_x, p.strip_eps) == (strip_x, strip_eps)
+
     def test_jacobians_positive_on_valid_range(self):
         for ell in ELL_GRID:
             for q in (0.0, 0.2, 0.4, 0.49):
