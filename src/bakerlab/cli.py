@@ -341,13 +341,27 @@ _FR = {
 _MC_ONLY = ("variant", "strip_x", "strip_eps", "n_ens", "n_iter", "burn_in", "seed", "min_count")
 
 
+def _p_grid(p_max: float, delta: float) -> np.ndarray:
+    """The cell centers of fr and ratefunc: cells of half width ``--delta``
+    side by side, from -``--p-max`` to ``--p-max``, refused in the terms of
+    those two options."""
+    if not 0.0 < delta < np.inf:
+        raise DomainError(f"--delta must be positive and finite, got {delta}")
+    if not 0.0 < p_max < np.inf:
+        raise DomainError(f"--p-max must be positive and finite, got {p_max}")
+    grid = fl.symmetric_grid(p_max, 2.0 * delta)
+    if len(grid) < 3:
+        raise DomainError(f"--p-max {p_max} leaves no cell beside p = 0 at --delta {delta}; it must exceed --delta")
+    return grid
+
+
 def _fr_family(command: str, resolved: dict) -> tuple[fl.PiHistogram, fl.RateFunction, _Run]:
     """Body of fr and ratefunc: the cell masses from the exact law or the
     ensemble and their rate function, with the run that writes ``pi.csv``
     and ``zeta.csv``; each command adds its own artifact and summary."""
     fr_cfg = fl.FRConfig(
         n=resolved["n"],
-        p_grid=fl.symmetric_grid(resolved["p_max"], 2.0 * resolved["delta"]),
+        p_grid=_p_grid(resolved["p_max"], resolved["delta"]),
         delta=resolved["delta"],
         min_count=resolved["min_count"],
     )

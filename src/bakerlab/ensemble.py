@@ -73,8 +73,10 @@ _MAX_ENSEMBLE = 50_000_000
 # fewest members per worker process: below it forking a worker costs more
 # than the second core saves (crossover sweep in CHANGES.md)
 _MIN_SPLIT_MEMBERS = 10_000
-# most members a worker evolves at once: 8 bytes a member per array, so x, y
-# and their images fit a 2 MiB L2 (sweep in CHANGES.md)
+# most members a worker evolves at once, the one cache-sized cut of the
+# state: a with-y step touches about 72 bytes a member (x, y, their images,
+# a 32-byte coefficient row and the gather's index), about 1.2 MB a chunk,
+# within one core's 2 MiB L2 (sweep in CHANGES.md)
 _CHUNK = 16_384
 # widest 2-d histogram accepted (2000 x 2000): each worker's counts take 8
 # bytes a cell, 32 MB at the cap, and the parent reads a child's counts into
@@ -164,13 +166,14 @@ def _run(config: SimConfig, with_y: bool, members: tuple[int, int], phi: np.ndar
     Discards ``burn_in`` states, then yields ``(x, y, r, v)`` at each of the
     ``n_iter`` kept states, taking ``burn_in + n_iter - 1`` steps in all,
     and none when ``n_iter`` is 0.  With ``with_y``, ``step_arrays`` looks
-    the regions up block by block inside each step, taken after the state
-    is yielded, and r and v are None.  Without it, y is None and each
-    state's int8 regions r are looked up once, after the dither; the step
-    that leaves the state is taken before it is yielded, by ``step_arrays``
-    given r, and its one gather of ``_x_step_table(params, phi)`` per member
-    also writes v = phi[r] (0 where ``phi`` is None).  At the last state,
-    which no step leaves, ``_x_gather`` writes v alone.
+    the regions up inside each step, taken after the state is yielded, and
+    r and v are None.  Without it, y is None and each state's int8 regions
+    r are looked up once, after the dither; the step that leaves the state
+    is taken before it is yielded, by ``_x_gather`` at r, whose one gather
+    of ``_x_step_table(params, phi)`` per member also writes v = phi[r] (0
+    where ``phi`` is None).  At the last state, which no step leaves,
+    ``_x_gather`` writes v alone.  Each kernel call takes all b - a
+    members, which ``_split`` keeps to at most ``_CHUNK``.
 
     x, y and r are the loop's own state: the next step replaces them rather
     than writing into them.  v is the one buffer that every state's gather
@@ -204,10 +207,8 @@ def _run(config: SimConfig, with_y: bool, members: tuple[int, int], phi: np.ndar
                 y = None if y is None else _dither(y, _philox(ky, (k - 1) * n + a))
         if table is not None:
             r = region_indices(x, params.ell)
-            if k < last:
-                xn, _ = step_arrays(x, None, params, config.variant, r, table, v)
-            else:
-                _x_gather(r, table, v)
+            xn = np.empty(b - a) if k < last else None
+            _x_gather(r, table, v, x, xn)
         if k >= config.burn_in:
             yield x, y, r, v
 

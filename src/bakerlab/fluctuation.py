@@ -52,7 +52,7 @@ def symmetric_grid(p_max: float, spacing: float = 0.1) -> np.ndarray:
     k = round(min(p_max / spacing, _MAX_GRID_CELLS))  # min() keeps inf out of round()
     if 2 * k + 1 > _MAX_GRID_CELLS:
         raise CapacityError(
-            f"a p grid over [-{p_max}, {p_max}] at spacing {spacing} exceeds "
+            f"a p grid over [-{p_max}, {p_max}] with cells {spacing} apart exceeds "
             f"the limit of {_MAX_GRID_CELLS} cells"
         )
     return np.arange(-k, k + 1) * spacing

@@ -17,14 +17,14 @@ vertical strip; composing it after the baker step destroys invertibility
 without touching any x-projected statistic.
 
 All functions here are pure and stateless and operate on numpy vectors.
-The ensemble step kernel ``step_arrays`` walks the members in cache-sized
-blocks: per block it looks up the regions, fetches every branch coefficient
-with one gather from a cached table, and writes the affine update, the clip
-and the flip in place into the new arrays.  The x-only step gathers rows
-``(ax, bx, phi, 0)`` of ``_x_step_table(params, phi)`` at the regions of x
-instead: a caller that looks the regions up itself passes them, and gets
-phi at them, column 2 of the same gather, for the reduction it runs, so
-one lookup and one gather per member serve both.
+The step kernel ``step_arrays`` works on the whole arrays it is given (the
+ensemble hands it cache-sized chunks): it looks up the regions, fetches
+every branch coefficient with one gather from a cached table, and writes
+the affine update, the clip and the flip in place into the new arrays.
+The x-only kernel ``_x_gather`` gathers rows ``(ax, bx, phi, 0)`` of
+``_x_step_table(params, phi)`` at regions its caller looked up, so that
+one lookup and one gather per member serve both the x step and the region
+observable phi of the reduction the caller runs.
 """
 
 from __future__ import annotations
@@ -52,12 +52,6 @@ __all__ = [
     "region_reverse",
     "check_reversibility",
 ]
-
-
-# members per block of ``step_arrays``: with y, a block touches about 72
-# bytes a member (x, y, their images, a 32-byte coefficient row and the
-# gather's index), some 2.3 MB, about one core's L2 on common x86 parts
-_BLOCK = 32_768
 
 
 class Region(enum.IntEnum):
@@ -184,7 +178,7 @@ def _x_step_table(params: MapParams, phi: np.ndarray | None = None) -> np.ndarra
     (``phi`` is 0 where None).
 
     Rows gathered from it at the regions of x are the coefficients of the
-    x-only ``step_arrays``, and their column 2 is the region observable
+    x-only step, and their column 2 is the region observable
     ``phi`` at those regions.  The fourth column pads a row to 32 bytes: a
     gather of four float64 columns costs what one of two does, and one of
     three about twice as much.
@@ -225,9 +219,6 @@ def step_arrays(
     y: np.ndarray | None,
     params: MapParams,
     variant: MapVariant = MapVariant.REVERSIBLE,
-    regions: np.ndarray | None = None,
-    table: np.ndarray | None = None,
-    values: np.ndarray | None = None,
 ):
     """One iteration of the selected dynamics.
 
@@ -237,66 +228,44 @@ def step_arrays(
     in the strip with y < 1/2; x is untouched and a zero-width strip flips
     nothing.
 
-    Members are stepped in blocks of ``_BLOCK``, written in place into the
-    new arrays, so that every temporary stays in cache; the arithmetic is
-    exactly ``clip(a[r] * v + b[r], 0, 1)`` per coordinate, then the flip.
-
-    The x-only step fetches its coefficients with ``_x_gather`` from
-    ``table``, rows ``(ax, bx, phi, 0)`` as built by ``_x_step_table``, at
-    ``regions``, the regions of x.  A caller that has looked them up passes
-    them, and one that reduces phi at them passes ``values`` too, which
-    receives phi[regions]; where ``regions`` or ``table`` is None the
-    kernel looks the regions up or builds the table (phi = 0) itself.  With
-    y all three must be None.
+    The arithmetic is exactly ``clip(a[r] * v + b[r], 0, 1)`` per
+    coordinate, then the flip, written in place into the new arrays; one
+    gather per member fetches the coefficients of its region r.  The x-only
+    step is ``_x_gather`` at the regions of x.
     """
     n = len(x)
     xn = np.empty(n)
+    r = region_indices(x, params.ell)
     if y is None:
-        regions = region_indices(x, params.ell) if regions is None else regions
-        _x_gather(regions, _x_step_table(params) if table is None else table, values, x, xn)
+        _x_gather(r, _x_step_table(params), None, x, xn)
         return xn, None
-    if regions is not None or table is not None or values is not None:
-        raise ValueError("regions, table and values are for the x-only step; y must be None")
-    table = _coefficient_table(params)
-    flip = variant is MapVariant.IRREVERSIBLE and params.strip_eps > 0.0
     yn = np.empty(n)
-    coef = np.empty((min(n, _BLOCK), 4))
-    for start in range(0, n, _BLOCK):
-        b = slice(start, start + _BLOCK)
-        rb = region_indices(x[b], params.ell)
-        c = np.take(table, rb.view(np.uint8), axis=0, mode="clip", out=coef[: len(rb)])
-        _affine_clip(c[:, 0], x[b], c[:, 1], xn[b])
-        yb = _affine_clip(c[:, 2], y[b], c[:, 3], yn[b])
-        if flip:
-            # after the clip y lies in [0, 1] and is never -0.0 (by >= +0),
-            # so |f - y| is 1 - y where the flip holds (f = 1) and y
-            # itself elsewhere, bit for bit, with no masked loop
-            np.subtract(_in_strip(xn[b], yb, params), yb, out=yb)
-            np.absolute(yb, out=yb)
+    c = np.take(_coefficient_table(params), r.view(np.uint8), axis=0, mode="clip", out=np.empty((n, 4)))
+    _affine_clip(c[:, 0], x, c[:, 1], xn)
+    _affine_clip(c[:, 2], y, c[:, 3], yn)
+    if variant is MapVariant.IRREVERSIBLE and params.strip_eps > 0.0:
+        # after the clip y lies in [0, 1] and is never -0.0 (by >= +0), so
+        # |f - y| is 1 - y where the flip holds (f = 1) and y itself
+        # elsewhere, bit for bit, with no masked loop
+        np.subtract(_in_strip(xn, yn, params), yn, out=yn)
+        np.absolute(yn, out=yn)
     return xn, yn
 
 
 def _x_gather(
-    regions: np.ndarray,
-    table: np.ndarray,
-    values: np.ndarray | None,
-    x: np.ndarray | None = None,
-    xn: np.ndarray | None = None,
+    regions: np.ndarray, table: np.ndarray, values: np.ndarray | None, x: np.ndarray, xn: np.ndarray | None
 ) -> None:
-    """One gather per member of the rows of an ``_x_step_table`` at the int8
-    ``regions``, in blocks of ``_BLOCK`` into one cache-sized buffer: column
-    2 is copied into ``values`` unless it is None, and where ``xn`` is given
-    the x step ``clip(ax * x + bx, 0, 1)`` is written into it."""
-    n = len(regions)
-    coef = np.empty((min(n, _BLOCK), 4))
-    for start in range(0, n, _BLOCK):
-        b = slice(start, start + _BLOCK)
-        rb = regions[b]
-        c = table.take(rb.view(np.uint8), axis=0, mode="clip", out=coef[: len(rb)])
-        if values is not None:
-            values[b] = c[:, 2]
-        if xn is not None:
-            _affine_clip(c[:, 0], x[b], c[:, 1], xn[b])
+    """The x-only kernel: one gather per member of the rows of an
+    ``_x_step_table`` at the int8 ``regions``.  Column 2 is copied into
+    ``values`` unless it is None, and where ``xn`` is given the x step
+    ``clip(ax * x + bx, 0, 1)`` is written into it."""
+    # take writes into a buffer allocated here: a result that take
+    # allocates itself raised the peak RSS of long x-only runs
+    c = table.take(regions.view(np.uint8), axis=0, mode="clip", out=np.empty((len(regions), 4)))
+    if values is not None:
+        values[:] = c[:, 2]
+    if xn is not None:
+        _affine_clip(c[:, 0], x, c[:, 1], xn)
 
 
 def _affine_clip(a: np.ndarray, v: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -507,6 +507,10 @@ class TestBadInput:
             ["density", "--n-ens", "100", "--n-iter", "0", "--bins", "10"],
             ["density", "--variant", "irreversible", "--strip-eps", "nan"],
             ["fr", "--delta", "inf"],
+            ["fr", "--delta", "0"],
+            ["fr", "--delta", "-1"],
+            ["ratefunc", "--delta", "nan"],
+            ["fr", "--p-max", "0.05"],
             ["fr", "--config", "missing.cfg"],
             ["fr", "--config", "."],
             ["fr", "--config", "../latin1.cfg"],
@@ -535,6 +539,21 @@ class TestBadInput:
         monkeypatch.chdir(tmp_path)
         assert run(["db", "--config", config, "--out", "o"]) == 1
         assert capsys.readouterr().err.strip().splitlines() == [f"db: error: --config {config}: {reason}"]
+
+    GRID_ERRORS = [
+        (["fr", "--delta", "0"], "--delta must be positive and finite, got 0.0"),
+        (["fr", "--delta", "-1"], "--delta must be positive and finite, got -1.0"),
+        (["ratefunc", "--delta", "inf"], "--delta must be positive and finite, got inf"),
+        (["ratefunc", "--delta", "nan"], "--delta must be positive and finite, got nan"),
+        (["fr", "--p-max", "0.05"], "--p-max 0.05 leaves no cell beside p = 0 at --delta 0.05; it must exceed --delta"),
+        (["ratefunc", "--p-max", "nan"], "--p-max must be positive and finite, got nan"),
+    ]
+
+    @pytest.mark.parametrize("argv, reason", GRID_ERRORS, ids=[" ".join(argv) for argv, _ in GRID_ERRORS])
+    def test_grid_errors_name_the_option(self, tmp_path, capsys, argv, reason):
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"{argv[0]}: error: {reason}"]
+        assert not any(tmp_path.iterdir())
 
     def test_fifty_million_segment_means_run(self, tmp_path, capsys):
         """50,000 members x 1000 segments of n = 1 make 50M segment means,
@@ -632,14 +651,15 @@ class TestWorkers:
         argv, _ = self.RUNS[name]
         force_workers(2001, 2)
         parent = os.getpid()
-        step = bakerlab.ensemble.step_arrays
+        kernel = {"density": "step_arrays", "transport": "_x_gather"}[name]  # the with-y and x-only steps
+        step = getattr(bakerlab.ensemble, kernel)
 
         def failing_in_children(*args):
             if os.getpid() != parent:
                 raise MemoryError("injected")
             return step(*args)
 
-        monkeypatch.setattr(bakerlab.ensemble, "step_arrays", failing_in_children)
+        monkeypatch.setattr(bakerlab.ensemble, kernel, failing_in_children)
         out = tmp_path / "o"
         assert run(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()

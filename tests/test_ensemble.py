@@ -196,16 +196,20 @@ class TestRun:
     @pytest.mark.parametrize("with_y", [True, False], ids=["xy", "x-only"])
     @pytest.mark.parametrize("burn_in,n_iter", [(7, 12), (0, 1), (5, 0), (0, 0)])
     def test_no_step_after_the_last_kept_state(self, monkeypatch, params, with_y, burn_in, n_iter):
+        """Steps counted at the kernel the loop calls: ``step_arrays`` with
+        y, else ``_x_gather`` given an ``xn`` to step x into."""
         calls = []
-        step = ensemble.step_arrays
+        name = "step_arrays" if with_y else "_x_gather"
+        kernel = getattr(ensemble, name)
 
         def counting(*args):
-            calls.append(1)
-            return step(*args)
+            if with_y or args[4] is not None:
+                calls.append(1)
+            return kernel(*args)
 
         cfg = SimConfig(params=params, variant=MapVariant.IRREVERSIBLE, n_ens=40, n_iter=n_iter, burn_in=burn_in, seed=6)
         expected = reference_run(cfg, with_y)
-        monkeypatch.setattr(ensemble, "step_arrays", counting)
+        monkeypatch.setattr(ensemble, name, counting)
         states = list(whole(cfg, with_y))
         assert len(calls) == (burn_in + n_iter - 1 if n_iter else 0)
         assert len(states) == n_iter
@@ -517,6 +521,35 @@ class TestMemberSplit:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    @pytest.mark.parametrize(
+        "reduction",
+        [
+            lambda cfg: empirical_density(cfg, nx=4, ny=4),
+            transition_counts,
+            lambda cfg: segment_mean_counts(cfg, 2, 1.0, lambda v: np.zeros(len(v), dtype=np.int64), 1),
+            lambda cfg: lag_products(cfg, transport.PSI),
+        ],
+        ids=["density", "transitions", "segment-means", "lag-products"],
+    )
+    def test_no_kernel_call_exceeds_a_chunk(self, monkeypatch, force_workers, reduction):
+        """The chunks of ``_split`` are the one cache-sized cut: on one
+        worker over three chunks and five members, every call of the with-y
+        step and of the x-only kernel gets one chunk."""
+        n_ens = 3 * ensemble._CHUNK + 5
+        cfg = SimConfig(params=MapParams(0.15, 0.1), variant=MapVariant.IRREVERSIBLE, n_ens=n_ens, n_iter=4, burn_in=2, seed=5)
+        force_workers(n_ens, 1)
+        sizes = []
+        for name in ("step_arrays", "_x_gather"):
+            kernel = getattr(ensemble, name)
+
+            def recording(*args, kernel=kernel):
+                sizes.append(len(args[0]))
+                return kernel(*args)
+
+            monkeypatch.setattr(ensemble, name, recording)
+        reduction(cfg)
+        assert set(sizes) == {ensemble._CHUNK, 5}
 
     def test_parent_holds_the_rows_once(self, force_workers):
         """The parent's traced peak over two workers, less the per-member

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bakerlab import mapcore
+from bakerlab import ensemble, mapcore
 from bakerlab.errors import DomainError
 from bakerlab.mapcore import (
     MapParams,
@@ -274,9 +274,9 @@ def _unblocked_step(x, y, params, variant):
 
 
 class TestBlockedKernel:
-    B = mapcore._BLOCK
+    C = ensemble._CHUNK  # the most members an ensemble hands a kernel at once
 
-    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 7])
+    @pytest.mark.parametrize("n", [1, 7, C, C + 1, 3 * C + 7])
     @pytest.mark.parametrize(
         "params",
         [
@@ -308,11 +308,12 @@ class TestBlockedKernel:
                     assert (y is None) == (yr is None)
                     if with_y:
                         assert np.array_equal(y, yr)
-                    else:  # given regions, whose one gather also writes phi at them
+                    else:  # the x-only kernel, whose one gather also writes phi at the regions
                         r = region_indices(xg, params.ell)
-                        values = np.full(n, np.nan)
-                        xg, none = step_arrays(xg, None, params, variant, r, table, values)
-                        assert none is None and np.array_equal(xg, xr)
+                        values, xn = np.full(n, np.nan), np.full(n, np.nan)
+                        mapcore._x_gather(r, table, values, xg, xn)
+                        xg = xn
+                        assert np.array_equal(xg, xr)
                         assert np.array_equal(values, phi[r])
 
     def test_x_step_table(self):
@@ -323,25 +324,21 @@ class TestBlockedKernel:
             table = mapcore._x_step_table(params, given)
             assert table.shape == (4, 4) and not table.flags.writeable
             assert np.array_equal(table, np.stack([ax, bx, column, np.zeros(4)], axis=1))
-        x = np.array([0.1, 0.2, 0.6])
-        r = region_indices(x, params.ell)
-        for extra in ((r,), (None, table), (None, None, np.empty(3))):
-            with pytest.raises(ValueError, match="y must be None"):
-                step_arrays(x, x, params, MapVariant.REVERSIBLE, *extra)
+        r = region_indices(np.array([0.1, 0.2, 0.6]), params.ell)
         values = np.full(3, np.nan)
-        mapcore._x_gather(r, mapcore._x_step_table(params, phi), values)  # phi alone, no step
+        mapcore._x_gather(r, mapcore._x_step_table(params, phi), values, None, None)  # phi alone, no step
         assert np.array_equal(values, phi[r])
 
     def test_outputs_are_new_float64_arrays(self):
         params = MapParams(0.15, 0.2)
-        pts = np.random.default_rng(3).random((self.B + 5, 2))
+        pts = np.random.default_rng(3).random((self.C + 5, 2))
         x, y = pts[:, 0], pts[:, 1]  # strided views: the kernel reads any layout
         before = pts.copy()
         for variant in MapVariant:
             xn, yn = step_arrays(x, y, params, variant)
             assert np.array_equal(pts, before)
             assert xn.dtype == yn.dtype == np.float64
-            assert xn.shape == yn.shape == (self.B + 5,)
+            assert xn.shape == yn.shape == (self.C + 5,)
             for out in (xn, yn):
                 assert not np.shares_memory(out, pts)
             assert not np.shares_memory(xn, yn)
