@@ -6,7 +6,9 @@ of a symmetric grid.  Cell masses come either from simulated trajectory
 segments or from the exact chain distribution; both sources share one
 binning routine so they can be compared cell by cell.  Masses are kept in
 log space: exact deep tails decay like exp(-n zeta) and underflow linear
-doubles long before n reaches the supported range.
+doubles long before n reaches the supported range.  The parabola fit of a
+rate function is a closed-form two-parameter least squares, with no LAPACK
+call.
 """
 
 from __future__ import annotations
@@ -286,15 +288,29 @@ class ParabolaFit:
 
 def fit_parabola(rf: RateFunction) -> ParabolaFit:
     """Fit the finite cells of a rate function with a parabola centered at
-    the mean value p = 1."""
+    the mean value p = 1.
+
+    The two-parameter least squares is solved in closed form on the
+    centred u = (p-1)^2 and zeta: a = sum(du dz) / sum(du^2) and
+    b = mean(zeta) - a mean(u), with no LAPACK call.  A design [u, 1] of
+    numerical rank < 2, by ``np.linalg.matrix_rank``'s tolerance (its
+    smaller singular value at most len(p) * eps times its larger one), is
+    refused."""
     mask = np.isfinite(rf.zeta)
     p = rf.p[mask]
     z = rf.zeta[mask]
-    if len(p) < 3:
-        raise FitError(f"need at least 3 finite cells, got {len(p)}")
-    design = np.column_stack([(p - 1.0) ** 2, np.ones(len(p))])
-    if np.linalg.matrix_rank(design) < 2:
+    m = len(p)
+    if m < 3:
+        raise FitError(f"need at least 3 finite cells, got {m}")
+    u = (p - 1.0) ** 2
+    u_mean, z_mean = u.mean(), z.mean()
+    du = u - u_mean
+    sdu2 = float(du @ du)
+    # s_min s_max = sqrt(m sdu2) and s_max^2 <= sum(u^2) + m, the trace of
+    # the design's Gram matrix, which s_max^2 equals up to s_min^2
+    if np.sqrt(m * sdu2) <= m * np.finfo(float).eps * (float(u @ u) + m):
         raise FitError("degenerate fit: cells are collinear in (p-1)^2")
-    coef, _, _, _ = np.linalg.lstsq(design, z, rcond=None)
-    resid = float(np.sqrt(np.mean((design @ coef - z) ** 2)))
-    return ParabolaFit(a=float(coef[0]), b=float(coef[1]), residual=resid, n_points=len(p))
+    a = float(du @ (z - z_mean)) / sdu2
+    b = float(z_mean - a * u_mean)
+    resid = float(np.sqrt(np.mean((a * u + b - z) ** 2)))
+    return ParabolaFit(a=a, b=b, residual=resid, n_points=m)

@@ -16,7 +16,9 @@ volume-preserving perturbation flips the lower-half y-coordinates inside a
 vertical strip; composing it after the baker step destroys invertibility
 without touching any x-projected statistic.
 
-All functions here are pure and stateless and operate on numpy vectors.
+All functions here are pure and stateless and operate on numpy vectors;
+none draws random numbers (``check_reversibility`` takes its points from
+its caller).
 The step kernel ``step_arrays`` works on the whole arrays it is given (the
 ensemble hands it cache-sized chunks): it looks up the regions, fetches
 every branch coefficient with one gather from a cached table, and writes
@@ -125,7 +127,7 @@ class MapParams:
 
 @dataclass(frozen=True)
 class ReversibilityReport:
-    """Result of a Monte Carlo reversibility check.
+    """Result of a reversibility check over a set of points.
 
     ``max_pairing_deviation`` is the largest ``|J[r(p)] J[r(G(F(p)))] - 1|``:
     at q = 0 the volume ratio of a branch and that of its time-reversed
@@ -312,23 +314,21 @@ def region_reverse(region: Region, scheme: ReversalScheme) -> Region:
 
 def check_reversibility(
     params: MapParams,
-    n_samples: int,
+    x: np.ndarray,
+    y: np.ndarray,
     variant: MapVariant = MapVariant.REVERSIBLE,
-    seed: int = 0,
 ) -> ReversibilityReport:
-    """Measure how well M G M = G holds over random points.
+    """Measure how well M G M = G holds at the points (x, y).
 
-    Draws the uniform points p of ``sample_ensemble(n_samples, seed)``,
-    applies the selected dynamics F on both ends of the reversal, and
+    Applies the selected dynamics F on both ends of the reversal and
     reports the sup-norm deviation between F(G(F(p))) and G(p), and the
     Jacobian pairing between the regions of p and G(F(p)).  Deviations at
     rounding level certify reversibility; order-one deviations mean the
     identity fails (q != 0, or the irreversible variant inside the strip).
+    The caller picks the points: the tests pass the columns of
+    ``ensemble.sample_ensemble``, and ``selftest`` a fixed deterministic
+    set, so that it loads no random generator.
     """
-    from .ensemble import sample_ensemble  # ensemble imports this module
-
-    pts = sample_ensemble(n_samples, seed)
-    x, y = pts[:, 0], pts[:, 1]
     fx, fy = step_arrays(x, y, params, variant)
     gx, gy = time_reversal_arrays(fx, fy)
     hx, hy = step_arrays(gx, gy, params, variant)
@@ -340,5 +340,5 @@ def check_reversibility(
         max_deviation=float(dev.max()),
         mean_deviation=float(dev.mean()),
         max_pairing_deviation=float(pairing.max()),
-        n_samples=int(n_samples),
+        n_samples=len(x),
     )

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapacityError, DomainError
 from .mapcore import MapParams, Region, ReversalScheme, _jacobians, contraction_rates, region_reverse
@@ -269,12 +270,6 @@ def _lattice_structure(rates: np.ndarray, tol: float = 1e-12):
     return None
 
 
-# the jump chain enters A and B only from {B, D} and C and D only from
-# {A, C}, so the next region's law depends only on the current region's
-# class (r % 2: 0 for A and C, 1 for B and D); entering r draws on that row
-_ENTERED_FROM = (1, 1, 0, 0)
-
-
 # the most negative float; a numpy scalar, which a ufunc takes faster than a Python float
 _FINITE_MIN = np.float64(np.finfo(float).min)
 
@@ -298,6 +293,11 @@ def _log_add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     np.add(out, b, out=out)
 
 
+# visits per block of the q = 1/2 - 2 ell DP, whose reach grows by one
+# count a visit: the views of a block span the reach of its last visit
+_DP_BLOCK = 16
+
+
 def _log_dp(ell: float, m: np.ndarray, n: int):
     """Log-space DP over (class of the current region, signed count c in
     [-n, n]); visiting region r adds ``m[r]``, which ``_lattice_structure``
@@ -305,31 +305,46 @@ def _log_dp(ell: float, m: np.ndarray, n: int):
     every shift a plain slice.  Returns the reachable c and their
     log-probabilities.
 
-    Each step writes only the band of c that the next visit can reach,
-    |c| <= k after k visits, or |c| <= 1 on the q = 0 family, where A and D
-    alternate; the cells outside it stay -inf.  The two paths into a cell
-    add up in ``_log_add``."""
+    On both families m[B] = m[A] + 1 and m[D] = m[C] + 1, so the counts that
+    entering A and B read from class row 1 are one (2, w) strided view of
+    that row, and those that C and D read from row 0 one of row 0: a step
+    is two adds of a ``log_p`` column and the seven calls of ``_log_add``,
+    which adds the two paths into each class.  The views span only the
+    reach |c| <= k after k visits, or |c| <= 1 on the q = 0 family, where A
+    and D alternate, and are built once per ``_DP_BLOCK`` visits for the
+    reach of the block's last visit; the cells that a visit cannot yet
+    reach stay -inf through ``_log_add``."""
     size = 2 * n + 1
+    # row r % 2 holds the regions r of class 0 (A and C) and 1 (B and D):
+    # the jump chain enters A and B only from {B, D} and C and D only from
+    # {A, C}, so the next region's law depends only on the current class
     state = np.full((2, size + 2), -np.inf)  # cell n + 1 + c holds count c
     np.logaddexp.at(state, (np.arange(4) % 2, n + 1 + m), np.log(coarse_measure(ell)))
-    log_p = np.log([2.0 * ell, 1.0 - 2.0 * ell, 0.5, 0.5])  # of entering A, B, C, D
-    # in entered and in counts, column n + c holds count c
+    log_p = np.log([[2.0 * ell], [1.0 - 2.0 * ell], [0.5], [0.5]])  # of entering A, B, C, D
+    log_p_ab, log_p_cd = log_p[:2], log_p[2:]
+    # in entered and in the windows, column n + c holds count c; window j of
+    # a row is its cells j..j + size - 1, so entering r reads window 1 - m[r],
+    # which holds count c - m[r] at count c
     entered = np.empty((4, size))
-    # entering r moves count c - m[r] of row _ENTERED_FROM[r] to c
-    reads = [state[row, 1 - k : size + 1 - k] for row, k in zip(_ENTERED_FROM, m)]
+    windows = sliding_window_view(state, size, axis=1)
+    ab_reads = windows[1, 1 - m[0] :: -1][:2]  # windows 1 - m[A], 1 - m[B] of row 1
+    cd_reads = windows[0, 1 - m[2] :: -1][:2]  # windows 1 - m[C], 1 - m[D] of row 0
     counts = state[:, 1:-1]
 
-    def band_views(band):  # the cells |c| <= band of every array a step reads or writes
-        cells = slice(n - band, n + band + 1)
-        moves = [(read[cells], log_p_r, out[cells]) for read, log_p_r, out in zip(reads, log_p, entered)]
-        return moves, entered[:2, cells], entered[2:, cells], counts[:, cells]
-
-    # visits 2, 3, ..., n; on the q = 0 family, m = (-1, 0, 0, 1), the band stays |c| <= 1
-    steps = [band_views(1)] * (n - 1) if m[1] == 0 else map(band_views, range(2, n + 1))
-    for moves, ab, cd, classes in steps:
-        for read, log_p_r, out in moves:
-            np.add(read, log_p_r, out=out)
-        _log_add(ab, cd, classes)  # rows A + C, B + D
+    # visits 2, 3, ..., n as (reach, visits) blocks
+    if m[1] == 0:  # q = 0: m = (-1, 0, 0, 1)
+        blocks = [(1, n - 1)]
+    else:
+        blocks = [(min(k + _DP_BLOCK - 1, n), min(_DP_BLOCK, n + 1 - k)) for k in range(2, n + 1, _DP_BLOCK)]
+    for reach, visits in blocks:
+        cells = slice(n - reach, n + reach + 1)
+        ab_read, cd_read, ab, cd, classes = (
+            ab_reads[:, cells], cd_reads[:, cells], entered[:2, cells], entered[2:, cells], counts[:, cells]
+        )
+        for _ in range(visits):
+            np.add(ab_read, log_p_ab, out=ab)
+            np.add(cd_read, log_p_cd, out=cd)
+            _log_add(ab, cd, classes)  # rows A + C, B + D
 
     total = np.logaddexp(state[0], state[1])
     mask = total > -np.inf

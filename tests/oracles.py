@@ -6,7 +6,9 @@ with the chain law, and the matrix oracles rebuild stationary objects by
 eigen-solving.  They stay independent of what they check.  The full-width
 lattice DP is the exception: it is the library's DP before it wrote only the
 reachable band and added its two paths outside ``np.logaddexp``, kept as
-the reference that the band DP must match.
+the reference that the band DP must match; ``log_dp_by_step`` is the band
+DP as it was before its reads were paired and its views built once per
+block of visits, which the band DP must match bit for bit.
 """
 
 import itertools
@@ -14,7 +16,7 @@ import itertools
 import numpy as np
 
 from bakerlab.mapcore import MapParams, contraction_rates
-from bakerlab.markov import coarse_measure, transition_matrix
+from bakerlab.markov import _log_add, coarse_measure, transition_matrix
 
 
 def brute_force_distribution(ell, q, n):
@@ -72,6 +74,28 @@ def log_dp_full_width(ell, m, n):
         for r, read in enumerate(reads):
             np.add(state[read], log_p[r], out=entered[r])
         np.logaddexp(entered[:2], entered[2:], out=state[:, 1:-1])  # rows A + C, B + D
+    total = np.logaddexp(state[0], state[1])
+    mask = total > -np.inf
+    return np.flatnonzero(mask) - n - 1, total[mask]
+
+
+def log_dp_by_step(ell, m, n):
+    """Reference for ``markov._log_dp``: the same band DP with its views
+    built at every visit and one add per entered region."""
+    entered_from = (1, 1, 0, 0)
+    size = 2 * n + 1
+    state = np.full((2, size + 2), -np.inf)  # cell n + 1 + c holds count c
+    np.logaddexp.at(state, (np.arange(4) % 2, n + 1 + m), np.log(coarse_measure(ell)))
+    log_p = np.log([2.0 * ell, 1.0 - 2.0 * ell, 0.5, 0.5])  # of entering A, B, C, D
+    entered = np.empty((4, size))
+    reads = [state[row, 1 - k : size + 1 - k] for row, k in zip(entered_from, m)]
+    counts = state[:, 1:-1]
+    for k in range(2, n + 1):
+        band = 1 if m[1] == 0 else k  # on q = 0 A and D alternate, so |c| <= 1
+        cells = slice(n - band, n + band + 1)
+        for r in range(4):
+            np.add(reads[r][cells], log_p[r], out=entered[r, cells])
+        _log_add(entered[:2, cells], entered[2:, cells], counts[:, cells])  # rows A + C, B + D
     total = np.logaddexp(state[0], state[1])
     mask = total > -np.inf
     return np.flatnonzero(mask) - n - 1, total[mask]

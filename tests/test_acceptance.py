@@ -29,7 +29,7 @@ from bakerlab.markov import (
     stationary_density,
     transition_matrix,
 )
-from bakerlab.ensemble import SimConfig, empirical_density, odd_observable_mean, transition_counts
+from bakerlab.ensemble import SimConfig, empirical_density, odd_observable_mean, sample_ensemble, transition_counts
 from bakerlab.fluctuation import (
     FRConfig,
     estimate_pi,
@@ -297,8 +297,9 @@ def test_criterion_09_y_structure_discrimination():
 def test_criterion_10_reversibility_identity():
     devs = {}
     pair_worst = 0.0
+    pts = sample_ensemble(10_000, seed=110)
     for ell in (0.15, 0.25):
-        rep = check_reversibility(MapParams(ell=ell, q=0.0), 10_000, seed=110)
+        rep = check_reversibility(MapParams(ell=ell, q=0.0), pts[:, 0], pts[:, 1])
         devs[ell] = rep.max_deviation
         pair_worst = max(pair_worst, rep.max_pairing_deviation)
     ok = max(devs.values()) < 1e-12 and pair_worst < 1e-12

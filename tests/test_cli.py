@@ -547,6 +547,19 @@ class TestBadInput:
         (["ratefunc", "--delta", "nan"], "--delta must be positive and finite, got nan"),
         (["fr", "--p-max", "0.05"], "--p-max 0.05 leaves no cell beside p = 0 at --delta 0.05; it must exceed --delta"),
         (["ratefunc", "--p-max", "nan"], "--p-max must be positive and finite, got nan"),
+        (["surface", "--ell-steps", "0"], "--ell-steps must be >= 1, got 0"),
+        (["surface", "--q-steps", "0"], "--q-steps must be >= 1, got 0"),
+        (["fr", "--n", "0"], "--n must be >= 1, got 0"),
+        (["ratefunc", "--n", "0"], "--n must be >= 1, got 0"),
+        (["fr", "--source", "mc", "--min-count", "0"], "--min-count must be >= 1, got 0"),
+        (["fr", "--source", "mc", "--n-ens", "0"], "--n-ens must be >= 1, got 0"),
+        (["ratefunc", "--source", "mc", "--n-iter", "0"], "--n-iter must be >= 1, got 0"),
+        (["transport", "--k-max", "0"], "--k-max must be >= 1, got 0"),
+        (["transport", "--n-iter", "0"], "--n-iter must be >= 1, got 0"),
+        (["transport", "--sweep", "0.1", "--n-ens", "1"], "--n-ens must be >= 2, got 1"),
+        (["density", "--bins", "0"], "--bins must be >= 1, got 0"),
+        (["density", "--n-ens", "0"], "--n-ens must be >= 1, got 0"),
+        (["density", "--n-iter", "0"], "--n-iter must be >= 1, got 0"),
     ]
 
     @pytest.mark.parametrize("argv, reason", GRID_ERRORS, ids=[" ".join(argv) for argv, _ in GRID_ERRORS])
@@ -713,6 +726,52 @@ class TestImport:
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "scipy blocked"
+
+    # every command that runs no ensemble: the reversal checks of selftest,
+    # both schemes of db, surface, and fr and ratefunc from the exact law on a
+    # lattice family (the default (ell, q)) and at the generic (0.1, 0.1)
+    NO_ENSEMBLE_RUNS = [
+        ["db", "--scheme", "q4"],
+        ["db", "--scheme", "q3"],
+        ["surface", "--ell-steps", "3", "--q-steps", "3"],
+        ["fr", "--source", "exact", "--n", "50"],
+        ["ratefunc", "--source", "exact", "--n", "50"],
+        ["fr", "--source", "exact", "--ell", "0.1", "--q", "0.1", "--n", "20", "--p-max", "8"],
+        ["ratefunc", "--source", "exact", "--ell", "0.1", "--q", "0.1", "--n", "64", "--p-max", "8"],
+    ]
+
+    def test_commands_without_an_ensemble_load_no_rng_and_call_no_lapack(self, tmp_path):
+        """In one fresh interpreter where importing ``numpy.random`` fails and
+        the LAPACK-backed ``np.linalg.lstsq``, ``matrix_rank`` and ``svd``
+        raise, selftest and every command of ``NO_ENSEMBLE_RUNS`` exit 0."""
+        src = str(Path(bakerlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = (
+            "import json, sys\n"
+            "sys.modules['numpy.random'] = None\n"  # import numpy.random, and np.random, now raise
+            "import numpy as np\n"
+            "class LapackCalled(Exception):\n"
+            "    pass\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise LapackCalled\n"
+            "for name in ('lstsq', 'matrix_rank', 'svd'):\n"
+            "    setattr(np.linalg, name, refuse)\n"
+            "from bakerlab.cli import main\n"
+            "runs, out = json.loads(sys.argv[1]), sys.argv[2]\n"
+            "codes = [main(['selftest'])] + [main(r + ['--out', f'{out}/{i}']) for i, r in enumerate(runs)]\n"
+            "assert codes == [0] * len(codes), codes\n"
+            "try:\n"
+            "    np.random.default_rng\n"
+            "except ImportError:\n"
+            "    try:\n"
+            "        np.linalg.lstsq(np.eye(2), np.ones(2))\n"
+            "    except LapackCalled:\n"
+            "        print('rng and lapack blocked')\n"  # both blocks did hold
+        )
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(self.NO_ENSEMBLE_RUNS), str(tmp_path)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr
+        assert proc.stdout.splitlines()[-1] == "rng and lapack blocked"
 
     def test_import_leaves_multiprocessing_out(self):
         src = str(Path(bakerlab.__file__).resolve().parents[1])

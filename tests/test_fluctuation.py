@@ -326,6 +326,58 @@ class TestFitParabola:
             fits[n] = fit_parabola(rate_function(pi))
         assert 0 < fits[200].b < fits[100].b
 
+    @staticmethod
+    def _lstsq_fit(rf):
+        """The fit by LAPACK least squares on the design [(p-1)^2, 1]:
+        (a, b, residual) and the design's numerical rank."""
+        mask = np.isfinite(rf.zeta)
+        p, z = rf.p[mask], rf.zeta[mask]
+        design = np.column_stack([(p - 1.0) ** 2, np.ones(len(p))])
+        coef = np.linalg.lstsq(design, z, rcond=None)[0]
+        resid = float(np.sqrt(np.mean((design @ coef - z) ** 2)))
+        return (float(coef[0]), float(coef[1]), resid), int(np.linalg.matrix_rank(design))
+
+    # the n = 100 and 200 fits above, the benchmark's ratefunc (n = 2000 on the
+    # lattice family) and the generic law at the benchmark's n = 64 and 96
+    LSTSQ_CASES = [(ELL, Q, 100, 2.0), (ELL, Q, 200, 2.0), (ELL, Q, 2000, 2.0), (0.1, 0.1, 64, 8.0), (0.1, 0.1, 96, 8.0)]
+
+    @pytest.mark.parametrize("ell, q, n, p_max", LSTSQ_CASES, ids=[f"{c[0]}-{c[1]}-n{c[2]}" for c in LSTSQ_CASES])
+    def test_closed_form_matches_lstsq(self, ell, q, n, p_max):
+        rf = rate_function(estimate_pi(fr_config(n, p_max=p_max), contraction_sum_distribution(ell, q, n)))
+        fit = fit_parabola(rf)
+        (a, b, resid), rank = self._lstsq_fit(rf)
+        assert rank == 2
+        assert fit.n_points == int(np.isfinite(rf.zeta).sum())
+        assert fit.a == pytest.approx(a, rel=1e-12)
+        assert fit.b == pytest.approx(b, rel=1e-12)
+        assert fit.residual == pytest.approx(resid, rel=1e-12)
+
+    def test_closed_form_matches_lstsq_on_an_exact_parabola(self):
+        from bakerlab.fluctuation import RateFunction
+
+        p = symmetric_grid(2.0, 0.1)
+        rf = RateFunction(p=p, zeta=0.3 * (p - 1.0) ** 2 + 0.02, n=100, source="exact")
+        fit = fit_parabola(rf)
+        (a, b, resid), _ = self._lstsq_fit(rf)
+        assert fit.a == pytest.approx(a, rel=1e-12)
+        assert fit.b == pytest.approx(b, rel=1e-12)
+        assert abs(fit.residual - resid) < 1e-15  # both are rounding noise
+
+    @pytest.mark.parametrize(
+        "p",
+        [[0.0, 2.0, 0.0, 2.0], [3.0, -1.0, 3.0], list(1.0 + 1e-9 * np.arange(1, 5))],
+        ids=["equal", "mirrored", "equal-to-rounding"],
+    )
+    def test_rank_one_design_is_refused(self, p):
+        """(p-1)^2 equal in every cell, exactly or to rounding, leaves the
+        design [(p-1)^2, 1] of numerical rank 1, as matrix_rank counts it."""
+        from bakerlab.fluctuation import RateFunction
+
+        rf = RateFunction(p=np.array(p), zeta=np.linspace(0.1, 0.4, len(p)), n=10, source="exact")
+        assert self._lstsq_fit(rf)[1] == 1
+        with pytest.raises(FitError, match="degenerate fit"):
+            fit_parabola(rf)
+
     def test_degenerate_input(self):
         from bakerlab.fluctuation import RateFunction
 

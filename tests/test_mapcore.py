@@ -29,6 +29,12 @@ def _step1(x, y, params, variant=MapVariant.REVERSIBLE):
     return float(xn[0]), float(yn[0])
 
 
+def _reversibility(params, n, seed, variant=MapVariant.REVERSIBLE):
+    """``check_reversibility`` at the n uniform points of ``sample_ensemble(n, seed)``."""
+    pts = ensemble.sample_ensemble(n, seed)
+    return check_reversibility(params, pts[:, 0], pts[:, 1], variant)
+
+
 def _both_variants(x, y, params):
     """Images of one point under the bare map and with the flip after it."""
     return _step1(x, y, params), _step1(x, y, params, MapVariant.IRREVERSIBLE)
@@ -374,24 +380,22 @@ class TestTimeReversal:
 class TestReversibility:
     @pytest.mark.parametrize("ell", [0.15, 0.25])
     def test_identity_holds_at_equilibrium(self, ell):
-        rep = check_reversibility(MapParams(ell=ell, q=0.0), 10_000, seed=3)
+        rep = _reversibility(MapParams(ell=ell, q=0.0), 10_000, seed=3)
         assert rep.max_deviation < 1e-12
 
     def test_identity_fails_off_equilibrium(self):
         # regression baseline: observed max ~0.86, mean ~0.24 at these settings
-        rep = check_reversibility(MapParams(ell=0.15, q=0.2), 10_000, seed=3)
+        rep = _reversibility(MapParams(ell=0.15, q=0.2), 10_000, seed=3)
         assert 0.1 < rep.max_deviation < 1.0
         assert 0.05 < rep.mean_deviation < 0.5
 
     def test_flip_breaks_identity_inside_strip(self):
-        rep = check_reversibility(
-            MapParams(ell=0.15, q=0.0), 10_000, variant=MapVariant.IRREVERSIBLE, seed=3
-        )
+        rep = _reversibility(MapParams(ell=0.15, q=0.0), 10_000, seed=3, variant=MapVariant.IRREVERSIBLE)
         assert rep.max_deviation > 0.1
 
     def test_jacobian_pairing_at_equilibrium(self):
         for ell in (0.15, 0.25):
-            rep = check_reversibility(MapParams(ell=ell, q=0.0), 10_000, seed=7)
+            rep = _reversibility(MapParams(ell=ell, q=0.0), 10_000, seed=7)
             assert rep.max_pairing_deviation < 1e-12
 
 

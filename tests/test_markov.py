@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_distribution, log_dp_full_width, stationary_by_eigensolve
+from oracles import brute_force_distribution, log_dp_by_step, log_dp_full_width, stationary_by_eigensolve
 
 from bakerlab.errors import CapacityError, DomainError
 from bakerlab.mapcore import MapParams, Region, ReversalScheme, contraction_rates
 from bakerlab.markov import (
     MAX_N,
+    _DP_BLOCK,
     _generic_sums,
     _lattice_structure,
     _log_add,
@@ -398,6 +399,21 @@ class TestLatticeDP:
         assert np.abs(np.expm1(log_probs - ref_log_probs)).max() <= 1e-12
         if q == 0.0:  # A and D alternate, so |n_D - n_A| <= 1
             assert counts.tolist() == [-1, 0, 1]
+
+    # both families, two ells on each, at n on both sides of a block of visits
+    _BLOCK_CASES = [(0.15, 0.2), (0.1, 0.3), (0.05, 0.4), (0.15, 0.0), (0.2, 0.0)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, _DP_BLOCK, _DP_BLOCK + 1, _DP_BLOCK + 2, 64, 65, 200, 500, MAX_N])
+    @pytest.mark.parametrize("ell,q", _BLOCK_CASES, ids=[f"{ell}-{q}" for ell, q in _BLOCK_CASES])
+    def test_paired_reads_match_the_per_step_dp_bitwise(self, ell, q, n):
+        # paired reads and views built once per block change no cell's arithmetic
+        m, _ = _lattice_structure(contraction_rates(MapParams(ell, q)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts, log_probs = _log_dp(ell, m, n)
+        ref_counts, ref_log_probs = log_dp_by_step(ell, m, n)
+        assert np.array_equal(counts, ref_counts)
+        assert log_probs.tobytes() == ref_log_probs.tobytes()
 
     def test_log_add_of_minus_inf_adds_nothing(self):
         x = np.log(0.3)
