@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -146,12 +147,19 @@ def _xonly_start(workers: int) -> dict:
     return {"x": "stationary", "burn_in_steps": 0, "workers": workers}
 
 
-def _require_min(resolved: dict, **minimum: int) -> None:
+# the largest value of each count option that the library caps
+_COUNT_MAX = {"n_ens": es._MAX_ENSEMBLE, "bins": math.isqrt(es._MAX_HIST_CELLS)}
+
+
+def _require_counts(resolved: dict, **minimum: int) -> None:
     """Refuse the first of the named options that lies below its minimum,
-    in the terms of its flag."""
+    or above its cap in ``_COUNT_MAX``, in the terms of its flag."""
     for name, low in minimum.items():
-        if resolved[name] < low:
-            raise DomainError(f"--{name.replace('_', '-')} must be >= {low}, got {resolved[name]}")
+        flag, value, high = f"--{name.replace('_', '-')}", resolved[name], _COUNT_MAX.get(name)
+        if value < low:
+            raise DomainError(f"{flag} must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise DomainError(f"{flag} must be <= {high}, got {value}")
 
 
 def _refuse_set(resolved: dict, spec: dict, names: tuple, context: str) -> dict:
@@ -276,7 +284,7 @@ _DENSITY = {
 
 
 def _cmd_density(resolved) -> _Run:
-    _require_min(resolved, n_ens=1, n_iter=1, bins=1)
+    _require_counts(resolved, n_ens=1, n_iter=1, bins=1)
     config, read = _sim_config(resolved, resolved["burn_in"])
     nb = resolved["bins"]
     hist = es.empirical_density(config, nx=nb, ny=nb)
@@ -313,7 +321,7 @@ _SURFACE = {
 
 
 def _cmd_surface(resolved) -> _Run:
-    _require_min(resolved, ell_steps=1, q_steps=1)
+    _require_counts(resolved, ell_steps=1, q_steps=1)
     ells = np.linspace(resolved["ell_min"], resolved["ell_max"], resolved["ell_steps"])
     qs = np.linspace(resolved["q_min"], resolved["q_max"], resolved["q_steps"])
     rates = mk.mean_contraction_rate_grid(ells, qs)
@@ -366,7 +374,7 @@ def _fr_family(command: str, resolved: dict) -> tuple[fl.PiHistogram, fl.RateFun
     """Body of fr and ratefunc: the cell masses from the exact law or the
     ensemble and their rate function, with the run that writes ``pi.csv``
     and ``zeta.csv``; each command adds its own artifact and summary."""
-    _require_min(resolved, n=1, min_count=1)
+    _require_counts(resolved, n=1, min_count=1)
     fr_cfg = fl.FRConfig(
         n=resolved["n"],
         p_grid=_p_grid(resolved["p_max"], resolved["delta"]),
@@ -379,7 +387,9 @@ def _fr_family(command: str, resolved: dict) -> tuple[fl.PiHistogram, fl.RateFun
         start = None
     else:
         read = _refuse_set(resolved, _FR, ("burn_in",), f"{command} --source mc, {_STATIONARY_X}")
-        _require_min(read, n_ens=1, n_iter=1)
+        _require_counts(read, n_ens=1, n_iter=1)
+        if read["n_iter"] < resolved["n"]:
+            raise DomainError(f"--n-iter must be >= --n ({resolved['n']}) for one segment, got {read['n_iter']}")
         source, read = _sim_config(read, burn_in=0)
         start = _xonly_start(es.worker_count(source.n_ens))
     pi = fl.estimate_pi(fr_cfg, source)
@@ -464,7 +474,7 @@ _NOT_SWEPT = ("ell", "q", "mode", "strip_x", "strip_eps", "k_max")
 
 
 def _cmd_transport(resolved) -> _Run:
-    _require_min(resolved, n_ens=2, n_iter=1, k_max=1)
+    _require_counts(resolved, n_ens=2, n_iter=1, k_max=1)
     biases = None if resolved["sweep"] is None else _biases(resolved["sweep"])
     read = _refuse_set(resolved, _TRANSPORT, ("burn_in",), f"transport, {_STATIONARY_X}")
     gk_common = {k: resolved[k] for k in ("variant", "n_ens", "n_iter", "seed")}

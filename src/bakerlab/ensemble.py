@@ -15,10 +15,12 @@ before the next starts, and each chunk writes its per-member rows straight
 into their slice, so a worker's memory does not grow with its range apart
 from the rows it returns.  Only the member averages and lag products return
 rows, one float per member; the histograms, transition counts and
-segment-mean counts return sums alone.  Chunks and ranges are merged by one
-rule, in member order: integer-valued sums are added and per-member rows
-concatenated.  Their results are therefore bitwise independent of the
-worker count, the CPU count and the chunk size.
+segment-mean counts return sums alone.  Each process holds one sums array,
+the caller's: every worker adds its chunks into it, and the parent adds each
+child's sums into its own a fixed piece at a time as they arrive.  Chunks
+and ranges are merged by one rule, in member order: integer-valued sums are
+added and per-member rows concatenated.  Their results are therefore
+bitwise independent of the worker count, the CPU count and the chunk size.
 
 Because the x-coordinate update never reads y, x-projected reductions are
 bitwise identical between the reversible and irreversible variants at equal
@@ -79,9 +81,11 @@ _MIN_SPLIT_MEMBERS = 10_000
 # within one core's 2 MiB L2 (sweep in CHANGES.md)
 _CHUNK = 16_384
 # widest 2-d histogram accepted (2000 x 2000): each worker's counts take 8
-# bytes a cell, 32 MB at the cap, and the parent reads a child's counts into
-# a second such array before adding them
+# bytes a cell, 32 MB at the cap, and each process holds them once
 _MAX_HIST_CELLS = 4_000_000
+# elements of a child's sums that the parent reads and adds at a time, 64 KiB
+# of int64 or float64: the buffer that spares it a second copy of the sums
+_PIECE = 8_192
 
 # At ell = 1/4 (and only there) every branch has x-slope exactly 2, so a
 # float64 orbit sheds one significand bit per step and collapses onto the
@@ -264,30 +268,35 @@ def _split(
     member into ``rows``, run on the contiguous ranges of
     ``worker_count(n_ens)`` workers, each range cut into consecutive chunks
     of at most ``_CHUNK`` members, and merged in member order: each worker
-    adds the chunks of its range into its own copy of ``start`` and each
-    chunk writes its rows into their slice of the worker's rows, the parent
-    adds up the workers' sums (exact for the integer-valued sums added
-    here), and every worker's rows land in their slice of the one
-    ``(n_ens, *row_shape)`` array the parent returns.  A reduction without
-    sums takes ``np.empty(0)`` as ``start``; one without rows keeps the
-    default ``row_shape``, so its rows take no bytes.
+    adds the chunks of its range into ``start`` itself and each chunk writes
+    its rows into their slice of the worker's rows, the parent adds up the
+    workers' sums (exact for the integer-valued sums added here), and every
+    worker's rows land in their slice of the one ``(n_ens, *row_shape)``
+    array the parent returns.  ``_split`` takes over ``start``, a 1-d
+    array: the sums it returns are ``start``, and after an error ``start``
+    holds no result.  A reduction without sums takes ``np.empty(0)`` as
+    ``start``; one without rows keeps the default ``row_shape``, so its rows
+    take no bytes.
 
-    The parent forks a child for every range but the first, reduces the
-    first itself straight into the rows it returns, then reads each child's
-    sums into a buffer and its rows straight into their slice, and reaps
-    it.  A child that fails or sends the wrong number of bytes raises
-    ``WorkerError`` and nothing is merged.  Children still running when the
-    call ends, by an error or an interrupt, are killed and reaped.
+    The parent forks a child for every range but the first before it adds
+    anything, so each child adds into its own private copy of the caller's
+    ``start``.  It then reduces the first range itself straight into
+    ``start`` and the rows it returns, and reads each child's sums through
+    one buffer of ``_PIECE`` elements, adding each piece into its slice of
+    ``start`` as it arrives, then the child's rows straight into their
+    slice, and reaps it.  So each process holds one sums array.  A child
+    that fails or sends the wrong number of bytes raises ``WorkerError``.
+    Children still running when the call ends, by an error or an interrupt,
+    are killed and reaped.
     """
 
     def chunked(a, b, rows=None):
-        sums = start.copy()
         if rows is None:  # a child's range
             rows = np.empty((b - a, *row_shape))
         for c in range(a, b, _CHUNK):
             d = min(c + _CHUNK, b)
-            part(c, d, sums, rows[c - a : d - a])
-        return sums, rows
+            part(c, d, start, rows[c - a : d - a])
+        return start, rows
 
     w = worker_count(n_ens)
     cuts = [n_ens * i // w for i in range(w + 1)]
@@ -298,26 +307,35 @@ def _split(
             pid, pipe = _fork(chunked, a, b)
             children[pid] = (pipe, (a, b))
         rows = np.empty((n_ens, *row_shape))
-        sums, _ = chunked(*ranges[0], rows[: cuts[1]])
-        child_sums = np.empty_like(sums)
+        chunked(*ranges[0], rows[: cuts[1]])
+        piece = np.empty(min(_PIECE, start.size), start.dtype)
         for pid, (pipe, (a, b)) in list(children.items()):
-            buffers = [child_sums.reshape(-1).view(np.uint8), rows[a:b].reshape(-1).view(np.uint8)]
+            child_rows = rows[a:b].reshape(-1).view(np.uint8)
+            got, head = 0, b""
             with pipe:
-                got = [pipe.readinto(buffer) for buffer in buffers]
+                for i in range(0, start.size, _PIECE):
+                    buffer = piece[: start.size - i]
+                    n = pipe.readinto(buffer.view(np.uint8))
+                    if i == 0:  # a failed child's reason starts here
+                        head = buffer.view(np.uint8)[:n].tobytes()
+                    if n == buffer.nbytes:
+                        start[i : i + len(buffer)] += buffer
+                    got += n
+                n_rows = pipe.readinto(child_rows)
+                got += n_rows
                 extra = len(pipe.read(1))
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
             if code != 0:
                 reason = (
-                    b"".join(buffer[:n].tobytes() for buffer, n in zip(buffers, got)).decode(errors="replace")
+                    (head + child_rows[:n_rows].tobytes()).decode(errors="replace")
                     if code == 1
                     else f"killed by signal {-code}" if code < 0 else f"exit status {code}"
                 )
                 raise WorkerError(f"the worker for members [{a}, {b}) failed: {reason}")
-            expected = sum(buffer.nbytes for buffer in buffers)
-            if sum(got) + extra != expected:
-                raise WorkerError(f"the worker for members [{a}, {b}) sent {sum(got) + extra} bytes, not {expected}")
-            sums += child_sums
+            expected = start.nbytes + child_rows.nbytes
+            if got + extra != expected:
+                raise WorkerError(f"the worker for members [{a}, {b}) sent {got + extra} bytes, not {expected}")
     finally:
         for pid, (pipe, _) in children.items():
             pipe.close()
@@ -326,7 +344,7 @@ def _split(
             except ProcessLookupError:  # already gone, still to be reaped
                 pass
             os.waitpid(pid, 0)
-    return sums, rows
+    return start, rows
 
 
 @dataclass(frozen=True)

@@ -560,6 +560,16 @@ class TestBadInput:
         (["density", "--bins", "0"], "--bins must be >= 1, got 0"),
         (["density", "--n-ens", "0"], "--n-ens must be >= 1, got 0"),
         (["density", "--n-iter", "0"], "--n-iter must be >= 1, got 0"),
+        # the library's caps and the one cross-option count, in the terms of the flags
+        (["transport", "--n-ens", "60000000"], "--n-ens must be <= 50000000, got 60000000"),
+        (["transport", "--sweep", "0.1", "--n-ens", "60000000"], "--n-ens must be <= 50000000, got 60000000"),
+        (["density", "--n-ens", "60000000"], "--n-ens must be <= 50000000, got 60000000"),
+        (["fr", "--source", "mc", "--n-ens", "60000000"], "--n-ens must be <= 50000000, got 60000000"),
+        (["ratefunc", "--source", "mc", "--n-ens", "50000001"], "--n-ens must be <= 50000000, got 50000001"),
+        (["fr", "--source", "mc", "--n", "10", "--n-iter", "5"], "--n-iter must be >= --n (10) for one segment, got 5"),
+        (["ratefunc", "--source", "mc", "--n", "10", "--n-iter", "9"], "--n-iter must be >= --n (10) for one segment, got 9"),
+        (["density", "--bins", "3000"], "--bins must be <= 2000, got 3000"),
+        (["density", "--bins", "2001"], "--bins must be <= 2000, got 2001"),
     ]
 
     @pytest.mark.parametrize("argv, reason", GRID_ERRORS, ids=[" ".join(argv) for argv, _ in GRID_ERRORS])

@@ -570,6 +570,46 @@ class TestMemberSplit:
         assert per_member.nbytes == n_ens * 8
         assert peak - per_member.nbytes <= 12 * ensemble._CHUNK * 8, (peak - per_member.nbytes) / (ensemble._CHUNK * 8)
 
+    def test_parent_holds_the_sums_once(self, force_workers):
+        """The parent's traced peak over two workers, less the 8 MB of
+        counts of a 1000 x 1000 histogram, is one chunk's state: about 16
+        arrays of ``_CHUNK`` floats, where a second counts array would add
+        61.  The parent adds into the caller's counts and reads a child's
+        through one piece."""
+        n_ens = 4 * ensemble._CHUNK
+        cfg = SimConfig(params=MapParams(0.15, 0.1), variant=MapVariant.IRREVERSIBLE, n_ens=n_ens, n_iter=2, burn_in=1, seed=5)
+        force_workers(n_ens, 2)
+        tracemalloc.start()
+        try:
+            hist = empirical_density(cfg, nx=1000, ny=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hist.counts.nbytes == 8_000_000 and hist.counts.sum() == 2 * n_ens
+        assert peak - hist.counts.nbytes <= 20 * ensemble._CHUNK * 8, (peak - hist.counts.nbytes) / (ensemble._CHUNK * 8)
+
+    # sums of several pieces whose length no piece divides: 10,000 histogram
+    # cells (int64) and _PIECE + 5 float step sums of the lag products
+    @pytest.mark.parametrize("w", [2, 3])
+    def test_sums_of_several_pieces_equal_one_worker_bitwise(self, force_workers, w):
+        cfg = SimConfig(params=MapParams(0.15, 0.1), variant=MapVariant.IRREVERSIBLE, n_ens=30, n_iter=3, burn_in=2, seed=5)
+        lag_cfg = replace(cfg, n_iter=ensemble._PIECE + 5)
+
+        def reductions():
+            return [empirical_density(cfg, nx=100, ny=100).counts, *lag_products(lag_cfg, transport.PSI)]
+
+        force_workers(cfg.n_ens, 1)
+        whole = reductions()
+        force_workers(cfg.n_ens, w)
+        split = reductions()
+        for a in whole[:2]:
+            assert a.size > ensemble._PIECE and a.size % ensemble._PIECE != 0
+        assert whole[1].dtype == np.float64
+        for a, b in zip(whole, split, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert_no_child_left()
+
     def test_worker_count_follows_ensemble_size(self, monkeypatch):
         monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
         monkeypatch.setattr(ensemble.os, "cpu_count", lambda: 4)
@@ -594,6 +634,21 @@ class TestMemberSplit:
             empirical_density(cfg, nx=4, ny=4)
         assert_no_child_left()
 
+    def test_failed_child_reason_with_sums_of_several_pieces(self, force_workers):
+        """A failed child's reason is its first bytes, which land in the
+        first of the three pieces its sums would fill."""
+        force_workers(10, 2)
+        parent = os.getpid()
+
+        def part(a, b, sums, rows):
+            if os.getpid() != parent:
+                raise ValueError("injected")
+            sums += 1.0
+
+        with pytest.raises(WorkerError, match=r"members \[5, 10\) failed: ValueError: injected$"):
+            ensemble._split(10, part, np.zeros(2 * ensemble._PIECE + 5), (2,))
+        assert_no_child_left()
+
     def test_killed_child_raises(self, force_workers):
         force_workers(10, 2)
         parent = os.getpid()
@@ -609,8 +664,9 @@ class TestMemberSplit:
     # a part writes into arrays of the size its range fixes, so only the
     # pipe can carry the wrong byte count: the child's writes are skewed
     # by one byte each, short or long, and it still exits 0
+    @pytest.mark.parametrize("size", [3, 2 * ensemble._PIECE + 5], ids=["one-piece", "three-pieces"])
     @pytest.mark.parametrize("extra", [-1, 1])
-    def test_wrong_payload_size_raises(self, monkeypatch, force_workers, extra):
+    def test_wrong_payload_size_raises(self, monkeypatch, force_workers, extra, size):
         force_workers(10, 2)
 
         class Skewed:
@@ -636,7 +692,7 @@ class TestMemberSplit:
 
         monkeypatch.setattr(ensemble, "open", skewed_open, raising=False)
         with pytest.raises(WorkerError, match=r"members \[5, 10\) sent"):
-            ensemble._split(10, part, np.zeros(3), (2,))
+            ensemble._split(10, part, np.zeros(size), (2,))
         assert_no_child_left()
 
     def test_failed_parent_range_kills_children(self, force_workers):
