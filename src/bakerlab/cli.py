@@ -88,6 +88,11 @@ def _resolve(args: argparse.Namespace) -> dict:
                 raise BakerlabError(f"{args.config}: bad value for {name}: {exc}") from None
             value = from_file if value is None else value
         resolved[name] = default if value is None else value
+    # an ell in (0, 1/4] can still be so small that 1/(4 ell) overflows
+    for name in ("ell", "ell_min", "ell_max"):
+        value = resolved.get(name)
+        if value is not None and value > 0.0 and math.isinf(1.0 / (4.0 * value)):
+            raise DomainError(f"--{name.replace('_', '-')} must be large enough for 1/(4 ell) to be finite, got {value}")
     return resolved
 
 

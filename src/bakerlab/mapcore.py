@@ -116,13 +116,14 @@ class MapParams:
                 f"strip [{self.strip_x}, {self.strip_x + self.strip_eps}] "
                 "must be contained in [0, 1]"
             )
+        jac = jacobians(self)
+        # below about 1.4e-309, 1/(4 ell) overflows and J_A is inf or nan
+        if not np.isfinite(jac).all():
+            raise DomainError(f"ell must be large enough for 1/(4 ell) to be finite, got {self.ell}")
         # all four volume ratios must stay strictly positive; q = 1/2 would
         # collapse region A (and q = 1 - 2 ell region B) to zero volume
-        if min(jacobians(self)) <= 0.0:
-            raise DomainError(
-                f"Jacobians must be strictly positive; got {jacobians(self)} "
-                f"for ell={self.ell}, q={self.q}"
-            )
+        if jac.min() <= 0.0:
+            raise DomainError(f"Jacobians must be strictly positive; got {jac} for ell={self.ell}, q={self.q}")
 
 
 @dataclass(frozen=True)

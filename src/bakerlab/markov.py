@@ -4,8 +4,10 @@ Projecting the baker dynamics onto the x-axis yields a two-cell transfer
 matrix for densities and, on the four-cell partition, a Markov jump chain
 whose transition matrix depends on ``ell`` only; eigen-solvers appear
 solely in cross-checking helpers.  The exact finite-n law of the accumulated
-contraction rate, a closed-form count law (a 1-d DP on two lattice families),
-doubles as the oracle backing every Monte Carlo fluctuation result.
+contraction rate, a closed-form count law (on two lattice families a 1-d
+probability DP, kept in scaled linear space: mantissas with integer
+exponents), doubles as the oracle backing every Monte Carlo fluctuation
+result.
 """
 
 from __future__ import annotations
@@ -122,9 +124,10 @@ def mean_contraction_rate_grid(ells: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """
     ell = np.asarray(ells, dtype=float)[:, None]
     q = np.asarray(qs, dtype=float)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         jac = _jacobians(ell, q)
-    valid = (0.0 < ell) & (ell <= 0.25) & (0.0 <= q) & (q <= 0.5) & (jac.min(axis=-1) > 0.0)
+    valid = (0.0 < ell) & (ell <= 0.25) & (0.0 <= q) & (q <= 0.5)
+    valid &= np.isfinite(jac).all(axis=-1) & (jac.min(axis=-1) > 0.0)
     if not valid.all():
         i, j = np.unravel_index(np.argmin(valid), valid.shape)
         MapParams(ell=float(ell[i, 0]), q=float(q[0, j]))  # raises that cell's error
@@ -258,97 +261,123 @@ class ContractionDistribution:
         return float(self.probs @ self.sums) / self.n
 
 
-def _lattice_structure(rates: np.ndarray, tol: float = 1e-12):
+# family residuals allowed, in units of the rounding of the rates they test
+_LATTICE_ULPS = 4
+
+
+def _lattice_structure(ell: float, rates: np.ndarray):
     """Detect whether the four rates live on a one-dimensional integer
     lattice c * m with m in {-1, 0, +1}^4.  Covers the q = 0 family
-    (rates (-c, 0, 0, +c)) and the q = 1/2 - 2 ell family ((0, c, -c, 0))."""
+    (rates (-c, 0, 0, +c)) and the q = 1/2 - 2 ell family ((0, c, -c, 0)).
+
+    Each residual is measured in the rounding of what it tests: a few
+    spacings of max(1, max |rate|), except rate A on q = 1/2 - 2 ell, where
+    J_A = 1/(4 ell) - q/(2 ell) cancels to 1 and keeps the rounding of
+    1/(4 ell), up to about 1.2 of its spacings."""
     a, b, c, d = (float(v) for v in rates)
+    tol = _LATTICE_ULPS * np.spacing(max(1.0, abs(a), abs(b), abs(c), abs(d)))
     if abs(b) <= tol and abs(c) <= tol and abs(a + d) <= tol:
         return np.array([-1, 0, 0, 1]), 0.5 * (d - a)
-    if abs(a) <= tol and abs(d) <= tol and abs(b + c) <= tol:
+    if abs(a) <= _LATTICE_ULPS * np.spacing(1.0 / (4.0 * ell)) and abs(d) <= tol and abs(b + c) <= tol:
         return np.array([0, 1, -1, 0]), 0.5 * (b - c)
     return None
 
 
-# the most negative float; a numpy scalar, which a ufunc takes faster than a Python float
-_FINITE_MIN = np.float64(np.finfo(float).min)
+# most visits in one block of the DP, which rebases its exponents once a block
+_DP_BLOCK = 64
 
+# binary orders that a block may move a mantissa from [1/2, 1): a visit moves
+# a value by less than 1/p_min = 1/(2 ell) against its scale at the block's
+# start (at most 130 orders in 64 visits, at ell = 0.1), so blocks of
+# _DP_SPAN / log2(1/p_min) visits keep every mantissa and product normal
+_DP_SPAN = 900
 
-def _log_add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """``out = log(exp(a) + exp(b))`` by the formula of ``np.logaddexp``,
-    max + log1p(exp(min - max)), in whole-array calls: numpy's vectorized
-    exp and log1p, where ``np.logaddexp`` calls scalar libm on every element
-    and may round differently.  ``a`` and ``b`` are overwritten.
-
-    A -inf term adds exactly nothing: the max is clipped to the finite range
-    before it is subtracted from the min, so (-inf, -inf) takes exp(-inf) =
-    0, where -inf - -inf would give nan, and raises no floating-point
-    warning."""
-    np.maximum(a, b, out=out)
-    np.minimum(a, b, out=a)
-    np.maximum(out, _FINITE_MIN, out=b)
-    np.subtract(a, b, out=b)
-    np.exp(b, out=b)
-    np.log1p(b, out=b)
-    np.add(out, b, out=out)
-
-
-# visits per block of the q = 1/2 - 2 ell DP, whose reach grows by one
-# count a visit: the views of a block span the reach of its last visit
-_DP_BLOCK = 16
+_LN2 = math.log(2.0)
 
 
 def _log_dp(ell: float, m: np.ndarray, n: int):
-    """Log-space DP over (class of the current region, signed count c in
-    [-n, n]); visiting region r adds ``m[r]``, which ``_lattice_structure``
-    keeps in {-1, 0, +1}, so one -inf cell on each side of [-n, n] makes
-    every shift a plain slice.  Returns the reachable c and their
-    log-probabilities.
+    """Probability DP over (class of the current region, signed count c in
+    [-n, n]) in scaled linear space; visiting region r adds ``m[r]``, which
+    ``_lattice_structure`` keeps in {-1, 0, +1}, so one zero cell on each
+    side of [-n, n] makes every shift a plain slice.  Returns the reachable
+    c and their log-probabilities.
 
+    A cell holds a mantissa u and an integer exponent E, the value u 2**E.
     On both families m[B] = m[A] + 1 and m[D] = m[C] + 1, so the counts that
     entering A and B read from class row 1 are one (2, w) strided view of
-    that row, and those that C and D read from row 0 one of row 0: a step
-    is two adds of a ``log_p`` column and the seven calls of ``_log_add``,
-    which adds the two paths into each class.  The views span only the
-    reach |c| <= k after k visits, or |c| <= 1 on the q = 0 family, where A
-    and D alternate, and are built once per ``_DP_BLOCK`` visits for the
-    reach of the block's last visit; the cells that a visit cannot yet
-    reach stay -inf through ``_log_add``."""
+    that row, and those that C and D read from row 0 one of row 0: a visit
+    is ``classes = ab_read * w_ab + cd_read * w_cd``, three numpy calls.
+    Once per block of visits ``np.frexp`` moves every mantissa back into
+    [1/2, 1), adding its exponent to E, and each weight is rebuilt as
+    p 2**(E_source - E_target); a cell not yet reached takes the exponent of
+    the nearest reached cell in its row, which keeps every weight finite.
+    Scaling by a power of two is exact, so the result is the float64 linear
+    DP with an unbounded exponent, whose bits do not depend on where the
+    blocks are cut.  A block holds ``_DP_BLOCK`` visits, or fewer when
+    1/(2 ell) is so large that they could span more than ``_DP_SPAN``
+    binary orders.  The views span only the reach |c| <= k after k visits,
+    or |c| <= 1 on the q = 0 family, where A and D alternate, and are built
+    once per block for the reach of the block's last visit; the cells that
+    a visit cannot yet reach stay 0."""
     size = 2 * n + 1
     # row r % 2 holds the regions r of class 0 (A and C) and 1 (B and D):
     # the jump chain enters A and B only from {B, D} and C and D only from
     # {A, C}, so the next region's law depends only on the current class
-    state = np.full((2, size + 2), -np.inf)  # cell n + 1 + c holds count c
-    np.logaddexp.at(state, (np.arange(4) % 2, n + 1 + m), np.log(coarse_measure(ell)))
-    log_p = np.log([[2.0 * ell], [1.0 - 2.0 * ell], [0.5], [0.5]])  # of entering A, B, C, D
-    log_p_ab, log_p_cd = log_p[:2], log_p[2:]
-    # in entered and in the windows, column n + c holds count c; window j of
-    # a row is its cells j..j + size - 1, so entering r reads window 1 - m[r],
-    # which holds count c - m[r] at count c
-    entered = np.empty((4, size))
-    windows = sliding_window_view(state, size, axis=1)
+    u = np.zeros((2, size + 2))  # cell n + 1 + c holds count c
+    u[np.arange(4) % 2, n + 1 + m] = coarse_measure(ell)  # the four cells differ on both families
+    u, exp = np.frexp(u)
+    p = np.array([[2.0 * ell], [1.0 - 2.0 * ell], [0.5], [0.5]])  # of entering A, B, C, D
+    p_ab, p_cd = p[:2], p[2:]
+    block = min(_DP_BLOCK, max(1, int(_DP_SPAN / -math.log2(2.0 * ell))))
+    # in the windows, column n + c holds count c; window j of a row is its
+    # cells j..j + size - 1, so entering r reads window 1 - m[r], which holds
+    # count c - m[r] at count c; the exponents have the same views
+    windows = sliding_window_view(u, size, axis=1)
+    exp_windows = sliding_window_view(exp, size, axis=1)
     ab_reads = windows[1, 1 - m[0] :: -1][:2]  # windows 1 - m[A], 1 - m[B] of row 1
     cd_reads = windows[0, 1 - m[2] :: -1][:2]  # windows 1 - m[C], 1 - m[D] of row 0
-    counts = state[:, 1:-1]
+    exp_ab_reads = exp_windows[1, 1 - m[0] :: -1][:2]
+    exp_cd_reads = exp_windows[0, 1 - m[2] :: -1][:2]
+    counts, exp_counts = u[:, 1:-1], exp[:, 1:-1]
+    weights, entered = np.empty((4, size)), np.empty((4, size))
+    shift = np.empty_like(exp)  # the exponents frexp takes out, then exponent differences
 
-    # visits 2, 3, ..., n as (reach, visits) blocks
-    if m[1] == 0:  # q = 0: m = (-1, 0, 0, 1)
-        blocks = [(1, n - 1)]
-    else:
-        blocks = [(min(k + _DP_BLOCK - 1, n), min(_DP_BLOCK, n + 1 - k)) for k in range(2, n + 1, _DP_BLOCK)]
-    for reach, visits in blocks:
+    # visits 2, 3, ..., n in blocks
+    for k in range(2, n + 1, block):
+        visits = min(block, n + 1 - k)
+        reach = 1 if m[1] == 0 else min(k + visits - 1, n)  # q = 0: m = (-1, 0, 0, 1)
         cells = slice(n - reach, n + reach + 1)
+        span = slice(n - reach, n + reach + 3)  # the cells of the block and those they read
+        u_span, exp_span, shift_span = u[:, span], exp[:, span], shift[:, span]
+        np.frexp(u_span, out=(u_span, shift_span))
+        np.add(exp_span, shift_span, out=exp_span)
+        for row_u, row_exp in zip(u_span, exp_span):  # the reached cells of a row are contiguous
+            reached = np.flatnonzero(row_u)
+            row_exp[: reached[0]] = row_exp[reached[0]]
+            row_exp[reached[-1] + 1 :] = row_exp[reached[-1]]
+        d, exp_dst = shift[:, 1:-1][:, cells], exp_counts[:, cells]
+        w_ab, w_cd = weights[:2, cells], weights[2:, cells]
+        np.subtract(exp_ab_reads[:, cells], exp_dst, out=d)
+        np.ldexp(p_ab, d, out=w_ab)
+        np.subtract(exp_cd_reads[:, cells], exp_dst, out=d)
+        np.ldexp(p_cd, d, out=w_cd)
         ab_read, cd_read, ab, cd, classes = (
             ab_reads[:, cells], cd_reads[:, cells], entered[:2, cells], entered[2:, cells], counts[:, cells]
         )
         for _ in range(visits):
-            np.add(ab_read, log_p_ab, out=ab)
-            np.add(cd_read, log_p_cd, out=cd)
-            _log_add(ab, cd, classes)  # rows A + C, B + D
+            np.multiply(ab_read, w_ab, out=ab)
+            np.multiply(cd_read, w_cd, out=cd)
+            np.add(ab, cd, out=classes)  # rows A + C, B + D
 
-    total = np.logaddexp(state[0], state[1])
-    mask = total > -np.inf
-    return np.flatnonzero(mask) - n - 1, total[mask]
+    # the two classes of each count, added at the exponent of the larger
+    mantissa, class_exp = np.frexp(counts)
+    class_exp += exp_counts
+    class_exp[mantissa == 0.0] = np.iinfo(exp.dtype).min // 2  # below every reached exponent
+    top = class_exp.max(axis=0)
+    total, total_exp = np.frexp(np.ldexp(mantissa[0], class_exp[0] - top) + np.ldexp(mantissa[1], class_exp[1] - top))
+    total_exp += top
+    mask = total > 0.0
+    return np.flatnonzero(mask) - n, np.log(total[mask]) + total_exp[mask] * _LN2
 
 
 # cephes lgam's Stirling-series coefficients for x >= 13, highest power first
@@ -444,8 +473,9 @@ def contraction_sum_distribution(ell: float, q: float, n: int) -> ContractionDis
 
     The sum depends on the region sequence only through visit counts.  On
     the q = 0 and q = 1/2 - 2 ell families the counts collapse to a single
-    signed difference, which a log-space DP over 2n+1 states per class
-    tracks in O(n^2) work; elsewhere each atom (n_A, n_B, n_D - n_A) has a
+    signed difference, which a probability DP over 2n+1 states per class,
+    each value a float64 mantissa with an integer exponent, tracks in O(n^2)
+    work; elsewhere each atom (n_A, n_B, n_D - n_A) has a
     closed-form log-probability made of log-binomials, O(n^2) atoms in all.
     Both serve n up to ``MAX_N``.
     """
@@ -457,7 +487,7 @@ def contraction_sum_distribution(ell: float, q: float, n: int) -> ContractionDis
     rates = contraction_rates(MapParams(ell=ell, q=q))
     if np.max(np.abs(rates)) == 0.0:
         return ContractionDistribution(n=n, sums=np.zeros(1), log_probs=np.zeros(1))
-    lattice = _lattice_structure(rates)
+    lattice = _lattice_structure(ell, rates)
     if lattice is not None:
         m, scale = lattice
         counts, log_probs = _log_dp(ell, m, n)

@@ -3,12 +3,12 @@
 These deliberately avoid the library's DP / closed-form code paths: the
 distribution oracle enumerates all 4^n region sequences and weights them
 with the chain law, and the matrix oracles rebuild stationary objects by
-eigen-solving.  They stay independent of what they check.  The full-width
-lattice DP is the exception: it is the library's DP before it wrote only the
-reachable band and added its two paths outside ``np.logaddexp``, kept as
-the reference that the band DP must match; ``log_dp_by_step`` is the band
-DP as it was before its reads were paired and its views built once per
-block of visits, which the band DP must match bit for bit.
+eigen-solving.  They stay independent of what they check.  The two lattice
+DP references are the exception, each the library's recursion in another
+arithmetic: ``log_dp_long_double`` runs it in long-double log space, the
+accuracy reference, and ``scaled_dp_by_visit`` in the float64 linear space
+of ``markov._log_dp`` over the whole width, renormalized at every visit,
+which the library's DP must match bit for bit.
 """
 
 import itertools
@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 
 from bakerlab.mapcore import MapParams, contraction_rates
-from bakerlab.markov import _log_add, coarse_measure, transition_matrix
+from bakerlab.markov import coarse_measure, transition_matrix
 
 
 def brute_force_distribution(ell, q, n):
@@ -59,43 +59,62 @@ def stationary_by_eigensolve(matrix, left=True):
     return v / v.sum()
 
 
-def log_dp_full_width(ell, m, n):
-    """Reference for ``markov._log_dp``: the same DP over (class of the
-    current region, signed count c), with every step adding the two paths
-    into each class by ``np.logaddexp`` over the whole width [-n, n]."""
-    entered_from = (1, 1, 0, 0)  # A and B are entered from {B, D}, C and D from {A, C}
-    size = 2 * n + 1
-    state = np.full((2, size + 2), -np.inf)  # cell n + 1 + c holds count c
-    np.logaddexp.at(state, (np.arange(4) % 2, n + 1 + m), np.log(coarse_measure(ell)))
-    log_p = np.log([2.0 * ell, 1.0 - 2.0 * ell, 0.5, 0.5])  # of entering A, B, C, D
-    reads = [(row, slice(1 - k, size + 1 - k)) for row, k in zip(entered_from, m)]
-    entered = np.empty((4, size))
-    for _ in range(n - 1):
-        for r, read in enumerate(reads):
-            np.add(state[read], log_p[r], out=entered[r])
-        np.logaddexp(entered[:2], entered[2:], out=state[:, 1:-1])  # rows A + C, B + D
-    total = np.logaddexp(state[0], state[1])
-    mask = total > -np.inf
-    return np.flatnonzero(mask) - n - 1, total[mask]
+_ENTERED_FROM = (1, 1, 0, 0)  # A and B are entered from {B, D}, C and D from {A, C}
 
 
-def log_dp_by_step(ell, m, n):
-    """Reference for ``markov._log_dp``: the same band DP with its views
-    built at every visit and one add per entered region."""
-    entered_from = (1, 1, 0, 0)
+def log_dp_long_double(ell, m, n):
+    """Reference for ``markov._log_dp`` in long-double log space: the DP over
+    (class of the current region, signed count c) with every visit adding
+    the two paths into each class by ``np.logaddexp`` over the counts the
+    visit can reach.  Returns the reachable c and long-double
+    log-probabilities.  On x86-64 Linux long double is the 80-bit extended
+    format, 11 more mantissa bits than float64; where it is float64 itself,
+    this reference is no more accurate than a float64 log-space DP."""
+    ell = np.longdouble(ell)
     size = 2 * n + 1
-    state = np.full((2, size + 2), -np.inf)  # cell n + 1 + c holds count c
-    np.logaddexp.at(state, (np.arange(4) % 2, n + 1 + m), np.log(coarse_measure(ell)))
-    log_p = np.log([2.0 * ell, 1.0 - 2.0 * ell, 0.5, 0.5])  # of entering A, B, C, D
-    entered = np.empty((4, size))
-    reads = [state[row, 1 - k : size + 1 - k] for row, k in zip(entered_from, m)]
-    counts = state[:, 1:-1]
+    state = np.full((2, size + 2), -np.inf, dtype=np.longdouble)  # cell n + 1 + c holds count c
+    mu = np.array([2 * ell, 1 - 2 * ell, 2 * ell, 2 * ell]) / (1 + 4 * ell)
+    state[np.arange(4) % 2, n + 1 + m] = np.log(mu)  # the four cells differ on both families
+    log_p = np.log(np.array([2 * ell, 1 - 2 * ell, 0.5, 0.5], dtype=np.longdouble))
+    entered = np.empty((4, size), dtype=np.longdouble)
+    reads = [state[row, 1 - k : size + 1 - k] for row, k in zip(_ENTERED_FROM, m)]
     for k in range(2, n + 1):
         band = 1 if m[1] == 0 else k  # on q = 0 A and D alternate, so |c| <= 1
         cells = slice(n - band, n + band + 1)
         for r in range(4):
             np.add(reads[r][cells], log_p[r], out=entered[r, cells])
-        _log_add(entered[:2, cells], entered[2:, cells], counts[:, cells])  # rows A + C, B + D
+        np.logaddexp(entered[:2, cells], entered[2:, cells], out=state[:, 1:-1][:, cells])  # A + C, B + D
     total = np.logaddexp(state[0], state[1])
     mask = total > -np.inf
     return np.flatnonzero(mask) - n - 1, total[mask]
+
+
+def scaled_dp_by_visit(ell, m, n):
+    """Reference for ``markov._log_dp``: the same float64 linear-space DP over
+    the whole width [-n, n], each value a mantissa in [1/2, 1) times 2 to an
+    integer exponent, renormalized by ``np.frexp`` after every visit.  A
+    path's weight is its source mantissa times the mantissa of its p, at
+    the sum of their exponents, and the two paths into a class are added at
+    the larger of their exponents."""
+    size = 2 * n + 1
+    u = np.zeros((2, size + 2))  # cell n + 1 + c holds count c
+    u[np.arange(4) % 2, n + 1 + m] = coarse_measure(ell)
+    u, exp = np.frexp(u)
+    p_mantissa, p_exp = np.frexp([2.0 * ell, 1.0 - 2.0 * ell, 0.5, 0.5])  # of entering A, B, C, D
+    zero_exp = np.iinfo(exp.dtype).min // 2  # the exponent of a zero weight: below every other
+    reads = [(row, slice(1 - k, size + 1 - k)) for row, k in zip(_ENTERED_FROM, m)]
+    weight, weight_exp = np.empty((4, size)), np.empty((4, size), dtype=exp.dtype)
+    for _ in range(n - 1):
+        for r, (row, read) in enumerate(reads):
+            np.multiply(u[row, read], p_mantissa[r], out=weight[r])
+            weight_exp[r] = np.where(weight[r] != 0.0, exp[row, read] + p_exp[r], zero_exp)
+        top = np.maximum(weight_exp[:2], weight_exp[2:])  # A with C, B with D
+        value = np.ldexp(weight[:2], weight_exp[:2] - top) + np.ldexp(weight[2:], weight_exp[2:] - top)
+        u[:, 1:-1], shift = np.frexp(value)
+        exp[:, 1:-1] = top + shift
+    # the two classes of each count, added at the exponent of the larger
+    class_exp = np.where(u[:, 1:-1] != 0.0, exp[:, 1:-1], zero_exp)
+    top = class_exp.max(axis=0)
+    total, shift = np.frexp(np.ldexp(u[0, 1:-1], class_exp[0] - top) + np.ldexp(u[1, 1:-1], class_exp[1] - top))
+    mask = total > 0.0
+    return np.flatnonzero(mask) - n, np.log(total[mask]) + (top + shift)[mask] * np.log(2.0)

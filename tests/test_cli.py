@@ -570,6 +570,11 @@ class TestBadInput:
         (["ratefunc", "--source", "mc", "--n", "10", "--n-iter", "9"], "--n-iter must be >= --n (10) for one segment, got 9"),
         (["density", "--bins", "3000"], "--bins must be <= 2000, got 3000"),
         (["density", "--bins", "2001"], "--bins must be <= 2000, got 2001"),
+        # an ell in (0, 1/4] whose 1/(4 ell) overflows
+        (["fr", "--source", "exact", "--ell", "5e-324", "--q", "0.1"], "--ell must be large enough for 1/(4 ell) to be finite, got 5e-324"),
+        (["density", "--ell", "5e-324", "--q", "0.1"], "--ell must be large enough for 1/(4 ell) to be finite, got 5e-324"),
+        (["db", "--ell", "1e-309"], "--ell must be large enough for 1/(4 ell) to be finite, got 1e-309"),
+        (["surface", "--ell-min", "5e-324"], "--ell-min must be large enough for 1/(4 ell) to be finite, got 5e-324"),
     ]
 
     @pytest.mark.parametrize("argv, reason", GRID_ERRORS, ids=[" ".join(argv) for argv, _ in GRID_ERRORS])

@@ -55,6 +55,15 @@ class TestParams:
         with pytest.raises(DomainError):
             MapParams(ell=ell)
 
+    @pytest.mark.parametrize("ell, q", [(5e-324, 0.1), (5e-324, 0.0), (1e-309, 0.1), (1.3e-309, 0.0)])
+    def test_ell_whose_jacobian_is_not_finite_is_refused(self, ell, q):
+        # in (0, 1/4], but 1/(4 ell) overflows, so J_A is inf or nan
+        with pytest.raises(DomainError, match=r"1/\(4 ell\) to be finite"):
+            MapParams(ell=ell, q=q)
+
+    def test_smallest_ell_with_finite_jacobians_is_accepted(self):
+        assert np.isfinite(jacobians(MapParams(ell=1.4e-309))).all()
+
     def test_q_half_collapses_region_a(self):
         with pytest.raises(DomainError):
             MapParams(ell=0.15, q=0.5)

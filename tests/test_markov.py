@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_distribution, log_dp_by_step, log_dp_full_width, stationary_by_eigensolve
+from oracles import brute_force_distribution, log_dp_long_double, scaled_dp_by_visit, stationary_by_eigensolve
 
+from bakerlab import markov
 from bakerlab.errors import CapacityError, DomainError
 from bakerlab.mapcore import MapParams, Region, ReversalScheme, contraction_rates
 from bakerlab.markov import (
@@ -14,7 +15,6 @@ from bakerlab.markov import (
     _DP_BLOCK,
     _generic_sums,
     _lattice_structure,
-    _log_add,
     _log_dp,
     _log_factorials,
     chain_autocovariance,
@@ -171,6 +171,7 @@ class TestMeanContractionRateGrid:
             ([0.05, 0.1], [0.3, 0.5]),
             ([0.1, np.nan], [0.1]),
             ([0.25], [-0.1, 0.5]),
+            ([0.1, 5e-324], [0.0, 0.1]),
         ],
     )
     def test_first_invalid_cell_raises_its_error(self, ells, qs):
@@ -294,8 +295,8 @@ class TestContractionSumDistribution:
         assert np.abs(sums - dist.sums).max() < 1e-12
         assert np.abs(np.exp(log_probs) - dist.probs).max() < 1e-11
         # relative, so that atoms far below 1e-11 are compared too; the two
-        # kernels differ by at most 7.2e-11 here
-        assert np.abs(np.expm1(log_probs - dist.log_probs)).max() < 1e-9
+        # kernels differ by at most 4.5e-12 here (7.2e-11 with the log-space DP)
+        assert np.abs(np.expm1(log_probs - dist.log_probs)).max() < 1e-11
 
     def test_equilibrium_support_is_three_atoms(self):
         # on the q = 0 line the sum is (n_D - n_A) log(1/(4 ell)) with
@@ -315,6 +316,16 @@ class TestContractionSumDistribution:
         dist = contraction_sum_distribution(0.2, 0.05, 12)
         assert len(dist.sums) > 2 * 12 + 1
         assert abs(dist.probs.sum() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("q", [0.0, 0.1])
+    def test_ell_whose_jacobian_is_not_finite_is_refused(self, q):
+        with pytest.raises(DomainError, match=r"1/\(4 ell\) to be finite"):
+            contraction_sum_distribution(5e-324, q, 20)
+
+    @pytest.mark.parametrize("ell,q", [(1e-300, 0.0), (1e-6, 0.5 - 2e-6), (0.15, 0.2)])
+    def test_smallest_ells_keep_unit_mass(self, ell, q):
+        dist = contraction_sum_distribution(ell, q, MAX_N)
+        assert abs(dist.probs.sum() - 1.0) <= 1e-12
 
     def test_capacity_limits(self):
         with pytest.raises(CapacityError):
@@ -382,19 +393,28 @@ class TestGenericSumsStartCases:
 
 # both lattice families: q = 0 and q = 1/2 - 2 ell
 _LATTICE_CASES = [(ell, q) for ell in (0.05, 0.15, 0.24) for q in (0.0, 0.5 - 2.0 * ell)]
+# the smallest ells tested on each family; at ell = 1e-300, p_A = 2 ell is about 2**-996
+_EXTREME_CASES = [(1e-300, 0.0), (1e-12, 0.0), (1e-12, 0.5 - 2e-12)]
+
+
+def _lattice_dp(ell, q, n):
+    m, _ = _lattice_structure(ell, contraction_rates(MapParams(ell, q)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts, log_probs = _log_dp(ell, m, n)
+    return m, counts, log_probs
 
 
 class TestLatticeDP:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 500, MAX_N])
-    @pytest.mark.parametrize("ell,q", _LATTICE_CASES, ids=[f"{ell}-{q:.2f}" for ell, q in _LATTICE_CASES])
-    def test_band_dp_matches_full_width_logaddexp(self, ell, q, n):
-        # the vectorized exp and log1p round differently from the scalar libm
-        # calls of np.logaddexp; each atom moves by at most 1.2e-13 relative
-        m, _ = _lattice_structure(contraction_rates(MapParams(ell, q)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            counts, log_probs = _log_dp(ell, m, n)
-        ref_counts, ref_log_probs = log_dp_full_width(ell, m, n)
+    @pytest.mark.parametrize(
+        "ell,q", _LATTICE_CASES + _EXTREME_CASES, ids=[f"{ell}-{q:.2f}" for ell, q in _LATTICE_CASES + _EXTREME_CASES]
+    )
+    def test_matches_long_double_reference(self, ell, q, n):
+        # every atom within 1e-12 relative of the long-double law; the
+        # largest error is 4.0e-13, at (1e-12, 0) and MAX_N
+        m, counts, log_probs = _lattice_dp(ell, q, n)
+        ref_counts, ref_log_probs = log_dp_long_double(ell, m, n)
         assert np.array_equal(counts, ref_counts)
         assert np.abs(np.expm1(log_probs - ref_log_probs)).max() <= 1e-12
         if q == 0.0:  # A and D alternate, so |n_D - n_A| <= 1
@@ -403,29 +423,54 @@ class TestLatticeDP:
     # both families, two ells on each, at n on both sides of a block of visits
     _BLOCK_CASES = [(0.15, 0.2), (0.1, 0.3), (0.05, 0.4), (0.15, 0.0), (0.2, 0.0)]
 
-    @pytest.mark.parametrize("n", [1, 2, 3, _DP_BLOCK, _DP_BLOCK + 1, _DP_BLOCK + 2, 64, 65, 200, 500, MAX_N])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 18, _DP_BLOCK, _DP_BLOCK + 1, _DP_BLOCK + 2, 200, 500, MAX_N])
     @pytest.mark.parametrize("ell,q", _BLOCK_CASES, ids=[f"{ell}-{q}" for ell, q in _BLOCK_CASES])
-    def test_paired_reads_match_the_per_step_dp_bitwise(self, ell, q, n):
-        # paired reads and views built once per block change no cell's arithmetic
-        m, _ = _lattice_structure(contraction_rates(MapParams(ell, q)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            counts, log_probs = _log_dp(ell, m, n)
-        ref_counts, ref_log_probs = log_dp_by_step(ell, m, n)
+    def test_matches_the_per_visit_scaled_dp_bitwise(self, ell, q, n):
+        # paired reads, band views and exponents rebased once a block change
+        # no cell's arithmetic
+        m, counts, log_probs = _lattice_dp(ell, q, n)
+        ref_counts, ref_log_probs = scaled_dp_by_visit(ell, m, n)
         assert np.array_equal(counts, ref_counts)
         assert log_probs.tobytes() == ref_log_probs.tobytes()
 
-    def test_log_add_of_minus_inf_adds_nothing(self):
-        x = np.log(0.3)
-        a = np.array([-np.inf, -np.inf, x, x])
-        b = np.array([-np.inf, x, -np.inf, x])
-        out = np.empty(4)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            _log_add(a, b, out)
-        assert out[0] == -np.inf
-        assert out[1] == x and out[2] == x
-        assert abs(out[3] - (x + np.log(2.0))) <= abs(np.spacing(x + np.log(2.0)))  # 1 ulp
+    @pytest.mark.parametrize("n", [65, MAX_N])
+    @pytest.mark.parametrize("ell,q", _BLOCK_CASES + _EXTREME_CASES, ids=[f"{ell}-{q}" for ell, q in _BLOCK_CASES + _EXTREME_CASES])
+    def test_output_does_not_depend_on_the_block_length(self, ell, q, n, monkeypatch):
+        _, counts, log_probs = _lattice_dp(ell, q, n)
+        for block in (1, 7):
+            monkeypatch.setattr(markov, "_DP_BLOCK", block)
+            _, block_counts, block_log_probs = _lattice_dp(ell, q, n)
+            assert np.array_equal(block_counts, counts)
+            assert block_log_probs.tobytes() == log_probs.tobytes()
+
+
+class TestLatticeStructure:
+    """Family points take the lattice DP and points off both families the
+    generic law, with tolerances scaled to the rounding of the rates."""
+
+    @staticmethod
+    def _families(ells, q_of):
+        return [_lattice_structure(ell, contraction_rates(MapParams(ell, q_of(ell)))) for ell in ells]
+
+    def test_biased_family_is_a_lattice_on_a_dense_grid(self):
+        # J_A = 1/(4 ell) - q/(2 ell) cancels to 1 here and keeps the
+        # rounding of 1/(4 ell): 3.6e-12 at ell = 1.36e-5
+        ells = [*np.geomspace(1e-12, 0.25, 4001)[:-1].tolist(), 1.36e-5]
+        found = self._families(ells, lambda ell: 0.5 - 2.0 * ell)
+        assert [ell for ell, f in zip(ells, found) if f is None or f[0].tolist() != [0, 1, -1, 0]] == []
+
+    def test_equilibrium_line_is_a_lattice_on_a_dense_grid(self):
+        ells = np.geomspace(1.4e-309, 0.25, 4001).tolist()
+        found = self._families(ells, lambda ell: 0.0)
+        assert [ell for ell, f in zip(ells, found) if f is None or f[0].tolist() != [-1, 0, 0, 1]] == []
+
+    # within 1e-12 of a family, and generic points at ell so small that a
+    # tolerance of a few spacings of 1/(4 ell) would take every rate
+    @pytest.mark.parametrize(
+        "ell,q", [(0.15, 0.2 + 1e-13), (0.15, 0.2 - 1e-13), (0.15, 1e-13), (0.05, 1e-13), (1e-300, 0.1), (1e-100, 0.1)]
+    )
+    def test_points_off_both_families_are_not(self, ell, q):
+        assert _lattice_structure(ell, contraction_rates(MapParams(ell, q))) is None
 
 
 class TestLogFactorials:
