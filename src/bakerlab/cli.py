@@ -43,6 +43,16 @@ _SELFTEST_EXIT = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    table: dict = {}  # a subcommand's option table, added when it first parses
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.table:  # each flag is "--" + its table key, plus --config
+            for option, (conv, _) in self.table.items():
+                self.add_argument("--" + option.replace("_", "-"), dest=option, type=conv)
+            self.add_argument("--config", type=str)
+            self.table = {}
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -89,10 +99,8 @@ def _resolve(args: argparse.Namespace) -> dict:
             value = from_file if value is None else value
         resolved[name] = default if value is None else value
     # an ell in (0, 1/4] can still be so small that 1/(4 ell) overflows
-    for name in ("ell", "ell_min", "ell_max"):
-        value = resolved.get(name)
-        if value is not None and value > 0.0 and math.isinf(1.0 / (4.0 * value)):
-            raise DomainError(f"--{name.replace('_', '-')} must be large enough for 1/(4 ell) to be finite, got {value}")
+    _require(resolved, lambda v: not (v > 0.0 and math.isinf(1.0 / (4.0 * v))),
+             "must be large enough for 1/(4 ell) to be finite", "ell", "ell_min", "ell_max")
     return resolved
 
 
@@ -132,6 +140,10 @@ def _params_from(resolved: dict) -> tuple[MapParams, dict]:
     irreversible variant reads it."""
     if resolved["variant"] is not MapVariant.IRREVERSIBLE:
         resolved = _refuse_set(resolved, _STRIP, tuple(_STRIP), "--variant reversible")
+    else:  # the strip [x, x + eps] must lie in [0, 1]; x defaults to ell
+        x = resolved["ell"] if resolved["strip_x"] is None else resolved["strip_x"]
+        _require(resolved, lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)", "strip_x")
+        _require(resolved, lambda v: v >= 0.0 and x + v <= 1.0, f"must lie in [0, 1 - {x}]", "strip_eps")
     return MapParams(resolved["ell"], resolved["q"], resolved.get("strip_x"), resolved.get("strip_eps")), resolved
 
 
@@ -165,6 +177,13 @@ def _require_counts(resolved: dict, **minimum: int) -> None:
             raise DomainError(f"{flag} must be >= {low}, got {value}")
         if high is not None and value > high:
             raise DomainError(f"{flag} must be <= {high}, got {value}")
+
+
+def _require(resolved: dict, ok: Callable[[float], bool], claim: str, *names: str) -> None:
+    """Refuse the first of the named options that is set and fails ``ok``: its flag ``claim``."""
+    for name in names:
+        if resolved.get(name) is not None and not ok(resolved[name]):
+            raise DomainError(f"--{name.replace('_', '-')} {claim}, got {resolved[name]}")
 
 
 def _refuse_set(resolved: dict, spec: dict, names: tuple, context: str) -> dict:
@@ -202,20 +221,17 @@ def _write_csv(path: Path, header: str, rows) -> None:
             fh.write(template % tuple(row))
 
 
-def _write_histogram_csv(path: Path, counts: np.ndarray) -> None:
-    """``x_bin,y_bin,count`` rows of a 2-d histogram, one ``%`` fill of a
-    template that holds every y bin per x bin: ``_write_csv`` dispatches on
-    the type of every cell, and one f-string per cell takes more than twice
-    as long on a 500 x 500 grid.  Only one row is held as Python ints."""
-    nx, ny = counts.shape
-    template = "".join(f"%d,{j},%d\n" for j in range(ny))
-    args = [0] * (2 * ny)  # x bin and count, alternating
+def _write_grid_csv(path: Path, header: str, row_labels, col_labels, values: np.ndarray, conv: str) -> None:
+    """``row,col,value`` lines over the outer product of the labels, every
+    cell written with the ``%`` conversion ``conv``: each label is formatted
+    once and each grid row is one ``%`` fill, where ``_write_csv`` dispatches
+    on the type of every cell.  Only one grid row is held as Python numbers."""
+    cols = [f",{conv % label},{conv}" for label in col_labels]
     with open(path, "w", newline="") as fh:
-        fh.write("x_bin,y_bin,count\n")
-        for i in range(nx):
-            args[0::2] = [i] * ny
-            args[1::2] = counts[i].tolist()
-            fh.write(template % tuple(args))
+        fh.write(header + "\n")
+        for label, row in zip(row_labels, values):
+            head = conv % label
+            fh.write((head + f"\n{head}".join(cols) + "\n") % tuple(row.tolist()))
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -292,6 +308,7 @@ def _cmd_density(resolved) -> _Run:
     _require_counts(resolved, n_ens=1, n_iter=1, bins=1)
     config, read = _sim_config(resolved, resolved["burn_in"])
     nb = resolved["bins"]
+    bins = range(nb)  # the bin indices of either axis
     hist = es.empirical_density(config, nx=nb, ny=nb)
     marginals = (
         (axis, i, (i + 0.5) / nb, int(c), d)
@@ -300,17 +317,12 @@ def _cmd_density(resolved) -> _Run:
     )
     return _Run(
         {
-            "histogram2d.csv": lambda path: _write_histogram_csv(path, hist.counts),
+            "histogram2d.csv": lambda path: _write_grid_csv(path, "x_bin,y_bin,count", bins, bins, hist.counts, "%d"),
             "marginals.csv": lambda path: _write_csv(path, "axis,bin,center,count,density", marginals),
         },
         f"{hist.n_samples} samples",
         read,
-        {
-            "x": "stationary",
-            "y": "uniform",
-            "burn_in_steps": config.burn_in,
-            "workers": es.worker_count(config.n_ens),
-        },
+        _xonly_start(es.worker_count(config.n_ens)) | {"y": "uniform", "burn_in_steps": config.burn_in},
     )
 
 
@@ -327,15 +339,14 @@ _SURFACE = {
 
 def _cmd_surface(resolved) -> _Run:
     _require_counts(resolved, ell_steps=1, q_steps=1)
+    _require(resolved, lambda v: 0.0 < v <= 0.25, "must lie in (0, 1/4]", "ell_min", "ell_max")
+    _require(resolved, lambda v: 0.0 <= v < 0.5, "must lie in [0, 1/2)", "q_min", "q_max")
     ells = np.linspace(resolved["ell_min"], resolved["ell_max"], resolved["ell_steps"])
     qs = np.linspace(resolved["q_min"], resolved["q_max"], resolved["q_steps"])
     rates = mk.mean_contraction_rate_grid(ells, qs)
-    cells = (
-        (ell, q, v) for ell, row in zip(ells.tolist(), rates.tolist()) for q, v in zip(qs.tolist(), row)
-    )
     negatives = int((rates < -1e-12).sum())
     warning = f", WARNING {negatives} with a negative mean contraction rate" if negatives else ""
-    artifacts = {"surface.csv": lambda path: _write_csv(path, "ell,q,mean_lambda", cells)}
+    artifacts = {"surface.csv": lambda path: _write_grid_csv(path, "ell,q,mean_lambda", ells, qs, rates, "%.17g")}
     return _Run(artifacts, f"{rates.size} cells{warning}", resolved)
 
 
@@ -471,6 +482,8 @@ def _biases(sweep: str) -> np.ndarray:
         raise BakerlabError(f"--sweep: {exc}") from None
     if not biases:
         raise BakerlabError(f"--sweep: no bias values in {sweep!r}")
+    for bias in biases:
+        _require({"sweep": bias}, lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)", "sweep")
     return np.array(biases)
 
 
@@ -685,10 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for name, help_text, spec, fn in commands:
         p = sub.add_parser(name, help=help_text)
-        for option, (conv, _) in spec.items():
-            p.add_argument("--" + option.replace("_", "-"), dest=option, type=conv)
-        if spec:
-            p.add_argument("--config", type=str)
+        p.table = spec
         p.set_defaults(fn=fn, spec=spec)
     return parser
 

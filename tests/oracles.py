@@ -8,13 +8,18 @@ DP references are the exception, each the library's recursion in another
 arithmetic: ``log_dp_long_double`` runs it in long-double log space, the
 accuracy reference, and ``scaled_dp_by_visit`` in the float64 linear space
 of ``markov._log_dp`` over the whole width, renormalized at every visit,
-which the library's DP must match bit for bit.
+which the library's DP must match bit for bit.  ``eager_parser`` is the
+CLI's parser with every option of every subcommand added up front, the
+reference for ``cli.build_parser``, which adds a subcommand's options only
+when that subcommand parses.
 """
 
+import argparse
 import itertools
 
 import numpy as np
 
+from bakerlab.cli import build_parser
 from bakerlab.mapcore import MapParams, contraction_rates
 from bakerlab.markov import coarse_measure, transition_matrix
 
@@ -118,3 +123,18 @@ def scaled_dp_by_visit(ell, m, n):
     total, shift = np.frexp(np.ldexp(u[0, 1:-1], class_exp[0] - top) + np.ldexp(u[1, 1:-1], class_exp[1] - top))
     mask = total > 0.0
     return np.flatnonzero(mask) - n, np.log(total[mask]) + (top + shift)[mask] * np.log(2.0)
+
+
+def eager_parser():
+    """``build_parser()`` with each subcommand's option table added at
+    once, as every flag ("--" + its table key, then ``--config``) was before
+    the tables were added on first parse."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for p in sub.choices.values():
+        spec, p.table = p.table, {}
+        for option, (conv, _) in spec.items():
+            p.add_argument("--" + option.replace("_", "-"), dest=option, type=conv)
+        if spec:
+            p.add_argument("--config", type=str)
+    return parser

@@ -13,6 +13,7 @@ from bakerlab.cli import _MC_ONLY, _NOT_SWEPT, _resolve, build_parser, main
 from bakerlab.ensemble import SimConfig, empirical_density, worker_count
 from bakerlab.mapcore import MapParams
 from bakerlab.markov import mean_contraction_rate
+from oracles import eager_parser
 
 
 def run(argv):
@@ -56,18 +57,6 @@ class TestDensity:
         cfg = SimConfig(params=MapParams(0.15, 0.0), n_ens=100, n_iter=5, burn_in=5, seed=1)
         assert [r[2] for r in rows] == empirical_density(cfg, nx=4, ny=4).counts.ravel().tolist()
         assert sum(r[2] for r in rows) == 100 * 5
-
-    def test_histogram_writer_bytes_match_one_fstring_per_cell(self, tmp_path):
-        from bakerlab.cli import _write_histogram_csv
-
-        counts = np.arange(21, dtype=np.int64).reshape(3, 7) % 4  # zeros in every row
-        counts[1, 5] = 2**40 + 3
-        counts[2, 0] = 2**62
-        _write_histogram_csv(tmp_path / "h.csv", counts)
-        expected = "x_bin,y_bin,count\n" + "".join(
-            f"{i},{j},{count}\n" for i, row in enumerate(counts.tolist()) for j, count in enumerate(row)
-        )
-        assert (tmp_path / "h.csv").read_bytes() == expected.encode()
 
     def test_x_marginal_matches_projected_density(self, tmp_path):
         out = tmp_path / "d"
@@ -117,6 +106,30 @@ class TestWriteCsv:
         expected = "h\n" + "".join(",".join(map(_joined_cell, row)) + "\n" for row in rows)
         assert (tmp_path / "t.csv").read_bytes() == expected.encode()
 
+    def test_grid_writer_int_bytes_match_one_fstring_per_cell(self, tmp_path):
+        from bakerlab.cli import _write_grid_csv
+
+        counts = np.arange(21, dtype=np.int64).reshape(3, 7) % 4  # zeros in every row
+        counts[1, 5] = 2**40 + 3
+        counts[2, 0] = 2**62
+        _write_grid_csv(tmp_path / "h.csv", "x_bin,y_bin,count", range(3), range(7), counts, "%d")
+        expected = "x_bin,y_bin,count\n" + "".join(
+            f"{i},{j},{count}\n" for i, row in enumerate(counts.tolist()) for j, count in enumerate(row)
+        )
+        assert (tmp_path / "h.csv").read_bytes() == expected.encode()
+
+    def test_grid_writer_float_bytes_match_write_csv(self, tmp_path):
+        from bakerlab.cli import _write_csv, _write_grid_csv
+
+        cols = np.array([0.1, -0.0, 5e-324, 1e22, 2.0 / 3.0, np.nan, np.inf, -np.inf])
+        rows = cols[[5, 1, 6, 4, 2]]
+        values = np.array([np.roll(cols, k) for k in range(len(rows))])  # each value in every row
+        _write_grid_csv(tmp_path / "g.csv", "a,b,v", rows, cols, values, "%.17g")
+        _write_csv(tmp_path / "r.csv", "a,b,v", (
+            (a, b, v) for a, row in zip(rows.tolist(), values.tolist()) for b, v in zip(cols.tolist(), row)
+        ))
+        assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
+
 
 class TestSurface:
     def test_equilibrium_row_is_zero(self, tmp_path):
@@ -134,6 +147,23 @@ class TestSurface:
              "--q-min", "0.2", "--q-max", "0.2", "--q-steps", "1", "--out", str(out)])
         row = (out / "surface.csv").read_text().splitlines()[1]
         assert float(row.split(",")[2]) == mean_contraction_rate(0.15, 0.2)
+
+    def test_grid_bytes_match_the_row_writer(self, tmp_path):
+        """A 7 x 5 surface is written as ``_write_csv`` writes its
+        ``(ell, q, mean_lambda)`` rows, in row-major order."""
+        from bakerlab.cli import _write_csv
+        from bakerlab.markov import mean_contraction_rate_grid
+
+        out = tmp_path / "s"
+        assert run(["surface", "--ell-min", "0.03", "--ell-max", "0.25", "--ell-steps", "7",
+                    "--q-min", "0.1", "--q-max", "0.45", "--q-steps", "5", "--out", str(out)]) == 0
+        ells, qs = np.linspace(0.03, 0.25, 7), np.linspace(0.1, 0.45, 5)
+        rates = mean_contraction_rate_grid(ells, qs)
+        _write_csv(tmp_path / "rows.csv", "ell,q,mean_lambda", (
+            (ell, q, v) for ell, row in zip(ells.tolist(), rates.tolist()) for q, v in zip(qs.tolist(), row)
+        ))
+        assert (out / "surface.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert len((out / "surface.csv").read_text().splitlines()) == 1 + 7 * 5
 
     def test_surface_nonnegative_default_grid(self, tmp_path, capsys):
         out = tmp_path / "s"
@@ -423,6 +453,7 @@ COMMAND_FLAGS = {
 
 
 def _subcommand_flags(parser, command):
+    """The flags that ``command``'s parser holds now, besides -h/--help."""
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {
         flag
@@ -433,16 +464,63 @@ def _subcommand_flags(parser, command):
 
 
 class TestOptionTables:
+    """A subcommand's flags, read after that subcommand has parsed: its
+    option table is added to its parser on first use."""
+
     @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
     def test_flags_are_table_keys_plus_config(self, command):
         parser = build_parser()
-        flags = _subcommand_flags(parser, command)
         spec = parser.parse_args([command]).spec
+        flags = _subcommand_flags(parser, command)
         assert flags == {"--" + key.replace("_", "-") for key in spec} | {"--config"}
         assert flags == {"--" + name for name in COMMAND_FLAGS[command].split()}
 
     def test_selftest_takes_no_options(self):
-        assert _subcommand_flags(build_parser(), "selftest") == set()
+        parser = build_parser()
+        parser.parse_args(["selftest"])
+        assert _subcommand_flags(parser, "selftest") == set()
+
+    def test_only_the_parsed_subcommand_adds_its_options(self):
+        parser = build_parser()
+        parser.parse_args(["db"])
+        assert _subcommand_flags(parser, "db") == {"--" + name for name in COMMAND_FLAGS["db"].split()}
+        for command in [*COMMAND_FLAGS, "selftest"]:
+            if command != "db":
+                assert _subcommand_flags(parser, command) == set(), command
+
+
+PARSER_ARGVS = [
+    ["--help"],
+    ["--version"],
+    [],
+    ["frobnicate"],
+    ["--bogus"],
+    *[[command, "--help"] for command in [*COMMAND_FLAGS, "selftest"]],
+    ["fr", "--bogus"],
+    ["selftest", "--out", "o"],
+    ["fr", "--n", "x"],
+    ["fr", "--n"],
+    ["db", "--scheme", "q5"],
+    ["density", "--variant", "sideways"],
+]
+
+
+class TestParserOracle:
+    """The parser that adds a subcommand's options on first parse prints
+    and exits exactly as the eager one (``tests/oracles.py``) that adds every
+    option of every subcommand up front."""
+
+    @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-command")
+    def test_same_exit_code_stdout_and_stderr(self, monkeypatch, capsys, argv):
+        def outcome(make_parser):
+            monkeypatch.setattr(bakerlab.cli, "build_parser", make_parser)
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            return exc.value.code, *capsys.readouterr()
+
+        lazy = outcome(build_parser)
+        assert lazy == outcome(eager_parser)
+        assert lazy[0] == (0 if "--help" in argv or "--version" in argv else 1)
 
 
 class TestUsage:
@@ -575,6 +653,23 @@ class TestBadInput:
         (["density", "--ell", "5e-324", "--q", "0.1"], "--ell must be large enough for 1/(4 ell) to be finite, got 5e-324"),
         (["db", "--ell", "1e-309"], "--ell must be large enough for 1/(4 ell) to be finite, got 1e-309"),
         (["surface", "--ell-min", "5e-324"], "--ell-min must be large enough for 1/(4 ell) to be finite, got 5e-324"),
+        # the surface's bounds against the valid box 0 < ell <= 1/4, 0 <= q < 1/2, before the grid is built
+        (["surface", "--q-max", "0.6"], "--q-max must lie in [0, 1/2), got 0.6"),
+        (["surface", "--q-max", "0.5"], "--q-max must lie in [0, 1/2), got 0.5"),
+        (["surface", "--q-min", "-0.1"], "--q-min must lie in [0, 1/2), got -0.1"),
+        (["surface", "--ell-min", "0.3"], "--ell-min must lie in (0, 1/4], got 0.3"),
+        (["surface", "--ell-min", "0"], "--ell-min must lie in (0, 1/4], got 0.0"),
+        (["surface", "--ell-max", "nan"], "--ell-max must lie in (0, 1/4], got nan"),
+        # a bias of --sweep and the flip strip
+        (["transport", "--sweep", "2"], "--sweep must lie in [0, 1), got 2.0"),
+        (["transport", "--sweep", "0.1,1.5"], "--sweep must lie in [0, 1), got 1.5"),
+        (["density", "--variant", "irreversible", "--strip-x", "2"], "--strip-x must lie in [0, 1), got 2.0"),
+        (["fr", "--source", "mc", "--variant", "irreversible", "--strip-x", "-0.5"],
+         "--strip-x must lie in [0, 1), got -0.5"),
+        (["density", "--variant", "irreversible", "--strip-eps", "-1"],
+         "--strip-eps must lie in [0, 1 - 0.15], got -1.0"),
+        (["transport", "--mode", "stationary", "--ell", "0.2", "--variant", "irreversible", "--strip-x", "0.5",
+          "--strip-eps", "0.6"], "--strip-eps must lie in [0, 1 - 0.5], got 0.6"),
     ]
 
     @pytest.mark.parametrize("argv, reason", GRID_ERRORS, ids=[" ".join(argv) for argv, _ in GRID_ERRORS])
