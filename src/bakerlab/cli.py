@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .errors import BakerlabError, DomainError
+from .errors import BakerlabError, CapacityError, DomainError
 from .mapcore import (
     MapParams,
     MapVariant,
@@ -98,7 +98,10 @@ def _resolve(args: argparse.Namespace) -> dict:
                 raise BakerlabError(f"{args.config}: bad value for {name}: {exc}") from None
             value = from_file if value is None else value
         resolved[name] = default if value is None else value
-    # an ell in (0, 1/4] can still be so small that 1/(4 ell) overflows
+    # the map's box 0 < ell <= 1/4, 0 <= q < 1/2, before any grid or map is
+    # built; an ell in it can still be so small that 1/(4 ell) overflows
+    _require(resolved, lambda v: 0.0 < v <= 0.25, "must lie in (0, 1/4]", "ell", "ell_min", "ell_max")
+    _require(resolved, lambda v: 0.0 <= v < 0.5, "must lie in [0, 1/2)", "q", "q_min", "q_max")
     _require(resolved, lambda v: not (v > 0.0 and math.isinf(1.0 / (4.0 * v))),
              "must be large enough for 1/(4 ell) to be finite", "ell", "ell_min", "ell_max")
     return resolved
@@ -339,8 +342,6 @@ _SURFACE = {
 
 def _cmd_surface(resolved) -> _Run:
     _require_counts(resolved, ell_steps=1, q_steps=1)
-    _require(resolved, lambda v: 0.0 < v <= 0.25, "must lie in (0, 1/4]", "ell_min", "ell_max")
-    _require(resolved, lambda v: 0.0 <= v < 0.5, "must lie in [0, 1/2)", "q_min", "q_max")
     ells = np.linspace(resolved["ell_min"], resolved["ell_max"], resolved["ell_steps"])
     qs = np.linspace(resolved["q_min"], resolved["q_max"], resolved["q_steps"])
     rates = mk.mean_contraction_rate_grid(ells, qs)
@@ -493,6 +494,10 @@ _NOT_SWEPT = ("ell", "q", "mode", "strip_x", "strip_eps", "k_max")
 
 def _cmd_transport(resolved) -> _Run:
     _require_counts(resolved, n_ens=2, n_iter=1, k_max=1)
+    # the estimate's count moments reach n_ens n_iter**2, exact up to es._MAX_MOMENT
+    longest = math.isqrt(es._MAX_MOMENT // resolved["n_ens"])
+    if resolved["n_iter"] > longest:
+        raise CapacityError(f"--n-iter must be <= {longest} at --n-ens {resolved['n_ens']}, got {resolved['n_iter']}")
     biases = None if resolved["sweep"] is None else _biases(resolved["sweep"])
     read = _refuse_set(resolved, _TRANSPORT, ("burn_in",), f"transport, {_STATIONARY_X}")
     gk_common = {k: resolved[k] for k in ("variant", "n_ens", "n_iter", "seed")}

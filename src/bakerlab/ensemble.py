@@ -11,16 +11,15 @@ member averages, lag products) splits the members into one contiguous
 range per worker process, at most one per usable CPU and one per
 ``_MIN_SPLIT_MEMBERS`` members.  Each worker evolves its range in
 consecutive chunks of at most ``_CHUNK`` members, each through every step
-before the next starts, and each chunk writes its per-member rows straight
-into their slice, so a worker's memory does not grow with its range apart
-from the rows it returns.  Only the member averages and lag products return
-rows, one float per member; the histograms, transition counts and
-segment-mean counts return sums alone.  Each process holds one sums array,
-the caller's: every worker adds its chunks into it, and the parent adds each
-child's sums into its own a fixed piece at a time as they arrive.  Chunks
-and ranges are merged by one rule, in member order: integer-valued sums are
-added and per-member rows concatenated.  Their results are therefore
-bitwise independent of the worker count, the CPU count and the chunk size.
+before the next starts, so a worker's memory does not grow with its range.
+Only sums leave a chunk: a member average or total keeps each member's
+integer counts (of regions, or of states inside a rectangle) in the chunk
+and adds their moments Σc and Σc cᵀ to the sums.  Each process holds one
+sums array, the caller's: every worker adds its chunks into it, and the
+parent adds each child's sums into its own a fixed piece at a time as they
+arrive.  Chunks and ranges merge by one rule, in member order: sums are
+added.  Integer-valued sums are exact, so what is built on them is bitwise
+independent of the worker count, the CPU count and the chunk size.
 
 Because the x-coordinate update never reads y, x-projected reductions are
 bitwise identical between the reversible and irreversible variants at equal
@@ -34,6 +33,7 @@ from the first step and need no burn-in; reductions that read y still do.
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 from dataclasses import dataclass, replace
@@ -86,14 +86,20 @@ _MAX_HIST_CELLS = 4_000_000
 # elements of a child's sums that the parent reads and adds at a time, 64 KiB
 # of int64 or float64: the buffer that spares it a second copy of the sums
 _PIECE = 8_192
+# largest n_ens * n_iter**2, a bound on every entry of a count moment Σc cᵀ:
+# int64 sums and float64 ones (lag_products') hold every integer up to it
+_MAX_MOMENT = 2**53
+# region j adds 1 to the j-th uint8 lane of a member's packed uint32 counts
+_LANES = np.eye(4, dtype=np.uint8).view(np.uint32).ravel()
+_LANE_MAX = 2**8 - 1  # states a lane counts before it is flushed
 
-# At ell = 1/4 (and only there) every branch has x-slope exactly 2, so a
-# float64 orbit sheds one significand bit per step and collapses onto the
-# x = 1/2 fixed point within ~55 iterations.  The engine re-injects
-# counter-based noise at 2^-43, far below any feasible histogram
-# resolution, purely to keep the sampled orbit ergodic; all other
-# parameter values mix low-order bits through non-dyadic arithmetic and
-# need no regularization.
+# At ell = 1/4 every branch has x-slope exactly 2, so a float64 orbit sheds
+# one significand bit per step and collapses onto the x = 1/2 fixed point
+# within ~55 iterations.  The engine re-injects counter-based noise at
+# 2^-43, far below any feasible histogram resolution, purely to keep the
+# sampled orbit ergodic, and at that one ell alone.  Other ell are not all
+# safe: undithered runs collapse members onto x = 1/2 at ell = 1/8, 1/16
+# and 1/4 - 1 ulp as well (ROADMAP.md, open item 1, which measures them).
 _DITHER_SCALE = 2.0**-43
 _DITHER_SUBKEY_X = np.uint64(0xB4C3D11A)
 _DITHER_SUBKEY_Y = np.uint64(0xB4C3D11B)
@@ -160,7 +166,7 @@ def _run(config: SimConfig, with_y: bool, members: tuple[int, int], phi: np.ndar
     two reductions over the same config see bitwise-identical x streams.
 
     ``members = (a, b)`` evolves the members [a, b) only, bit for bit as in
-    the whole ensemble.  They start from rows [a, b) of
+    the whole ensemble.  They start from points [a, b) of
     ``sample_ensemble``: the first column goes through the inverse CDF of
     the exact stationary x-law (``_stationary_x``) and the second is y,
     uniform.  The x-projection is then stationary from step 0, whatever
@@ -227,11 +233,10 @@ def worker_count(n_ens: int) -> int:
     return max(1, min(cpus, n_ens // _MIN_SPLIT_MEMBERS))
 
 
-def _fork(part: Callable[[int, int], tuple[np.ndarray, np.ndarray]], a: int, b: int):
-    """Fork a child that writes the bytes of the two arrays of
-    ``part(a, b)`` to a pipe and exits 0, or on any failure writes a
-    one-line reason and exits 1.  Returns the child's pid and the read end
-    of its pipe."""
+def _fork(part: Callable[[int, int], np.ndarray], a: int, b: int):
+    """Fork a child that writes the bytes of the 1-d array ``part(a, b)``
+    to a pipe and exits 0, or on any failure writes a one-line reason and
+    exits 1.  Returns the child's pid and the read end of its pipe."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -244,59 +249,40 @@ def _fork(part: Callable[[int, int], tuple[np.ndarray, np.ndarray]], a: int, b: 
         try:
             os.close(r)
             try:
-                payload = [np.ascontiguousarray(v).reshape(-1).view(np.uint8) for v in part(a, b)]
+                payload = part(a, b).view(np.uint8)
                 status = 0
             except BaseException as exc:  # reported by the parent
-                payload = [f"{type(exc).__name__}: {exc}".encode()]
+                payload = f"{type(exc).__name__}: {exc}".encode()
             with open(w, "wb") as pipe:
-                for chunk in payload:
-                    pipe.write(chunk)
+                pipe.write(payload)
         finally:
             os._exit(status)
     os.close(w)
     return pid, open(r, "rb")
 
 
-def _split(
-    n_ens: int,
-    part: Callable[[int, int, np.ndarray, np.ndarray], None],
-    start: np.ndarray,
-    row_shape: tuple[int, ...] = (0,),
-) -> tuple[np.ndarray, np.ndarray]:
-    """``part(c, d, sums, rows)``, a reduction over the members [c, d) that
-    adds into ``sums`` and writes one float64 row of shape ``row_shape`` per
-    member into ``rows``, run on the contiguous ranges of
-    ``worker_count(n_ens)`` workers, each range cut into consecutive chunks
-    of at most ``_CHUNK`` members, and merged in member order: each worker
-    adds the chunks of its range into ``start`` itself and each chunk writes
-    its rows into their slice of the worker's rows, the parent adds up the
-    workers' sums (exact for the integer-valued sums added here), and every
-    worker's rows land in their slice of the one ``(n_ens, *row_shape)``
-    array the parent returns.  ``_split`` takes over ``start``, a 1-d
-    array: the sums it returns are ``start``, and after an error ``start``
-    holds no result.  A reduction without sums takes ``np.empty(0)`` as
-    ``start``; one without rows keeps the default ``row_shape``, so its rows
-    take no bytes.
+def _split(n_ens: int, part: Callable[[int, int, np.ndarray], None], start: np.ndarray) -> np.ndarray:
+    """``part(c, d, sums)``, a reduction over the members [c, d) that adds
+    into ``sums``, run on the contiguous ranges of ``worker_count(n_ens)``
+    workers, each range cut into consecutive chunks of at most ``_CHUNK``
+    members, and merged by one rule, in member order: sums are added (exact
+    for integer-valued sums).  ``_split`` takes over ``start``, a 1-d array,
+    and returns it as the sums; after an error it holds no result.
 
     The parent forks a child for every range but the first before it adds
-    anything, so each child adds into its own private copy of the caller's
-    ``start``.  It then reduces the first range itself straight into
-    ``start`` and the rows it returns, and reads each child's sums through
-    one buffer of ``_PIECE`` elements, adding each piece into its slice of
-    ``start`` as it arrives, then the child's rows straight into their
-    slice, and reaps it.  So each process holds one sums array.  A child
-    that fails or sends the wrong number of bytes raises ``WorkerError``.
-    Children still running when the call ends, by an error or an interrupt,
-    are killed and reaped.
+    anything, so each child adds into its own private copy of ``start``.  It
+    then reduces the first range straight into ``start``, and reads each
+    child's sums through one buffer of ``_PIECE`` elements, adding each
+    piece into its slice of ``start`` as it arrives, and reaps it: each
+    process holds one sums array.  A child that fails or sends the wrong
+    number of bytes raises ``WorkerError``.  Children still running when the
+    call ends, by an error or an interrupt, are killed and reaped.
     """
 
-    def chunked(a, b, rows=None):
-        if rows is None:  # a child's range
-            rows = np.empty((b - a, *row_shape))
+    def chunked(a, b):
         for c in range(a, b, _CHUNK):
-            d = min(c + _CHUNK, b)
-            part(c, d, start, rows[c - a : d - a])
-        return start, rows
+            part(c, min(c + _CHUNK, b), start)
+        return start
 
     w = worker_count(n_ens)
     cuts = [n_ens * i // w for i in range(w + 1)]
@@ -306,11 +292,9 @@ def _split(
         for a, b in ranges[1:]:
             pid, pipe = _fork(chunked, a, b)
             children[pid] = (pipe, (a, b))
-        rows = np.empty((n_ens, *row_shape))
-        chunked(*ranges[0], rows[: cuts[1]])
+        chunked(*ranges[0])
         piece = np.empty(min(_PIECE, start.size), start.dtype)
         for pid, (pipe, (a, b)) in list(children.items()):
-            child_rows = rows[a:b].reshape(-1).view(np.uint8)
             got, head = 0, b""
             with pipe:
                 for i in range(0, start.size, _PIECE):
@@ -321,21 +305,15 @@ def _split(
                     if n == buffer.nbytes:
                         start[i : i + len(buffer)] += buffer
                     got += n
-                n_rows = pipe.readinto(child_rows)
-                got += n_rows
-                extra = len(pipe.read(1))
+                rest = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
             if code != 0:
-                reason = (
-                    (head + child_rows[:n_rows].tobytes()).decode(errors="replace")
-                    if code == 1
-                    else f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                )
+                died = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                reason = (head + rest).decode(errors="replace") if code == 1 else died
                 raise WorkerError(f"the worker for members [{a}, {b}) failed: {reason}")
-            expected = start.nbytes + child_rows.nbytes
-            if got + extra != expected:
-                raise WorkerError(f"the worker for members [{a}, {b}) sent {got + extra} bytes, not {expected}")
+            if got + len(rest) != start.nbytes:
+                raise WorkerError(f"the worker for members [{a}, {b}) sent {got + len(rest)} bytes, not {start.nbytes}")
     finally:
         for pid, (pipe, _) in children.items():
             pipe.close()
@@ -344,7 +322,7 @@ def _split(
             except ProcessLookupError:  # already gone, still to be reaped
                 pass
             os.waitpid(pid, 0)
-    return start, rows
+    return start
 
 
 @dataclass(frozen=True)
@@ -399,15 +377,11 @@ class Histogram2D:
 
     def x_marginal(self, density: bool = False) -> np.ndarray:
         m = self.counts.sum(axis=1).astype(float)
-        if density:
-            m = m * self.nx / max(self.n_samples, 1)
-        return m
+        return m * self.nx / max(self.n_samples, 1) if density else m
 
     def y_marginal(self, density: bool = False) -> np.ndarray:
         m = self.counts.sum(axis=0).astype(float)
-        if density:
-            m = m * self.ny / max(self.n_samples, 1)
-        return m
+        return m * self.ny / max(self.n_samples, 1) if density else m
 
 
 def empirical_density(config: SimConfig, nx: int = 500, ny: int = 500) -> Histogram2D:
@@ -417,44 +391,40 @@ def empirical_density(config: SimConfig, nx: int = 500, ny: int = 500) -> Histog
     if nx < 1 or ny < 1:
         raise DomainError("bin counts must be >= 1")
     if nx * ny > _MAX_HIST_CELLS:
-        raise CapacityError(
-            f"a {nx} x {ny} histogram exceeds the limit of {_MAX_HIST_CELLS} cells"
-        )
+        raise CapacityError(f"a {nx} x {ny} histogram exceeds the limit of {_MAX_HIST_CELLS} cells")
 
-    def part(a, b, counts, _):
+    def part(a, b, counts):
         for x, y, _, _ in _run(config, True, (a, b)):
             cell = np.minimum((x * nx).astype(np.int64), nx - 1)
             cell *= ny
             cell += np.minimum((y * ny).astype(np.int64), ny - 1)
             np.add.at(counts, cell, 1)  # a bincount would be as long as counts
 
-    counts, _ = _split(config.n_ens, part, np.zeros(nx * ny, dtype=np.int64))
-    n_samples = config.n_ens * config.n_iter
-    return Histogram2D(nx=nx, ny=ny, counts=counts.reshape(nx, ny), n_samples=n_samples)
+    counts = _split(config.n_ens, part, np.zeros(nx * ny, dtype=np.int64))
+    return Histogram2D(nx=nx, ny=ny, counts=counts.reshape(nx, ny), n_samples=config.n_ens * config.n_iter)
 
 
 def transition_counts(config: SimConfig) -> np.ndarray:
     """4x4 counts of observed one-step region transitions
     (n_iter - 1 transitions per member)."""
 
-    def part(a, b, counts, _):
+    def part(a, b, counts):
         prev = None
         for _, _, r, _ in _run(config, False, (a, b)):
             if prev is not None:
                 counts += np.bincount(prev.astype(np.int64) * 4 + r, minlength=16)
             prev = r
 
-    return _split(config.n_ens, part, np.zeros(16, dtype=np.int64))[0].reshape(4, 4)
+    return _split(config.n_ens, part, np.zeros(16, dtype=np.int64)).reshape(4, 4)
 
 
 def _segment_means(config: SimConfig, seg_len: int, members: tuple[int, int]):
     """The per-segment loop of ``segment_mean_counts``: yields the means of
     the members [a, b) over each of their ``n_iter // seg_len`` consecutive
-    segments as the segment ends, each mean the sum of
-    ``seg_len`` region rates starting with the segment's first state, over
-    ``seg_len``.  They are yielded in the one buffer that then sums the next
-    segment, so a consumer uses them, or overwrites them, before it asks for
-    the next."""
+    segments as the segment ends, each mean the sum of ``seg_len`` region
+    rates starting with the segment's first state, over ``seg_len``.  They
+    are yielded in the one buffer that then sums the next segment, so a
+    consumer uses them, or overwrites them, before it asks for the next."""
     a, b = members
     n_segs = config.n_iter // seg_len
     used = replace(config, n_iter=n_segs * seg_len)  # no state past the last segment is made
@@ -488,13 +458,13 @@ def segment_mean_counts(
     if config.n_iter < seg_len:
         raise DomainError("n_iter too small for one segment")
 
-    def part(a, b, counts, _):
+    def part(a, b, counts):
         for means in _segment_means(config, seg_len, (a, b)):
             means /= scale
             cells = cell_of(means)
             counts += np.bincount(cells[cells >= 0], minlength=n_cells)
 
-    return _split(config.n_ens, part, np.zeros(n_cells, dtype=np.int64))[0]
+    return _split(config.n_ens, part, np.zeros(n_cells, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -525,32 +495,55 @@ class MeasureEstimate:
     n_samples: int
 
 
-def _member_average(config: SimConfig, values: Callable) -> tuple[float, float]:
-    """Mean over members of each member's time average of the per-state
-    arrays that ``values((a, b))`` yields for the members [a, b), with the
-    standard error from the spread of those time averages (nan for a single
-    member)."""
+def _moment_split(config: SimConfig, part: Callable, start: np.ndarray) -> np.ndarray:
+    """``_split`` for a reduction that adds count moments, refused before any
+    worker starts if the sums could not hold them exactly: an entry of
+    Σc cᵀ reaches n_ens n_iter²."""
+    if config.n_ens * config.n_iter**2 > _MAX_MOMENT:
+        raise CapacityError(f"n_ens * n_iter**2 must be <= 2**53, got {config.n_ens} * {config.n_iter}**2")
+    return _split(config.n_ens, part, start)
 
-    def part(a, b, _, per_member):
-        per_member[:] = 0.0
-        for v in values((a, b)):
-            per_member += v
 
-    _, per_member = _split(config.n_ens, part, np.empty(0), ())
-    per_member /= config.n_iter
-    se = float(per_member.std(ddof=1) / np.sqrt(config.n_ens)) if config.n_ens > 1 else float("nan")
-    return float(per_member.mean()), se
+def _add_moments(sums: np.ndarray, z: np.ndarray) -> None:
+    """Add Σz, then Σz zᵀ, of the members' integer counts ``z``, one member
+    a column of the (d, m) array, into the d + d² ``sums``."""
+    sums[: len(z)] += z.sum(axis=1)
+    sums[len(z) :] += (z @ z.T).ravel()
+
+
+def _moments(n: int, blocks, scale: int) -> tuple[float, float]:
+    """The mean of n members' values w . z / scale and its standard error
+    (nan for one member), from one block (w, moments) per disjoint group of
+    members: integer weights w and the ``_add_moments`` of the group's
+    counts z.  The centred moment n Σ(w . z)² - (Σ w . z)² is exact in
+    Python ints, and each result is rounded once."""
+    s1 = s2 = 0
+    for w, moments in blocks:
+        d = len(w)
+        z, zz = moments[:d].astype(np.int64).tolist(), moments[d:].astype(np.int64).reshape(d, d).tolist()
+        s1 += sum(wi * zi for wi, zi in zip(w, z))
+        s2 += sum(wi * wj * zz[i][j] for i, wi in enumerate(w) for j, wj in enumerate(w))
+    return s1 / (n * scale), math.sqrt((n * s2 - s1 * s1) / (n * n * (n - 1) * scale * scale)) if n > 1 else math.nan
 
 
 def measure_estimate(config: SimConfig, rect: RectSet) -> MeasureEstimate:
     """Long-run fraction of post-burn-in states inside ``rect``.
 
     The standard error comes from the spread of per-member time averages,
-    so it stays honest under within-member correlation.
+    each a member's count of states inside ``rect``, so it stays honest
+    under within-member correlation.
     """
     if config.n_iter < 1:
         raise DomainError("n_iter must be >= 1 for a measure estimate")
-    frac, se = _member_average(config, lambda m: (rect.contains(x, y) for x, y, _, _ in _run(config, True, m)))
+
+    def part(a, b, sums):
+        inside = np.zeros(b - a, dtype=np.int64)
+        for x, y, _, _ in _run(config, True, (a, b)):
+            inside += rect.contains(x, y)
+        _add_moments(sums, inside[None, :])
+
+    sums = _moment_split(config, part, np.zeros(2, dtype=np.int64))
+    frac, se = _moments(config.n_ens, [([1], sums)], config.n_iter)
     return MeasureEstimate(fraction=frac, stderr=se, n_samples=config.n_ens * config.n_iter)
 
 
@@ -561,64 +554,82 @@ def reflect_rect(rect: RectSet) -> list[RectSet]:
     the seam first; mapping corners of an unsplit straddling rectangle
     would be wrong.
     """
-    pieces = []
-    if rect.x_min < 0.5:
-        pieces.append((rect.x_min, min(rect.x_max, 0.5), False))
-    if rect.x_max > 0.5:
-        pieces.append((max(rect.x_min, 0.5), rect.x_max, True))
     out = []
-    for x0, x1, right in pieces:
-        if right:
-            out.append(
-                RectSet(0.5 * (rect.y_min + 1.0), 0.5 * (rect.y_max + 1.0), 2.0 * x0 - 1.0, 2.0 * x1 - 1.0)
-            )
-        else:
-            out.append(RectSet(0.5 * rect.y_min, 0.5 * rect.y_max, 2.0 * x0, 2.0 * x1))
+    if rect.x_min < 0.5:  # (x, y) -> (y/2, 2x)
+        out.append(RectSet(0.5 * rect.y_min, 0.5 * rect.y_max, 2.0 * rect.x_min, 2.0 * min(rect.x_max, 0.5)))
+    if rect.x_max > 0.5:  # (x, y) -> ((y + 1)/2, 2x - 1)
+        x0, x1 = max(rect.x_min, 0.5), rect.x_max
+        out.append(RectSet(0.5 * (rect.y_min + 1.0), 0.5 * (rect.y_max + 1.0), 2.0 * x0 - 1.0, 2.0 * x1 - 1.0))
     return out
 
 
-def odd_observable_mean(
-    config: SimConfig, phi: np.ndarray, scheme: ReversalScheme
-) -> tuple[float, float]:
+def _region_phi(phi) -> tuple[np.ndarray, list[int], int]:
+    """``phi`` as one finite float per region, and exactly as integers p
+    over one power-of-two denominator den: phi = p / den."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (4,) or not np.isfinite(phi).all():
+        raise DomainError("phi must assign one value per region, a finite one")
+    ratios = [v.as_integer_ratio() for v in phi.tolist()]
+    den = max(d for _, d in ratios)
+    return phi, [num * (den // d) for num, d in ratios], den
+
+
+def _lag_sums(config: SimConfig, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float sums over members of phi(r_k) phi(r_0) at each kept step k,
+    and per start region r_0 the ``_add_moments`` of the members' region
+    counts over the kept states, (4, 20).  A state adds each member's
+    ``_LANES`` word into a packed uint32, flushed before a lane carries."""
+    if config.n_iter < 1:
+        raise DomainError("n_iter must be >= 1")
+    t = config.n_iter
+
+    def part(a, b, sums):
+        m = b - a
+        prod, word, packed = np.empty(m), np.empty(m, dtype=np.uint32), np.zeros(m, dtype=np.uint32)
+        counts = np.zeros((4, m), dtype=np.int32)  # a member a column; n_iter < 2**27 by _MAX_MOMENT
+        for k, (r, v) in enumerate((r, v) for _, _, r, v in _run(config, False, (a, b), phi)):  # as in _segment_means
+            if k == 0:
+                r0, phi0 = r, v.copy()  # the next state's gather overwrites v
+            np.multiply(v, phi0, out=prod)
+            sums[k] += prod.sum()
+            packed += _LANES.take(r, out=word, mode="clip")
+            if (k + 1) % _LANE_MAX == 0 or k + 1 == t:
+                counts += packed.view(np.uint8).reshape(m, 4).T
+                packed[:] = 0
+        for i, moments in enumerate(sums[t:].reshape(4, 20)):
+            _add_moments(moments, counts.compress(r0 == i, axis=1).astype(np.int64))
+
+    sums = _moment_split(config, part, np.zeros(t + 80))
+    return sums[:t], sums[t:].reshape(4, 20)
+
+
+def odd_observable_mean(config: SimConfig, phi: np.ndarray, scheme: ReversalScheme) -> tuple[float, float]:
     """Ensemble/time average of a region observable that is odd under the
-    reversal scheme; returns (mean, stderr across members).
+    reversal scheme; returns (mean, stderr across members), each exact from
+    the moments of the members' region counts, then rounded once.
 
     Raises if phi(Q r) != -phi(r) for any region (tolerance 1e-12).
     """
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (4,):
-        raise DomainError("phi must assign one value per region")
+    phi, p, den = _region_phi(phi)
     for r in Region:
         if abs(phi[region_reverse(r, scheme)] + phi[r]) > 1e-12:
             raise DomainError(f"phi is not odd under {scheme.value}: region {r.name}")
-    if config.n_iter < 1:
-        raise DomainError("n_iter must be >= 1")
-    return _member_average(config, lambda m: (v for _, _, _, v in _run(config, False, m, phi)))
+    return _moments(config.n_ens, [(p, m) for m in _lag_sums(config, phi)[1]], den * config.n_iter)
 
 
 def lag_products(config: SimConfig, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of ``phi(r_k) phi(r_0)`` for a region observable ``phi``, where
-    r_k is a member's region at kept step k: over members at each step
-    (``n_iter`` values) and over steps for each member (``n_ens`` values).
+    """Sums over members of ``phi(r_k) phi(r_0)`` for a region observable
+    ``phi``, r_k a member's region at kept step k, at each step (``n_iter``
+    values); and the mean over members of their totals over the steps with
+    its standard error from their spread, as one pair.
 
-    The step sums are added up over the chunks and the worker ranges, so
-    they are bitwise independent of the worker count and the chunk size when
-    the products are integer-valued, as they are for the current.  For a
-    ``phi`` whose products are not, they depend on where the ranges and the
-    chunks are cut.
+    The step sums are float sums, bitwise independent of where the ranges
+    and chunks are cut only when the products are integers, as for the
+    current.  A member's total is phi(r_0) phi . c, c its region counts, so
+    the pair is exact from the moments per start region, a (4, 4) and a
+    (4, 4, 4) block, then rounded once.
     """
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (4,):
-        raise DomainError("phi must assign one value per region")
-
-    def part(a, b, at_step, per_member):
-        per_member[:] = 0.0
-        prod = np.empty(b - a)
-        for k, v in enumerate(v for _, _, _, v in _run(config, False, (a, b), phi)):  # as in _segment_means
-            if k == 0:
-                phi0 = v.copy()  # the next state's gather overwrites v
-            np.multiply(v, phi0, out=prod)
-            at_step[k] += prod.sum()
-            per_member += prod
-
-    return _split(config.n_ens, part, np.zeros(config.n_iter), ())
+    phi, p, den = _region_phi(phi)
+    at_step, moments = _lag_sums(config, phi)
+    blocks = [([pi * pj for pj in p], m) for pi, m in zip(p, moments)]
+    return at_step, np.array(_moments(config.n_ens, blocks, den * den))

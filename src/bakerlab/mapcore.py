@@ -103,8 +103,8 @@ class MapParams:
     def __post_init__(self):
         if not 0.0 < self.ell <= 0.25:
             raise DomainError(f"ell must lie in (0, 1/4], got {self.ell}")
-        if not 0.0 <= self.q <= 0.5:
-            raise DomainError(f"q must lie in [0, 1/2], got {self.q}")
+        if not 0.0 <= self.q < 0.5:
+            raise DomainError(f"q must lie in [0, 1/2), got {self.q}")
         if self.strip_x is None:
             object.__setattr__(self, "strip_x", self.ell)
         if self.strip_eps is None:

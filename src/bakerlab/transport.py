@@ -90,11 +90,8 @@ class GKConfig(SimConfig):
             raise DomainError("n_iter must be >= 1")
         if self.ensemble_mode not in ("stationary", "microcanonical-equilibrium"):
             raise DomainError(f"unknown ensemble_mode {self.ensemble_mode!r}")
-        if self.ensemble_mode == "microcanonical-equilibrium":
-            if self.params.ell != 0.25 or self.params.q != 0.0:
-                raise DomainError(
-                    "microcanonical-equilibrium mode requires ell = 1/4 and q = 0"
-                )
+        if self.ensemble_mode == "microcanonical-equilibrium" and (self.params.ell != 0.25 or self.params.q != 0.0):
+            raise DomainError("microcanonical-equilibrium mode requires ell = 1/4 and q = 0")
 
 
 @dataclass(frozen=True)
@@ -131,15 +128,12 @@ def green_kubo_estimate(config: GKConfig) -> GKResult:
     last quarter of the k range is flagged, not silently accepted.
     """
     psi_mean = mean_current(config.params.ell)
-    at_step, member_total = lag_products(config, PSI)
-    corr = at_step / config.n_ens - psi_mean * psi_mean
-    member_total -= config.n_iter * psi_mean * psi_mean
-    partial = np.cumsum(corr)
-    value = float(member_total.mean())
-    stderr = float(member_total.std(ddof=1) / np.sqrt(config.n_ens))
+    at_step, (total, stderr) = lag_products(config, PSI)
+    partial = np.cumsum(at_step / config.n_ens - psi_mean * psi_mean)
+    value = float(total - config.n_iter * psi_mean * psi_mean)
     return GKResult(
         value=value,
-        stderr=stderr,
+        stderr=float(stderr),
         partial_sums=partial,
         converged=_drift_converged(partial, stderr),
         psi_mean=psi_mean,
@@ -170,10 +164,7 @@ def green_kubo_exact(ell: float, k_max: int) -> GKResult:
     )
 
 
-def bias_sweep(
-    biases: np.ndarray,
-    base: GKConfig,
-) -> list[tuple[float, GKResult]]:
+def bias_sweep(biases: np.ndarray, base: GKConfig) -> list[tuple[float, GKResult]]:
     """Transport estimate at each bias along the q = 1/2 - 2 ell family.
 
     Every entry reuses the base ensemble sizes and seed; the map parameters
@@ -181,8 +172,5 @@ def bias_sweep(
     """
     biases = [float(b) for b in np.asarray(biases, dtype=float)]
     ells = [ell_of_bias(b) for b in biases]  # refuse a bad bias before any run
-    rows = []
-    for b, ell in zip(biases, ells):
-        cfg = replace(base, params=MapParams(ell=ell, q=0.5 - 2.0 * ell), ensemble_mode="stationary")
-        rows.append((b, green_kubo_estimate(cfg)))
-    return rows
+    configs = [replace(base, params=MapParams(ell=ell, q=0.5 - 2.0 * ell), ensemble_mode="stationary") for ell in ells]
+    return [(b, green_kubo_estimate(cfg)) for b, cfg in zip(biases, configs)]

@@ -645,6 +645,10 @@ class TestBadInput:
         (["fr", "--source", "mc", "--n-ens", "60000000"], "--n-ens must be <= 50000000, got 60000000"),
         (["ratefunc", "--source", "mc", "--n-ens", "50000001"], "--n-ens must be <= 50000000, got 50000001"),
         (["fr", "--source", "mc", "--n", "10", "--n-iter", "5"], "--n-iter must be >= --n (10) for one segment, got 5"),
+        # transport's count moments reach n_ens n_iter**2, exact up to 2**53
+        (["transport", "--n-ens", "50000000", "--n-iter", "13422"], "--n-iter must be <= 13421 at --n-ens 50000000, got 13422"),
+        (["transport", "--sweep", "0.1", "--n-ens", "2", "--n-iter", "67108865"],
+         "--n-iter must be <= 67108864 at --n-ens 2, got 67108865"),
         (["ratefunc", "--source", "mc", "--n", "10", "--n-iter", "9"], "--n-iter must be >= --n (10) for one segment, got 9"),
         (["density", "--bins", "3000"], "--bins must be <= 2000, got 3000"),
         (["density", "--bins", "2001"], "--bins must be <= 2000, got 2001"),
@@ -653,7 +657,16 @@ class TestBadInput:
         (["density", "--ell", "5e-324", "--q", "0.1"], "--ell must be large enough for 1/(4 ell) to be finite, got 5e-324"),
         (["db", "--ell", "1e-309"], "--ell must be large enough for 1/(4 ell) to be finite, got 1e-309"),
         (["surface", "--ell-min", "5e-324"], "--ell-min must be large enough for 1/(4 ell) to be finite, got 5e-324"),
-        # the surface's bounds against the valid box 0 < ell <= 1/4, 0 <= q < 1/2, before the grid is built
+        # every command's ell and q against the valid box 0 < ell <= 1/4, 0 <= q < 1/2, before a map is built
+        (["fr", "--q", "0.5"], "--q must lie in [0, 1/2), got 0.5"),
+        (["db", "--q", "0.5"], "--q must lie in [0, 1/2), got 0.5"),
+        (["density", "--q", "0.5"], "--q must lie in [0, 1/2), got 0.5"),
+        (["transport", "--q", "0.5", "--mode", "stationary"], "--q must lie in [0, 1/2), got 0.5"),
+        (["fr", "--ell", "0.3"], "--ell must lie in (0, 1/4], got 0.3"),
+        (["density", "--ell", "0.9"], "--ell must lie in (0, 1/4], got 0.9"),
+        (["transport", "--ell", "0.3"], "--ell must lie in (0, 1/4], got 0.3"),
+        (["ratefunc", "--ell", "nan"], "--ell must lie in (0, 1/4], got nan"),
+        # and the surface's bounds, before the grid is built
         (["surface", "--q-max", "0.6"], "--q-max must lie in [0, 1/2), got 0.6"),
         (["surface", "--q-max", "0.5"], "--q-max must lie in [0, 1/2), got 0.5"),
         (["surface", "--q-min", "-0.1"], "--q-min must lie in [0, 1/2), got -0.1"),

@@ -1,7 +1,9 @@
+import math
 import os
 import signal
 import tracemalloc
 from dataclasses import astuple, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,6 +120,24 @@ def reference_run(config: SimConfig, with_y: bool) -> list:
             x = ensemble._dither(x, ensemble._philox(keys[0], k * config.n_ens))
             y = None if y is None else ensemble._dither(y, ensemble._philox(keys[1], k * config.n_ens))
     return states
+
+
+def exact_sums(rows: list, phi, first: bool = False) -> list[Fraction]:
+    """Each member's exact sum of phi(r_k) over its region sequence, a row
+    of ``rows``, times phi(r_0) with ``first``: each region's count in the
+    row times its phi as a fraction."""
+    f = [Fraction(v) for v in np.asarray(phi, dtype=float).tolist()]
+    return [sum(f[j] * row.count(j) for j in range(4)) * (f[row[0]] if first else 1) for row in rows]
+
+
+def exact_mean_se(values: list[Fraction]) -> tuple[float, float]:
+    """The mean of exact member values and its standard error from their
+    spread: the mean rounded once, the error the square root of the
+    variance of the mean rounded once."""
+    n = len(values)
+    mean = sum(values, Fraction(0)) / n
+    var = sum(((v - mean) ** 2 for v in values), Fraction(0)) / (n - 1)
+    return float(mean), math.sqrt(var / n)
 
 
 class TestStationaryStart:
@@ -330,6 +350,19 @@ class TestMeasureEstimate:
             joint_se = np.sqrt(w.stderr**2 + gw_var)
             assert abs(w.fraction - gw_frac) < 3.5 * joint_se, rect
 
+    @pytest.mark.parametrize("w,chunk", [(1, None), (3, 64)], ids=["w1", "w3-chunk64"])
+    def test_fraction_and_stderr_equal_the_exact_member_averages(self, monkeypatch, force_workers, w, chunk):
+        """Against fractions of each member's count of states inside the
+        rectangle, from a loop written out independently of ``_run``."""
+        cfg = SimConfig(params=MapParams(0.15, 0.2), variant=MapVariant.IRREVERSIBLE, n_ens=1001, n_iter=9, burn_in=4, seed=13)
+        rect = RectSet(0.1, 0.6, 0.2, 0.9)
+        inside = sum(rect.contains(x, y).astype(np.int64) for x, y in reference_run(cfg, True))
+        assert inside.min() < inside.max()  # the members' counts spread
+        force_workers(cfg.n_ens, w)
+        monkeypatch.setattr(ensemble, "_CHUNK", chunk or ensemble._CHUNK)
+        est = measure_estimate(cfg, rect)
+        assert (est.fraction, est.stderr) == exact_mean_se([Fraction(int(n), cfg.n_iter) for n in inside])
+
 
 class TestReflectRect:
     def test_left_piece(self):
@@ -376,6 +409,21 @@ class TestOddObservable:
         mean, se = odd_observable_mean(cfg, np.zeros(4), ReversalScheme.Q4)
         assert mean == 0.0
 
+    @pytest.mark.parametrize(
+        "phi,scheme",
+        [
+            (transport.PSI, ReversalScheme.Q3),
+            (np.array([0.625, 0.0, 0.0, -0.625]), ReversalScheme.Q4),
+            (contraction_rates(PARAMS_EQ), ReversalScheme.Q4),
+        ],
+        ids=["psi", "dyadic", "rates"],
+    )
+    def test_mean_and_stderr_equal_the_exact_member_averages(self, phi, scheme):
+        cfg = SimConfig(params=PARAMS_EQ, n_ens=1001, n_iter=9, burn_in=4, seed=13)
+        rows = np.stack(list(regions(cfg)), axis=1).tolist()
+        averages = [total / cfg.n_iter for total in exact_sums(rows, phi)]
+        assert odd_observable_mean(cfg, phi, scheme) == exact_mean_se(averages)
+
     def test_rejects_non_odd(self):
         cfg = SimConfig(params=PARAMS_EQ, n_ens=10, n_iter=5, burn_in=0, seed=1)
         with pytest.raises(DomainError):
@@ -385,22 +433,67 @@ class TestOddObservable:
 
 
 class TestLagProducts:
+    @pytest.mark.parametrize("phi", [transport.PSI, np.array([0.5, 1.0, -1.0, 2.0])], ids=["psi", "dyadic"])
     @pytest.mark.parametrize("params", [MapParams(0.15, 0.2), MapParams(0.25, 0.0)], ids=["0.15", "0.25-dither"])
-    def test_sums_of_products_with_the_first_step(self, params):
+    def test_sums_of_products_with_the_first_step(self, params, phi):
+        """The step sums bit for bit, and the mean of the member totals and
+        its standard error against fractions of each member's total."""
         cfg = SimConfig(params=params, n_ens=300, n_iter=12, burn_in=3, seed=8)
-        phi = np.array([0.5, 1.0, -1.0, 2.0])
-        at_step, per_member = lag_products(cfg, phi)
+        at_step, pair = lag_products(cfg, phi)
         seqs = np.stack(list(regions(cfg)), axis=1)
         prods = phi[seqs] * phi[seqs[:, :1]]
-        assert at_step.shape == (12,) and per_member.shape == (300,)
+        assert at_step.shape == (12,) and pair.shape == (2,)
         assert at_step.tobytes() == prods.sum(axis=0).tobytes()
-        assert per_member.tobytes() == prods.sum(axis=1).tobytes()
+        assert tuple(pair) == exact_mean_se(exact_sums(seqs.tolist(), phi, first=True))
+
+    def test_a_lane_past_its_last_count_is_flushed(self, monkeypatch):
+        """Member 0 starts on x = 1/2, the fixed point of branch C, and stays
+        in C for all 769 kept states, three times more than a uint8 lane
+        counts: the flushes before a lane carries keep its count."""
+        start = ensemble._stationary_x
+
+        def placed(x, ell):
+            start(x, ell)
+            x[0] = 0.5
+
+        monkeypatch.setattr(ensemble, "_stationary_x", placed)
+        cfg = SimConfig(params=PARAMS_EQ, n_ens=3, n_iter=3 * 2**8 + 1, burn_in=0, seed=4)
+        phi = np.array([0.5, 1.0, -1.0, 2.0])
+        rows = np.stack(list(regions(cfg)), axis=1).tolist()
+        assert rows[0] == [Region.C] * cfg.n_iter
+        assert tuple(lag_products(cfg, phi)[1]) == exact_mean_se(exact_sums(rows, phi, first=True))
 
     def test_rejects_phi_of_wrong_shape(self):
         cfg = SimConfig(params=PARAMS_EQ, n_ens=10, n_iter=5, burn_in=0, seed=1)
-        for phi in (np.zeros(3), np.zeros((4, 1)), 1.0):
+        for phi in (np.zeros(3), np.zeros((4, 1)), 1.0, np.array([0.0, np.nan, 1.0, 0.0])):
             with pytest.raises(DomainError, match="one value per region"):
                 lag_products(cfg, phi)
+
+
+class TestCountMoments:
+    @pytest.mark.parametrize(
+        "reduction",
+        [
+            lambda cfg: measure_estimate(cfg, RectSet(0.1, 0.6, 0.2, 0.9)),
+            lambda cfg: odd_observable_mean(cfg, transport.PSI, ReversalScheme.Q3),
+            lambda cfg: lag_products(cfg, transport.PSI),
+            transport.green_kubo_estimate,
+        ],
+        ids=["measure", "odd-mean", "lag-products", "green-kubo"],
+    )
+    def test_moments_past_2_53_are_refused_before_any_worker_starts(self, monkeypatch, reduction):
+        """n_ens n_iter**2 bounds every entry of a count moment: 2**53
+        exactly starts the workers, one more kept state is refused."""
+
+        def split(*_):
+            raise AssertionError("a worker started")
+
+        monkeypatch.setattr(ensemble, "_split", split)
+        n_ens, n_iter = 2**25, 2**14
+        with pytest.raises(AssertionError, match="a worker started"):
+            reduction(transport.GKConfig(params=PARAMS_EQ, n_ens=n_ens, n_iter=n_iter, seed=1))
+        with pytest.raises(CapacityError, match=r"n_ens \* n_iter\*\*2 must be <= 2\*\*53, got 33554432 \* 16385\*\*2"):
+            reduction(transport.GKConfig(params=PARAMS_EQ, n_ens=n_ens, n_iter=n_iter + 1, seed=1))
 
 
 class TestSegmentMeans:
@@ -508,7 +601,7 @@ class TestMemberSplit:
     )
     def test_worker_memory_does_not_grow_with_its_range(self, force_workers, reduction):
         """One worker's traced peak at 4x the members: its chunks bound it,
-        the histogram's 64 cells and the empty rows add nothing per member."""
+        and the histogram's 64 cells add nothing per member."""
         n = 3 * ensemble._CHUNK
         peaks = []
         for n_ens in (n, 4 * n):
@@ -551,24 +644,31 @@ class TestMemberSplit:
         reduction(cfg)
         assert set(sizes) == {ensemble._CHUNK, 5}
 
-    def test_parent_holds_the_rows_once(self, force_workers):
-        """The parent's traced peak over two workers, less the per-member
-        rows that ``lag_products`` returns (32 arrays of ``_CHUNK`` floats),
-        is one chunk's state: about 10 such arrays.  Each child's rows are
-        read straight into their slice (a buffer of the child's 16 arrays
-        made it about 16), and each chunk writes its rows straight into
-        theirs."""
-        n_ens = 32 * ensemble._CHUNK
-        cfg = SimConfig(params=MapParams(0.15, 0.1), variant=MapVariant.IRREVERSIBLE, n_ens=n_ens, n_iter=24, burn_in=0, seed=5)
-        force_workers(n_ens, 2)
-        tracemalloc.start()
-        try:
-            _, per_member = lag_products(cfg, transport.PSI)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert per_member.nbytes == n_ens * 8
-        assert peak - per_member.nbytes <= 12 * ensemble._CHUNK * 8, (peak - per_member.nbytes) / (ensemble._CHUNK * 8)
+    @pytest.mark.parametrize(
+        "reduction",
+        [
+            lambda cfg: measure_estimate(cfg, RectSet(0.1, 0.6, 0.2, 0.9)),
+            lambda cfg: odd_observable_mean(cfg, transport.PSI, ReversalScheme.Q3),
+            lambda cfg: lag_products(cfg, transport.PSI),
+        ],
+        ids=["measure", "odd-mean", "lag-products"],
+    )
+    def test_parent_memory_does_not_grow_with_the_ensemble(self, force_workers, reduction):
+        """The parent's traced peak over two workers at 4x the members: only
+        sums leave a chunk or a worker, so the peak is one chunk's state at
+        either size, where per-member rows would grow with the members."""
+        n = 2 * ensemble._CHUNK
+        peaks = []
+        for n_ens in (n, 4 * n):
+            cfg = SimConfig(params=MapParams(0.15, 0.1), variant=MapVariant.IRREVERSIBLE, n_ens=n_ens, n_iter=4, burn_in=1, seed=5)
+            force_workers(n_ens, 2)
+            tracemalloc.start()
+            try:
+                reduction(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
     def test_parent_holds_the_sums_once(self, force_workers):
         """The parent's traced peak over two workers, less the 8 MB of
@@ -640,20 +740,33 @@ class TestMemberSplit:
         force_workers(10, 2)
         parent = os.getpid()
 
-        def part(a, b, sums, rows):
+        def part(a, b, sums):
             if os.getpid() != parent:
                 raise ValueError("injected")
             sums += 1.0
 
         with pytest.raises(WorkerError, match=r"members \[5, 10\) failed: ValueError: injected$"):
-            ensemble._split(10, part, np.zeros(2 * ensemble._PIECE + 5), (2,))
+            ensemble._split(10, part, np.zeros(2 * ensemble._PIECE + 5))
+        assert_no_child_left()
+
+    def test_failed_child_reason_longer_than_the_sums(self, force_workers):
+        """A reason longer than the sums' bytes is read on past them."""
+        force_workers(10, 2)
+        parent = os.getpid()
+
+        def part(a, b, sums):
+            if os.getpid() != parent:
+                raise ValueError("injected, in more bytes than one float64 holds")
+
+        with pytest.raises(WorkerError, match=r"failed: ValueError: injected, in more bytes than one float64 holds$"):
+            ensemble._split(10, part, np.zeros(1))
         assert_no_child_left()
 
     def test_killed_child_raises(self, force_workers):
         force_workers(10, 2)
         parent = os.getpid()
 
-        def part(a, b, sums, rows):
+        def part(a, b, sums):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
 
@@ -661,9 +774,9 @@ class TestMemberSplit:
             ensemble._split(10, part, np.zeros(3))
         assert_no_child_left()
 
-    # a part writes into arrays of the size its range fixes, so only the
-    # pipe can carry the wrong byte count: the child's writes are skewed
-    # by one byte each, short or long, and it still exits 0
+    # a part adds into the sums whose size the caller fixes, so only the
+    # pipe can carry the wrong byte count: the child's write is skewed by
+    # one byte, short or long, and it still exits 0
     @pytest.mark.parametrize("size", [3, 2 * ensemble._PIECE + 5], ids=["one-piece", "three-pieces"])
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_wrong_payload_size_raises(self, monkeypatch, force_workers, extra, size):
@@ -687,19 +800,19 @@ class TestMemberSplit:
             pipe = open(fd, mode)
             return Skewed(pipe) if mode == "wb" else pipe  # "wb" is the child's end
 
-        def part(a, b, sums, rows):
-            rows[:] = 1.0
+        def part(a, b, sums):
+            sums += 1.0
 
         monkeypatch.setattr(ensemble, "open", skewed_open, raising=False)
         with pytest.raises(WorkerError, match=r"members \[5, 10\) sent"):
-            ensemble._split(10, part, np.zeros(size), (2,))
+            ensemble._split(10, part, np.zeros(size))
         assert_no_child_left()
 
     def test_failed_parent_range_kills_children(self, force_workers):
         force_workers(12, 3)
         parent = os.getpid()
 
-        def part(a, b, sums, rows):
+        def part(a, b, sums):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             signal.pause()  # a child that would never finish on its own
@@ -814,7 +927,7 @@ class TestXOnlyPath:
             np.add.at(counts, (prev, r), 1)
         assert np.array_equal(transition_counts(cfg), counts)
 
-        at_step, per_member = np.empty(n_iter), np.zeros(cfg.n_ens)
+        at_step = np.empty(n_iter)
         for k, r in enumerate(seqs):
             prod = self.PHI[r] * self.PHI[seqs[0]]
             worker_sums = []
@@ -826,18 +939,13 @@ class TestXOnlyPath:
             at_step[k] = worker_sums[0]
             for total in worker_sums[1:]:  # then the worker sums, in member order
                 at_step[k] += total
-            per_member += prod
-        got_at_step, got_per_member = lag_products(cfg, self.PHI)
+        got_at_step, got_pair = lag_products(cfg, self.PHI)
         assert got_at_step.tobytes() == at_step.tobytes()
-        assert got_per_member.tobytes() == per_member.tobytes()
+        rows = np.stack(seqs, axis=1).tolist()
+        assert tuple(got_pair) == exact_mean_se(exact_sums(rows, self.PHI, first=True))
 
-        averages = np.zeros(cfg.n_ens)
-        for r in seqs:
-            averages += self.PHI_ODD[r]
-        averages /= n_iter
-        mean, se = odd_observable_mean(cfg, self.PHI_ODD, ReversalScheme.Q4)
-        assert mean == float(averages.mean())
-        assert se == float(averages.std(ddof=1) / np.sqrt(cfg.n_ens))
+        averages = [total / n_iter for total in exact_sums(rows, self.PHI_ODD)]
+        assert odd_observable_mean(cfg, self.PHI_ODD, ReversalScheme.Q4) == exact_mean_se(averages)
         assert_no_child_left()
 
     @pytest.mark.parametrize("params", [PARAMS_EQ, MapParams(0.25, 0.0)], ids=["0.15", "0.25-dither"])

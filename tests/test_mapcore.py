@@ -65,7 +65,7 @@ class TestParams:
         assert np.isfinite(jacobians(MapParams(ell=1.4e-309))).all()
 
     def test_q_half_collapses_region_a(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"q must lie in \[0, 1/2\), got 0.5"):
             MapParams(ell=0.15, q=0.5)
 
     def test_strip_must_fit_in_square(self):
