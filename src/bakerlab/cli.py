@@ -150,10 +150,13 @@ def _params_from(resolved: dict) -> tuple[MapParams, dict]:
     return MapParams(resolved["ell"], resolved["q"], resolved.get("strip_x"), resolved.get("strip_eps")), resolved
 
 
-def _sim_config(resolved: dict, burn_in: int) -> tuple[es.SimConfig, dict]:
-    params, read = _params_from(resolved)
+def _ensemble_config(kind: type, params: MapParams, resolved: dict, **fields) -> es.SimConfig:
+    """A ``kind`` of ``es.SimConfig`` (itself or ``tp.GKConfig``) over the
+    map ``params``, with the options' variant, ensemble sizes and seed;
+    a seed off the one 64-bit key word is refused in the terms of its flag."""
+    _require_counts(resolved, seed=0)
     ensemble = {k: resolved[k] for k in ("variant", "n_ens", "n_iter", "seed")}
-    return es.SimConfig(params=params, burn_in=burn_in, **ensemble), read
+    return kind(params=params, **ensemble, **fields)
 
 
 # The ensemble starts x in its exact stationary law, so the x-only commands
@@ -167,15 +170,21 @@ def _xonly_start(workers: int) -> dict:
     return {"x": "stationary", "burn_in_steps": 0, "workers": workers}
 
 
-# the largest value of each count option that the library caps
-_COUNT_MAX = {"n_ens": es._MAX_ENSEMBLE, "bins": math.isqrt(es._MAX_HIST_CELLS)}
+# the largest value of each integer option that the library caps; the seed
+# is one 64-bit key word
+_COUNT_MAX = {
+    "n_ens": es._MAX_ENSEMBLE,
+    "bins": math.isqrt(es._MAX_HIST_CELLS),
+    "k_max": tp._MAX_K,
+    "seed": 2**64 - 1,
+}
 
 
-def _require_counts(resolved: dict, **minimum: int) -> None:
+def _require_counts(resolved: dict, caps: dict = _COUNT_MAX, **minimum: int) -> None:
     """Refuse the first of the named options that lies below its minimum,
-    or above its cap in ``_COUNT_MAX``, in the terms of its flag."""
+    or above its cap in ``caps``, in the terms of its flag."""
     for name, low in minimum.items():
-        flag, value, high = f"--{name.replace('_', '-')}", resolved[name], _COUNT_MAX.get(name)
+        flag, value, high = f"--{name.replace('_', '-')}", resolved[name], caps.get(name)
         if value < low:
             raise DomainError(f"{flag} must be >= {low}, got {value}")
         if high is not None and value > high:
@@ -296,20 +305,21 @@ def _write_run(command: str, resolved: dict, compute: Callable[[dict], _Run]) ->
 _DENSITY = {
     "ell": (float, 0.15),
     "q": (float, 0.0),
-    "variant": (_variant, MapVariant.REVERSIBLE),
+    "variant": (_variant, es.SimConfig.variant),
     **_STRIP,
     "n_ens": (int, 20_000),
     "n_iter": (int, 50),
     "burn_in": (int, 1_000),
     "bins": (int, 500),
-    "seed": (int, 0),
+    "seed": (int, es.SimConfig.seed),
     "out": (str, None),
 }
 
 
 def _cmd_density(resolved) -> _Run:
-    _require_counts(resolved, n_ens=1, n_iter=1, bins=1)
-    config, read = _sim_config(resolved, resolved["burn_in"])
+    _require_counts(resolved, n_ens=1, n_iter=1, burn_in=0, bins=1)
+    params, read = _params_from(resolved)
+    config = _ensemble_config(es.SimConfig, params, resolved, burn_in=resolved["burn_in"])
     nb = resolved["bins"]
     bins = range(nb)  # the bin indices of either axis
     hist = es.empirical_density(config, nx=nb, ny=nb)
@@ -342,6 +352,11 @@ _SURFACE = {
 
 def _cmd_surface(resolved) -> _Run:
     _require_counts(resolved, ell_steps=1, q_steps=1)
+    if resolved["ell_steps"] * resolved["q_steps"] > mk._MAX_GRID_CELLS:
+        raise CapacityError(
+            f"--ell-steps x --q-steps must be <= {mk._MAX_GRID_CELLS} cells, "
+            f"got {resolved['ell_steps']} x {resolved['q_steps']}"
+        )
     ells = np.linspace(resolved["ell_min"], resolved["ell_max"], resolved["ell_steps"])
     qs = np.linspace(resolved["q_min"], resolved["q_max"], resolved["q_steps"])
     rates = mk.mean_contraction_rate_grid(ells, qs)
@@ -355,17 +370,17 @@ def _cmd_surface(resolved) -> _Run:
 _FR = {
     "ell": (float, 0.15),
     "q": (float, 0.2),
-    "variant": (_variant, MapVariant.REVERSIBLE),
+    "variant": (_variant, es.SimConfig.variant),
     **_STRIP,
     "n": (int, 200),
-    "delta": (float, 0.05),
+    "delta": (float, fl.FRConfig.delta),
     "p_max": (float, 2.0),
     "source": (_choice("mc", "exact"), "exact"),
-    "min_count": (int, 25),
+    "min_count": (int, fl.FRConfig.min_count),
     "n_ens": (int, 10_000),
     "n_iter": (int, 2_000),
     "burn_in": (int, 1_000),
-    "seed": (int, 0),
+    "seed": (int, es.SimConfig.seed),
     "out": (str, None),
 }
 
@@ -391,7 +406,9 @@ def _fr_family(command: str, resolved: dict) -> tuple[fl.PiHistogram, fl.RateFun
     """Body of fr and ratefunc: the cell masses from the exact law or the
     ensemble and their rate function, with the run that writes ``pi.csv``
     and ``zeta.csv``; each command adds its own artifact and summary."""
-    _require_counts(resolved, n=1, min_count=1)
+    # the exact law is capped at n = MAX_N; the ensemble's segments are not
+    caps = dict(_COUNT_MAX, n=mk.MAX_N) if resolved["source"] == "exact" else _COUNT_MAX
+    _require_counts(resolved, caps, n=1, min_count=1)
     fr_cfg = fl.FRConfig(
         n=resolved["n"],
         p_grid=_p_grid(resolved["p_max"], resolved["delta"]),
@@ -407,7 +424,8 @@ def _fr_family(command: str, resolved: dict) -> tuple[fl.PiHistogram, fl.RateFun
         _require_counts(read, n_ens=1, n_iter=1)
         if read["n_iter"] < resolved["n"]:
             raise DomainError(f"--n-iter must be >= --n ({resolved['n']}) for one segment, got {read['n_iter']}")
-        source, read = _sim_config(read, burn_in=0)
+        params, read = _params_from(read)
+        source = _ensemble_config(es.SimConfig, params, read, burn_in=0)
         start = _xonly_start(es.worker_count(source.n_ens))
     pi = fl.estimate_pi(fr_cfg, source)
     rf = fl.rate_function(pi)
@@ -462,13 +480,13 @@ def _cmd_db(resolved) -> _Run:
 _TRANSPORT = {
     "ell": (float, 0.25),
     "q": (float, None),
-    "variant": (_variant, MapVariant.REVERSIBLE),
+    "variant": (_variant, es.SimConfig.variant),
     **_STRIP,
     "mode": (_choice("equilibrium", "stationary"), "equilibrium"),
     "n_ens": (int, 100_000),
     "n_iter": (int, 50),
     "burn_in": (int, 1_000),
-    "seed": (int, 0),
+    "seed": (int, es.SimConfig.seed),
     "k_max": (int, 50),
     "sweep": (str, None),
     "out": (str, None),
@@ -500,11 +518,10 @@ def _cmd_transport(resolved) -> _Run:
         raise CapacityError(f"--n-iter must be <= {longest} at --n-ens {resolved['n_ens']}, got {resolved['n_iter']}")
     biases = None if resolved["sweep"] is None else _biases(resolved["sweep"])
     read = _refuse_set(resolved, _TRANSPORT, ("burn_in",), f"transport, {_STATIONARY_X}")
-    gk_common = {k: resolved[k] for k in ("variant", "n_ens", "n_iter", "seed")}
 
     if biases is not None:
         read = _refuse_set(read, _TRANSPORT, _NOT_SWEPT, "--sweep")
-        base = tp.GKConfig(params=MapParams(ell=0.25, q=0.0), ensemble_mode="stationary", **gk_common)
+        base = _ensemble_config(tp.GKConfig, MapParams(ell=0.25, q=0.0), resolved)
         rows = tp.bias_sweep(biases, base)
         bad = sum(0 if r.converged else 1 for _, r in rows)
         table = ((b, r.value, r.stderr) for b, r in rows)
@@ -519,7 +536,7 @@ def _cmd_transport(resolved) -> _Run:
     q = 0.5 - 2.0 * resolved["ell"] if resolved["q"] is None else resolved["q"]
     mode = "microcanonical-equilibrium" if resolved["mode"] == "equilibrium" else "stationary"
     params, read = _params_from(dict(read, q=q))
-    cfg = tp.GKConfig(params=params, ensemble_mode=mode, **gk_common)
+    cfg = _ensemble_config(tp.GKConfig, params, resolved, ensemble_mode=mode)
     exact = tp.green_kubo_exact(resolved["ell"], resolved["k_max"])
     result = tp.green_kubo_estimate(cfg)
     return _Run(

@@ -325,7 +325,7 @@ def _split(n_ens: int, part: Callable[[int, int, np.ndarray], None], start: np.n
     return start
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SimConfig:
     """One reproducible simulation run.
 
@@ -339,9 +339,9 @@ class SimConfig:
 
     params: MapParams
     variant: MapVariant = MapVariant.REVERSIBLE
-    n_ens: int = 10_000
-    n_iter: int = 1_000
-    burn_in: int = 1_000
+    n_ens: int
+    n_iter: int
+    burn_in: int
     seed: int = 0
 
     def __post_init__(self):
@@ -384,7 +384,7 @@ class Histogram2D:
         return m * self.ny / max(self.n_samples, 1) if density else m
 
 
-def empirical_density(config: SimConfig, nx: int = 500, ny: int = 500) -> Histogram2D:
+def empirical_density(config: SimConfig, nx: int, ny: int) -> Histogram2D:
     """Histogram of all post-burn-in states (n_ens * n_iter samples)."""
     if config.n_iter < 1:
         raise DomainError("n_iter must be >= 1 for a density estimate")

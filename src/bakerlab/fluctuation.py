@@ -46,7 +46,7 @@ __all__ = [
 _MAX_GRID_CELLS = 10_001
 
 
-def symmetric_grid(p_max: float, spacing: float = 0.1) -> np.ndarray:
+def symmetric_grid(p_max: float, spacing: float) -> np.ndarray:
     """Cell centers -p_max..p_max built from integers so the grid is
     exactly symmetric."""
     if not (p_max > 0 and 0 < spacing < np.inf):

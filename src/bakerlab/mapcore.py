@@ -219,17 +219,15 @@ def contraction_rates(params: MapParams) -> np.ndarray:
 
 def step_arrays(
     x: np.ndarray,
-    y: np.ndarray | None,
+    y: np.ndarray,
     params: MapParams,
     variant: MapVariant = MapVariant.REVERSIBLE,
 ):
     """One iteration of the selected dynamics.
 
-    Returns ``(x_new, y_new)``.  With ``y=None`` only x advances (it never
-    reads y) and ``y_new`` is None.
-    The irreversible variant then flips y -> 1 - y where the new point lies
-    in the strip with y < 1/2; x is untouched and a zero-width strip flips
-    nothing.
+    Returns ``(x_new, y_new)``.  The irreversible variant then flips
+    y -> 1 - y where the new point lies in the strip with y < 1/2; x is
+    untouched and a zero-width strip flips nothing.
 
     The arithmetic is exactly ``clip(a[r] * v + b[r], 0, 1)`` per
     coordinate, then the flip, written in place into the new arrays; one
@@ -239,9 +237,6 @@ def step_arrays(
     n = len(x)
     xn = np.empty(n)
     r = region_indices(x, params.ell)
-    if y is None:
-        _x_gather(r, _x_step_table(params), None, x, xn)
-        return xn, None
     yn = np.empty(n)
     c = np.take(_coefficient_table(params), r.view(np.uint8), axis=0, mode="clip", out=np.empty((n, 4)))
     _affine_clip(c[:, 0], x, c[:, 1], xn)

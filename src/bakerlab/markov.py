@@ -43,6 +43,9 @@ __all__ = [
 # cap on n for contraction_sum_distribution: at MAX_N the generic law holds
 # about 3.0M atoms
 MAX_N = 2000
+# widest (ell, q) grid of mean_contraction_rate_grid, 2000 x 2000: its
+# float64 temporaries take about 0.4 GiB at the cap
+_MAX_GRID_CELLS = 4_000_000
 
 
 def _validate_ell(ell: float) -> None:
@@ -117,13 +120,16 @@ def mean_contraction_rate_grid(ells: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """Stationary mean contraction rates ``mu @ contraction_rates`` at every
     (ell, q) of a grid, in one pass, of shape (len(ells), len(qs)).
 
-    The first invalid cell in row-major order raises the ``DomainError``
+    A grid of more than ``_MAX_GRID_CELLS`` cells is refused, and the
+    first invalid cell in row-major order raises the ``DomainError``
     that ``MapParams`` raises for it.  Each dot product is a stacked
     matmul, which rounds as the 1-d ``mu @ rates`` does; a sum over the
     last axis does not.
     """
     ell = np.asarray(ells, dtype=float)[:, None]
     q = np.asarray(qs, dtype=float)[None, :]
+    if ell.size * q.size > _MAX_GRID_CELLS:
+        raise CapacityError(f"a {ell.size} x {q.size} grid exceeds the limit of {_MAX_GRID_CELLS} cells")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         jac = _jacobians(ell, q)
     valid = (0.0 < ell) & (ell <= 0.25) & (0.0 <= q) & (q <= 0.5)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .ensemble import SimConfig, lag_products
 from .mapcore import MapParams
 from .markov import chain_autocovariance, coarse_measure
@@ -40,6 +40,9 @@ PSI.setflags(write=False)
 
 # relative drift of the last quarter of partial sums accepted as converged
 _DRIFT_TOL = 0.01
+# most lags green_kubo_exact sums, one Python-level matrix-vector product a
+# lag: about 3 s at the cap, and a larger k_max can exhaust memory
+_MAX_K = 1_000_000
 
 
 def mean_current(ell: float) -> float:
@@ -63,9 +66,10 @@ def ell_of_bias(b: float) -> float:
     return 0.5 * (1.0 - 1.0 / (2.0 - b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GKConfig(SimConfig):
-    """A ``SimConfig`` with the defaults and checks of one transport estimate.
+    """A ``SimConfig`` with the burn-in default and checks of one transport
+    estimate.
 
     The ensemble starts x in its exact stationary law, and the current
     reads x alone, so the estimate needs no burn-in; ``burn_in`` steps, 0
@@ -77,8 +81,6 @@ class GKConfig(SimConfig):
     the same estimate there.
     """
 
-    n_ens: int = 100_000
-    n_iter: int = 50
     burn_in: int = 0
     ensemble_mode: str = "stationary"
 
@@ -86,8 +88,6 @@ class GKConfig(SimConfig):
         super().__post_init__()
         if self.n_ens < 2:
             raise DomainError("n_ens must be >= 2")
-        if self.n_iter < 1:
-            raise DomainError("n_iter must be >= 1")
         if self.ensemble_mode not in ("stationary", "microcanonical-equilibrium"):
             raise DomainError(f"unknown ensemble_mode {self.ensemble_mode!r}")
         if self.ensemble_mode == "microcanonical-equilibrium" and (self.params.ell != 0.25 or self.params.q != 0.0):
@@ -145,10 +145,13 @@ def green_kubo_exact(ell: float, k_max: int) -> GKResult:
 
     Correlations decay geometrically with the subdominant eigenvalue
     |1/2 - 2 ell| of the transition matrix (reported, in closed form), which
-    also gives the quoted bound on the neglected tail.
+    also gives the quoted bound on the neglected tail.  ``k_max`` is capped
+    at ``_MAX_K``.
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
+    if k_max > _MAX_K:
+        raise CapacityError(f"k_max={k_max} exceeds the limit {_MAX_K}")
     terms = chain_autocovariance(ell, PSI, k_max)
     partial = np.cumsum(terms)
     gamma = abs(0.5 - 2.0 * ell)

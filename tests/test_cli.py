@@ -11,7 +11,7 @@ import pytest
 import bakerlab
 from bakerlab.cli import _MC_ONLY, _NOT_SWEPT, _resolve, build_parser, main
 from bakerlab.ensemble import SimConfig, empirical_density, worker_count
-from bakerlab.mapcore import MapParams
+from bakerlab.mapcore import MapParams, MapVariant, ReversalScheme
 from bakerlab.markov import mean_contraction_rate
 from oracles import eager_parser
 
@@ -451,6 +451,29 @@ COMMAND_FLAGS = {
     "transport": "ell q variant strip-x strip-eps mode n-ens n-iter burn-in seed k-max sweep out config",
 }
 
+# what each command resolves with no flags, written out so that no refactor
+# of the option tables or the library defaults they read moves one silently
+_STRIP_UNSET = {"strip_x": None, "strip_eps": None}
+_FR_DEFAULTS = {
+    "ell": 0.15, "q": 0.2, "variant": MapVariant.REVERSIBLE, **_STRIP_UNSET, "n": 200, "delta": 0.05,
+    "p_max": 2.0, "source": "exact", "min_count": 25, "n_ens": 10_000, "n_iter": 2_000, "burn_in": 1_000,
+    "seed": 0, "out": None,
+}
+RESOLVED_DEFAULTS = {
+    "density": {
+        "ell": 0.15, "q": 0.0, "variant": MapVariant.REVERSIBLE, **_STRIP_UNSET, "n_ens": 20_000, "n_iter": 50,
+        "burn_in": 1_000, "bins": 500, "seed": 0, "out": None,
+    },
+    "surface": {"ell_min": 0.05, "ell_max": 0.25, "ell_steps": 21, "q_min": 0.0, "q_max": 0.4, "q_steps": 21, "out": None},
+    "fr": _FR_DEFAULTS,
+    "ratefunc": _FR_DEFAULTS,
+    "db": {"ell": 0.15, "q": 0.0, "scheme": ReversalScheme.Q4, "out": None},
+    "transport": {
+        "ell": 0.25, "q": None, "variant": MapVariant.REVERSIBLE, **_STRIP_UNSET, "mode": "equilibrium",
+        "n_ens": 100_000, "n_iter": 50, "burn_in": 1_000, "seed": 0, "k_max": 50, "sweep": None, "out": None,
+    },
+}
+
 
 def _subcommand_flags(parser, command):
     """The flags that ``command``'s parser holds now, besides -h/--help."""
@@ -474,6 +497,14 @@ class TestOptionTables:
         flags = _subcommand_flags(parser, command)
         assert flags == {"--" + key.replace("_", "-") for key in spec} | {"--config"}
         assert flags == {"--" + name for name in COMMAND_FLAGS[command].split()}
+
+    @pytest.mark.parametrize("command", sorted(RESOLVED_DEFAULTS))
+    def test_resolved_defaults(self, command):
+        resolved = _resolve(build_parser().parse_args([command]))
+        expected = RESOLVED_DEFAULTS[command]
+        assert list(resolved) == list(expected)
+        # == alone would let 0 stand for 0.0
+        assert [(type(v), v) for v in resolved.values()] == [(type(v), v) for v in expected.values()]
 
     def test_selftest_takes_no_options(self):
         parser = build_parser()
@@ -652,6 +683,21 @@ class TestBadInput:
         (["ratefunc", "--source", "mc", "--n", "10", "--n-iter", "9"], "--n-iter must be >= --n (10) for one segment, got 9"),
         (["density", "--bins", "3000"], "--bins must be <= 2000, got 3000"),
         (["density", "--bins", "2001"], "--bins must be <= 2000, got 2001"),
+        (["surface", "--ell-steps", "100000", "--q-steps", "100000"],
+         "--ell-steps x --q-steps must be <= 4000000 cells, got 100000 x 100000"),
+        (["surface", "--ell-steps", "2001", "--q-steps", "2000"],
+         "--ell-steps x --q-steps must be <= 4000000 cells, got 2001 x 2000"),
+        (["transport", "--k-max", "10000000000"], "--k-max must be <= 1000000, got 10000000000"),
+        (["transport", "--k-max", "1000001"], "--k-max must be <= 1000000, got 1000001"),
+        # the exact law's n cap; --source mc has none
+        (["fr", "--source", "exact", "--n", "2001"], "--n must be <= 2000, got 2001"),
+        # the seed is one 64-bit key word
+        (["density", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["fr", "--source", "mc", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["transport", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["transport", "--sweep", "0.1", "--seed", "18446744073709551616"],
+         "--seed must be <= 18446744073709551615, got 18446744073709551616"),
+        (["density", "--burn-in", "-1"], "--burn-in must be >= 0, got -1"),
         # an ell in (0, 1/4] whose 1/(4 ell) overflows
         (["fr", "--source", "exact", "--ell", "5e-324", "--q", "0.1"], "--ell must be large enough for 1/(4 ell) to be finite, got 5e-324"),
         (["density", "--ell", "5e-324", "--q", "0.1"], "--ell must be large enough for 1/(4 ell) to be finite, got 5e-324"),
@@ -745,6 +791,8 @@ class TestBadInput:
               "--min-count", "1000"], 1),
             (["ratefunc", "--source", "exact", "--n", "1"], 2),
             (["fr", "--source", "exact", "--n", "1", "--ell", "0.1", "--q", "0.3"], 2),
+            # runs, so no cap refuses an n above the exact law's
+            (["fr", "--source", "mc", "--n", "2001", "--n-ens", "1", "--n-iter", "2001", "--min-count", "1"], 2),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
     )

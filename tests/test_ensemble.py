@@ -106,19 +106,20 @@ def regions(config: SimConfig):
 def reference_run(config: SimConfig, with_y: bool) -> list:
     """The kept states of ``config`` from a loop written out independently
     of ``_run``: it steps after every state, the last one included, and at
-    ell = 1/4 step k draws its dither at position k n_ens of each stream."""
+    ell = 1/4 step k draws its dither at position k n_ens of each stream.
+    It always steps y, which x never reads, and keeps it only ``with_y``."""
     pts = sample_ensemble(config.n_ens, config.seed)
-    x, y = pts[:, 0].copy(), pts[:, 1].copy() if with_y else None
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
     ensemble._stationary_x(x, config.params.ell)
     keys = [np.array([config.seed, sub], dtype=np.uint64) for sub in (ensemble._DITHER_SUBKEY_X, ensemble._DITHER_SUBKEY_Y)]
     states = []
     for k in range(config.burn_in + config.n_iter):
         if k >= config.burn_in:
-            states.append((x, y))
+            states.append((x, y if with_y else None))
         x, y = step_arrays(x, y, config.params, config.variant)
         if config.params.ell == 0.25:
             x = ensemble._dither(x, ensemble._philox(keys[0], k * config.n_ens))
-            y = None if y is None else ensemble._dither(y, ensemble._philox(keys[1], k * config.n_ens))
+            y = ensemble._dither(y, ensemble._philox(keys[1], k * config.n_ens))
     return states
 
 

@@ -138,7 +138,7 @@ class TestBakerStep:
         params = MapParams(0.15, 0.1)
         eps = 1e-12
         x = np.array([0.0, 0.15 - eps, 0.15, 0.5 - eps, 0.5, 0.75, 1.0])
-        xn, _ = step_arrays(x, None, params)
+        xn, _ = step_arrays(x, np.zeros_like(x), params)
         assert xn == pytest.approx([0.5, 1.0, 0.0, 0.5, 0.5, 0.0, 0.5], abs=1e-9)
 
     @given(
@@ -278,8 +278,6 @@ def _unblocked_step(x, y, params, variant):
     ax, bx, ay, by = branch_coefficients(params)
     r = (x >= params.ell).astype(np.int8) + (x >= 0.5).astype(np.int8) + (x >= 0.75).astype(np.int8)
     xn = np.clip(ax[r] * x + bx[r], 0.0, 1.0)
-    if y is None:
-        return xn, None
     yn = np.clip(ay[r] * y + by[r], 0.0, 1.0)
     if variant is MapVariant.IRREVERSIBLE and params.strip_eps > 0.0:
         hi = params.strip_x + params.strip_eps
@@ -313,23 +311,19 @@ class TestBlockedKernel:
         phi = np.array([0.5, -1.0, 2.5, 3.0])
         table = mapcore._x_step_table(params, phi)
         for variant in MapVariant:
-            for with_y in (True, False):
-                x, y = x0, (y0 if with_y else None)
-                xr, yr, xg = x, y, x
-                for _ in range(6):
-                    x, y = step_arrays(x, y, params, variant)
-                    xr, yr = _unblocked_step(xr, yr, params, variant)
-                    assert np.array_equal(x, xr)
-                    assert (y is None) == (yr is None)
-                    if with_y:
-                        assert np.array_equal(y, yr)
-                    else:  # the x-only kernel, whose one gather also writes phi at the regions
-                        r = region_indices(xg, params.ell)
-                        values, xn = np.full(n, np.nan), np.full(n, np.nan)
-                        mapcore._x_gather(r, table, values, xg, xn)
-                        xg = xn
-                        assert np.array_equal(xg, xr)
-                        assert np.array_equal(values, phi[r])
+            x, y, xr, yr, xg = x0, y0, x0, y0, x0
+            for _ in range(6):
+                x, y = step_arrays(x, y, params, variant)
+                xr, yr = _unblocked_step(xr, yr, params, variant)
+                assert np.array_equal(x, xr)
+                assert np.array_equal(y, yr)
+                # the x-only kernel, whose one gather also writes phi at the regions
+                r = region_indices(xg, params.ell)
+                values, xn = np.full(n, np.nan), np.full(n, np.nan)
+                mapcore._x_gather(r, table, values, xg, xn)
+                xg = xn
+                assert np.array_equal(xg, xr)
+                assert np.array_equal(values, phi[r])
 
     def test_x_step_table(self):
         params = MapParams(0.15, 0.2)
@@ -357,8 +351,8 @@ class TestBlockedKernel:
             for out in (xn, yn):
                 assert not np.shares_memory(out, pts)
             assert not np.shares_memory(xn, yn)
-        xn, none = step_arrays(x.astype(np.float32), None, params)
-        assert none is None and xn.dtype == np.float64
+        xn, yn = step_arrays(x.astype(np.float32), y.astype(np.float32), params)
+        assert xn.dtype == yn.dtype == np.float64
 
 
 def _reverse1(x, y):

@@ -183,6 +183,12 @@ class TestMeanContractionRateGrid:
             mean_contraction_rate_grid(np.array(ells), np.array(qs))
         assert str(grid.value) == str(per_cell.value)
 
+    @pytest.mark.parametrize("steps", [(2001, 2000), (1, 4_000_001)])
+    def test_more_than_four_million_cells_are_refused_before_any_work(self, monkeypatch, steps):
+        monkeypatch.setattr(markov, "_jacobians", lambda *args: pytest.fail("the grid was computed"))
+        with pytest.raises(CapacityError, match=f"a {steps[0]} x {steps[1]} grid exceeds the limit of 4000000 cells"):
+            mean_contraction_rate_grid(np.full(steps[0], 0.1), np.full(steps[1], 0.1))
+
 
 class TestDBReport:
     @pytest.mark.parametrize("ell", ELL_GRID)

@@ -3,7 +3,7 @@ import pytest
 
 from bakerlab import transport
 from bakerlab.ensemble import SimConfig
-from bakerlab.errors import DomainError
+from bakerlab.errors import CapacityError, DomainError
 from bakerlab.mapcore import MapParams, MapVariant, Region, ReversalScheme, region_reverse
 from bakerlab.markov import coarse_measure, transition_matrix
 from bakerlab.transport import (
@@ -67,6 +67,11 @@ class TestBias:
 
 
 class TestExactTransport:
+    def test_more_than_a_million_lags_are_refused_before_any_sum(self, monkeypatch):
+        monkeypatch.setattr(transport, "chain_autocovariance", lambda *args: pytest.fail("a lag was summed"))
+        with pytest.raises(CapacityError, match="k_max=1000001 exceeds the limit 1000000"):
+            green_kubo_exact(0.15, 1_000_001)
+
     def test_quarter_point_terms_and_total(self):
         res = green_kubo_exact(0.25, 30)
         terms = np.diff(res.partial_sums, prepend=0.0)
@@ -129,19 +134,28 @@ class TestEstimate:
         assert np.array_equal(a.partial_sums, b.partial_sums)
 
     def test_config_is_a_sim_config(self):
-        cfg = GKConfig(params=MapParams(0.25, 0.0))
+        sizes = dict(n_ens=2, n_iter=1)
+        cfg = GKConfig(params=MapParams(0.25, 0.0), **sizes)
         assert isinstance(cfg, SimConfig)
-        assert (cfg.n_ens, cfg.n_iter, cfg.burn_in, cfg.seed) == (100_000, 50, 0, 0)
+        assert (cfg.burn_in, cfg.seed) == (0, 0)
         with pytest.raises(DomainError):  # SimConfig's own cap
-            GKConfig(params=MapParams(0.25, 0.0), n_ens=60_000_000)
+            GKConfig(params=MapParams(0.25, 0.0), n_ens=60_000_000, n_iter=1)
         with pytest.raises(DomainError):
-            GKConfig(params=MapParams(0.25, 0.0), burn_in=-1)
+            GKConfig(params=MapParams(0.25, 0.0), burn_in=-1, **sizes)
+
+    @pytest.mark.parametrize("kind", [SimConfig, GKConfig])
+    @pytest.mark.parametrize("missing", ["n_ens", "n_iter"])
+    def test_run_sizes_have_no_default(self, kind, missing):
+        sizes = {k: v for k, v in dict(n_ens=2, n_iter=1).items() if k != missing}
+        with pytest.raises(TypeError, match=missing):
+            kind(params=MapParams(0.25, 0.0), burn_in=0, **sizes)
 
     def test_equilibrium_mode_requires_quarter_point(self):
+        sizes = dict(n_ens=2, n_iter=1)
         with pytest.raises(DomainError):
-            GKConfig(params=MapParams(0.15, 0.0), ensemble_mode="microcanonical-equilibrium")
+            GKConfig(params=MapParams(0.15, 0.0), ensemble_mode="microcanonical-equilibrium", **sizes)
         with pytest.raises(DomainError):
-            GKConfig(params=MapParams(0.25, 0.1), ensemble_mode="microcanonical-equilibrium")
+            GKConfig(params=MapParams(0.25, 0.1), ensemble_mode="microcanonical-equilibrium", **sizes)
 
     @pytest.mark.parametrize("ell", [0.15, 0.2, 0.25])
     def test_stationary_mode_matches_chain_oracle(self, ell):
@@ -197,7 +211,7 @@ class TestBiasSweep:
     def test_bad_bias_is_refused_before_any_run(self, monkeypatch):
         monkeypatch.setattr(transport, "green_kubo_estimate", lambda cfg: pytest.fail("an estimate ran"))
         with pytest.raises(DomainError):
-            bias_sweep(np.array([0.1, 1.5]), GKConfig(params=MapParams(0.25, 0.0)))
+            bias_sweep(np.array([0.1, 1.5]), GKConfig(params=MapParams(0.25, 0.0), n_ens=2, n_iter=1))
 
     def test_variant_sweeps_coincide(self):
         biases = np.array([0.1, 0.4])
