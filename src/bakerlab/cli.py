@@ -75,7 +75,10 @@ def _read_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise BakerlabError(f"{path}:{line_no}: expected 'key = value'")
         key, value = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in out:
+            raise BakerlabError(f"{path}:{line_no}: duplicate key {key}")
+        out[key] = value.strip()
     return out
 
 
@@ -396,7 +399,13 @@ def _p_grid(p_max: float, delta: float) -> np.ndarray:
         raise DomainError(f"--delta must be positive and finite, got {delta}")
     if not 0.0 < p_max < np.inf:
         raise DomainError(f"--p-max must be positive and finite, got {p_max}")
-    grid = fl.symmetric_grid(p_max, 2.0 * delta)
+    try:
+        grid = fl.symmetric_grid(p_max, 2.0 * delta)
+    except CapacityError:
+        raise CapacityError(
+            f"--p-max {p_max} at --delta {delta} makes more than {fl._MAX_GRID_CELLS} cells: "
+            f"--p-max / (2 --delta) must round to <= {fl._MAX_GRID_CELLS // 2}"
+        ) from None
     if len(grid) < 3:
         raise DomainError(f"--p-max {p_max} leaves no cell beside p = 0 at --delta {delta}; it must exceed --delta")
     return grid
@@ -424,6 +433,12 @@ def _fr_family(command: str, resolved: dict) -> tuple[fl.PiHistogram, fl.RateFun
         _require_counts(read, n_ens=1, n_iter=1)
         if read["n_iter"] < resolved["n"]:
             raise DomainError(f"--n-iter must be >= --n ({resolved['n']}) for one segment, got {read['n_iter']}")
+        segments = read["n_ens"] * (read["n_iter"] // resolved["n"])
+        if segments < resolved["min_count"]:  # then no cell can be admissible
+            raise DomainError(
+                f"--n-ens x (--n-iter // --n) segments must be >= --min-count ({resolved['min_count']}), "
+                f"got {read['n_ens']} x ({read['n_iter']} // {resolved['n']}) = {segments}"
+            )
         params, read = _params_from(read)
         source = _ensemble_config(es.SimConfig, params, read, burn_in=0)
         start = _xonly_start(es.worker_count(source.n_ens))

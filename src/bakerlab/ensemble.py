@@ -47,12 +47,12 @@ from .mapcore import (
     MapVariant,
     Region,
     ReversalScheme,
+    branch_coefficients,
     contraction_rates,
     region_indices,
     region_reverse,
     step_arrays,
-    _x_gather,
-    _x_step_table,
+    _affine_clip,
 )
 
 __all__ = [
@@ -131,13 +131,13 @@ def _philox(key, start: int) -> np.random.Generator:
 
 def _dither(v: np.ndarray, gen) -> np.ndarray:
     """``clip(v + (u - 0.5) * 2 * _DITHER_SCALE, 0, 1)`` for uniform u,
-    computed in place in the one array of draws."""
+    written into ``v``, which is returned."""
     d = gen.random(len(v))
     d -= 0.5
     d *= 2.0
     d *= _DITHER_SCALE
-    d += v
-    return np.clip(d, 0.0, 1.0, out=d)
+    v += d
+    return v.clip(0.0, 1.0, out=v)
 
 
 def _stationary_x(x: np.ndarray, ell: float) -> None:
@@ -161,6 +161,17 @@ def _stationary_x(x: np.ndarray, ell: float) -> None:
     np.add(x, 0.5, out=x, where=right)
 
 
+def _x_table(params: MapParams, phi: np.ndarray | None) -> np.ndarray:
+    """The (4, 4) table of the x-only loop, whose row r is
+    ``(ax[r], bx[r], phi[r], _LANES[r])`` (``phi`` is 0 where None): a row
+    gathered at a member's region holds the coefficients of its x step,
+    the region observable and the word that counts the region, which
+    float64 holds exactly.  Four float64 columns make a 32-byte row, which
+    one gather fetches in about the time of two columns."""
+    ax, bx = branch_coefficients(params)[:2]
+    return np.stack([ax, bx, np.zeros(4) if phi is None else phi, _LANES], axis=1)
+
+
 def _run(config: SimConfig, with_y: bool, members: tuple[int, int], phi: np.ndarray | None = None):
     """The one state advance behind every ensemble reduction, so that any
     two reductions over the same config see bitwise-identical x streams.
@@ -173,22 +184,19 @@ def _run(config: SimConfig, with_y: bool, members: tuple[int, int], phi: np.ndar
     the variant; only y needs burn-in.  At ell = 1/4 step k draws the slice
     [k n_ens + a, k n_ens + b) of each dither stream.
 
-    Discards ``burn_in`` states, then yields ``(x, y, r, v)`` at each of the
-    ``n_iter`` kept states, taking ``burn_in + n_iter - 1`` steps in all,
-    and none when ``n_iter`` is 0.  With ``with_y``, ``step_arrays`` looks
-    the regions up inside each step, taken after the state is yielded, and
-    r and v are None.  Without it, y is None and each state's int8 regions
-    r are looked up once, after the dither; the step that leaves the state
-    is taken before it is yielded, by ``_x_gather`` at r, whose one gather
-    of ``_x_step_table(params, phi)`` per member also writes v = phi[r] (0
-    where ``phi`` is None).  At the last state, which no step leaves,
-    ``_x_gather`` writes v alone.  Each kernel call takes all b - a
-    members, which ``_split`` keeps to at most ``_CHUNK``.
+    Discards ``burn_in`` states, then yields ``(x, y, r, rows)`` at each of
+    the ``n_iter`` kept states, taking ``burn_in + n_iter - 1`` steps in
+    all, and none when ``n_iter`` is 0.  Each step is taken when the
+    consumer asks for the next state.  With ``with_y``, ``step_arrays``
+    looks the regions up inside each step, and r and rows are None.
+    Without it, y is None, and each state's int8 regions r are looked up
+    once, after the dither; one gather of ``_x_table(params, phi)`` at r
+    writes ``rows``, whose first two columns the next step then applies to
+    x in place.  Each call takes all b - a members, which ``_split`` keeps
+    to at most ``_CHUNK``.
 
-    x, y and r are the loop's own state: the next step replaces them rather
-    than writing into them.  v is the one buffer that every state's gather
-    writes into, so it holds phi[r] only until the consumer asks for the
-    next state; a consumer that keeps it copies it.
+    Every yielded array is valid until the consumer asks for the next
+    state; a consumer that keeps one copies it.
     """
     if config.n_iter == 0:
         return
@@ -202,25 +210,24 @@ def _run(config: SimConfig, with_y: bool, members: tuple[int, int], phi: np.ndar
     dither = _needs_dither(params)
     if dither:
         kx, ky = (np.array([config.seed, sub], dtype=np.uint64) for sub in (_DITHER_SUBKEY_X, _DITHER_SUBKEY_Y))
-    last = config.burn_in + config.n_iter - 1
-    table = xn = r = v = None
+    table = r = rows = None
     if not with_y:
-        table, v = _x_step_table(params, phi), np.empty(b - a)
-    for k in range(last + 1):
+        table, rows = _x_table(params, phi), np.empty((b - a, 4))
+    for k in range(config.burn_in + config.n_iter):
         if k > 0:  # step k - 1 leads to state k
-            if table is None:
+            if with_y:
                 x, y = step_arrays(x, y, params, config.variant)
-            else:  # taken at state k - 1
-                x, xn = xn, None
+            else:
+                _affine_clip(rows[:, 0], x, rows[:, 1], x)
             if dither:
-                x = _dither(x, _philox(kx, (k - 1) * n + a))
-                y = None if y is None else _dither(y, _philox(ky, (k - 1) * n + a))
-        if table is not None:
+                _dither(x, _philox(kx, (k - 1) * n + a))
+                if with_y:
+                    _dither(y, _philox(ky, (k - 1) * n + a))
+        if not with_y:
             r = region_indices(x, params.ell)
-            xn = np.empty(b - a) if k < last else None
-            _x_gather(r, table, v, x, xn)
+            table.take(r.view(np.uint8), axis=0, mode="clip", out=rows)
         if k >= config.burn_in:
-            yield x, y, r, v
+            yield x, y, r, rows
 
 
 def worker_count(n_ens: int) -> int:
@@ -428,11 +435,9 @@ def _segment_means(config: SimConfig, seg_len: int, members: tuple[int, int]):
     a, b = members
     n_segs = config.n_iter // seg_len
     used = replace(config, n_iter=n_segs * seg_len)  # no state past the last segment is made
-    rates, acc = contraction_rates(config.params), np.zeros(b - a)
-    # v alone passes through enumerate, whose last item stays referenced
-    # until the next one: a held x would outlive the step that replaces it
-    for k, rate in enumerate(v for _, _, _, v in _run(used, False, members, rates)):
-        acc += rate
+    acc = np.zeros(b - a)
+    for k, (_, _, _, rows) in enumerate(_run(used, False, members, contraction_rates(config.params))):
+        acc += rows[:, 2]
         if (k + 1) % seg_len == 0:
             acc /= seg_len
             yield acc
@@ -578,24 +583,25 @@ def _lag_sums(config: SimConfig, phi: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """The float sums over members of phi(r_k) phi(r_0) at each kept step k,
     and per start region r_0 the ``_add_moments`` of the members' region
     counts over the kept states, (4, 20).  A state adds each member's
-    ``_LANES`` word into a packed uint32, flushed before a lane carries."""
+    ``_LANES`` word, gathered in column 3 of its row, into a packed float64
+    that holds it exactly, flushed before a lane carries."""
     if config.n_iter < 1:
         raise DomainError("n_iter must be >= 1")
     t = config.n_iter
 
     def part(a, b, sums):
         m = b - a
-        prod, word, packed = np.empty(m), np.empty(m, dtype=np.uint32), np.zeros(m, dtype=np.uint32)
+        prod, packed = np.empty(m), np.zeros(m)
         counts = np.zeros((4, m), dtype=np.int32)  # a member a column; n_iter < 2**27 by _MAX_MOMENT
-        for k, (r, v) in enumerate((r, v) for _, _, r, v in _run(config, False, (a, b), phi)):  # as in _segment_means
+        for k, (_, _, r, rows) in enumerate(_run(config, False, (a, b), phi)):
             if k == 0:
-                r0, phi0 = r, v.copy()  # the next state's gather overwrites v
-            np.multiply(v, phi0, out=prod)
+                r0, phi0 = r, rows[:, 2].copy()  # the next state's gather overwrites rows
+            np.multiply(rows[:, 2], phi0, out=prod)
             sums[k] += prod.sum()
-            packed += _LANES.take(r, out=word, mode="clip")
+            packed += rows[:, 3]
             if (k + 1) % _LANE_MAX == 0 or k + 1 == t:
-                counts += packed.view(np.uint8).reshape(m, 4).T
-                packed[:] = 0
+                counts += packed.astype(np.uint32).view(np.uint8).reshape(m, 4).T
+                packed[:] = 0.0
         for i, moments in enumerate(sums[t:].reshape(4, 20)):
             _add_moments(moments, counts.compress(r0 == i, axis=1).astype(np.int64))
 

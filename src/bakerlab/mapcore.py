@@ -23,10 +23,6 @@ The step kernel ``step_arrays`` works on the whole arrays it is given (the
 ensemble hands it cache-sized chunks): it looks up the regions, fetches
 every branch coefficient with one gather from a cached table, and writes
 the affine update, the clip and the flip in place into the new arrays.
-The x-only kernel ``_x_gather`` gathers rows ``(ax, bx, phi, 0)`` of
-``_x_step_table(params, phi)`` at regions its caller looked up, so that
-one lookup and one gather per member serve both the x step and the region
-observable phi of the reduction the caller runs.
 """
 
 from __future__ import annotations
@@ -152,43 +148,27 @@ def region_indices(x: np.ndarray, ell: float) -> np.ndarray:
     return r
 
 
-@lru_cache(maxsize=128)
 def branch_coefficients(params: MapParams):
     """Affine coefficients (ax, bx, ay, by) of the four branches,
-    indexed by region, so that (x, y) -> (ax x + bx, ay y + by)."""
-    ell, q = params.ell, params.q
-    ax = np.array([1.0 / (2.0 * ell), 1.0 / (1.0 - 2.0 * ell), 2.0, 2.0])
-    bx = np.array([0.5, -ell / (1.0 - 2.0 * ell), -0.5, -1.5])
-    ay = np.array([0.5 - q, 1.0 - 2.0 * ell - q, 0.5 + q, 2.0 * ell + q])
-    by = np.array([0.5 + q, 2.0 * ell + q, 0.0, 0.0])
-    for a in (ax, bx, ay, by):
-        a.setflags(write=False)
-    return ax, bx, ay, by
+    indexed by region, so that (x, y) -> (ax x + bx, ay y + by): the
+    read-only columns of ``_coefficient_table``."""
+    return tuple(_coefficient_table(params).T)
 
 
 @lru_cache(maxsize=128)
 def _coefficient_table(params: MapParams) -> np.ndarray:
-    """``branch_coefficients`` as one (4, 4) table of rows (ax, bx, ay, by),
-    so that one gather per member fetches every coefficient its step
-    needs."""
-    table = np.stack(branch_coefficients(params), axis=1)
-    table.setflags(write=False)
-    return table
-
-
-def _x_step_table(params: MapParams, phi: np.ndarray | None = None) -> np.ndarray:
-    """The read-only (4, 4) table whose row r is ``(ax[r], bx[r], phi[r], 0)``
-    (``phi`` is 0 where None).
-
-    Rows gathered from it at the regions of x are the coefficients of the
-    x-only step, and their column 2 is the region observable
-    ``phi`` at those regions.  The fourth column pads a row to 32 bytes: a
-    gather of four float64 columns costs what one of two does, and one of
-    three about twice as much.
-    """
-    ax, bx = branch_coefficients(params)[:2]
-    phi = np.zeros(4) if phi is None else np.asarray(phi, dtype=float)
-    table = np.stack([ax, bx, phi, np.zeros(4)], axis=1)
+    """The read-only (4, 4) table whose row r is the coefficients
+    (ax, bx, ay, by) of region r, so that one gather per member fetches
+    every coefficient its step needs."""
+    ell, q = params.ell, params.q
+    table = np.array(
+        [
+            [1.0 / (2.0 * ell), 0.5, 0.5 - q, 0.5 + q],
+            [1.0 / (1.0 - 2.0 * ell), -ell / (1.0 - 2.0 * ell), 1.0 - 2.0 * ell - q, 2.0 * ell + q],
+            [2.0, -0.5, 0.5 + q, 0.0],
+            [2.0, -1.5, 2.0 * ell + q, 0.0],
+        ]
+    )
     table.setflags(write=False)
     return table
 
@@ -231,8 +211,7 @@ def step_arrays(
 
     The arithmetic is exactly ``clip(a[r] * v + b[r], 0, 1)`` per
     coordinate, then the flip, written in place into the new arrays; one
-    gather per member fetches the coefficients of its region r.  The x-only
-    step is ``_x_gather`` at the regions of x.
+    gather per member fetches the coefficients of its region r.
     """
     n = len(x)
     xn = np.empty(n)
@@ -248,22 +227,6 @@ def step_arrays(
         np.subtract(_in_strip(xn, yn, params), yn, out=yn)
         np.absolute(yn, out=yn)
     return xn, yn
-
-
-def _x_gather(
-    regions: np.ndarray, table: np.ndarray, values: np.ndarray | None, x: np.ndarray, xn: np.ndarray | None
-) -> None:
-    """The x-only kernel: one gather per member of the rows of an
-    ``_x_step_table`` at the int8 ``regions``.  Column 2 is copied into
-    ``values`` unless it is None, and where ``xn`` is given the x step
-    ``clip(ax * x + bx, 0, 1)`` is written into it."""
-    # take writes into a buffer allocated here: a result that take
-    # allocates itself raised the peak RSS of long x-only runs
-    c = table.take(regions.view(np.uint8), axis=0, mode="clip", out=np.empty((len(regions), 4)))
-    if values is not None:
-        values[:] = c[:, 2]
-    if xn is not None:
-        _affine_clip(c[:, 0], x, c[:, 1], xn)
 
 
 def _affine_clip(a: np.ndarray, v: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -407,6 +407,17 @@ class TestConfigFile:
         assert err[0].startswith(f"{command}: error: ")
         assert str(cfg) in err[0] and key in err[0]
 
+    @pytest.mark.parametrize("second", ["n-ens = 7000", "n_ens = 5000"])
+    def test_duplicate_key_is_usage_error(self, tmp_path, capsys, second):
+        """A key that repeats, after ``-`` reads as ``_``, is refused at its
+        second line rather than silently overriding the first."""
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(f"# run size\nn_ens = 5000\n{second}\n")
+        out = tmp_path / "o"
+        assert run(["transport", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"transport: error: {cfg}:3: duplicate key n_ens"]
+        assert not out.exists()
+
     def test_unknown_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text("nens = 7\n")
@@ -676,6 +687,18 @@ class TestBadInput:
         (["fr", "--source", "mc", "--n-ens", "60000000"], "--n-ens must be <= 50000000, got 60000000"),
         (["ratefunc", "--source", "mc", "--n-ens", "50000001"], "--n-ens must be <= 50000000, got 50000001"),
         (["fr", "--source", "mc", "--n", "10", "--n-iter", "5"], "--n-iter must be >= --n (10) for one segment, got 5"),
+        # fewer segments than --min-count leave no cell admissible
+        (["fr", "--source", "mc", "--n", "100000", "--n-ens", "24", "--n-iter", "100000"],
+         "--n-ens x (--n-iter // --n) segments must be >= --min-count (25), got 24 x (100000 // 100000) = 24"),
+        (["ratefunc", "--source", "mc", "--n", "10", "--n-ens", "3", "--n-iter", "39", "--min-count", "10"],
+         "--n-ens x (--n-iter // --n) segments must be >= --min-count (10), got 3 x (39 // 10) = 9"),
+        # the library's cap on p cells
+        (["fr", "--p-max", "1000"],
+         "--p-max 1000.0 at --delta 0.05 makes more than 10001 cells: --p-max / (2 --delta) must round to <= 5000"),
+        (["ratefunc", "--delta", "1e-5"],
+         "--p-max 2.0 at --delta 1e-05 makes more than 10001 cells: --p-max / (2 --delta) must round to <= 5000"),
+        (["fr", "--p-max", "500.1"],
+         "--p-max 500.1 at --delta 0.05 makes more than 10001 cells: --p-max / (2 --delta) must round to <= 5000"),
         # transport's count moments reach n_ens n_iter**2, exact up to 2**53
         (["transport", "--n-ens", "50000000", "--n-iter", "13422"], "--n-iter must be <= 13421 at --n-ens 50000000, got 13422"),
         (["transport", "--sweep", "0.1", "--n-ens", "2", "--n-iter", "67108865"],
@@ -789,6 +812,9 @@ class TestBadInput:
             (["fr", "--source", "mc", "--n", "200", "--n-ens", "100", "--n-iter", "4000"], 2),
             (["ratefunc", "--source", "mc", "--n", "200", "--n-ens", "100", "--n-iter", "400",
               "--min-count", "1000"], 1),
+            # 200 segments could fill one cell to --min-count, but none does
+            (["ratefunc", "--source", "mc", "--n", "200", "--n-ens", "100", "--n-iter", "400",
+              "--min-count", "200"], 1),
             (["ratefunc", "--source", "exact", "--n", "1"], 2),
             (["fr", "--source", "exact", "--n", "1", "--ell", "0.1", "--q", "0.3"], 2),
             # runs, so no cap refuses an n above the exact law's
@@ -835,7 +861,7 @@ class TestWorkers:
         argv, _ = self.RUNS[name]
         force_workers(2001, 2)
         parent = os.getpid()
-        kernel = {"density": "step_arrays", "transport": "_x_gather"}[name]  # the with-y and x-only steps
+        kernel = {"density": "step_arrays", "transport": "region_indices"}[name]  # the with-y step, the x-only lookup
         step = getattr(bakerlab.ensemble, kernel)
 
         def failing_in_children(*args):

@@ -217,21 +217,22 @@ class TestRun:
     @pytest.mark.parametrize("with_y", [True, False], ids=["xy", "x-only"])
     @pytest.mark.parametrize("burn_in,n_iter", [(7, 12), (0, 1), (5, 0), (0, 0)])
     def test_no_step_after_the_last_kept_state(self, monkeypatch, params, with_y, burn_in, n_iter):
-        """Steps counted at the kernel the loop calls: ``step_arrays`` with
-        y, else ``_x_gather`` given an ``xn`` to step x into."""
+        """Steps counted where the loop takes them: ``step_arrays`` with y,
+        else the ``_affine_clip`` that steps x in place (the with-y step
+        calls mapcore's own binding).  The x-only x is copied, as the next
+        step overwrites it."""
         calls = []
-        name = "step_arrays" if with_y else "_x_gather"
+        name = "step_arrays" if with_y else "_affine_clip"
         kernel = getattr(ensemble, name)
 
         def counting(*args):
-            if with_y or args[4] is not None:
-                calls.append(1)
+            calls.append(1)
             return kernel(*args)
 
         cfg = SimConfig(params=params, variant=MapVariant.IRREVERSIBLE, n_ens=40, n_iter=n_iter, burn_in=burn_in, seed=6)
         expected = reference_run(cfg, with_y)
         monkeypatch.setattr(ensemble, name, counting)
-        states = list(whole(cfg, with_y))
+        states = [(x.copy(), y) for x, y in whole(cfg, with_y)]
         assert len(calls) == (burn_in + n_iter - 1 if n_iter else 0)
         assert len(states) == n_iter
         for (x, y), (ex, ey) in zip(states, expected, strict=True):
@@ -629,12 +630,12 @@ class TestMemberSplit:
     def test_no_kernel_call_exceeds_a_chunk(self, monkeypatch, force_workers, reduction):
         """The chunks of ``_split`` are the one cache-sized cut: on one
         worker over three chunks and five members, every call of the with-y
-        step and of the x-only kernel gets one chunk."""
+        step and of the x-only step gets one chunk."""
         n_ens = 3 * ensemble._CHUNK + 5
         cfg = SimConfig(params=MapParams(0.15, 0.1), variant=MapVariant.IRREVERSIBLE, n_ens=n_ens, n_iter=4, burn_in=2, seed=5)
         force_workers(n_ens, 1)
         sizes = []
-        for name in ("step_arrays", "_x_gather"):
+        for name in ("step_arrays", "_affine_clip"):
             kernel = getattr(ensemble, name)
 
             def recording(*args, kernel=kernel):
@@ -967,3 +968,53 @@ class TestXOnlyPath:
         monkeypatch.setattr(mapcore, "region_indices", inside_the_step)
         assert segment_means(cfg, 3).tobytes() == expected.tobytes()
         assert len(lookups) == cfg.burn_in + cfg.n_iter
+
+    @pytest.mark.parametrize("n", [1, 7, ensemble._CHUNK, ensemble._CHUNK + 1, 3 * ensemble._CHUNK + 7])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            MapParams(0.15, 0.2),
+            MapParams(0.1, 0.0, strip_x=0.3, strip_eps=0.2),
+            MapParams(0.2, 0.1, strip_x=0.5, strip_eps=0.0),
+            MapParams(0.25, 0.0),
+        ],
+        ids=["default-strip", "custom-strip", "zero-width-strip", "ell-quarter"],
+    )
+    def test_step_matches_unblocked_expression(self, monkeypatch, params, n):
+        """The x-only loop from starts on the partition and strip edges, where
+        a tie decides the branch, against ``clip(ax[r] x + bx[r], 0, 1)``
+        with r from whole-array comparisons (then the dither at ell = 1/4):
+        its regions and the phi and count word that its one gather fetches."""
+        x0 = np.random.default_rng(n).random(n)
+        edges = [0.0, params.ell, 0.5, 0.75, 1.0, params.strip_x, params.strip_x + params.strip_eps]
+        x0[: len(edges)] = edges[:n]
+
+        def start(x, ell):
+            x[:] = x0
+
+        monkeypatch.setattr(ensemble, "_stationary_x", start)
+        phi = np.array([0.5, -1.0, 2.5, 3.0])
+        ax, bx, _, _ = mapcore.branch_coefficients(params)
+        key = np.array([5, ensemble._DITHER_SUBKEY_X], dtype=np.uint64)
+        cfg = SimConfig(params=params, n_ens=n, n_iter=7, burn_in=0, seed=5)
+        xr = x0.copy()
+        for k, (x, _, r, rows) in enumerate(_run(cfg, False, (0, n), phi)):
+            rr = (xr >= params.ell).astype(np.int8) + (xr >= 0.5).astype(np.int8) + (xr >= 0.75).astype(np.int8)
+            assert np.array_equal(x, xr)
+            assert np.array_equal(r, rr)
+            assert np.array_equal(rows[:, 2], phi[rr])
+            assert np.array_equal(rows[:, 3], ensemble._LANES[rr])
+            xr = np.clip(ax[rr] * xr + bx[rr], 0.0, 1.0)
+            if params.ell == 0.25:
+                xr = ensemble._dither(xr, ensemble._philox(key, k * n))
+
+    def test_x_table(self):
+        """Row r is (ax[r], bx[r], phi[r], _LANES[r]), phi 0 where None, and
+        the count word comes back exactly from float64."""
+        params = MapParams(0.15, 0.2)
+        ax, bx, _, _ = mapcore.branch_coefficients(params)
+        for given, column in ((self.PHI, self.PHI), (None, np.zeros(4))):
+            table = ensemble._x_table(params, given)
+            assert table.shape == (4, 4) and table.dtype == np.float64
+            assert np.array_equal(table, np.stack([ax, bx, column, ensemble._LANES], axis=1))
+            assert np.array_equal(table[:, 3].astype(np.uint32), ensemble._LANES)

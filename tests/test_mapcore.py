@@ -308,35 +308,21 @@ class TestBlockedKernel:
         x0[: len(edges)] = edges[:n]
         y0 = gen.random(n)
         y0[: 3] = [0.0, 0.5, np.nextafter(0.5, 0.0)][:n]
-        phi = np.array([0.5, -1.0, 2.5, 3.0])
-        table = mapcore._x_step_table(params, phi)
         for variant in MapVariant:
-            x, y, xr, yr, xg = x0, y0, x0, y0, x0
+            x, y, xr, yr = x0, y0, x0, y0
             for _ in range(6):
                 x, y = step_arrays(x, y, params, variant)
                 xr, yr = _unblocked_step(xr, yr, params, variant)
                 assert np.array_equal(x, xr)
                 assert np.array_equal(y, yr)
-                # the x-only kernel, whose one gather also writes phi at the regions
-                r = region_indices(xg, params.ell)
-                values, xn = np.full(n, np.nan), np.full(n, np.nan)
-                mapcore._x_gather(r, table, values, xg, xn)
-                xg = xn
-                assert np.array_equal(xg, xr)
-                assert np.array_equal(values, phi[r])
 
-    def test_x_step_table(self):
+    def test_coefficients_are_the_columns_of_the_one_table(self):
         params = MapParams(0.15, 0.2)
-        phi = np.array([0.5, -1.0, 2.5, 3.0])
-        ax, bx, _, _ = branch_coefficients(params)
-        for given, column in ((phi, phi), (None, np.zeros(4))):
-            table = mapcore._x_step_table(params, given)
-            assert table.shape == (4, 4) and not table.flags.writeable
-            assert np.array_equal(table, np.stack([ax, bx, column, np.zeros(4)], axis=1))
-        r = region_indices(np.array([0.1, 0.2, 0.6]), params.ell)
-        values = np.full(3, np.nan)
-        mapcore._x_gather(r, mapcore._x_step_table(params, phi), values, None, None)  # phi alone, no step
-        assert np.array_equal(values, phi[r])
+        table = mapcore._coefficient_table(params)
+        assert table.shape == (4, 4) and not table.flags.writeable
+        for column, coefficients in zip(table.T, branch_coefficients(params), strict=True):
+            assert np.shares_memory(coefficients, table) and not coefficients.flags.writeable
+            assert np.array_equal(coefficients, column)
 
     def test_outputs_are_new_float64_arrays(self):
         params = MapParams(0.15, 0.2)
