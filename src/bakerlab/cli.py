@@ -549,8 +549,13 @@ def _cmd_transport(resolved) -> _Run:
         )
 
     q = 0.5 - 2.0 * resolved["ell"] if resolved["q"] is None else resolved["q"]
-    mode = "microcanonical-equilibrium" if resolved["mode"] == "equilibrium" else "stationary"
     params, read = _params_from(dict(read, q=q))
+    if resolved["mode"] == "equilibrium" and (params.ell, params.q) != (0.25, 0.0):
+        raise DomainError(
+            f"--mode equilibrium requires --ell 0.25 and --q 0, got --ell {params.ell} and --q {params.q}; "
+            "use --mode stationary at other (ell, q)"
+        )
+    mode = "microcanonical-equilibrium" if resolved["mode"] == "equilibrium" else "stationary"
     cfg = _ensemble_config(tp.GKConfig, params, resolved, ensemble_mode=mode)
     exact = tp.green_kubo_exact(resolved["ell"], resolved["k_max"])
     result = tp.green_kubo_estimate(cfg)

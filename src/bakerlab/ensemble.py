@@ -13,13 +13,13 @@ range per worker process, at most one per usable CPU and one per
 consecutive chunks of at most ``_CHUNK`` members, each through every step
 before the next starts, so a worker's memory does not grow with its range.
 Only sums leave a chunk: a member average or total keeps each member's
-integer counts (of regions, or of states inside a rectangle) in the chunk
-and adds their moments Σc and Σc cᵀ to the sums.  Each process holds one
-sums array, the caller's: every worker adds its chunks into it, and the
-parent adds each child's sums into its own a fixed piece at a time as they
-arrive.  Chunks and ranges merge by one rule, in member order: sums are
-added.  Integer-valued sums are exact, so what is built on them is bitwise
-independent of the worker count, the CPU count and the chunk size.
+integer region counts in the chunk and adds their moments Σc and Σc cᵀ to
+the sums.  Each process holds one sums array, the caller's: every worker
+adds its chunks into it, and the parent adds each child's sums into its
+own a fixed piece at a time as they arrive.  Chunks and ranges merge by
+one rule, in member order: sums are added.  Integer-valued sums are exact,
+so what is built on them is bitwise independent of the worker count, the
+CPU count and the chunk size.
 
 Because the x-coordinate update never reads y, x-projected reductions are
 bitwise identical between the reversible and irreversible variants at equal
@@ -58,17 +58,13 @@ from .mapcore import (
 __all__ = [
     "SimConfig",
     "Histogram2D",
-    "RectSet",
-    "MeasureEstimate",
     "sample_ensemble",
     "worker_count",
     "empirical_density",
     "transition_counts",
     "segment_mean_counts",
-    "measure_estimate",
     "odd_observable_mean",
     "lag_products",
-    "reflect_rect",
 ]
 
 _MAX_ENSEMBLE = 50_000_000
@@ -472,43 +468,6 @@ def segment_mean_counts(
     return _split(config.n_ens, part, np.zeros(n_cells, dtype=np.int64))
 
 
-@dataclass(frozen=True)
-class RectSet:
-    """Axis-aligned rectangle inside the unit square."""
-
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.x_min < self.x_max <= 1.0 and 0.0 <= self.y_min < self.y_max <= 1.0):
-            raise DomainError(f"invalid rectangle {self}")
-
-    @property
-    def area(self) -> float:
-        return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
-    def contains(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return (x >= self.x_min) & (x < self.x_max) & (y >= self.y_min) & (y < self.y_max)
-
-
-@dataclass(frozen=True)
-class MeasureEstimate:
-    fraction: float
-    stderr: float
-    n_samples: int
-
-
-def _moment_split(config: SimConfig, part: Callable, start: np.ndarray) -> np.ndarray:
-    """``_split`` for a reduction that adds count moments, refused before any
-    worker starts if the sums could not hold them exactly: an entry of
-    Σc cᵀ reaches n_ens n_iter²."""
-    if config.n_ens * config.n_iter**2 > _MAX_MOMENT:
-        raise CapacityError(f"n_ens * n_iter**2 must be <= 2**53, got {config.n_ens} * {config.n_iter}**2")
-    return _split(config.n_ens, part, start)
-
-
 def _add_moments(sums: np.ndarray, z: np.ndarray) -> None:
     """Add Σz, then Σz zᵀ, of the members' integer counts ``z``, one member
     a column of the (d, m) array, into the d + d² ``sums``."""
@@ -531,43 +490,6 @@ def _moments(n: int, blocks, scale: int) -> tuple[float, float]:
     return s1 / (n * scale), math.sqrt((n * s2 - s1 * s1) / (n * n * (n - 1) * scale * scale)) if n > 1 else math.nan
 
 
-def measure_estimate(config: SimConfig, rect: RectSet) -> MeasureEstimate:
-    """Long-run fraction of post-burn-in states inside ``rect``.
-
-    The standard error comes from the spread of per-member time averages,
-    each a member's count of states inside ``rect``, so it stays honest
-    under within-member correlation.
-    """
-    if config.n_iter < 1:
-        raise DomainError("n_iter must be >= 1 for a measure estimate")
-
-    def part(a, b, sums):
-        inside = np.zeros(b - a, dtype=np.int64)
-        for x, y, _, _ in _run(config, True, (a, b)):
-            inside += rect.contains(x, y)
-        _add_moments(sums, inside[None, :])
-
-    sums = _moment_split(config, part, np.zeros(2, dtype=np.int64))
-    frac, se = _moments(config.n_ens, [([1], sums)], config.n_iter)
-    return MeasureEstimate(fraction=frac, stderr=se, n_samples=config.n_ens * config.n_iter)
-
-
-def reflect_rect(rect: RectSet) -> list[RectSet]:
-    """Image of a rectangle under the time-reversal map.
-
-    The reversal is piecewise across x = 1/2, so the rectangle is split at
-    the seam first; mapping corners of an unsplit straddling rectangle
-    would be wrong.
-    """
-    out = []
-    if rect.x_min < 0.5:  # (x, y) -> (y/2, 2x)
-        out.append(RectSet(0.5 * rect.y_min, 0.5 * rect.y_max, 2.0 * rect.x_min, 2.0 * min(rect.x_max, 0.5)))
-    if rect.x_max > 0.5:  # (x, y) -> ((y + 1)/2, 2x - 1)
-        x0, x1 = max(rect.x_min, 0.5), rect.x_max
-        out.append(RectSet(0.5 * (rect.y_min + 1.0), 0.5 * (rect.y_max + 1.0), 2.0 * x0 - 1.0, 2.0 * x1 - 1.0))
-    return out
-
-
 def _region_phi(phi) -> tuple[np.ndarray, list[int], int]:
     """``phi`` as one finite float per region, and exactly as integers p
     over one power-of-two denominator den: phi = p / den."""
@@ -579,14 +501,18 @@ def _region_phi(phi) -> tuple[np.ndarray, list[int], int]:
     return phi, [num * (den // d) for num, d in ratios], den
 
 
-def _lag_sums(config: SimConfig, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The float sums over members of phi(r_k) phi(r_0) at each kept step k,
-    and per start region r_0 the ``_add_moments`` of the members' region
-    counts over the kept states, (4, 20).  A state adds each member's
-    ``_LANES`` word, gathered in column 3 of its row, into a packed float64
-    that holds it exactly, flushed before a lane carries."""
+def _lag_sums(config: SimConfig, phi: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Per start region r_0 the ``_add_moments`` of the members' region
+    counts over the kept states, (4, 20); and the float sums over members
+    of phi(r_k) phi(r_0) at each kept step k, none where ``phi`` is None.
+    A state adds each member's ``_LANES`` word, gathered in column 3 of its
+    row, into a packed float64 that holds it exactly, flushed before a lane
+    carries.  Refused before any worker starts if the sums could not hold
+    the moments exactly: an entry of Σc cᵀ reaches n_ens n_iter²."""
     if config.n_iter < 1:
         raise DomainError("n_iter must be >= 1")
+    if config.n_ens * config.n_iter**2 > _MAX_MOMENT:
+        raise CapacityError(f"n_ens * n_iter**2 must be <= 2**53, got {config.n_ens} * {config.n_iter}**2")
     t = config.n_iter
 
     def part(a, b, sums):
@@ -596,17 +522,18 @@ def _lag_sums(config: SimConfig, phi: np.ndarray) -> tuple[np.ndarray, np.ndarra
         for k, (_, _, r, rows) in enumerate(_run(config, False, (a, b), phi)):
             if k == 0:
                 r0, phi0 = r, rows[:, 2].copy()  # the next state's gather overwrites rows
-            np.multiply(rows[:, 2], phi0, out=prod)
-            sums[k] += prod.sum()
+            if phi is not None:
+                np.multiply(rows[:, 2], phi0, out=prod)
+                sums[80 + k] += prod.sum()
             packed += rows[:, 3]
             if (k + 1) % _LANE_MAX == 0 or k + 1 == t:
                 counts += packed.astype(np.uint32).view(np.uint8).reshape(m, 4).T
                 packed[:] = 0.0
-        for i, moments in enumerate(sums[t:].reshape(4, 20)):
+        for i, moments in enumerate(sums[:80].reshape(4, 20)):
             _add_moments(moments, counts.compress(r0 == i, axis=1).astype(np.int64))
 
-    sums = _moment_split(config, part, np.zeros(t + 80))
-    return sums[:t], sums[t:].reshape(4, 20)
+    sums = _split(config.n_ens, part, np.zeros(80 + (0 if phi is None else t)))
+    return sums[:80].reshape(4, 20), sums[80:]
 
 
 def odd_observable_mean(config: SimConfig, phi: np.ndarray, scheme: ReversalScheme) -> tuple[float, float]:
@@ -620,7 +547,7 @@ def odd_observable_mean(config: SimConfig, phi: np.ndarray, scheme: ReversalSche
     for r in Region:
         if abs(phi[region_reverse(r, scheme)] + phi[r]) > 1e-12:
             raise DomainError(f"phi is not odd under {scheme.value}: region {r.name}")
-    return _moments(config.n_ens, [(p, m) for m in _lag_sums(config, phi)[1]], den * config.n_iter)
+    return _moments(config.n_ens, [(p, m) for m in _lag_sums(config, None)[0]], den * config.n_iter)
 
 
 def lag_products(config: SimConfig, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -636,6 +563,6 @@ def lag_products(config: SimConfig, phi: np.ndarray) -> tuple[np.ndarray, np.nda
     (4, 4, 4) block, then rounded once.
     """
     phi, p, den = _region_phi(phi)
-    at_step, moments = _lag_sums(config, phi)
+    moments, at_step = _lag_sums(config, phi)
     blocks = [([pi * pj for pj in p], m) for pi, m in zip(p, moments)]
     return at_step, np.array(_moments(config.n_ens, blocks, den * den))

@@ -718,6 +718,13 @@ class TestBadInput:
         (["density", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (["fr", "--source", "mc", "--seed", "-1"], "--seed must be >= 0, got -1"),
         (["transport", "--seed", "-1"], "--seed must be >= 0, got -1"),
+        # the default --mode equilibrium holds only at (1/4, 0)
+        (["transport", "--ell", "0.15"],
+         "--mode equilibrium requires --ell 0.25 and --q 0, got --ell 0.15 and --q 0.2; use --mode stationary at other (ell, q)"),
+        (["transport", "--q", "0.1"],
+         "--mode equilibrium requires --ell 0.25 and --q 0, got --ell 0.25 and --q 0.1; use --mode stationary at other (ell, q)"),
+        (["transport", "--mode", "equilibrium", "--ell", "0.2", "--q", "0"],
+         "--mode equilibrium requires --ell 0.25 and --q 0, got --ell 0.2 and --q 0.0; use --mode stationary at other (ell, q)"),
         (["transport", "--sweep", "0.1", "--seed", "18446744073709551616"],
          "--seed must be <= 18446744073709551615, got 18446744073709551616"),
         (["density", "--burn-in", "-1"], "--burn-in must be >= 0, got -1"),

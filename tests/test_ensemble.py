@@ -2,7 +2,7 @@ import math
 import os
 import signal
 import tracemalloc
-from dataclasses import astuple, replace
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,13 +27,10 @@ from bakerlab.ensemble import (
     _MAX_ENSEMBLE,
     _run,
     Histogram2D,
-    RectSet,
     SimConfig,
     empirical_density,
     lag_products,
-    measure_estimate,
     odd_observable_mean,
-    reflect_rect,
     sample_ensemble,
     segment_mean_counts,
     transition_counts,
@@ -319,81 +316,6 @@ class TestEmpiricalDensity:
         assert hist.counts.sum() == hist.n_samples == 300 * 7
 
 
-class TestMeasureEstimate:
-    def test_unit_square(self):
-        cfg = SimConfig(params=PARAMS_EQ, n_ens=500, n_iter=10, burn_in=100, seed=2)
-        est = measure_estimate(cfg, RectSet(0, 1, 0, 1))
-        assert est.fraction == 1.0
-
-    def test_left_half(self):
-        cfg = SimConfig(params=PARAMS_EQ, n_ens=5_000, n_iter=40, burn_in=800, seed=3)
-        est = measure_estimate(cfg, RectSet(0, 0.5, 0, 1))
-        assert abs(est.fraction - 0.625) < 4 * est.stderr
-
-    def test_reversal_invariance_battery(self):
-        # at q = 0 the invariant measure is reversal-invariant: mu(W) = mu(GW)
-        cfg = SimConfig(params=PARAMS_EQ, n_ens=4_000, n_iter=40, burn_in=800, seed=11)
-        rects = [
-            RectSet(0.0, 0.25, 0.0, 1.0),
-            RectSet(0.0, 0.5, 0.0, 0.25),
-            RectSet(0.3, 0.8, 0.2, 0.7),
-            RectSet(0.55, 0.9, 0.5, 0.75),
-            RectSet(0.1, 0.4, 0.6, 0.95),
-        ]
-        for rect in rects:
-            w = measure_estimate(cfg, rect)
-            pieces = reflect_rect(rect)
-            gw_frac = 0.0
-            gw_var = 0.0
-            for piece in pieces:
-                est = measure_estimate(cfg, piece)
-                gw_frac += est.fraction
-                gw_var += est.stderr**2
-            joint_se = np.sqrt(w.stderr**2 + gw_var)
-            assert abs(w.fraction - gw_frac) < 3.5 * joint_se, rect
-
-    @pytest.mark.parametrize("w,chunk", [(1, None), (3, 64)], ids=["w1", "w3-chunk64"])
-    def test_fraction_and_stderr_equal_the_exact_member_averages(self, monkeypatch, force_workers, w, chunk):
-        """Against fractions of each member's count of states inside the
-        rectangle, from a loop written out independently of ``_run``."""
-        cfg = SimConfig(params=MapParams(0.15, 0.2), variant=MapVariant.IRREVERSIBLE, n_ens=1001, n_iter=9, burn_in=4, seed=13)
-        rect = RectSet(0.1, 0.6, 0.2, 0.9)
-        inside = sum(rect.contains(x, y).astype(np.int64) for x, y in reference_run(cfg, True))
-        assert inside.min() < inside.max()  # the members' counts spread
-        force_workers(cfg.n_ens, w)
-        monkeypatch.setattr(ensemble, "_CHUNK", chunk or ensemble._CHUNK)
-        est = measure_estimate(cfg, rect)
-        assert (est.fraction, est.stderr) == exact_mean_se([Fraction(int(n), cfg.n_iter) for n in inside])
-
-
-class TestReflectRect:
-    def test_left_piece(self):
-        out = reflect_rect(RectSet(0.1, 0.3, 0.2, 0.8))
-        assert out == [RectSet(0.1, 0.4, 0.2, 0.6)]
-
-    def test_right_piece(self):
-        (out,) = reflect_rect(RectSet(0.6, 0.9, 0.0, 0.5))
-        assert (out.x_min, out.x_max) == (0.5, 0.75)
-        assert (out.y_min, out.y_max) == pytest.approx((0.2, 0.8), rel=1e-15)
-
-    def test_straddling_rect_splits_at_seam(self):
-        out = reflect_rect(RectSet(0.2, 0.7, 0.1, 0.6))
-        assert len(out) == 2
-        assert out[0] == RectSet(0.05, 0.3, 0.4, 1.0)
-        assert out[1].x_min == 0.55 and out[1].x_max == 0.8
-        assert out[1].y_min == 0.0
-
-    def test_preserves_total_area(self):
-        for rect in (RectSet(0.2, 0.7, 0.1, 0.6), RectSet(0.0, 1.0, 0.0, 1.0), RectSet(0.45, 0.55, 0.9, 1.0)):
-            assert sum(p.area for p in reflect_rect(rect)) == pytest.approx(rect.area, rel=1e-12)
-
-    def test_rect_validation(self):
-        with pytest.raises(DomainError):
-            RectSet(0.5, 0.5, 0, 1)
-        with pytest.raises(DomainError):
-            RectSet(0, 1.2, 0, 1)
-
-
 class TestOddObservable:
     def test_contraction_rate_odd_under_q4_at_equilibrium(self):
         cfg = SimConfig(params=PARAMS_EQ, n_ens=5_000, n_iter=100, burn_in=500, seed=5)
@@ -425,6 +347,69 @@ class TestOddObservable:
         rows = np.stack(list(regions(cfg)), axis=1).tolist()
         averages = [total / cfg.n_iter for total in exact_sums(rows, phi)]
         assert odd_observable_mean(cfg, phi, scheme) == exact_mean_se(averages)
+
+    @pytest.mark.parametrize(
+        "params,phi,scheme",
+        [
+            (MapParams(0.1, 0.0), np.array([1.0, 0.0, 0.0, -1.0]), ReversalScheme.Q4),
+            (MapParams(0.15, 0.1), np.array([1.0, 0.0, 0.0, -1.0]), ReversalScheme.Q4),
+            (MapParams(0.2, 0.3), np.array([1.0, 0.0, 0.0, -1.0]), ReversalScheme.Q4),
+            (MapParams(0.15, 0.2), np.array([0.0, 1.0, -1.0, 0.0]), ReversalScheme.Q3),
+            (MapParams(0.05, 0.4), np.array([0.0, 1.0, -1.0, 0.0]), ReversalScheme.Q3),
+        ],
+        ids=["q4-0.1-0", "q4-0.15-0.1", "q4-0.2-0.3", "q3-0.15-0.2", "q3-0.05-0.4"],
+    )
+    def test_mean_is_the_coarse_measure_average(self, params, phi, scheme):
+        """From the stationary start the mean estimates sum_r phi(r) mu(r)
+        over the exact coarse measure: mu(A) = mu(D) at every (ell, q), so
+        the Q4 means vanish off equilibrium too, while mu(B) - mu(C) =
+        (1 - 4 ell)/(1 + 4 ell) is nonzero below ell = 1/4."""
+        cfg = SimConfig(params=params, n_ens=5_000, n_iter=40, burn_in=0, seed=3)
+        mean, se = odd_observable_mean(cfg, phi, scheme)
+        assert abs(mean - phi @ coarse_measure(params.ell)) < 4 * se
+
+    def test_a_lane_past_its_last_count_is_flushed(self, monkeypatch):
+        """Member 0 stays in C for all 769 kept states, as in
+        ``TestLagProducts``, on the path that sums only the count moments."""
+        start = ensemble._stationary_x
+
+        def placed(x, ell):
+            start(x, ell)
+            x[0] = 0.5
+
+        monkeypatch.setattr(ensemble, "_stationary_x", placed)
+        cfg = SimConfig(params=PARAMS_EQ, n_ens=3, n_iter=3 * 2**8 + 1, burn_in=0, seed=4)
+        phi = np.array([0.0, 0.5, -0.5, 0.0])
+        rows = np.stack(list(regions(cfg)), axis=1).tolist()
+        assert rows[0] == [Region.C] * cfg.n_iter
+        averages = [total / cfg.n_iter for total in exact_sums(rows, phi)]
+        assert odd_observable_mean(cfg, phi, ReversalScheme.Q3) == exact_mean_se(averages)
+
+    @pytest.mark.parametrize("params", [MapParams(0.15, 0.2), MapParams(0.25, 0.0)], ids=["0.15", "0.25-dither"])
+    def test_count_moments_do_not_depend_on_phi(self, params):
+        """Without phi ``_lag_sums`` sums no step, and its count moments are
+        those of the run that also sums the lag products, bit for bit."""
+        cfg = SimConfig(params=params, n_ens=300, n_iter=12, burn_in=3, seed=8)
+        moments, at_step = ensemble._lag_sums(cfg, None)
+        with_phi = ensemble._lag_sums(cfg, transport.PSI)
+        assert at_step.size == 0 and with_phi[1].size == cfg.n_iter
+        assert moments.tobytes() == with_phi[0].tobytes()
+
+    def test_sums_only_the_count_moments(self, monkeypatch):
+        """The mean reads only the members' count moments, so the sums it
+        hands ``_split`` are those 80 alone, where ``lag_products`` also
+        sums phi(r_k) phi(r_0) at each of the n_iter steps."""
+        split, sizes = ensemble._split, []
+
+        def recording(n_ens, part, start):
+            sizes.append(start.size)
+            return split(n_ens, part, start)
+
+        monkeypatch.setattr(ensemble, "_split", recording)
+        cfg = SimConfig(params=PARAMS_EQ, n_ens=100, n_iter=10, burn_in=0, seed=1)
+        odd_observable_mean(cfg, transport.PSI, ReversalScheme.Q3)
+        lag_products(cfg, transport.PSI)
+        assert sizes == [80, 80 + cfg.n_iter]
 
     def test_rejects_non_odd(self):
         cfg = SimConfig(params=PARAMS_EQ, n_ens=10, n_iter=5, burn_in=0, seed=1)
@@ -476,12 +461,11 @@ class TestCountMoments:
     @pytest.mark.parametrize(
         "reduction",
         [
-            lambda cfg: measure_estimate(cfg, RectSet(0.1, 0.6, 0.2, 0.9)),
             lambda cfg: odd_observable_mean(cfg, transport.PSI, ReversalScheme.Q3),
             lambda cfg: lag_products(cfg, transport.PSI),
             transport.green_kubo_estimate,
         ],
-        ids=["measure", "odd-mean", "lag-products", "green-kubo"],
+        ids=["odd-mean", "lag-products", "green-kubo"],
     )
     def test_moments_past_2_53_are_refused_before_any_worker_starts(self, monkeypatch, reduction):
         """n_ens n_iter**2 bounds every entry of a count moment: 2**53
@@ -580,7 +564,6 @@ class TestMemberSplit:
                 empirical_density(cfg, nx=7, ny=9).counts,
                 transition_counts(cfg),
                 segment_mean_counts(cfg, 4, 1.0, cell_of, len(value_counts)),
-                np.array(astuple(measure_estimate(cfg, RectSet(0.1, 0.6, 0.2, 0.9)))),
                 np.array(odd_observable_mean(cfg, phi, ReversalScheme.Q3)),
                 *lag_products(cfg, transport.PSI),
                 np.array([gk.value, gk.stderr]),
@@ -649,11 +632,10 @@ class TestMemberSplit:
     @pytest.mark.parametrize(
         "reduction",
         [
-            lambda cfg: measure_estimate(cfg, RectSet(0.1, 0.6, 0.2, 0.9)),
             lambda cfg: odd_observable_mean(cfg, transport.PSI, ReversalScheme.Q3),
             lambda cfg: lag_products(cfg, transport.PSI),
         ],
-        ids=["measure", "odd-mean", "lag-products"],
+        ids=["odd-mean", "lag-products"],
     )
     def test_parent_memory_does_not_grow_with_the_ensemble(self, force_workers, reduction):
         """The parent's traced peak over two workers at 4x the members: only
