@@ -725,20 +725,30 @@ def _cmd_selftest() -> int:
 # ---------------------------------------------------------------- parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = (
+    ("density", "2-d invariant-density histogram and marginals", _DENSITY, _cmd_density),
+    ("surface", "mean contraction rate over an (ell, q) grid", _SURFACE, _cmd_surface),
+    ("fr", "probability cells, rate function and fluctuation-relation check", _FR, _cmd_fr),
+    ("ratefunc", "rate function with parabola fit", _FR, _cmd_ratefunc),
+    ("db", "detailed-balance report", _DB, _cmd_db),
+    ("transport", "Green-Kubo transport estimate or bias sweep", _TRANSPORT, _cmd_transport),
+    ("selftest", "run the analytic invariant battery", {}, _cmd_selftest),
+)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for ``argv``: only the subcommand that its first token
+    names, or all seven when it names none (help, ``--version``, no
+    command, an unknown one, or no ``argv``).  The fixed metavar keeps the
+    usage line of a one-subcommand parser listing all seven."""
     parser = _Parser(prog="bakerlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"bakerlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    commands = (
-        ("density", "2-d invariant-density histogram and marginals", _DENSITY, _cmd_density),
-        ("surface", "mean contraction rate over an (ell, q) grid", _SURFACE, _cmd_surface),
-        ("fr", "probability cells, rate function and fluctuation-relation check", _FR, _cmd_fr),
-        ("ratefunc", "rate function with parabola fit", _FR, _cmd_ratefunc),
-        ("db", "detailed-balance report", _DB, _cmd_db),
-        ("transport", "Green-Kubo transport estimate or bias sweep", _TRANSPORT, _cmd_transport),
-        ("selftest", "run the analytic invariant battery", {}, _cmd_selftest),
-    )
-    for name, help_text, spec, fn in commands:
+    chosen = [command for command in _COMMANDS if argv and argv[0] == command[0]]
+    # a metavar would also rename the action in "invalid choice" and "required"
+    # errors, which only a parser of all seven can raise
+    metavar = "{" + ",".join(command[0] for command in _COMMANDS) + "}" if chosen else None
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser, metavar=metavar)
+    for name, help_text, spec, fn in chosen or _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.table = spec
         p.set_defaults(fn=fn, spec=spec)
@@ -746,7 +756,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         if not args.spec:  # selftest writes nothing
             return args.fn()

@@ -8,12 +8,21 @@ contraction rate, a closed-form count law (on two lattice families a 1-d
 probability DP, kept in scaled linear space: mantissas with integer
 exponents), doubles as the oracle backing every Monte Carlo fluctuation
 result.
+
+A process holds the ``_LAWS_HELD`` (32) lattice-family laws it used most
+recently, read-only and keyed by (ell, q, n), and hands each caller fresh
+writable copies, so a law asked for twice (``fr`` then ``ratefunc``, or a
+test suite) is built once; a law at ``MAX_N`` is 4,001 atoms, so they take
+at most about 2 MB.  Generic laws are not held: one at n = 2000 is 3,002,002
+atoms (48 MB) and peaks near 384 MB while it is built.  A one-shot CLI run
+builds each law once either way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -386,6 +395,23 @@ def _log_dp(ell: float, m: np.ndarray, n: int):
     return np.flatnonzero(mask) - n, np.log(total[mask]) + total_exp[mask] * _LN2
 
 
+# lattice laws a process holds; one at MAX_N is 4,001 atoms (64 kB)
+_LAWS_HELD = 32
+
+
+@lru_cache(maxsize=_LAWS_HELD)
+def _lattice_law(ell: float, q: float, n: int):
+    """The read-only atoms and log-probabilities of the lattice-family law
+    at (ell, q, n), which ``contraction_sum_distribution`` has validated and
+    found on a lattice; held for the next caller that asks for it."""
+    m, scale = _lattice_structure(ell, contraction_rates(MapParams(ell=ell, q=q)))
+    counts, log_probs = _log_dp(ell, m, n)
+    sums = scale * counts
+    sums.setflags(write=False)
+    log_probs.setflags(write=False)
+    return sums, log_probs
+
+
 # cephes lgam's Stirling-series coefficients for x >= 13, highest power first
 _LGAM_A = (
     8.11614167470508450300e-4,
@@ -484,6 +510,12 @@ def contraction_sum_distribution(ell: float, q: float, n: int) -> ContractionDis
     work; elsewhere each atom (n_A, n_B, n_D - n_A) has a
     closed-form log-probability made of log-binomials, O(n^2) atoms in all.
     Both serve n up to ``MAX_N``.
+
+    Every call validates its arguments.  The ``_LAWS_HELD`` (32) lattice
+    laws used most recently are held read-only, so a repeated (ell, q, n)
+    costs a lookup and two copies; each call returns fresh writable arrays.
+    A generic law is built on every call: at n = 2000 it is 3,002,002 atoms
+    (48 MB) with a peak near 384 MB, too large to hold.
     """
     _validate_ell(ell)
     if n < 1:
@@ -493,10 +525,8 @@ def contraction_sum_distribution(ell: float, q: float, n: int) -> ContractionDis
     rates = contraction_rates(MapParams(ell=ell, q=q))
     if np.max(np.abs(rates)) == 0.0:
         return ContractionDistribution(n=n, sums=np.zeros(1), log_probs=np.zeros(1))
-    lattice = _lattice_structure(ell, rates)
-    if lattice is not None:
-        m, scale = lattice
-        counts, log_probs = _log_dp(ell, m, n)
-        return ContractionDistribution(n=n, sums=scale * counts, log_probs=log_probs)
+    if _lattice_structure(ell, rates) is not None:
+        sums, log_probs = _lattice_law(ell, q, n)
+        return ContractionDistribution(n=n, sums=sums.copy(), log_probs=log_probs.copy())
     values, log_probs = _generic_sums(ell, rates, n)
     return ContractionDistribution(n=n, sums=values, log_probs=log_probs)

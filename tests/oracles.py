@@ -9,9 +9,9 @@ arithmetic: ``log_dp_long_double`` runs it in long-double log space, the
 accuracy reference, and ``scaled_dp_by_visit`` in the float64 linear space
 of ``markov._log_dp`` over the whole width, renormalized at every visit,
 which the library's DP must match bit for bit.  ``eager_parser`` is the
-CLI's parser with every option of every subcommand added up front, the
-reference for ``cli.build_parser``, which adds a subcommand's options only
-when that subcommand parses.
+CLI's parser with every subcommand and every option of each added up front,
+the reference for ``cli.build_parser``, which adds only the chosen
+subcommand and adds its options only when it parses.
 """
 
 import argparse
@@ -125,10 +125,11 @@ def scaled_dp_by_visit(ell, m, n):
     return np.flatnonzero(mask) - n, np.log(total[mask]) + (top + shift)[mask] * np.log(2.0)
 
 
-def eager_parser():
-    """``build_parser()`` with each subcommand's option table added at
-    once, as every flag ("--" + its table key, then ``--config``) was before
-    the tables were added on first parse."""
+def eager_parser(argv=None):
+    """``build_parser()`` with all seven subcommands, whatever ``argv``
+    names, and each one's option table added at once, as every flag ("--" +
+    its table key, then ``--config``) was before the tables were added on
+    first parse."""
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     for p in sub.choices.values():

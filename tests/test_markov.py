@@ -349,6 +349,59 @@ class TestContractionSumDistribution:
             assert e_mean == pytest.approx(1.0, abs=1e-12)
 
 
+
+class TestLatticeLawMemo:
+    """Lattice laws are held per process, read-only, and handed out as
+    fresh copies; generic laws are built on every call, and every call is
+    validated."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        markov._lattice_law.cache_clear()
+        yield
+        markov._lattice_law.cache_clear()
+
+    @pytest.mark.parametrize("ell,q,n", [(0.15, 0.2, 500), (0.15, 0.0, 64)])
+    def test_a_repeated_lattice_key_runs_no_dp(self, monkeypatch, ell, q, n):
+        first = contraction_sum_distribution(ell, q, n)
+        monkeypatch.setattr(markov, "_log_dp", lambda *args: pytest.fail("the DP ran again"))
+        second = contraction_sum_distribution(ell, q, n)
+        for a, b in ((first.sums, second.sums), (first.log_probs, second.log_probs)):
+            assert a.tobytes() == b.tobytes()
+            assert b.flags.writeable and not np.shares_memory(a, b)
+        second.sums[:] = 0.0  # a caller's writes do not reach the held law
+        assert contraction_sum_distribution(ell, q, n).sums.tobytes() == first.sums.tobytes()
+
+    def test_a_generic_key_is_built_on_every_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return _generic_sums(*args)
+
+        monkeypatch.setattr(markov, "_generic_sums", counted)
+        laws = [contraction_sum_distribution(0.1, 0.1, 64) for _ in range(2)]
+        assert calls == [64, 64]
+        assert laws[0].log_probs.tobytes() == laws[1].log_probs.tobytes()
+        assert markov._lattice_law.cache_info().currsize == 0
+
+    @pytest.mark.parametrize(
+        "ell,q,n,error",
+        [(0.15, 0.2, 0, DomainError), (0.15, 0.2, MAX_N + 1, CapacityError), (0.3, 0.2, 500, DomainError)],
+    )
+    def test_bad_arguments_raise_on_every_call(self, ell, q, n, error):
+        contraction_sum_distribution(0.15, 0.2, 500)
+        for _ in range(2):
+            with pytest.raises(error):
+                contraction_sum_distribution(ell, q, n)
+
+    def test_the_memo_holds_at_most_its_size(self):
+        size = markov._LAWS_HELD
+        for n in range(1, size + 2):
+            contraction_sum_distribution(0.15, 0.2, n)
+        info = markov._lattice_law.cache_info()
+        assert (info.currsize, info.maxsize, info.misses) == (size, size, size + 1)
+
 def _generic_sums_both_starts(ell, rates, n):
     """Reference for ``_generic_sums``: the same closed form, with both start
     cases evaluated on every atom and masked by np.where."""
