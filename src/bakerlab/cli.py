@@ -43,16 +43,6 @@ _SELFTEST_EXIT = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    table: dict = {}  # a subcommand's option table, added when it first parses
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self.table:  # each flag is "--" + its table key, plus --config
-            for option, (conv, _) in self.table.items():
-                self.add_argument("--" + option.replace("_", "-"), dest=option, type=conv)
-            self.add_argument("--config", type=str)
-            self.table = {}
-        return super().parse_known_args(args, namespace)
-
     def error(self, message):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -210,37 +200,23 @@ def _refuse_set(resolved: dict, spec: dict, names: tuple, context: str) -> dict:
     return {k: v for k, v in resolved.items() if k not in names}
 
 
-def _conversion(cell_type: type) -> str:
-    """The ``%`` conversion that writes a cell of ``cell_type``: a str or an
-    int as it prints (a bool as its name), any other number as ``%.17g``,
-    which round-trips a float64."""
-    if issubclass(cell_type, (str, bool)):
-        return "%s"
-    if issubclass(cell_type, (int, np.integer)):
-        return "%d"
-    return "%.17g"
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    """Stream ``rows`` (tuples of str, int or float cells) below ``header``,
-    each with one ``%`` fill of a template built once per tuple of cell
-    types."""
-    templates = {}
+def _write_csv(path: Path, header: str, row_format: str, rows) -> None:
+    """Stream ``rows`` (tuples) below ``header``, each one ``%`` fill of the
+    artifact's ``row_format``: ``%s`` a name, ``%d`` a count and ``%.17g``
+    any other number, which round-trips a float64."""
+    line = row_format + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
         for row in rows:
-            types = tuple(map(type, row))
-            template = templates.get(types)
-            if template is None:
-                template = templates[types] = ",".join(map(_conversion, types)) + "\n"
-            fh.write(template % tuple(row))
+            fh.write(line % row)
 
 
 def _write_grid_csv(path: Path, header: str, row_labels, col_labels, values: np.ndarray, conv: str) -> None:
     """``row,col,value`` lines over the outer product of the labels, every
     cell written with the ``%`` conversion ``conv``: each label is formatted
-    once and each grid row is one ``%`` fill, where ``_write_csv`` dispatches
-    on the type of every cell.  Only one grid row is held as Python numbers."""
+    once and each grid row, one line per cell, is one ``%`` fill, where
+    ``_write_csv`` makes one per line.  Only one grid row is held as Python
+    numbers."""
     cols = [f",{conv % label},{conv}" for label in col_labels]
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
@@ -334,7 +310,9 @@ def _cmd_density(resolved) -> _Run:
     return _Run(
         {
             "histogram2d.csv": lambda path: _write_grid_csv(path, "x_bin,y_bin,count", bins, bins, hist.counts, "%d"),
-            "marginals.csv": lambda path: _write_csv(path, "axis,bin,center,count,density", marginals),
+            "marginals.csv": lambda path: _write_csv(
+                path, "axis,bin,center,count,density", "%s,%d,%.17g,%d,%.17g", marginals
+            ),
         },
         f"{hist.n_samples} samples",
         read,
@@ -446,8 +424,8 @@ def _fr_family(command: str, resolved: dict) -> tuple[fl.PiHistogram, fl.RateFun
     rf = fl.rate_function(pi)
     zeta = ((p, z) for p, z in zip(rf.p, rf.zeta) if np.isfinite(z))
     artifacts = {
-        "pi.csv": lambda path: _write_csv(path, "p,pi_n", zip(pi.p, pi.mass)),
-        "zeta.csv": lambda path: _write_csv(path, "p,zeta_n", zeta),
+        "pi.csv": lambda path: _write_csv(path, "p,pi_n", "%.17g,%.17g", zip(pi.p, pi.mass)),
+        "zeta.csv": lambda path: _write_csv(path, "p,zeta_n", "%.17g,%.17g", zeta),
     }
     return pi, rf, _Run(artifacts, "", read, start)
 
@@ -455,7 +433,7 @@ def _fr_family(command: str, resolved: dict) -> tuple[fl.PiHistogram, fl.RateFun
 def _cmd_fr(resolved) -> _Run:
     pi, _, run = _fr_family("fr", resolved)
     chk = fl.fr_check(pi)
-    run.artifacts["fr.csv"] = lambda path: _write_csv(path, "p,fr_value", zip(chk.p, chk.value))
+    run.artifacts["fr.csv"] = lambda path: _write_csv(path, "p,fr_value", "%.17g,%.17g", zip(chk.p, chk.value))
     run.summary = f"slope={chk.slope:.6f} over {len(chk.p)} admissible p"
     return run
 
@@ -486,7 +464,7 @@ def _cmd_db(resolved) -> _Run:
     )
     header = "from,to,forward_weight,reverse_from,reverse_to,reverse_weight,mismatch"
     return _Run(
-        {"db.csv": lambda path: _write_csv(path, header, rows)},
+        {"db.csv": lambda path: _write_csv(path, header, "%s,%s,%.17g,%s,%s,%.17g,%.17g", rows)},
         f"max mismatch = {report.max_mismatch:.17g}",
         resolved,
     )
@@ -541,7 +519,7 @@ def _cmd_transport(resolved) -> _Run:
         bad = sum(0 if r.converged else 1 for _, r in rows)
         table = ((b, r.value, r.stderr) for b, r in rows)
         return _Run(
-            {"sweep.csv": lambda path: _write_csv(path, "F_e,L,stderr", table)},
+            {"sweep.csv": lambda path: _write_csv(path, "F_e,L,stderr", "%.17g,%.17g,%.17g", table)},
             f"swept {len(rows)} bias values",
             read,
             _xonly_start(es.worker_count(base.n_ens)),
@@ -549,6 +527,9 @@ def _cmd_transport(resolved) -> _Run:
         )
 
     q = 0.5 - 2.0 * resolved["ell"] if resolved["q"] is None else resolved["q"]
+    if q == 0.5:  # the default q = 1/2 - 2 ell rounds to 1/2 for ell <= 2**-56
+        raise DomainError(f"--ell must be large enough for the default --q, 1/2 - 2 ell, to lie below 1/2, "
+                          f"got {resolved['ell']}")
     params, read = _params_from(dict(read, q=q))
     if resolved["mode"] == "equilibrium" and (params.ell, params.q) != (0.25, 0.0):
         raise DomainError(
@@ -561,8 +542,12 @@ def _cmd_transport(resolved) -> _Run:
     result = tp.green_kubo_estimate(cfg)
     return _Run(
         {
-            "convergence.csv": lambda path: _write_csv(path, "k,partial_sum", enumerate(result.partial_sums)),
-            "convergence_exact.csv": lambda path: _write_csv(path, "k,partial_sum", enumerate(exact.partial_sums)),
+            "convergence.csv": lambda path: _write_csv(
+                path, "k,partial_sum", "%d,%.17g", enumerate(result.partial_sums)
+            ),
+            "convergence_exact.csv": lambda path: _write_csv(
+                path, "k,partial_sum", "%d,%.17g", enumerate(exact.partial_sums)
+            ),
         },
         f"L={result.value:.6f} +- {result.stderr:.6f} (exact chain: {exact.value:.6f})",
         dict(read, q=resolved["q"]),  # the option as given; None means 1/2 - 2 ell
@@ -739,8 +724,9 @@ _COMMANDS = (
 def build_parser(argv=None) -> argparse.ArgumentParser:
     """The parser for ``argv``: only the subcommand that its first token
     names, or all seven when it names none (help, ``--version``, no
-    command, an unknown one, or no ``argv``).  The fixed metavar keeps the
-    usage line of a one-subcommand parser listing all seven."""
+    command, an unknown one, or no ``argv``), each with its flags, "--" +
+    each key of its option table, then ``--config``.  The fixed metavar
+    keeps the usage line of a one-subcommand parser listing all seven."""
     parser = _Parser(prog="bakerlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"bakerlab {__version__}")
     chosen = [command for command in _COMMANDS if argv and argv[0] == command[0]]
@@ -750,7 +736,10 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser, metavar=metavar)
     for name, help_text, spec, fn in chosen or _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        p.table = spec
+        for option, (conv, _) in spec.items():
+            p.add_argument("--" + option.replace("_", "-"), dest=option, type=conv)
+        if spec:  # selftest reads no options
+            p.add_argument("--config", type=str)
         p.set_defaults(fn=fn, spec=spec)
     return parser
 

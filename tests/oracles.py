@@ -9,12 +9,10 @@ arithmetic: ``log_dp_long_double`` runs it in long-double log space, the
 accuracy reference, and ``scaled_dp_by_visit`` in the float64 linear space
 of ``markov._log_dp`` over the whole width, renormalized at every visit,
 which the library's DP must match bit for bit.  ``eager_parser`` is the
-CLI's parser with every subcommand and every option of each added up front,
-the reference for ``cli.build_parser``, which adds only the chosen
-subcommand and adds its options only when it parses.
+CLI's parser with every subcommand, the reference for
+``cli.build_parser(argv)``, which adds only the subcommand argv names.
 """
 
-import argparse
 import itertools
 
 import numpy as np
@@ -126,16 +124,6 @@ def scaled_dp_by_visit(ell, m, n):
 
 
 def eager_parser(argv=None):
-    """``build_parser()`` with all seven subcommands, whatever ``argv``
-    names, and each one's option table added at once, as every flag ("--" +
-    its table key, then ``--config``) was before the tables were added on
-    first parse."""
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for p in sub.choices.values():
-        spec, p.table = p.table, {}
-        for option, (conv, _) in spec.items():
-            p.add_argument("--" + option.replace("_", "-"), dest=option, type=conv)
-        if spec:
-            p.add_argument("--config", type=str)
-    return parser
+    """``build_parser()``, all seven subcommands with their options, whatever
+    ``argv`` names."""
+    return build_parser()

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 import bakerlab
+from bakerlab import fluctuation as fl
 from bakerlab.cli import _MC_ONLY, _NOT_SWEPT, _resolve, build_parser, main
 from bakerlab.ensemble import SimConfig, empirical_density, worker_count
 from bakerlab.mapcore import MapParams, MapVariant, ReversalScheme
-from bakerlab.markov import mean_contraction_rate
+from bakerlab.markov import contraction_sum_distribution, db_report, mean_contraction_rate
+from bakerlab.transport import GKConfig, bias_sweep, green_kubo_estimate, green_kubo_exact
 from oracles import eager_parser
 
 
@@ -82,29 +84,30 @@ class TestDensity:
         assert run(["density", "--ell", "0.9", "--out", str(tmp_path / "x")]) == 1
 
 
-def _joined_cell(v) -> str:
-    """The cell formatting the CSV writer's templates must reproduce."""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(v)
-    return format(float(v), ".17g")
+# the cell formatting each conversion of a row format must reproduce
+_JOINED_CELL = {"%s": str, "%d": lambda v: str(int(v)), "%.17g": lambda v: format(float(v), ".17g")}
+
+# every row format of a ``_write_csv`` artifact, with rows of edge cells
+ROW_FORMATS = {
+    "%.17g,%.17g": [(0.1, np.float64(1e-300)), (-0.0, float("nan")), (np.float64(-np.inf), 2.0 / 3.0),
+                    (5e-324, 1e22)],
+    "%d,%.17g": [(0, np.float64(np.pi)), (np.int64(2**62), -1.5), (-2**70, np.nan)],
+    "%.17g,%.17g,%.17g": [(np.float64(0.5), float("inf"), -0.1), (123456789.125, np.float64(-0.0), 5e-324)],
+    "%s,%d,%.17g,%d,%.17g": [("x", 3, 0.25, np.int64(-7), np.float64(1e-300)), ("y", 2**70, np.nan, 0, 2.5)],
+    "%s,%s,%.17g,%s,%s,%.17g,%.17g": [("A", "B", 0.1, "C", "D", -np.inf, 0.0),
+                                       ("D", "A", 1e22, "B", "C", 2.0 / 3.0, 5e-324)],
+}
 
 
 class TestWriteCsv:
     def test_templates_write_the_bytes_of_one_join_per_row(self, tmp_path):
         from bakerlab.cli import _write_csv
 
-        rows = [
-            ("A", 3, np.int64(-7), True, 0.1, np.float64(1e-300), float("nan"), float("inf")),
-            ("B", -2**70, np.int64(2**62), False, -0.0, np.float64(-np.inf), 2.0 / 3.0, np.nan),
-            ("C", 0, np.int64(0), True, 1e22, np.float64(np.pi), -1.5, 5e-324),
-            (1, "mixed", 0.25, np.int64(4), False, "end", 7, np.float64(0.5)),  # another row shape
-            ("A", 4, np.int64(8), False, 2.5, np.float64(-0.1), -float("inf"), 123456789.125),
-        ]
-        _write_csv(tmp_path / "t.csv", "h", rows)
-        expected = "h\n" + "".join(",".join(map(_joined_cell, row)) + "\n" for row in rows)
-        assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+        for i, (row_format, rows) in enumerate(ROW_FORMATS.items()):
+            _write_csv(tmp_path / f"{i}.csv", "h", row_format, rows)
+            cell = [_JOINED_CELL[conv] for conv in row_format.split(",")]
+            expected = "h\n" + "".join(",".join(f(v) for f, v in zip(cell, row, strict=True)) + "\n" for row in rows)
+            assert (tmp_path / f"{i}.csv").read_bytes() == expected.encode(), row_format
 
     def test_grid_writer_int_bytes_match_one_fstring_per_cell(self, tmp_path):
         from bakerlab.cli import _write_grid_csv
@@ -125,10 +128,73 @@ class TestWriteCsv:
         rows = cols[[5, 1, 6, 4, 2]]
         values = np.array([np.roll(cols, k) for k in range(len(rows))])  # each value in every row
         _write_grid_csv(tmp_path / "g.csv", "a,b,v", rows, cols, values, "%.17g")
-        _write_csv(tmp_path / "r.csv", "a,b,v", (
+        _write_csv(tmp_path / "r.csv", "a,b,v", "%.17g,%.17g,%.17g", (
             (a, b, v) for a, row in zip(rows.tolist(), values.tolist()) for b, v in zip(cols.tolist(), row)
         ))
         assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
+
+
+def _cells(path):
+    """The rows below a CSV artifact's header, each a list of its cells."""
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+class TestArtifactReadback:
+    """Every ``_write_csv`` artifact's cells read back exactly to the library
+    values they were written from: a name as itself, a count as an int and
+    any other number as the float64 it was, so no row format can truncate
+    or round a cell in silence."""
+
+    def test_pi_zeta_and_fr(self, tmp_path):
+        out = tmp_path / "fr"
+        assert run(["fr", "--source", "exact", "--n", "50", "--out", str(out)]) == 0
+        pi = fl.estimate_pi(fl.FRConfig(n=50, p_grid=fl.symmetric_grid(2.0, 0.1)),
+                            contraction_sum_distribution(0.15, 0.2, 50))
+        rf, chk = fl.rate_function(pi), fl.fr_check(pi)
+        finite = np.isfinite(rf.zeta)
+        for name, p, value in (("pi.csv", pi.p, pi.mass), ("zeta.csv", rf.p[finite], rf.zeta[finite]),
+                               ("fr.csv", chk.p, chk.value)):
+            rows = [(float(a), float(b)) for a, b in _cells(out / name)]
+            assert rows == list(zip(p.tolist(), value.tolist())) and rows, name
+
+    def test_db(self, tmp_path):
+        out = tmp_path / "db"
+        assert run(["db", "--ell", "0.15", "--q", "0.2", "--scheme", "q3", "--out", str(out)]) == 0
+        rows = [(a, b, float(w), c, d, float(rw), float(m)) for a, b, w, c, d, rw, m in _cells(out / "db.csv")]
+        assert rows == [
+            (p.source.name, p.target.name, p.forward_weight, p.reverse_source.name, p.reverse_target.name,
+             p.reverse_weight, p.mismatch)
+            for p in db_report(0.15, 0.2, ReversalScheme.Q3).pairs
+        ]
+
+    def test_both_convergence_files(self, tmp_path):
+        out = tmp_path / "t"
+        assert run(["transport", "--n-ens", "2000", "--n-iter", "20", "--k-max", "30", "--out", str(out)]) == 0
+        cfg = GKConfig(params=MapParams(0.25, 0.0), n_ens=2000, n_iter=20, ensemble_mode="microcanonical-equilibrium")
+        for name, result in (("convergence.csv", green_kubo_estimate(cfg)),
+                             ("convergence_exact.csv", green_kubo_exact(0.25, 30))):
+            rows = [(int(k), float(v)) for k, v in _cells(out / name)]
+            assert rows == list(enumerate(result.partial_sums.tolist())) and rows, name
+
+    def test_sweep(self, tmp_path):
+        out = tmp_path / "t"
+        assert run(["transport", "--sweep", "0,0.1", "--n-ens", "2000", "--n-iter", "20", "--out", str(out)]) == 0
+        rows = [tuple(map(float, row)) for row in _cells(out / "sweep.csv")]
+        swept = bias_sweep(np.array([0.0, 0.1]), GKConfig(params=MapParams(0.25, 0.0), n_ens=2000, n_iter=20))
+        assert rows == [(b, r.value, r.stderr) for b, r in swept]
+
+    def test_marginals(self, tmp_path):
+        out = tmp_path / "d"
+        assert run(["density", "--n-ens", "300", "--n-iter", "3", "--burn-in", "4", "--bins", "5", "--seed", "2",
+                    "--out", str(out)]) == 0
+        rows = [(a, int(i), float(c), int(n), float(d)) for a, i, c, n, d in _cells(out / "marginals.csv")]
+        hist = empirical_density(SimConfig(params=MapParams(0.15, 0.0), n_ens=300, n_iter=3, burn_in=4, seed=2),
+                                 nx=5, ny=5)
+        assert rows == [
+            (axis, i, (i + 0.5) / 5, c, d)
+            for axis, marginal in (("x", hist.x_marginal), ("y", hist.y_marginal))
+            for i, (c, d) in enumerate(zip(marginal().tolist(), marginal(density=True).tolist()))
+        ]
 
 
 class TestSurface:
@@ -159,7 +225,7 @@ class TestSurface:
                     "--q-min", "0.1", "--q-max", "0.45", "--q-steps", "5", "--out", str(out)]) == 0
         ells, qs = np.linspace(0.03, 0.25, 7), np.linspace(0.1, 0.45, 5)
         rates = mean_contraction_rate_grid(ells, qs)
-        _write_csv(tmp_path / "rows.csv", "ell,q,mean_lambda", (
+        _write_csv(tmp_path / "rows.csv", "ell,q,mean_lambda", "%.17g,%.17g,%.17g", (
             (ell, q, v) for ell, row in zip(ells.tolist(), rates.tolist()) for q, v in zip(qs.tolist(), row)
         ))
         assert (out / "surface.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
@@ -486,20 +552,24 @@ RESOLVED_DEFAULTS = {
 }
 
 
+def _subparsers(parser):
+    """The subcommand parsers that ``parser`` holds, by name, in order."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _subcommand_flags(parser, command):
     """The flags that ``command``'s parser holds now, besides -h/--help."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {
         flag
-        for action in sub.choices[command]._actions
+        for action in _subparsers(parser)[command]._actions
         for flag in action.option_strings
         if flag not in ("-h", "--help")
     }
 
 
 class TestOptionTables:
-    """A subcommand's flags, read after that subcommand has parsed: its
-    option table is added to its parser on first use."""
+    """A subcommand's flags, "--" + each key of its option table, then
+    ``--config``: ``build_parser`` adds them with the subcommand."""
 
     @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
     def test_flags_are_table_keys_plus_config(self, command):
@@ -522,13 +592,17 @@ class TestOptionTables:
         parser.parse_args(["selftest"])
         assert _subcommand_flags(parser, "selftest") == set()
 
-    def test_only_the_parsed_subcommand_adds_its_options(self):
+    @pytest.mark.parametrize("command", [*COMMAND_FLAGS, "selftest"])
+    def test_a_named_subcommand_is_built_alone_with_every_flag(self, command):
+        """Before any parse, ``build_parser([command])`` holds that one
+        subparser and all its flags, and ``build_parser()`` all seven."""
+        flags = {"--" + name for name in COMMAND_FLAGS.get(command, "").split()}
+        parser = build_parser([command])
+        assert list(_subparsers(parser)) == [command]
+        assert _subcommand_flags(parser, command) == flags
         parser = build_parser()
-        parser.parse_args(["db"])
-        assert _subcommand_flags(parser, "db") == {"--" + name for name in COMMAND_FLAGS["db"].split()}
-        for command in [*COMMAND_FLAGS, "selftest"]:
-            if command != "db":
-                assert _subcommand_flags(parser, command) == set(), command
+        assert list(_subparsers(parser)) == [*COMMAND_FLAGS, "selftest"]
+        assert _subcommand_flags(parser, command) == flags
 
 
 PARSER_ARGVS = [
@@ -553,10 +627,8 @@ PARSER_ARGVS = [
 
 
 class TestParserOracle:
-    """The parser that adds only the chosen subcommand, and its options on
-    first parse, prints and exits exactly as the eager one
-    (``tests/oracles.py``) that adds every subcommand and every option up
-    front."""
+    """The parser that adds only the chosen subcommand prints and exits
+    exactly as the one of all seven (``tests/oracles.py``)."""
 
     @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=lambda argv: " ".join(argv) or "no-command")
     def test_same_exit_code_stdout_and_stderr(self, monkeypatch, capsys, argv):
@@ -744,6 +816,9 @@ class TestBadInput:
         (["db", "--q", "0.5"], "--q must lie in [0, 1/2), got 0.5"),
         (["density", "--q", "0.5"], "--q must lie in [0, 1/2), got 0.5"),
         (["transport", "--q", "0.5", "--mode", "stationary"], "--q must lie in [0, 1/2), got 0.5"),
+        # the default q = 1/2 - 2 ell rounds to 1/2 for ell <= 2**-56
+        (["transport", "--mode", "stationary", "--ell", "1e-17"],
+         "--ell must be large enough for the default --q, 1/2 - 2 ell, to lie below 1/2, got 1e-17"),
         (["fr", "--ell", "0.3"], "--ell must lie in (0, 1/4], got 0.3"),
         (["density", "--ell", "0.9"], "--ell must lie in (0, 1/4], got 0.9"),
         (["transport", "--ell", "0.3"], "--ell must lie in (0, 1/4], got 0.3"),
