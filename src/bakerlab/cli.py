@@ -28,6 +28,8 @@ from .mapcore import (
     MapVariant,
     Region,
     ReversalScheme,
+    _ell_claim,
+    _q_claim,
     check_reversibility,
     region_reverse,
     time_reversal_arrays,
@@ -91,12 +93,9 @@ def _resolve(args: argparse.Namespace) -> dict:
                 raise BakerlabError(f"{args.config}: bad value for {name}: {exc}") from None
             value = from_file if value is None else value
         resolved[name] = default if value is None else value
-    # the map's box 0 < ell <= 1/4, 0 <= q < 1/2, before any grid or map is
-    # built; an ell in it can still be so small that 1/(4 ell) overflows
-    _require(resolved, lambda v: 0.0 < v <= 0.25, "must lie in (0, 1/4]", "ell", "ell_min", "ell_max")
-    _require(resolved, lambda v: 0.0 <= v < 0.5, "must lie in [0, 1/2)", "q", "q_min", "q_max")
-    _require(resolved, lambda v: not (v > 0.0 and math.isinf(1.0 / (4.0 * v))),
-             "must be large enough for 1/(4 ell) to be finite", "ell", "ell_min", "ell_max")
+    # the map's domain, before any grid or map is built
+    _require(resolved, _ell_claim, "ell", "ell_min", "ell_max")
+    _require(resolved, _q_claim, "q", "q_min", "q_max")
     return resolved
 
 
@@ -138,8 +137,8 @@ def _params_from(resolved: dict) -> tuple[MapParams, dict]:
         resolved = _refuse_set(resolved, _STRIP, tuple(_STRIP), "--variant reversible")
     else:  # the strip [x, x + eps] must lie in [0, 1]; x defaults to ell
         x = resolved["ell"] if resolved["strip_x"] is None else resolved["strip_x"]
-        _require(resolved, lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)", "strip_x")
-        _require(resolved, lambda v: v >= 0.0 and x + v <= 1.0, f"must lie in [0, 1 - {x}]", "strip_eps")
+        _require(resolved, lambda v: None if 0.0 <= v < 1.0 else "must lie in [0, 1)", "strip_x")
+        _require(resolved, lambda v: None if v >= 0.0 and x + v <= 1.0 else f"must lie in [0, 1 - {x}]", "strip_eps")
     return MapParams(resolved["ell"], resolved["q"], resolved.get("strip_x"), resolved.get("strip_eps")), resolved
 
 
@@ -184,10 +183,10 @@ def _require_counts(resolved: dict, caps: dict = _COUNT_MAX, **minimum: int) -> 
             raise DomainError(f"{flag} must be <= {high}, got {value}")
 
 
-def _require(resolved: dict, ok: Callable[[float], bool], claim: str, *names: str) -> None:
-    """Refuse the first of the named options that is set and fails ``ok``: its flag ``claim``."""
+def _require(resolved: dict, claim_of: Callable[[float], str | None], *names: str) -> None:
+    """Refuse the first of the named options that is set and whose value has a ``claim_of`` (not None)."""
     for name in names:
-        if resolved.get(name) is not None and not ok(resolved[name]):
+        if resolved.get(name) is not None and (claim := claim_of(resolved[name])) is not None:
             raise DomainError(f"--{name.replace('_', '-')} {claim}, got {resolved[name]}")
 
 
@@ -495,7 +494,7 @@ def _biases(sweep: str) -> np.ndarray:
     if not biases:
         raise BakerlabError(f"--sweep: no bias values in {sweep!r}")
     for bias in biases:
-        _require({"sweep": bias}, lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)", "sweep")
+        _require({"sweep": bias}, tp._bias_claim, "sweep")
     return np.array(biases)
 
 
@@ -527,7 +526,7 @@ def _cmd_transport(resolved) -> _Run:
         )
 
     q = 0.5 - 2.0 * resolved["ell"] if resolved["q"] is None else resolved["q"]
-    if q == 0.5:  # the default q = 1/2 - 2 ell rounds to 1/2 for ell <= 2**-56
+    if _q_claim(q) is not None:  # the default q = 1/2 - 2 ell rounds to 1/2 for ell <= 2**-56
         raise DomainError(f"--ell must be large enough for the default --q, 1/2 - 2 ell, to lie below 1/2, "
                           f"got {resolved['ell']}")
     params, read = _params_from(dict(read, q=q))

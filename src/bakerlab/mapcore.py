@@ -28,6 +28,7 @@ the affine update, the clip and the flip in place into the new arrays.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -81,14 +82,27 @@ class ReversalScheme(enum.Enum):
     Q3 = "q3"
 
 
+def _ell_claim(ell: float) -> str | None:
+    """Why ``ell`` is off the domain, 0 < ell <= 1/4 with 1/(2 ell) finite (a Python float: no warning), or None."""
+    if not 0.0 < ell <= 0.25:
+        return "must lie in (0, 1/4]"
+    return "must be large enough for 1/(2 ell) to be finite" if math.isinf(1.0 / (2.0 * float(ell))) else None
+
+
+def _q_claim(q: float) -> str | None:
+    """Why ``q`` is off the domain, 0 <= q < 1/2, or None."""
+    return None if 0.0 <= q < 0.5 else "must lie in [0, 1/2)"
+
+
 @dataclass(frozen=True)
 class MapParams:
     """Parameters of one map instance.
 
-    ``ell`` in (0, 1/4] sets the partition; ``q`` in [0, 1/2) tilts the
-    vertical rates (q = 0 is the equilibrium line).  ``strip_x`` and
-    ``strip_eps`` delimit the flip strip [strip_x, strip_x + strip_eps];
-    they default to [ell, 1/2], the full B slab.
+    The domain, stated once by ``_ell_claim`` and ``_q_claim``, is 0 < ell <= 1/4
+    with 1/(2 ell) finite and 0 <= q < 1/2 (q = 0 is the equilibrium line).  There
+    every branch coefficient is finite and every Jacobian positive: J_A = (1 - 2q)/(4 ell)
+    >= 1 - 2q >= 2**-53, J_B = 1 - q/(1 - 2 ell) >= 2**-53 as 1 - 2 ell >= 1/2 > q,
+    J_C >= 1 and J_D = 4 ell + 2q > 0.  The flip strip [strip_x, strip_x + strip_eps] defaults to [ell, 1/2].
     """
 
     ell: float
@@ -97,10 +111,9 @@ class MapParams:
     strip_eps: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.ell <= 0.25:
-            raise DomainError(f"ell must lie in (0, 1/4], got {self.ell}")
-        if not 0.0 <= self.q < 0.5:
-            raise DomainError(f"q must lie in [0, 1/2), got {self.q}")
+        for name, claim in (("ell", _ell_claim(self.ell)), ("q", _q_claim(self.q))):
+            if claim is not None:
+                raise DomainError(f"{name} {claim}, got {getattr(self, name)}")
         if self.strip_x is None:
             object.__setattr__(self, "strip_x", self.ell)
         if self.strip_eps is None:
@@ -112,14 +125,6 @@ class MapParams:
                 f"strip [{self.strip_x}, {self.strip_x + self.strip_eps}] "
                 "must be contained in [0, 1]"
             )
-        jac = jacobians(self)
-        # below about 1.4e-309, 1/(4 ell) overflows and J_A is inf or nan
-        if not np.isfinite(jac).all():
-            raise DomainError(f"ell must be large enough for 1/(4 ell) to be finite, got {self.ell}")
-        # all four volume ratios must stay strictly positive; q = 1/2 would
-        # collapse region A (and q = 1 - 2 ell region B) to zero volume
-        if jac.min() <= 0.0:
-            raise DomainError(f"Jacobians must be strictly positive; got {jac} for ell={self.ell}, q={self.q}")
 
 
 @dataclass(frozen=True)
@@ -183,7 +188,7 @@ def _jacobians(ell, q) -> np.ndarray:
     region along a new last axis; no range check."""
     return np.stack(
         np.broadcast_arrays(
-            1.0 / (4.0 * ell) - q / (2.0 * ell),
+            (1.0 - 2.0 * q) / (4.0 * ell),
             1.0 - q / (1.0 - 2.0 * ell),
             1.0 + 2.0 * q,
             4.0 * ell + 2.0 * q,

@@ -57,11 +57,6 @@ MAX_N = 2000
 _MAX_GRID_CELLS = 4_000_000
 
 
-def _validate_ell(ell: float) -> None:
-    if not 0.0 < ell <= 0.25:
-        raise DomainError(f"ell must lie in (0, 1/4], got {ell}")
-
-
 class ProjectedDensity(NamedTuple):
     """Piecewise-constant invariant density of the x-projection."""
 
@@ -72,14 +67,14 @@ class ProjectedDensity(NamedTuple):
 def transfer_matrix(ell: float) -> np.ndarray:
     """Transfer operator on (rho_l, rho_r), the densities of the two
     half-interval cells; columns sum to one."""
-    _validate_ell(ell)
+    MapParams(ell)  # range check only
     return np.array([[1.0 - 2.0 * ell, 0.5], [2.0 * ell, 0.5]])
 
 
 def stationary_density(ell: float) -> ProjectedDensity:
     """Fixed point of the transfer operator: rho_l = 2/(1+4 ell),
     rho_r = 8 ell/(1+4 ell).  Independent of q."""
-    _validate_ell(ell)
+    MapParams(ell)  # range check only
     denom = 1.0 + 4.0 * ell
     return ProjectedDensity(2.0 / denom, 8.0 * ell / denom)
 
@@ -87,7 +82,7 @@ def stationary_density(ell: float) -> ProjectedDensity:
 def transition_matrix(ell: float) -> np.ndarray:
     """Row-stochastic transition matrix of the four-cell jump chain
     (row = source region, column = target region)."""
-    _validate_ell(ell)
+    MapParams(ell)  # range check only
     two_ell = 2.0 * ell
     rest = 1.0 - 2.0 * ell
     return np.array(
@@ -103,7 +98,7 @@ def transition_matrix(ell: float) -> np.ndarray:
 def coarse_measure(ell: float) -> np.ndarray:
     """Unique stationary measure of the jump chain, indexed by region:
     mu_A = mu_C = mu_D = 2 ell/(1+4 ell) and mu_B = (1-2 ell)/(1+4 ell)."""
-    _validate_ell(ell)
+    MapParams(ell)  # range check only
     return _coarse_measure(ell)
 
 
@@ -139,15 +134,10 @@ def mean_contraction_rate_grid(ells: np.ndarray, qs: np.ndarray) -> np.ndarray:
     q = np.asarray(qs, dtype=float)[None, :]
     if ell.size * q.size > _MAX_GRID_CELLS:
         raise CapacityError(f"a {ell.size} x {q.size} grid exceeds the limit of {_MAX_GRID_CELLS} cells")
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        jac = _jacobians(ell, q)
-    valid = (0.0 < ell) & (ell <= 0.25) & (0.0 <= q) & (q <= 0.5)
-    valid &= np.isfinite(jac).all(axis=-1) & (jac.min(axis=-1) > 0.0)
-    if not valid.all():
-        i, j = np.unravel_index(np.argmin(valid), valid.shape)
-        MapParams(ell=float(ell[i, 0]), q=float(q[0, j]))  # raises that cell's error
-    mu = _coarse_measure(ell)
-    return (mu[..., None, :] @ -np.log(jac)[..., :, None])[..., 0, 0]
+    e, v = ell[:, 0].tolist(), q[0].tolist()  # row 0, then column 0, meets the first invalid cell first
+    for cell in (*zip(e[:1] * len(v), v), *zip(e, v[:1] * len(e))):
+        MapParams(*cell)
+    return (_coarse_measure(ell)[..., None, :] @ -np.log(_jacobians(ell, q))[..., :, None])[..., 0, 0]
 
 
 def chain_autocovariance(ell: float, phi: np.ndarray, k_max: int) -> np.ndarray:
@@ -223,7 +213,6 @@ def db_report(ell: float, q: float, scheme: ReversalScheme) -> DBReport:
     reversal share a bitwise-identical arithmetic form: at q = 0 under Q4
     every mismatch is exactly zero, not merely small.
     """
-    _validate_ell(ell)
     MapParams(ell=ell, q=q)  # range check only
     P = transition_matrix(ell)
     two_ell = 2.0 * ell
@@ -286,9 +275,9 @@ def _lattice_structure(ell: float, rates: np.ndarray):
     (rates (-c, 0, 0, +c)) and the q = 1/2 - 2 ell family ((0, c, -c, 0)).
 
     Each residual is measured in the rounding of what it tests: a few
-    spacings of max(1, max |rate|), except rate A on q = 1/2 - 2 ell, where
-    J_A = 1/(4 ell) - q/(2 ell) cancels to 1 and keeps the rounding of
-    1/(4 ell), up to about 1.2 of its spacings."""
+    spacings of max(1, max |rate|), except rate A on q = 1/2 - 2 ell: that q
+    is rounded, so J_A = (1 - 2q)/(4 ell) misses 1 by up to half a spacing
+    of 1/(4 ell), 827 spacings of 1 at ell = 1.36e-5."""
     a, b, c, d = (float(v) for v in rates)
     tol = _LATTICE_ULPS * np.spacing(max(1.0, abs(a), abs(b), abs(c), abs(d)))
     if abs(b) <= tol and abs(c) <= tol and abs(a + d) <= tol:
@@ -517,12 +506,12 @@ def contraction_sum_distribution(ell: float, q: float, n: int) -> ContractionDis
     A generic law is built on every call: at n = 2000 it is 3,002,002 atoms
     (48 MB) with a peak near 384 MB, too large to hold.
     """
-    _validate_ell(ell)
+    params = MapParams(ell=ell, q=q)
     if n < 1:
         raise DomainError("n must be >= 1")
     if n > MAX_N:
         raise CapacityError(f"n={n} exceeds the limit {MAX_N}")
-    rates = contraction_rates(MapParams(ell=ell, q=q))
+    rates = contraction_rates(params)
     if np.max(np.abs(rates)) == 0.0:
         return ContractionDistribution(n=n, sums=np.zeros(1), log_probs=np.zeros(1))
     if _lattice_structure(ell, rates) is not None:

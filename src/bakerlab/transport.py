@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError
 from .ensemble import SimConfig, lag_products
-from .mapcore import MapParams
+from .mapcore import MapParams, _ell_claim
 from .markov import chain_autocovariance, coarse_measure
 
 __all__ = [
@@ -47,23 +47,30 @@ _MAX_K = 1_000_000
 
 def mean_current(ell: float) -> float:
     """Stationary mean of the current: (1-4 ell)/(1+4 ell) = mu_B - mu_C."""
-    if not 0.0 < ell <= 0.25:
-        raise DomainError(f"ell must lie in (0, 1/4], got {ell}")
+    MapParams(ell)  # range check only
     return (1.0 - 4.0 * ell) / (1.0 + 4.0 * ell)
 
 
 def bias_of_ell(ell: float) -> float:
     """Effective driving strength b = 2 - 1/(1 - 2 ell); zero at ell = 1/4."""
-    if not 0.0 < ell <= 0.25:
-        raise DomainError(f"ell must lie in (0, 1/4], got {ell}")
+    MapParams(ell)  # range check only
     return 2.0 - 1.0 / (1.0 - 2.0 * ell)
 
 
 def ell_of_bias(b: float) -> float:
-    """Inverse of ``bias_of_ell``; valid for b in [0, 1)."""
-    if not 0.0 <= b < 1.0:
-        raise DomainError(f"bias must lie in [0, 1), got {b}")
+    """Inverse of ``bias_of_ell``, for b whose ell lies in the map's domain."""
+    if (claim := _bias_claim(b)) is not None:
+        raise DomainError(f"bias {claim}, got {b}")
     return 0.5 * (1.0 - 1.0 / (2.0 - b))
+
+
+def _bias_claim(b: float) -> str | None:
+    """Why the bias b has no ell in the map's domain, or None; b = 1 - 2**-53 rounds its ell to 0."""
+    if not 0.0 <= b < 1.0:
+        return "must lie in [0, 1)"
+    if _ell_claim(0.5 * (1.0 - 1.0 / (2.0 - b))) is not None:
+        return "must be small enough for its ell, (1 - 1/(2 - bias))/2, to be positive"
+    return None
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -237,6 +237,27 @@ class TestSurface:
         assert "WARNING" not in capsys.readouterr().out
 
 
+class TestPointNextToOneHalf:
+    """(0.0103, 0.49999999999999994) lies in the map's domain: its J_A is
+    2.7e-15, once computed as exactly 0 and refused."""
+
+    ELL, Q = "0.0103", "0.49999999999999994"
+
+    def test_db_runs(self, tmp_path, capsys):
+        assert run(["db", "--ell", self.ELL, "--q", self.Q, "--out", str(tmp_path / "db")]) == 0
+        assert "max mismatch = 0;" in capsys.readouterr().out
+
+    def test_one_cell_surface_runs(self, tmp_path):
+        out = tmp_path / "s"
+        assert run(["surface", "--ell-min", self.ELL, "--ell-max", self.ELL, "--ell-steps", "1",
+                    "--q-min", self.Q, "--q-max", self.Q, "--q-steps", "1", "--out", str(out)]) == 0
+        row = (out / "surface.csv").read_text().splitlines()[1]
+        assert float(row.split(",")[2]) == mean_contraction_rate(float(self.ELL), float(self.Q))
+
+    def test_exact_fr_runs(self, tmp_path):
+        assert run(["fr", "--source", "exact", "--ell", self.ELL, "--q", self.Q, "--out", str(tmp_path / "fr")]) == 0
+
+
 class TestFR:
     def test_exact_source(self, tmp_path, capsys):
         out = tmp_path / "fr"
@@ -806,11 +827,17 @@ class TestBadInput:
         (["transport", "--sweep", "0.1", "--seed", "18446744073709551616"],
          "--seed must be <= 18446744073709551615, got 18446744073709551616"),
         (["density", "--burn-in", "-1"], "--burn-in must be >= 0, got -1"),
-        # an ell in (0, 1/4] whose 1/(4 ell) overflows
-        (["fr", "--source", "exact", "--ell", "5e-324", "--q", "0.1"], "--ell must be large enough for 1/(4 ell) to be finite, got 5e-324"),
-        (["density", "--ell", "5e-324", "--q", "0.1"], "--ell must be large enough for 1/(4 ell) to be finite, got 5e-324"),
-        (["db", "--ell", "1e-309"], "--ell must be large enough for 1/(4 ell) to be finite, got 1e-309"),
-        (["surface", "--ell-min", "5e-324"], "--ell-min must be large enough for 1/(4 ell) to be finite, got 5e-324"),
+        # an ell in (0, 1/4] whose branch slope 1/(2 ell) overflows
+        (["fr", "--source", "exact", "--ell", "5e-324", "--q", "0.1"], "--ell must be large enough for 1/(2 ell) to be finite, got 5e-324"),
+        (["density", "--ell", "5e-324", "--q", "0.1"], "--ell must be large enough for 1/(2 ell) to be finite, got 5e-324"),
+        (["db", "--ell", "1e-309"], "--ell must be large enough for 1/(2 ell) to be finite, got 1e-309"),
+        (["surface", "--ell-min", "5e-324"], "--ell-min must be large enough for 1/(2 ell) to be finite, got 5e-324"),
+        (["density", "--ell", "2e-309"], "--ell must be large enough for 1/(2 ell) to be finite, got 2e-309"),
+        (["surface", "--ell-max", "2.7813423231340017e-309"],
+         "--ell-max must be large enough for 1/(2 ell) to be finite, got 2.781342323134e-309"),
+        # a bias whose ell, (1 - 1/(2 - b))/2, rounds to 0
+        (["transport", "--sweep", "0.1,0.9999999999999999", "--n-ens", "1000", "--n-iter", "10"],
+         "--sweep must be small enough for its ell, (1 - 1/(2 - bias))/2, to be positive, got 0.9999999999999999"),
         # every command's ell and q against the valid box 0 < ell <= 1/4, 0 <= q < 1/2, before a map is built
         (["fr", "--q", "0.5"], "--q must lie in [0, 1/2), got 0.5"),
         (["db", "--q", "0.5"], "--q must lie in [0, 1/2), got 0.5"),

@@ -295,6 +295,19 @@ class TestEmpiricalDensity:
         stat, dof, pvalue = uniformity_chi_square(hist.counts.reshape(-1))
         assert pvalue > 0.001
 
+    # ROADMAP item 1: one ulp below 1/4 the branch slopes are 2 to within an
+    # ulp, as at 1/4, but only ell == 1/4 is dithered, so the float orbits
+    # collapse onto the fixed point x = 1/2 (99.7% of x in one of ten bins);
+    # at 1/4, dithered, the x-law stays uniform (at most 10.5% in a bin)
+    @pytest.mark.parametrize(
+        "ell",
+        [pytest.param(0.24999999999999997, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")), 0.25],
+    )
+    def test_no_x_bin_holds_a_fifth_of_the_states(self, ell):
+        cfg = SimConfig(params=MapParams(ell, 0.0), n_ens=2000, n_iter=10, burn_in=400)
+        hist = empirical_density(cfg, nx=10, ny=10)
+        assert hist.x_marginal().max() <= 0.2 * hist.n_samples
+
     @pytest.mark.parametrize("bins", [2, 10, 60, 100])
     def test_uniformity_pvalue_is_chi2_survival(self, bins):
         counts = np.random.default_rng(bins).poisson(50, size=bins)

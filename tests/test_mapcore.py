@@ -1,6 +1,9 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bakerlab import ensemble, mapcore
@@ -55,14 +58,59 @@ class TestParams:
         with pytest.raises(DomainError):
             MapParams(ell=ell)
 
-    @pytest.mark.parametrize("ell, q", [(5e-324, 0.1), (5e-324, 0.0), (1e-309, 0.1), (1.3e-309, 0.0)])
-    def test_ell_whose_jacobian_is_not_finite_is_refused(self, ell, q):
-        # in (0, 1/4], but 1/(4 ell) overflows, so J_A is inf or nan
-        with pytest.raises(DomainError, match=r"1/\(4 ell\) to be finite"):
-            MapParams(ell=ell, q=q)
+    @pytest.mark.parametrize(
+        "ell, q",
+        [(5e-324, 0.1), (5e-324, 0.0), (1e-309, 0.1), (1.3e-309, 0.0), (2e-309, 0.1), (2.7813423231340017e-309, 0.0),
+         (np.float64(2e-309), 0.0)],
+    )
+    def test_ell_whose_branch_slope_is_not_finite_is_refused(self, ell, q):
+        # in (0, 1/4], but the slope 1/(2 ell) of branch A overflows; a
+        # numpy-scalar ell is refused without an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=rf"^ell must be large enough for 1/\(2 ell\) to be finite, got {ell}$"):
+                MapParams(ell=ell, q=q)
 
-    def test_smallest_ell_with_finite_jacobians_is_accepted(self):
-        assert np.isfinite(jacobians(MapParams(ell=1.4e-309))).all()
+    @pytest.mark.parametrize("ell", [2.79e-309, np.float64(2.79e-309)])
+    def test_smallest_ell_with_finite_branch_slopes_is_accepted(self, ell):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = MapParams(ell=ell, q=np.nextafter(0.5, 0.0))
+            assert np.isfinite(branch_coefficients(p)).all()
+            assert np.isfinite(jacobians(p)).all() and jacobians(p).min() > 0.0
+
+    def test_j_a_keeps_its_value_where_q_nears_one_half(self):
+        # 1/(4 ell) - q/(2 ell) cancelled to exactly 0 here, and MapParams
+        # refused a point of its own documented box
+        ell, q = 0.0103, 0.49999999999999994
+        exact = (1 - 2 * Fraction(q)) / (4 * Fraction(ell))
+        assert float(exact) == pytest.approx(2.7e-15, rel=0.01)
+        assert jacobians(MapParams(ell, q))[Region.A] == float(exact)
+
+    # the smallest ell whose 1/(2 ell) rounds to a finite float lies just
+    # above 1/(2 (2**1024 - 2**970)), where the quotient ties and rounds to inf
+    _FLOOR = Fraction(1, 2 * (2**1024 - 2**970))
+
+    @given(
+        ell=st.one_of(st.floats(), st.floats(0.0, 0.25), st.floats(2.7e-309, 2.9e-309)),
+        q=st.one_of(st.floats(), st.floats(0.0, 0.5)),
+    )
+    @example(ell=0.25, q=float(np.nextafter(0.5, 0.0)))
+    @example(ell=2.7813423231340017e-309, q=0.0)
+    @example(ell=float(np.nextafter(2.7813423231340017e-309, 1.0)), q=0.0)
+    @example(ell=0.0103, q=0.49999999999999994)
+    @example(ell=float(np.nextafter(0.25, 1.0)), q=0.5)
+    def test_accepts_exactly_the_domain_with_finite_positive_jacobians(self, ell, q):
+        ell_ok = 0.0 < ell <= 0.25 and Fraction(ell) > self._FLOOR
+        q_ok = 0.0 <= q < 0.5
+        if not (ell_ok and q_ok):
+            with pytest.raises(DomainError, match="^ell " if not ell_ok else "^q "):
+                MapParams(ell, q)
+            return
+        p = MapParams(ell, q)
+        jac = jacobians(p)
+        assert np.isfinite(jac).all() and jac.min() > 0.0
+        assert np.isfinite(branch_coefficients(p)).all()
 
     def test_q_half_collapses_region_a(self):
         with pytest.raises(DomainError, match=r"q must lie in \[0, 1/2\), got 0.5"):

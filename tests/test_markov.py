@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -50,6 +51,25 @@ class TestTransferMatrix:
     def test_range(self):
         with pytest.raises(DomainError):
             transfer_matrix(0.3)
+
+
+class TestDomain:
+    """The single-ell functions refuse what ``MapParams`` refuses, in its
+    words, and the point whose J_A once cancelled to 0 runs."""
+
+    @pytest.mark.parametrize("fn", [transfer_matrix, stationary_density, transition_matrix, coarse_measure])
+    @pytest.mark.parametrize(
+        "ell, claim", [(0.3, "must lie in (0, 1/4]"), (2e-309, "must be large enough for 1/(2 ell) to be finite")]
+    )
+    def test_single_ell_functions_refuse_off_the_domain(self, fn, ell, claim):
+        with pytest.raises(DomainError, match=re.escape(f"ell {claim}, got {ell}")):
+            fn(ell)
+
+    def test_point_next_to_one_half_runs(self):
+        ell, q = 0.0103, 0.49999999999999994
+        assert db_report(ell, q, ReversalScheme.Q4).max_mismatch == 0.0
+        assert np.isfinite(mean_contraction_rate(ell, q))
+        assert abs(contraction_sum_distribution(ell, q, 20).probs.sum() - 1.0) <= 1e-12
 
 
 class TestStationaryDensity:
@@ -172,6 +192,8 @@ class TestMeanContractionRateGrid:
             ([0.1, np.nan], [0.1]),
             ([0.25], [-0.1, 0.5]),
             ([0.1, 5e-324], [0.0, 0.1]),
+            ([0.1, 2e-309], [0.0, 0.1]),
+            ([2e-309, 0.1], [0.5, 0.1]),
         ],
     )
     def test_first_invalid_cell_raises_its_error(self, ells, qs):
@@ -324,9 +346,10 @@ class TestContractionSumDistribution:
         assert abs(dist.probs.sum() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("q", [0.0, 0.1])
-    def test_ell_whose_jacobian_is_not_finite_is_refused(self, q):
-        with pytest.raises(DomainError, match=r"1/\(4 ell\) to be finite"):
-            contraction_sum_distribution(5e-324, q, 20)
+    def test_ell_whose_branch_slope_is_not_finite_is_refused(self, q):
+        for ell in (5e-324, 2e-309):
+            with pytest.raises(DomainError, match=r"1/\(2 ell\) to be finite"):
+                contraction_sum_distribution(ell, q, 20)
 
     @pytest.mark.parametrize("ell,q", [(1e-300, 0.0), (1e-6, 0.5 - 2e-6), (0.15, 0.2)])
     def test_smallest_ells_keep_unit_mass(self, ell, q):
@@ -512,14 +535,15 @@ class TestLatticeStructure:
         return [_lattice_structure(ell, contraction_rates(MapParams(ell, q_of(ell)))) for ell in ells]
 
     def test_biased_family_is_a_lattice_on_a_dense_grid(self):
-        # J_A = 1/(4 ell) - q/(2 ell) cancels to 1 here and keeps the
-        # rounding of 1/(4 ell): 3.6e-12 at ell = 1.36e-5
+        # q = 1/2 - 2 ell is rounded, so J_A = (1 - 2q)/(4 ell) misses 1 by
+        # up to half a spacing of 1/(4 ell): rate A is 1.8e-13, 827 spacings
+        # of 1, at ell = 1.36e-5
         ells = [*np.geomspace(1e-12, 0.25, 4001)[:-1].tolist(), 1.36e-5]
         found = self._families(ells, lambda ell: 0.5 - 2.0 * ell)
         assert [ell for ell, f in zip(ells, found) if f is None or f[0].tolist() != [0, 1, -1, 0]] == []
 
     def test_equilibrium_line_is_a_lattice_on_a_dense_grid(self):
-        ells = np.geomspace(1.4e-309, 0.25, 4001).tolist()
+        ells = np.geomspace(2.79e-309, 0.25, 4001).tolist()
         found = self._families(ells, lambda ell: 0.0)
         assert [ell for ell, f in zip(ells, found) if f is None or f[0].tolist() != [-1, 0, 0, 1]] == []
 

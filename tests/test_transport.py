@@ -65,6 +65,19 @@ class TestBias:
         with pytest.raises(DomainError):
             bias_of_ell(0.3)
 
+    @pytest.mark.parametrize("fn", [mean_current, bias_of_ell])
+    def test_ell_below_the_floor_is_refused_as_the_map_refuses_it(self, fn):
+        with pytest.raises(DomainError, match=r"^ell must be large enough for 1/\(2 ell\) to be finite, got 2e-309$"):
+            fn(2e-309)
+
+    def test_bias_whose_ell_rounds_to_zero_is_refused_naming_the_bias(self):
+        # 2 - b rounds to 1 at the largest bias below 1, so ell would be 0
+        with pytest.raises(DomainError, match=r"^bias must be small enough for its ell, .* got 0.9999999999999999$"):
+            ell_of_bias(0.9999999999999999)
+        assert ell_of_bias(0.9999999999999998) == 2.0**-53
+        ((b, result),) = bias_sweep([0.9999999999999998], GKConfig(params=MapParams(0.25), n_ens=100, n_iter=2))
+        assert b == 0.9999999999999998 and np.isfinite(result.value)
+
 
 class TestExactTransport:
     def test_more_than_a_million_lags_are_refused_before_any_sum(self, monkeypatch):
