@@ -28,12 +28,11 @@ from .mapcore import (
     MapVariant,
     Region,
     ReversalScheme,
-    _ell_claim,
-    _q_claim,
     check_reversibility,
     region_reverse,
     time_reversal_arrays,
 )
+from . import mapcore as mc
 from . import markov as mk
 from . import ensemble as es
 from . import fluctuation as fl
@@ -94,8 +93,8 @@ def _resolve(args: argparse.Namespace) -> dict:
             value = from_file if value is None else value
         resolved[name] = default if value is None else value
     # the map's domain, before any grid or map is built
-    _require(resolved, _ell_claim, "ell", "ell_min", "ell_max")
-    _require(resolved, _q_claim, "q", "q_min", "q_max")
+    _require(resolved, mc._ell_claim, "ell", "ell_min", "ell_max")
+    _require(resolved, mc._q_claim, "q", "q_min", "q_max")
     return resolved
 
 
@@ -135,10 +134,10 @@ def _params_from(resolved: dict) -> tuple[MapParams, dict]:
     irreversible variant reads it."""
     if resolved["variant"] is not MapVariant.IRREVERSIBLE:
         resolved = _refuse_set(resolved, _STRIP, tuple(_STRIP), "--variant reversible")
-    else:  # the strip [x, x + eps] must lie in [0, 1]; x defaults to ell
-        x = resolved["ell"] if resolved["strip_x"] is None else resolved["strip_x"]
-        _require(resolved, lambda v: None if 0.0 <= v < 1.0 else "must lie in [0, 1)", "strip_x")
-        _require(resolved, lambda v: None if v >= 0.0 and x + v <= 1.0 else f"must lie in [0, 1 - {x}]", "strip_eps")
+    else:  # the strip's default and bounds are mapcore's; a default width is checked too
+        x, eps = mc._strip_of(resolved["ell"], resolved["strip_x"], resolved["strip_eps"])
+        _require(resolved, mc._strip_x_claim, "strip_x")
+        _require({"strip_eps": eps}, lambda v: mc._strip_eps_claim(v, x), "strip_eps")
     return MapParams(resolved["ell"], resolved["q"], resolved.get("strip_x"), resolved.get("strip_eps")), resolved
 
 
@@ -157,9 +156,10 @@ def _ensemble_config(kind: type, params: MapParams, resolved: dict, **fields) ->
 _STATIONARY_X = "whose x starts in its stationary law"
 
 
-def _xonly_start(workers: int) -> dict:
-    """The manifest ``start`` of an x-only run on ``workers`` processes."""
-    return {"x": "stationary", "burn_in_steps": 0, "workers": workers}
+def _xonly_start(n_ens: int, *params: MapParams) -> dict:
+    """The manifest ``start`` of an x-only run over ``n_ens`` members, dithered if it is at any of ``params``."""
+    dither = any(es._needs_dither(p) for p in params)
+    return {"x": "stationary", "burn_in_steps": 0, "workers": es.worker_count(n_ens), "dither": dither}
 
 
 # the largest value of each integer option that the library caps; the seed
@@ -315,7 +315,7 @@ def _cmd_density(resolved) -> _Run:
         },
         f"{hist.n_samples} samples",
         read,
-        _xonly_start(es.worker_count(config.n_ens)) | {"y": "uniform", "burn_in_steps": config.burn_in},
+        _xonly_start(config.n_ens, params) | {"y": "uniform", "burn_in_steps": config.burn_in},
     )
 
 
@@ -395,6 +395,9 @@ def _fr_family(command: str, resolved: dict) -> tuple[fl.PiHistogram, fl.RateFun
     # the exact law is capped at n = MAX_N; the ensemble's segments are not
     caps = dict(_COUNT_MAX, n=mk.MAX_N) if resolved["source"] == "exact" else _COUNT_MAX
     _require_counts(resolved, caps, n=1, min_count=1)
+    ell, q = resolved["ell"], resolved["q"]
+    if (claim := fl._mean_rate_claim(mk.mean_contraction_rate(ell, q))) is not None:  # before any law or ensemble
+        raise DomainError(f"--q {q} at --ell {ell}: the {claim}; choose a larger --q")
     fr_cfg = fl.FRConfig(
         n=resolved["n"],
         p_grid=_p_grid(resolved["p_max"], resolved["delta"]),
@@ -418,7 +421,7 @@ def _fr_family(command: str, resolved: dict) -> tuple[fl.PiHistogram, fl.RateFun
             )
         params, read = _params_from(read)
         source = _ensemble_config(es.SimConfig, params, read, burn_in=0)
-        start = _xonly_start(es.worker_count(source.n_ens))
+        start = _xonly_start(source.n_ens, params)
     pi = fl.estimate_pi(fr_cfg, source)
     rf = fl.rate_function(pi)
     zeta = ((p, z) for p, z in zip(rf.p, rf.zeta) if np.isfinite(z))
@@ -521,12 +524,12 @@ def _cmd_transport(resolved) -> _Run:
             {"sweep.csv": lambda path: _write_csv(path, "F_e,L,stderr", "%.17g,%.17g,%.17g", table)},
             f"swept {len(rows)} bias values",
             read,
-            _xonly_start(es.worker_count(base.n_ens)),
+            _xonly_start(base.n_ens, *(MapParams(tp.ell_of_bias(b)) for b in biases)),
             f"{bad} sweep entries failed the convergence check" if bad else None,
         )
 
     q = 0.5 - 2.0 * resolved["ell"] if resolved["q"] is None else resolved["q"]
-    if _q_claim(q) is not None:  # the default q = 1/2 - 2 ell rounds to 1/2 for ell <= 2**-56
+    if mc._q_claim(q) is not None:  # the default q = 1/2 - 2 ell rounds to 1/2 for ell <= 2**-56
         raise DomainError(f"--ell must be large enough for the default --q, 1/2 - 2 ell, to lie below 1/2, "
                           f"got {resolved['ell']}")
     params, read = _params_from(dict(read, q=q))
@@ -550,7 +553,7 @@ def _cmd_transport(resolved) -> _Run:
         },
         f"L={result.value:.6f} +- {result.stderr:.6f} (exact chain: {exact.value:.6f})",
         dict(read, q=resolved["q"]),  # the option as given; None means 1/2 - 2 ell
-        _xonly_start(es.worker_count(cfg.n_ens)),
+        _xonly_start(cfg.n_ens, params),
         None if result.converged else "partial sums did not converge",
     )
 

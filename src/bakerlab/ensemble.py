@@ -23,7 +23,8 @@ CPU count and the chunk size.
 
 Because the x-coordinate update never reads y, x-projected reductions are
 bitwise identical between the reversible and irreversible variants at equal
-seed, and internal fast paths may skip the y update entirely.
+seed, and the x-only reductions skip the y update (``mapcore._advance``, the
+one step, with y None).
 
 Every run starts x in its exact stationary law, the piecewise-constant
 density (2, 8 ell)/(1 + 4 ell) on the two halves, by the inverse CDF of the
@@ -51,8 +52,8 @@ from .mapcore import (
     contraction_rates,
     region_indices,
     region_reverse,
-    step_arrays,
-    _affine_clip,
+    _advance,
+    _coefficient_table,
 )
 
 __all__ = [
@@ -72,9 +73,9 @@ _MAX_ENSEMBLE = 50_000_000
 # than the second core saves (crossover sweep in CHANGES.md)
 _MIN_SPLIT_MEMBERS = 10_000
 # most members a worker evolves at once, the one cache-sized cut of the
-# state: a with-y step touches about 72 bytes a member (x, y, their images,
-# a 32-byte coefficient row and the gather's index), about 1.2 MB a chunk,
-# within one core's 2 MiB L2 (sweep in CHANGES.md)
+# state: a with-y step touches about 50 bytes a member (x, y, a 32-byte
+# coefficient row, the gather's index and the flip's mask), about 0.8 MB a
+# chunk, within one core's 2 MiB L2 (sweep in CHANGES.md)
 _CHUNK = 16_384
 # widest 2-d histogram accepted (2000 x 2000): each worker's counts take 8
 # bytes a cell, 32 MB at the cap, and each process holds them once
@@ -183,13 +184,13 @@ def _run(config: SimConfig, with_y: bool, members: tuple[int, int], phi: np.ndar
     Discards ``burn_in`` states, then yields ``(x, y, r, rows)`` at each of
     the ``n_iter`` kept states, taking ``burn_in + n_iter - 1`` steps in
     all, and none when ``n_iter`` is 0.  Each step is taken when the
-    consumer asks for the next state.  With ``with_y``, ``step_arrays``
-    looks the regions up inside each step, and r and rows are None.
-    Without it, y is None, and each state's int8 regions r are looked up
-    once, after the dither; one gather of ``_x_table(params, phi)`` at r
-    writes ``rows``, whose first two columns the next step then applies to
-    x in place.  Each call takes all b - a members, which ``_split`` keeps
-    to at most ``_CHUNK``.
+    consumer asks for the next state.  Each state's int8 regions r are
+    looked up once, after the dither, and one gather at r writes the
+    (b - a, 4) ``rows``: of ``_coefficient_table(params)`` with ``with_y``,
+    else of ``_x_table(params, phi)``, and y is None.  The next step is
+    ``mapcore._advance`` on those rows, which steps x, and y, in place.
+    Each call takes all b - a members, which ``_split`` keeps to at most
+    ``_CHUNK``.
 
     Every yielded array is valid until the consumer asks for the next
     state; a consumer that keeps one copies it.
@@ -206,22 +207,17 @@ def _run(config: SimConfig, with_y: bool, members: tuple[int, int], phi: np.ndar
     dither = _needs_dither(params)
     if dither:
         kx, ky = (np.array([config.seed, sub], dtype=np.uint64) for sub in (_DITHER_SUBKEY_X, _DITHER_SUBKEY_Y))
-    table = r = rows = None
-    if not with_y:
-        table, rows = _x_table(params, phi), np.empty((b - a, 4))
+    table = _coefficient_table(params) if with_y else _x_table(params, phi)
+    rows = np.empty((b - a, 4))
     for k in range(config.burn_in + config.n_iter):
         if k > 0:  # step k - 1 leads to state k
-            if with_y:
-                x, y = step_arrays(x, y, params, config.variant)
-            else:
-                _affine_clip(rows[:, 0], x, rows[:, 1], x)
+            _advance(rows, x, y, params, config.variant)
             if dither:
                 _dither(x, _philox(kx, (k - 1) * n + a))
                 if with_y:
                     _dither(y, _philox(ky, (k - 1) * n + a))
-        if not with_y:
-            r = region_indices(x, params.ell)
-            table.take(r.view(np.uint8), axis=0, mode="clip", out=rows)
+        r = region_indices(x, params.ell)
+        table.take(r.view(np.uint8), axis=0, mode="clip", out=rows)
         if k >= config.burn_in:
             yield x, y, r, rows
 

@@ -152,6 +152,13 @@ class PiHistogram:
         return self.log_mass > -np.inf
 
 
+def _mean_rate_claim(mean_rate: float) -> str | None:
+    """Why the stationary mean rate cannot normalize e_n, or None: on the q = 0 line it is 0 up to rounding
+    (e.g. -3e-19), and dividing by it would bin noise."""
+    small = abs(mean_rate) < 1e-15
+    return "mean contraction rate is 0 (equilibrium), so the normalized statistic e_n is undefined" if small else None
+
+
 def estimate_pi(config: FRConfig, source: SimConfig | ContractionDistribution) -> PiHistogram:
     """Cell masses of e_n, the time average over the stationary mean rate
     (rejected at equilibrium, where that mean is 0).
@@ -170,13 +177,8 @@ def estimate_pi(config: FRConfig, source: SimConfig | ContractionDistribution) -
         mean_rate = mean_contraction_rate(source.params.ell, source.params.q)
     else:
         raise DomainError(f"unsupported source type {type(source).__name__}")
-    # one equilibrium test for both sources: on the q = 0 line the mean is 0
-    # up to rounding (e.g. -3e-19), and dividing by it would bin noise
-    if abs(mean_rate) < 1e-15:
-        raise NormalizationError(
-            "mean contraction rate is 0 (equilibrium), so the normalized "
-            "statistic e_n is undefined; choose q > 0"
-        )
+    if (claim := _mean_rate_claim(mean_rate)) is not None:
+        raise NormalizationError(f"{claim}; choose q > 0")
 
     if exact:
         idx = _bin_values(source.sums / (config.n * mean_rate), config.p_grid, config.delta)

@@ -19,10 +19,9 @@ without touching any x-projected statistic.
 All functions here are pure and stateless and operate on numpy vectors;
 none draws random numbers (``check_reversibility`` takes its points from
 its caller).
-The step kernel ``step_arrays`` works on the whole arrays it is given (the
-ensemble hands it cache-sized chunks): it looks up the regions, fetches
-every branch coefficient with one gather from a cached table, and writes
-the affine update, the clip and the flip in place into the new arrays.
+The one step, ``_advance``, writes the affine update, the clip and the flip
+in place from one gathered row of coefficients per member: the ensemble
+gathers its rows once a state, and ``step_arrays`` is that step on new arrays.
 """
 
 from __future__ import annotations
@@ -94,6 +93,21 @@ def _q_claim(q: float) -> str | None:
     return None if 0.0 <= q < 0.5 else "must lie in [0, 1/2)"
 
 
+def _strip_of(ell: float, strip_x: float | None, strip_eps: float | None) -> tuple[float, float]:
+    """The flip strip's (x, eps), each None at its default: [ell, 1/2], the B slab."""
+    return (ell if strip_x is None else strip_x), (0.5 - ell if strip_eps is None else strip_eps)
+
+
+def _strip_x_claim(strip_x: float) -> str | None:
+    """Why the strip's left edge is off [0, 1) (NaN is), or None."""
+    return None if 0.0 <= strip_x < 1.0 else "must lie in [0, 1)"
+
+
+def _strip_eps_claim(strip_eps: float, strip_x: float) -> str | None:
+    """Why the width ``strip_eps`` puts the strip [x, x + eps] outside [0, 1] (NaN does), or None."""
+    return None if strip_eps >= 0.0 and strip_x + strip_eps <= 1.0 else f"must lie in [0, 1 - {strip_x}]"
+
+
 @dataclass(frozen=True)
 class MapParams:
     """Parameters of one map instance.
@@ -102,7 +116,7 @@ class MapParams:
     with 1/(2 ell) finite and 0 <= q < 1/2 (q = 0 is the equilibrium line).  There
     every branch coefficient is finite and every Jacobian positive: J_A = (1 - 2q)/(4 ell)
     >= 1 - 2q >= 2**-53, J_B = 1 - q/(1 - 2 ell) >= 2**-53 as 1 - 2 ell >= 1/2 > q,
-    J_C >= 1 and J_D = 4 ell + 2q > 0.  The flip strip [strip_x, strip_x + strip_eps] defaults to [ell, 1/2].
+    J_C >= 1 and J_D = 4 ell + 2q > 0.  The flip strip, its default and bounds stated by ``_strip_*``, is in [0, 1].
     """
 
     ell: float
@@ -111,20 +125,13 @@ class MapParams:
     strip_eps: float | None = None
 
     def __post_init__(self):
-        for name, claim in (("ell", _ell_claim(self.ell)), ("q", _q_claim(self.q))):
+        x, eps = _strip_of(self.ell, self.strip_x, self.strip_eps)
+        object.__setattr__(self, "strip_x", x)
+        object.__setattr__(self, "strip_eps", eps)
+        claims = ("ell", _ell_claim(self.ell)), ("q", _q_claim(self.q))
+        for name, claim in (*claims, ("strip_x", _strip_x_claim(x)), ("strip_eps", _strip_eps_claim(eps, x))):
             if claim is not None:
                 raise DomainError(f"{name} {claim}, got {getattr(self, name)}")
-        if self.strip_x is None:
-            object.__setattr__(self, "strip_x", self.ell)
-        if self.strip_eps is None:
-            object.__setattr__(self, "strip_eps", 0.5 - self.ell)
-        if not 0.0 <= self.strip_x < 1.0:
-            raise DomainError(f"strip_x must lie in [0, 1), got {self.strip_x}")
-        if not (self.strip_eps >= 0.0 and self.strip_x + self.strip_eps <= 1.0):  # NaN fails too
-            raise DomainError(
-                f"strip [{self.strip_x}, {self.strip_x + self.strip_eps}] "
-                "must be contained in [0, 1]"
-            )
 
 
 @dataclass(frozen=True)
@@ -202,44 +209,35 @@ def contraction_rates(params: MapParams) -> np.ndarray:
     return -np.log(jacobians(params))
 
 
-def step_arrays(
-    x: np.ndarray,
-    y: np.ndarray,
-    params: MapParams,
-    variant: MapVariant = MapVariant.REVERSIBLE,
-):
+def step_arrays(x: np.ndarray, y: np.ndarray, params: MapParams, variant: MapVariant = MapVariant.REVERSIBLE):
     """One iteration of the selected dynamics.
 
-    Returns ``(x_new, y_new)``.  The irreversible variant then flips
-    y -> 1 - y where the new point lies in the strip with y < 1/2; x is
-    untouched and a zero-width strip flips nothing.
-
-    The arithmetic is exactly ``clip(a[r] * v + b[r], 0, 1)`` per
-    coordinate, then the flip, written in place into the new arrays; one
-    gather per member fetches the coefficients of its region r.
+    Returns ``(x_new, y_new)``, new float64 arrays; the inputs are not
+    touched.  The irreversible variant then flips y -> 1 - y where the new
+    point lies in the strip with y < 1/2; x is untouched and a zero-width
+    strip flips nothing.  One gather fetches each member's coefficients.
     """
     n = len(x)
-    xn = np.empty(n)
-    r = region_indices(x, params.ell)
-    yn = np.empty(n)
-    c = np.take(_coefficient_table(params), r.view(np.uint8), axis=0, mode="clip", out=np.empty((n, 4)))
-    _affine_clip(c[:, 0], x, c[:, 1], xn)
-    _affine_clip(c[:, 2], y, c[:, 3], yn)
-    if variant is MapVariant.IRREVERSIBLE and params.strip_eps > 0.0:
-        # after the clip y lies in [0, 1] and is never -0.0 (by >= +0), so
-        # |f - y| is 1 - y where the flip holds (f = 1) and y itself
-        # elsewhere, bit for bit, with no masked loop
-        np.subtract(_in_strip(xn, yn, params), yn, out=yn)
-        np.absolute(yn, out=yn)
+    xn, yn, rows = np.empty(n), np.empty(n), np.empty((n, 4))
+    _coefficient_table(params).take(region_indices(x, params.ell).view(np.uint8), axis=0, mode="clip", out=rows)
+    xn[:], yn[:] = x, y
+    _advance(rows, xn, yn, params, variant)
     return xn, yn
 
 
-def _affine_clip(a: np.ndarray, v: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``clip(a * v + b, 0, 1)`` written into ``out``, rounded as that
-    expression is."""
-    np.multiply(a, v, out=out)
-    out += b
-    return out.clip(0.0, 1.0, out=out)  # np.clip's wrapper adds about 1.3 us a call
+def _advance(rows: np.ndarray, x: np.ndarray, y: np.ndarray | None, params: MapParams, variant: MapVariant) -> None:
+    """Step x, and y unless it is None, in place to exactly clip(a v + b, 0, 1) with (a, b) = row
+    columns (0, 1) for x and (2, 3) for y, then the irreversible flip: the step's one arithmetic."""
+    for v, col in ((x, 0), (y, 2)) if y is not None else ((x, 0),):
+        np.multiply(rows[:, col], v, out=v)
+        v += rows[:, col + 1]
+        v.clip(0.0, 1.0, out=v)  # np.clip's wrapper adds about 1.3 us a call
+    if y is not None and variant is MapVariant.IRREVERSIBLE and params.strip_eps > 0.0:
+        # after the clip y lies in [0, 1] and is never -0.0 (by >= +0), so
+        # |f - y| is 1 - y where the flip holds (f = 1) and y itself
+        # elsewhere, bit for bit, with no masked loop
+        np.subtract(_in_strip(x, y, params), y, out=y)
+        np.absolute(y, out=y)
 
 
 def _in_strip(x: np.ndarray, y: np.ndarray, params: MapParams) -> np.ndarray:

@@ -45,7 +45,7 @@ class TestDensity:
         assert manifest["config"]["ell"] == 0.15
         assert set(manifest["artifacts"]) == {"histogram2d.csv", "marginals.csv"}
         assert manifest["start"] == {
-            "x": "stationary", "y": "uniform", "burn_in_steps": 200, "workers": worker_count(2000)
+            "x": "stationary", "y": "uniform", "burn_in_steps": 200, "workers": worker_count(2000), "dither": False
         }
 
     def test_histogram_csv_rows(self, tmp_path):
@@ -314,6 +314,25 @@ class TestFR:
         assert "mean contraction rate is 0 (equilibrium)" in capsys.readouterr().err
         assert not (out / "pi.csv").exists()
 
+    def test_refused_exact_run_builds_no_law(self, tmp_path, monkeypatch, capsys):
+        """At (0.15, 0) the lattice law would run ``markov._log_dp`` (the
+        control), yet the refusal comes first; the memo is emptied so that a
+        law kept from an earlier test cannot hide a call."""
+        calls = []
+        log_dp = bakerlab.markov._log_dp
+
+        def counting(*args):
+            calls.append(args)
+            return log_dp(*args)
+
+        bakerlab.markov._lattice_law.cache_clear()
+        monkeypatch.setattr(bakerlab.markov, "_log_dp", counting)
+        assert run(["fr", "--source", "exact", "--q", "0", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("fr: error: --q 0.0 at --ell 0.15: ")
+        assert calls == [] and not (tmp_path / "o").exists()
+        contraction_sum_distribution(0.15, 0.0, 200)
+        assert len(calls) == 1
+
 
 class TestDB:
     def test_equilibrium_q4(self, tmp_path, capsys):
@@ -381,21 +400,21 @@ class TestTransportCmd:
 
 
 class TestManifestStart:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["fr", "--source", "mc", "--n", "20", "--n-ens", "2000", "--n-iter", "400"],
-            ["transport", "--mode", "stationary", "--ell", "0.2", "--n-ens", "2000", "--n-iter", "20"],
-            ["transport", "--n-ens", "2000", "--n-iter", "20"],
-            ["transport", "--sweep", "0.1", "--n-ens", "2000", "--n-iter", "20"],
-        ],
-        ids=" ".join,
-    )
-    def test_x_only_runs_start_stationary_without_burn_in(self, tmp_path, argv):
+    X_ONLY_RUNS = [
+        (["fr", "--source", "mc", "--n", "20", "--n-ens", "2000", "--n-iter", "400"], False),
+        (["transport", "--mode", "stationary", "--ell", "0.2", "--n-ens", "2000", "--n-iter", "20"], False),
+        (["transport", "--n-ens", "2000", "--n-iter", "20"], True),  # ell = 1/4 is dithered
+        (["transport", "--sweep", "0.1", "--n-ens", "2000", "--n-iter", "20"], False),
+        # a sweep is dithered when any bias maps to ell = 1/4, as b = 0 does
+        (["transport", "--sweep", "0.1,0", "--n-ens", "2000", "--n-iter", "20"], True),
+    ]
+
+    @pytest.mark.parametrize("argv, dither", X_ONLY_RUNS, ids=[" ".join(argv) for argv, _ in X_ONLY_RUNS])
+    def test_x_only_runs_start_stationary_without_burn_in(self, tmp_path, argv, dither):
         out = tmp_path / "o"
         assert run(argv + ["--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["start"] == {"x": "stationary", "burn_in_steps": 0, "workers": worker_count(2000)}
+        assert manifest["start"] == {"x": "stationary", "burn_in_steps": 0, "workers": worker_count(2000), "dither": dither}
 
     def test_exact_source_records_no_start(self, tmp_path):
         out = tmp_path / "fr"
@@ -867,6 +886,20 @@ class TestBadInput:
          "--strip-eps must lie in [0, 1 - 0.15], got -1.0"),
         (["transport", "--mode", "stationary", "--ell", "0.2", "--variant", "irreversible", "--strip-x", "0.5",
           "--strip-eps", "0.6"], "--strip-eps must lie in [0, 1 - 0.5], got 0.6"),
+        (["density", "--variant", "irreversible", "--strip-eps", "nan"], "--strip-eps must lie in [0, 1 - 0.15], got nan"),
+        (["density", "--variant", "irreversible", "--strip-x", "nan"], "--strip-x must lie in [0, 1), got nan"),
+        # a --strip-x that leaves the default width, 1/2 - ell, past x = 1
+        (["density", "--variant", "irreversible", "--strip-x", "0.9"], "--strip-eps must lie in [0, 1 - 0.9], got 0.35"),
+        # a mean contraction rate within 1e-15 of 0 cannot normalize e_n, refused before any law or ensemble
+        (["fr", "--source", "exact", "--q", "0"],
+         "--q 0.0 at --ell 0.15: the mean contraction rate is 0 (equilibrium), so the normalized statistic e_n "
+         "is undefined; choose a larger --q"),
+        (["ratefunc", "--source", "mc", "--q", "0"],
+         "--q 0.0 at --ell 0.15: the mean contraction rate is 0 (equilibrium), so the normalized statistic e_n "
+         "is undefined; choose a larger --q"),
+        (["fr", "--source", "exact", "--ell", "0.25", "--q", "1e-17"],
+         "--q 1e-17 at --ell 0.25: the mean contraction rate is 0 (equilibrium), so the normalized statistic e_n "
+         "is undefined; choose a larger --q"),
     ]
 
     @pytest.mark.parametrize("argv, reason", GRID_ERRORS, ids=[" ".join(argv) for argv, _ in GRID_ERRORS])
@@ -976,7 +1009,7 @@ class TestWorkers:
         argv, _ = self.RUNS[name]
         force_workers(2001, 2)
         parent = os.getpid()
-        kernel = {"density": "step_arrays", "transport": "region_indices"}[name]  # the with-y step, the x-only lookup
+        kernel = {"density": "_advance", "transport": "region_indices"}[name]  # the step of both modes, the lookup
         step = getattr(bakerlab.ensemble, kernel)
 
         def failing_in_children(*args):

@@ -169,18 +169,21 @@ class TestStationaryStart:
                 left = float(np.mean(r <= Region.B))
                 assert abs(left - c) <= 5.0 * sigma, (ell, k)
 
-    def test_first_yield_memory_with_y(self):
+    def test_whole_run_memory_with_y(self):
+        """The traced peak of a whole with-y run with burn-in: x, y and the
+        32-byte gathered row are the state, stepped in place, with the
+        index and the flip's masks; a step that made new x, y and rows
+        would add 48 bytes a member (73 in all)."""
         n = 500_000
-        cfg = SimConfig(params=PARAMS_EQ, n_ens=n, n_iter=1, burn_in=0, seed=24)
+        cfg = SimConfig(params=PARAMS_EQ, variant=MapVariant.IRREVERSIBLE, n_ens=n, n_iter=5, burn_in=5, seed=24)
         tracemalloc.start()
         try:
-            run = whole(cfg)
-            next(run)
+            for _ in whole(cfg):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the (n, 2) sample and its two column copies, plus a little
-        assert peak <= 33 * n
+        assert peak <= 60 * n, peak / n
 
 
 class TestRun:
@@ -214,13 +217,10 @@ class TestRun:
     @pytest.mark.parametrize("with_y", [True, False], ids=["xy", "x-only"])
     @pytest.mark.parametrize("burn_in,n_iter", [(7, 12), (0, 1), (5, 0), (0, 0)])
     def test_no_step_after_the_last_kept_state(self, monkeypatch, params, with_y, burn_in, n_iter):
-        """Steps counted where the loop takes them: ``step_arrays`` with y,
-        else the ``_affine_clip`` that steps x in place (the with-y step
-        calls mapcore's own binding).  The x-only x is copied, as the next
-        step overwrites it."""
+        """Steps counted where the loop takes them, the one ``_advance`` of
+        both modes.  x and y are copied, as the next step overwrites them."""
         calls = []
-        name = "step_arrays" if with_y else "_affine_clip"
-        kernel = getattr(ensemble, name)
+        kernel = ensemble._advance
 
         def counting(*args):
             calls.append(1)
@@ -228,13 +228,35 @@ class TestRun:
 
         cfg = SimConfig(params=params, variant=MapVariant.IRREVERSIBLE, n_ens=40, n_iter=n_iter, burn_in=burn_in, seed=6)
         expected = reference_run(cfg, with_y)
-        monkeypatch.setattr(ensemble, name, counting)
-        states = [(x.copy(), y) for x, y in whole(cfg, with_y)]
+        monkeypatch.setattr(ensemble, "_advance", counting)
+        states = [(x.copy(), None if y is None else y.copy()) for x, y in whole(cfg, with_y)]
         assert len(calls) == (burn_in + n_iter - 1 if n_iter else 0)
         assert len(states) == n_iter
         for (x, y), (ex, ey) in zip(states, expected, strict=True):
             assert np.array_equal(x, ex)
             assert y is None if not with_y else np.array_equal(y, ey)
+
+    @pytest.mark.parametrize("params", [PARAMS_EQ, MapParams(ell=0.25, q=0.0)], ids=["0.15", "0.25-dither"])
+    def test_with_y_run_looks_the_regions_up_once_a_state(self, monkeypatch, params):
+        """As the x-only run does: once a state, after the dither, in
+        ``ensemble``, and never again inside the step."""
+        cfg = SimConfig(params=params, variant=MapVariant.IRREVERSIBLE, n_ens=64, n_iter=12, burn_in=4, seed=3)
+        expected = [(x.copy(), y.copy()) for x, y in whole(cfg)]
+        lookups = []
+        lookup = ensemble.region_indices
+
+        def counting(*args):
+            lookups.append(1)
+            return lookup(*args)
+
+        def inside_the_step(*args):
+            raise AssertionError("the step looked the regions up again")
+
+        monkeypatch.setattr(ensemble, "region_indices", counting)
+        monkeypatch.setattr(mapcore, "region_indices", inside_the_step)
+        for (x, y), (ex, ey) in zip(whole(cfg), expected, strict=True):
+            assert np.array_equal(x, ex) and np.array_equal(y, ey)
+        assert len(lookups) == cfg.burn_in + cfg.n_iter
 
     def test_degenerate_strip_matches_reversible_bitwise(self):
         params = MapParams(ell=0.15, q=0.0, strip_x=0.2, strip_eps=0.0)
@@ -625,20 +647,19 @@ class TestMemberSplit:
     )
     def test_no_kernel_call_exceeds_a_chunk(self, monkeypatch, force_workers, reduction):
         """The chunks of ``_split`` are the one cache-sized cut: on one
-        worker over three chunks and five members, every call of the with-y
-        step and of the x-only step gets one chunk."""
+        worker over three chunks and five members, every call of the step
+        of both modes, ``_advance``, gets the rows of one chunk."""
         n_ens = 3 * ensemble._CHUNK + 5
         cfg = SimConfig(params=MapParams(0.15, 0.1), variant=MapVariant.IRREVERSIBLE, n_ens=n_ens, n_iter=4, burn_in=2, seed=5)
         force_workers(n_ens, 1)
         sizes = []
-        for name in ("step_arrays", "_affine_clip"):
-            kernel = getattr(ensemble, name)
+        kernel = ensemble._advance
 
-            def recording(*args, kernel=kernel):
-                sizes.append(len(args[0]))
-                return kernel(*args)
+        def recording(rows, *args):
+            sizes.append(len(rows))
+            return kernel(rows, *args)
 
-            monkeypatch.setattr(ensemble, name, recording)
+        monkeypatch.setattr(ensemble, "_advance", recording)
         reduction(cfg)
         assert set(sizes) == {ensemble._CHUNK, 5}
 
@@ -719,14 +740,14 @@ class TestMemberSplit:
         cfg = SimConfig(params=PARAMS_EQ, n_ens=1001, n_iter=3, burn_in=2, seed=1)
         force_workers(cfg.n_ens, 3)
         parent = os.getpid()
-        step = ensemble.step_arrays
+        step = ensemble._advance
 
         def failing_in_children(*args):
             if os.getpid() != parent:
                 raise FloatingPointError("injected")
             return step(*args)
 
-        monkeypatch.setattr(ensemble, "step_arrays", failing_in_children)
+        monkeypatch.setattr(ensemble, "_advance", failing_in_children)
         with pytest.raises(WorkerError, match=r"members \[333, 667\) failed: FloatingPointError: injected"):
             empirical_density(cfg, nx=4, ny=4)
         assert_no_child_left()

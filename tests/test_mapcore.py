@@ -117,14 +117,26 @@ class TestParams:
             MapParams(ell=0.15, q=0.5)
 
     def test_strip_must_fit_in_square(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^strip_eps must lie in \[0, 1 - 0.8\], got 0.3$"):
             MapParams(ell=0.15, strip_x=0.8, strip_eps=0.3)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^strip_x must lie in \[0, 1\), got -0.1$"):
             MapParams(ell=0.15, strip_x=-0.1, strip_eps=0.2)
+        # the default width, 1/2 - ell, is held to the same bound
+        with pytest.raises(DomainError, match=r"^strip_eps must lie in \[0, 1 - 0.9\], got 0.35$"):
+            MapParams(ell=0.15, strip_x=0.9)
 
-    @pytest.mark.parametrize("strip_x, strip_eps", [(0.3, np.nan), (np.nan, 0.1), (0.3, -0.1), (0.3, np.inf)])
-    def test_strip_that_is_not_a_number_or_negative_is_refused(self, strip_x, strip_eps):
-        with pytest.raises(DomainError, match="strip"):
+    @pytest.mark.parametrize(
+        "strip_x, strip_eps, message",
+        [
+            (0.3, np.nan, r"strip_eps must lie in \[0, 1 - 0.3\], got nan"),
+            (np.nan, 0.1, r"strip_x must lie in \[0, 1\), got nan"),
+            (0.3, -0.1, r"strip_eps must lie in \[0, 1 - 0.3\], got -0.1"),
+            (0.3, np.inf, r"strip_eps must lie in \[0, 1 - 0.3\], got inf"),
+        ],
+        ids=["0.3-nan", "nan-0.1", "0.3--0.1", "0.3-inf"],
+    )
+    def test_strip_that_is_not_a_number_or_negative_is_refused(self, strip_x, strip_eps, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
             MapParams(ell=0.15, strip_x=strip_x, strip_eps=strip_eps)
 
     @pytest.mark.parametrize("strip_x, strip_eps", [(0.3, 0.0), (0.0, 1.0), (0.5, 0.5), (0.99, 0.01)])
