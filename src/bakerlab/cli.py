@@ -2,6 +2,10 @@
 then writes plot-ready CSV artifacts and a JSON manifest, so a failed run
 writes nothing.
 
+The library states each bound of an option once and refuses a value off
+it; the CLI asks the same statement before any work and only names the
+flag, so a refused run does no work and writes nothing.
+
 Exit codes: 0 success, 1 usage/validation error, 2 numeric or convergence
 failure, 3 selftest failure.  Floats are written with 17 significant digits
 so that re-running a command reproduces byte-identical CSV bodies.
@@ -10,8 +14,8 @@ so that re-running a command reproduces byte-identical CSV bodies.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
 import os
 import sys
 import time
@@ -22,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .errors import BakerlabError, CapacityError, DomainError
+from .errors import BakerlabError, DomainError, _require as _require_fields
 from .mapcore import (
     MapParams,
     MapVariant,
@@ -93,8 +97,8 @@ def _resolve(args: argparse.Namespace) -> dict:
             value = from_file if value is None else value
         resolved[name] = default if value is None else value
     # the map's domain, before any grid or map is built
-    _require(resolved, mc._ell_claim, "ell", "ell_min", "ell_max")
-    _require(resolved, mc._q_claim, "q", "q_min", "q_max")
+    _require(resolved, ell=mc._ell_claim, ell_min=mc._ell_claim, ell_max=mc._ell_claim)
+    _require(resolved, q=mc._q_claim, q_min=mc._q_claim, q_max=mc._q_claim)
     return resolved
 
 
@@ -136,8 +140,8 @@ def _params_from(resolved: dict) -> tuple[MapParams, dict]:
         resolved = _refuse_set(resolved, _STRIP, tuple(_STRIP), "--variant reversible")
     else:  # the strip's default and bounds are mapcore's; a default width is checked too
         x, eps = mc._strip_of(resolved["ell"], resolved["strip_x"], resolved["strip_eps"])
-        _require(resolved, mc._strip_x_claim, "strip_x")
-        _require({"strip_eps": eps}, lambda v: mc._strip_eps_claim(v, x), "strip_eps")
+        _require(resolved, strip_x=mc._strip_x_claim)
+        _require({"strip_eps": eps}, strip_eps=lambda v: mc._strip_eps_claim(v, x))
     return MapParams(resolved["ell"], resolved["q"], resolved.get("strip_x"), resolved.get("strip_eps")), resolved
 
 
@@ -145,7 +149,7 @@ def _ensemble_config(kind: type, params: MapParams, resolved: dict, **fields) ->
     """A ``kind`` of ``es.SimConfig`` (itself or ``tp.GKConfig``) over the
     map ``params``, with the options' variant, ensemble sizes and seed;
     a seed off the one 64-bit key word is refused in the terms of its flag."""
-    _require_counts(resolved, seed=0)
+    _require(resolved, seed=es._seed_claim)
     ensemble = {k: resolved[k] for k in ("variant", "n_ens", "n_iter", "seed")}
     return kind(params=params, **ensemble, **fields)
 
@@ -162,32 +166,18 @@ def _xonly_start(n_ens: int, *params: MapParams) -> dict:
     return {"x": "stationary", "burn_in_steps": 0, "workers": es.worker_count(n_ens), "dither": dither}
 
 
-# the largest value of each integer option that the library caps; the seed
-# is one 64-bit key word
-_COUNT_MAX = {
-    "n_ens": es._MAX_ENSEMBLE,
-    "bins": math.isqrt(es._MAX_HIST_CELLS),
-    "k_max": tp._MAX_K,
-    "seed": 2**64 - 1,
-}
+# the flag, or flag expression, of each library field that the flag of its
+# own name does not set
+_FLAGS = {"seg_len": "--n", "spacing": "(2 --delta)", "ells": "--ell-steps", "qs": "--q-steps"}
 
 
-def _require_counts(resolved: dict, caps: dict = _COUNT_MAX, **minimum: int) -> None:
-    """Refuse the first of the named options that lies below its minimum,
-    or above its cap in ``caps``, in the terms of its flag."""
-    for name, low in minimum.items():
-        flag, value, high = f"--{name.replace('_', '-')}", resolved[name], caps.get(name)
-        if value < low:
-            raise DomainError(f"{flag} must be >= {low}, got {value}")
-        if high is not None and value > high:
-            raise DomainError(f"{flag} must be <= {high}, got {value}")
+def _flag(field: str) -> str:
+    """The flag that sets the library's ``field``: the name a compound claim prints for it."""
+    return _FLAGS.get(field, "--" + field.replace("_", "-"))
 
 
-def _require(resolved: dict, claim_of: Callable[[float], str | None], *names: str) -> None:
-    """Refuse the first of the named options that is set and whose value has a ``claim_of`` (not None)."""
-    for name in names:
-        if resolved.get(name) is not None and (claim := claim_of(resolved[name])) is not None:
-            raise DomainError(f"--{name.replace('_', '-')} {claim}, got {resolved[name]}")
+# refuse the first named option that is set and whose claim refuses it, in the terms of its flag
+_require = functools.partial(_require_fields, name=_flag)
 
 
 def _refuse_set(resolved: dict, spec: dict, names: tuple, context: str) -> dict:
@@ -195,7 +185,7 @@ def _refuse_set(resolved: dict, spec: dict, names: tuple, context: str) -> dict:
     ignores it.  Returns the options that remain, the ones the run reads."""
     for name in names:
         if resolved[name] != spec[name][1]:
-            raise BakerlabError(f"--{name.replace('_', '-')} cannot be combined with {context}")
+            raise BakerlabError(f"{_flag(name)} cannot be combined with {context}")
     return {k: v for k, v in resolved.items() if k not in names}
 
 
@@ -295,7 +285,7 @@ _DENSITY = {
 
 
 def _cmd_density(resolved) -> _Run:
-    _require_counts(resolved, n_ens=1, n_iter=1, burn_in=0, bins=1)
+    _require(resolved, n_ens=es._n_ens_claim, n_iter=es._states_claim, burn_in=es._steps_claim, bins=es._bins_claim)
     params, read = _params_from(resolved)
     config = _ensemble_config(es.SimConfig, params, resolved, burn_in=resolved["burn_in"])
     nb = resolved["bins"]
@@ -331,12 +321,8 @@ _SURFACE = {
 
 
 def _cmd_surface(resolved) -> _Run:
-    _require_counts(resolved, ell_steps=1, q_steps=1)
-    if resolved["ell_steps"] * resolved["q_steps"] > mk._MAX_GRID_CELLS:
-        raise CapacityError(
-            f"--ell-steps x --q-steps must be <= {mk._MAX_GRID_CELLS} cells, "
-            f"got {resolved['ell_steps']} x {resolved['q_steps']}"
-        )
+    if (claim := mk._grid_claim(resolved["ell_steps"], resolved["q_steps"], _flag)) is not None:
+        raise DomainError(claim)
     ells = np.linspace(resolved["ell_min"], resolved["ell_max"], resolved["ell_steps"])
     qs = np.linspace(resolved["q_min"], resolved["q_max"], resolved["q_steps"])
     rates = mk.mean_contraction_rate_grid(ells, qs)
@@ -368,57 +354,34 @@ _FR = {
 _MC_ONLY = ("variant", "strip_x", "strip_eps", "n_ens", "n_iter", "burn_in", "seed", "min_count")
 
 
-def _p_grid(p_max: float, delta: float) -> np.ndarray:
-    """The cell centers of fr and ratefunc: cells of half width ``--delta``
-    side by side, from -``--p-max`` to ``--p-max``, refused in the terms of
-    those two options."""
-    if not 0.0 < delta < np.inf:
-        raise DomainError(f"--delta must be positive and finite, got {delta}")
-    if not 0.0 < p_max < np.inf:
-        raise DomainError(f"--p-max must be positive and finite, got {p_max}")
-    try:
-        grid = fl.symmetric_grid(p_max, 2.0 * delta)
-    except CapacityError:
-        raise CapacityError(
-            f"--p-max {p_max} at --delta {delta} makes more than {fl._MAX_GRID_CELLS} cells: "
-            f"--p-max / (2 --delta) must round to <= {fl._MAX_GRID_CELLS // 2}"
-        ) from None
-    if len(grid) < 3:
-        raise DomainError(f"--p-max {p_max} leaves no cell beside p = 0 at --delta {delta}; it must exceed --delta")
-    return grid
-
-
 def _fr_family(command: str, resolved: dict) -> tuple[fl.PiHistogram, fl.RateFunction, _Run]:
     """Body of fr and ratefunc: the cell masses from the exact law or the
     ensemble and their rate function, with the run that writes ``pi.csv``
     and ``zeta.csv``; each command adds its own artifact and summary."""
     # the exact law is capped at n = MAX_N; the ensemble's segments are not
-    caps = dict(_COUNT_MAX, n=mk.MAX_N) if resolved["source"] == "exact" else _COUNT_MAX
-    _require_counts(resolved, caps, n=1, min_count=1)
+    _require(resolved, n=mk._n_claim if resolved["source"] == "exact" else fl._count_claim, min_count=fl._count_claim)
     ell, q = resolved["ell"], resolved["q"]
     if (claim := fl._mean_rate_claim(mk.mean_contraction_rate(ell, q))) is not None:  # before any law or ensemble
         raise DomainError(f"--q {q} at --ell {ell}: the {claim}; choose a larger --q")
-    fr_cfg = fl.FRConfig(
-        n=resolved["n"],
-        p_grid=_p_grid(resolved["p_max"], resolved["delta"]),
-        delta=resolved["delta"],
-        min_count=resolved["min_count"],
-    )
+    # the p cells: cells of half width --delta side by side, from -p_max to p_max
+    _require(resolved, delta=fl._positive_claim, p_max=fl._positive_claim)
+    p_max, delta = resolved["p_max"], resolved["delta"]
+    if (claim := fl._cells_claim(p_max, 2.0 * delta, _flag)) is not None:
+        raise DomainError(f"--p-max {p_max} at --delta {delta} {claim}")
+    grid = fl.symmetric_grid(p_max, 2.0 * delta)
+    if fl._p_grid_claim(grid) is not None:
+        raise DomainError(f"--p-max {p_max} leaves no cell beside p = 0 at --delta {delta}; it must exceed --delta")
+    fr_cfg = fl.FRConfig(n=resolved["n"], p_grid=grid, delta=delta, min_count=resolved["min_count"])
     if resolved["source"] == "exact":
         read = _refuse_set(resolved, _FR, _MC_ONLY, "--source exact")
         source = mk.contraction_sum_distribution(resolved["ell"], resolved["q"], resolved["n"])
         start = None
     else:
         read = _refuse_set(resolved, _FR, ("burn_in",), f"{command} --source mc, {_STATIONARY_X}")
-        _require_counts(read, n_ens=1, n_iter=1)
-        if read["n_iter"] < resolved["n"]:
-            raise DomainError(f"--n-iter must be >= --n ({resolved['n']}) for one segment, got {read['n_iter']}")
-        segments = read["n_ens"] * (read["n_iter"] // resolved["n"])
-        if segments < resolved["min_count"]:  # then no cell can be admissible
-            raise DomainError(
-                f"--n-ens x (--n-iter // --n) segments must be >= --min-count ({resolved['min_count']}), "
-                f"got {read['n_ens']} x ({read['n_iter']} // {resolved['n']}) = {segments}"
-            )
+        _require(read, n_ens=es._n_ens_claim, n_iter=es._states_claim)
+        claim = es._segments_claim(read["n_ens"], read["n_iter"], resolved["n"], resolved["min_count"], _flag)
+        if claim is not None:
+            raise DomainError(claim)
         params, read = _params_from(read)
         source = _ensemble_config(es.SimConfig, params, read, burn_in=0)
         start = _xonly_start(source.n_ens, params)
@@ -497,7 +460,7 @@ def _biases(sweep: str) -> np.ndarray:
     if not biases:
         raise BakerlabError(f"--sweep: no bias values in {sweep!r}")
     for bias in biases:
-        _require({"sweep": bias}, tp._bias_claim, "sweep")
+        _require({"sweep": bias}, sweep=tp._bias_claim)
     return np.array(biases)
 
 
@@ -506,11 +469,9 @@ _NOT_SWEPT = ("ell", "q", "mode", "strip_x", "strip_eps", "k_max")
 
 
 def _cmd_transport(resolved) -> _Run:
-    _require_counts(resolved, n_ens=2, n_iter=1, k_max=1)
-    # the estimate's count moments reach n_ens n_iter**2, exact up to es._MAX_MOMENT
-    longest = math.isqrt(es._MAX_MOMENT // resolved["n_ens"])
-    if resolved["n_iter"] > longest:
-        raise CapacityError(f"--n-iter must be <= {longest} at --n-ens {resolved['n_ens']}, got {resolved['n_iter']}")
+    _require(resolved, n_ens=tp._n_ens_claim, n_iter=es._states_claim, k_max=tp._k_max_claim)
+    if (claim := es._moment_claim(resolved["n_ens"], resolved["n_iter"], _flag)) is not None:
+        raise DomainError(claim)
     biases = None if resolved["sweep"] is None else _biases(resolved["sweep"])
     read = _refuse_set(resolved, _TRANSPORT, ("burn_in",), f"transport, {_STATIONARY_X}")
 

@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, WorkerError
+from .errors import CapacityError, DomainError, WorkerError, _in_range, _refuse, _require
 from .mapcore import (
     MapParams,
     MapVariant,
@@ -73,13 +73,14 @@ _MAX_ENSEMBLE = 50_000_000
 # than the second core saves (crossover sweep in CHANGES.md)
 _MIN_SPLIT_MEMBERS = 10_000
 # most members a worker evolves at once, the one cache-sized cut of the
-# state: a with-y step touches about 50 bytes a member (x, y, a 32-byte
-# coefficient row, the gather's index and the flip's mask), about 0.8 MB a
-# chunk, within one core's 2 MiB L2 (sweep in CHANGES.md)
+# state: a with-y step touches about 60 bytes a member (x, y, a 32-byte
+# coefficient row, the int8 regions, the 8-byte intp index that take widens
+# them to, and the flip's mask), about 1 MB a chunk, within one core's 2 MiB
+# L2 (sweep in CHANGES.md)
 _CHUNK = 16_384
-# widest 2-d histogram accepted (2000 x 2000): each worker's counts take 8
-# bytes a cell, 32 MB at the cap, and each process holds them once
-_MAX_HIST_CELLS = 4_000_000
+# most bins along either axis of a 2-d histogram: each worker's counts take
+# 8 bytes a cell, 32 MB at 2000 x 2000, and each process holds them once
+_MAX_BINS = 2_000
 # elements of a child's sums that the parent reads and adds at a time, 64 KiB
 # of int64 or float64: the buffer that spares it a second copy of the sums
 _PIECE = 8_192
@@ -106,10 +107,41 @@ def _needs_dither(params: MapParams) -> bool:
     return params.ell == 0.25
 
 
+# each count's claim: a count of states or of burn-in steps may be 0, a
+# reduction reads at least one kept state, and the seed is one key word
+_n_ens_claim = _in_range(1, _MAX_ENSEMBLE)
+_steps_claim = _in_range(0)
+_states_claim = _in_range(1)
+_bins_claim = _in_range(1, _MAX_BINS)
+_seed_claim = _in_range(0, 2**64 - 1)
+
+
+def _moment_claim(n_ens: int, n_iter: int, name: Callable[[str], str] = str) -> str | None:
+    """Why ``n_ens`` members of ``n_iter`` kept states pass ``_MAX_MOMENT``,
+    which bounds n_ens n_iter**2, or None; ``name`` prints each field."""
+    longest = math.isqrt(_MAX_MOMENT // n_ens)
+    if n_iter <= longest:
+        return None
+    return f"{name('n_iter')} must be <= {longest} at {name('n_ens')} {n_ens}, got {n_iter}"
+
+
+def _segments_claim(
+    n_ens: int, n_iter: int, seg_len: int, min_count: int, name: Callable[[str], str] = str
+) -> str | None:
+    """Why ``n_ens`` members of ``n_iter`` states make no segment of
+    ``seg_len`` states, or fewer than ``min_count``, so that no cell can
+    count ``min_count``; or None.  ``name`` prints each field."""
+    if n_iter < seg_len:
+        return f"{name('n_iter')} must be >= {name('seg_len')} ({seg_len}) for one segment, got {n_iter}"
+    if (segments := n_ens * (n_iter // seg_len)) >= min_count:
+        return None
+    return (f"{name('n_ens')} x ({name('n_iter')} // {name('seg_len')}) segments must be >= {name('min_count')} "
+            f"({min_count}), got {n_ens} x ({n_iter} // {seg_len}) = {segments}")
+
+
 def _seed_key(seed: int) -> np.uint64:
     """The seed as the one 64-bit key word of the sample stream."""
-    if not 0 <= seed < 2**64:
-        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
+    _refuse("seed", seed, _seed_claim)
     return np.uint64(seed)
 
 
@@ -343,14 +375,8 @@ class SimConfig:
     burn_in: int
     seed: int = 0
 
-    def __post_init__(self):
-        if self.n_ens < 1 or self.n_ens > _MAX_ENSEMBLE:
-            raise DomainError(f"n_ens must lie in [1, {_MAX_ENSEMBLE}], got {self.n_ens}")
-        if self.n_iter < 0:
-            raise DomainError("n_iter must be >= 0")
-        if self.burn_in < 0:
-            raise DomainError("burn_in must be >= 0")
-        _seed_key(self.seed)  # checked before any worker starts
+    def __post_init__(self):  # checked before any worker starts
+        _require(vars(self), n_ens=_n_ens_claim, n_iter=_steps_claim, burn_in=_steps_claim, seed=_seed_claim)
 
 
 def sample_ensemble(n: int, seed: int) -> np.ndarray:
@@ -385,12 +411,9 @@ class Histogram2D:
 
 def empirical_density(config: SimConfig, nx: int, ny: int) -> Histogram2D:
     """Histogram of all post-burn-in states (n_ens * n_iter samples)."""
-    if config.n_iter < 1:
-        raise DomainError("n_iter must be >= 1 for a density estimate")
-    if nx < 1 or ny < 1:
-        raise DomainError("bin counts must be >= 1")
-    if nx * ny > _MAX_HIST_CELLS:
-        raise CapacityError(f"a {nx} x {ny} histogram exceeds the limit of {_MAX_HIST_CELLS} cells")
+    _refuse("n_iter", config.n_iter, _states_claim)
+    for name, bins in ("nx", nx), ("ny", ny):
+        _refuse(name, bins, _bins_claim, DomainError if bins < 1 else CapacityError)
 
     def part(a, b, counts):
         for x, y, _, _ in _run(config, True, (a, b)):
@@ -437,7 +460,8 @@ def _segment_means(config: SimConfig, seg_len: int, members: tuple[int, int]):
 
 
 def segment_mean_counts(
-    config: SimConfig, seg_len: int, scale: float, cell_of: Callable[[np.ndarray], np.ndarray], n_cells: int
+    config: SimConfig, seg_len: int, scale: float, cell_of: Callable[[np.ndarray], np.ndarray], n_cells: int,
+    min_count: int = 1,
 ) -> np.ndarray:
     """Counts per cell of the segment means of ``config`` over ``scale``:
     ``cell_of(values)`` gives each value's cell in ``[0, n_cells)``, or -1
@@ -448,12 +472,13 @@ def segment_mean_counts(
     segment's first state.  Each chunk of members bins its means as each
     segment ends, so no worker keeps a mean past its segment and only the
     ``n_cells`` int64 counts leave a worker; only the ensemble cap bounds
-    the number of segments.
+    the number of segments.  A run of fewer than ``min_count`` segments,
+    where no cell can count ``min_count``, is refused before any worker
+    starts.
     """
-    if seg_len < 1:
-        raise DomainError("seg_len must be >= 1")
-    if config.n_iter < seg_len:
-        raise DomainError("n_iter too small for one segment")
+    _refuse("seg_len", seg_len, _in_range(1))
+    if (claim := _segments_claim(config.n_ens, config.n_iter, seg_len, min_count)) is not None:
+        raise DomainError(claim)
 
     def part(a, b, counts):
         for means in _segment_means(config, seg_len, (a, b)):
@@ -505,10 +530,9 @@ def _lag_sums(config: SimConfig, phi: np.ndarray | None) -> tuple[np.ndarray, np
     row, into a packed float64 that holds it exactly, flushed before a lane
     carries.  Refused before any worker starts if the sums could not hold
     the moments exactly: an entry of Σc cᵀ reaches n_ens n_iter²."""
-    if config.n_iter < 1:
-        raise DomainError("n_iter must be >= 1")
-    if config.n_ens * config.n_iter**2 > _MAX_MOMENT:
-        raise CapacityError(f"n_ens * n_iter**2 must be <= 2**53, got {config.n_ens} * {config.n_iter}**2")
+    _refuse("n_iter", config.n_iter, _states_claim)
+    if (claim := _moment_claim(config.n_ens, config.n_iter)) is not None:
+        raise CapacityError(claim)
     t = config.n_iter
 
     def part(a, b, sums):

@@ -14,6 +14,7 @@ call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -23,6 +24,8 @@ from .errors import (
     FitError,
     InsufficientFluctuationsError,
     NormalizationError,
+    _in_range,
+    _require,
 )
 from .ensemble import SimConfig, segment_mean_counts
 from .markov import ContractionDistribution, mean_contraction_rate
@@ -46,17 +49,43 @@ __all__ = [
 _MAX_GRID_CELLS = 10_001
 
 
-def symmetric_grid(p_max: float, spacing: float) -> np.ndarray:
-    """Cell centers -p_max..p_max built from integers so the grid is
-    exactly symmetric."""
-    if not (p_max > 0 and 0 < spacing < np.inf):
-        raise DomainError("p_max must be positive and spacing positive and finite")
+def _positive_claim(value: float) -> str | None:
+    """Why ``value``, a ``p_max``, ``spacing`` or ``delta``, is not positive and finite (NaN is not), or None."""
+    return None if 0.0 < value < np.inf else "must be positive and finite"
+
+
+def _cells_claim(p_max: float, spacing: float, name: Callable[[str], str] = str) -> str | None:
+    """Why ``symmetric_grid(p_max, spacing)`` has more than
+    ``_MAX_GRID_CELLS`` cells, or None; ``name`` prints each field."""
     k = round(min(p_max / spacing, _MAX_GRID_CELLS))  # min() keeps inf out of round()
-    if 2 * k + 1 > _MAX_GRID_CELLS:
-        raise CapacityError(
-            f"a p grid over [-{p_max}, {p_max}] with cells {spacing} apart exceeds "
-            f"the limit of {_MAX_GRID_CELLS} cells"
-        )
+    if 2 * k + 1 <= _MAX_GRID_CELLS:
+        return None
+    half = _MAX_GRID_CELLS // 2
+    return f"makes more than {_MAX_GRID_CELLS} cells: {name('p_max')} / {name('spacing')} must round to <= {half}"
+
+
+# the claim of the segment length n and of the admissibility count min_count
+_count_claim = _in_range(1)
+
+
+def _p_grid_claim(grid: np.ndarray) -> str | None:
+    """Why ``grid`` is not 3 or more cell centers, increasing, symmetric and uniform (to 1e-12), or None."""
+    if grid.ndim != 1 or len(grid) < 3:
+        return "must be a 1-d grid with at least 3 cells"
+    if np.any(np.diff(grid) <= 0):
+        return "must be strictly increasing"
+    if np.max(np.abs(grid + grid[::-1])) > 1e-12:
+        return "must be symmetric about 0"
+    return "must be uniform" if np.max(np.abs(np.diff(grid) - float(grid[1] - grid[0]))) > 1e-12 else None
+
+
+def symmetric_grid(p_max: float, spacing: float) -> np.ndarray:
+    """Cell centers -p_max..p_max, ``spacing`` apart, built from integers
+    so the grid is exactly symmetric."""
+    _require({"p_max": p_max, "spacing": spacing}, p_max=_positive_claim, spacing=_positive_claim)
+    if (claim := _cells_claim(p_max, spacing)) is not None:
+        raise CapacityError(f"a p grid over [-{p_max}, {p_max}] with cells {spacing} apart {claim}")
+    k = round(p_max / spacing)
     return np.arange(-k, k + 1) * spacing
 
 
@@ -71,23 +100,11 @@ class FRConfig:
     min_count: int = 25
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("n must be >= 1")
-        if self.min_count < 1:
-            raise DomainError(f"min_count must be >= 1, got {self.min_count}")
-        if self.delta <= 0:
-            raise DomainError("delta must be positive")
+        _require(vars(self), n=_count_claim, min_count=_count_claim, delta=_positive_claim)
         grid = np.asarray(self.p_grid, dtype=float)
-        if grid.ndim != 1 or len(grid) < 3:
-            raise DomainError("p_grid must be a 1-d grid with at least 3 cells")
-        if np.any(np.diff(grid) <= 0):
-            raise DomainError("p_grid must be strictly increasing")
-        if np.max(np.abs(grid + grid[::-1])) > 1e-12:
-            raise DomainError("p_grid must be symmetric about 0")
-        spacing = float(grid[1] - grid[0])
-        if np.max(np.abs(np.diff(grid) - spacing)) > 1e-12:
-            raise DomainError("p_grid must be uniform")
-        if 2.0 * self.delta > spacing + 1e-12:
+        if (claim := _p_grid_claim(grid)) is not None:
+            raise DomainError(f"p_grid {claim}")
+        if 2.0 * self.delta > float(grid[1] - grid[0]) + 1e-12:
             raise DomainError("cells overlap: need 2*delta <= grid spacing")
         object.__setattr__(self, "p_grid", grid)
 
@@ -165,8 +182,10 @@ def estimate_pi(config: FRConfig, source: SimConfig | ContractionDistribution) -
 
     A ``SimConfig`` source is evolved and cut into non-overlapping length-n
     segments, whose means each worker bins as each segment ends, so no
-    segment mean is kept; a ``ContractionDistribution`` source has its exact
-    atoms poured into the same cells.
+    segment mean is kept; one of fewer than ``min_count`` segments, where no
+    cell can be admissible, is refused before it runs.  A
+    ``ContractionDistribution`` source has its exact atoms poured into the
+    same cells.
     """
     exact = isinstance(source, ContractionDistribution)
     if exact:
@@ -192,7 +211,8 @@ def estimate_pi(config: FRConfig, source: SimConfig | ContractionDistribution) -
         counts = n_segments = None
     else:
         counts = segment_mean_counts(
-            source, config.n, mean_rate, lambda v: _bin_values(v, config.p_grid, config.delta), len(config.p_grid)
+            source, config.n, mean_rate, lambda v: _bin_values(v, config.p_grid, config.delta), len(config.p_grid),
+            config.min_count,
         )
         n_segments = source.n_ens * (source.n_iter // config.n)
         with np.errstate(divide="ignore"):

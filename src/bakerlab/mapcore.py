@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _require
 
 __all__ = [
     "Region",
@@ -128,10 +128,8 @@ class MapParams:
         x, eps = _strip_of(self.ell, self.strip_x, self.strip_eps)
         object.__setattr__(self, "strip_x", x)
         object.__setattr__(self, "strip_eps", eps)
-        claims = ("ell", _ell_claim(self.ell)), ("q", _q_claim(self.q))
-        for name, claim in (*claims, ("strip_x", _strip_x_claim(x)), ("strip_eps", _strip_eps_claim(eps, x))):
-            if claim is not None:
-                raise DomainError(f"{name} {claim}, got {getattr(self, name)}")
+        claims = dict(ell=_ell_claim, q=_q_claim, strip_x=_strip_x_claim)
+        _require(vars(self), **claims, strip_eps=lambda v: _strip_eps_claim(v, x))
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, _in_range, _refuse
 from .mapcore import MapParams, Region, ReversalScheme, _jacobians, contraction_rates, region_reverse
 
 __all__ = [
@@ -55,6 +55,21 @@ MAX_N = 2000
 # widest (ell, q) grid of mean_contraction_rate_grid, 2000 x 2000: its
 # float64 temporaries take about 0.4 GiB at the cap
 _MAX_GRID_CELLS = 4_000_000
+
+
+# the claim of the step count n of an exact law
+_n_claim = _in_range(1, MAX_N)
+
+
+def _grid_claim(n_ell: int, n_q: int, name: Callable[[str], str] = str) -> str | None:
+    """Why an (ell, q) grid of ``n_ell`` x ``n_q`` points is refused, each
+    axis needing one, or None; ``name`` prints each axis, ells or qs."""
+    for axis, points in ("ells", n_ell), ("qs", n_q):
+        if (claim := _in_range(1)(points)) is not None:
+            return f"{name(axis)} {claim}, got {points}"
+    if n_ell * n_q <= _MAX_GRID_CELLS:
+        return None
+    return f"{name('ells')} x {name('qs')} must be <= {_MAX_GRID_CELLS} cells, got {n_ell} x {n_q}"
 
 
 class ProjectedDensity(NamedTuple):
@@ -124,16 +139,16 @@ def mean_contraction_rate_grid(ells: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """Stationary mean contraction rates ``mu @ contraction_rates`` at every
     (ell, q) of a grid, in one pass, of shape (len(ells), len(qs)).
 
-    A grid of more than ``_MAX_GRID_CELLS`` cells is refused, and the
-    first invalid cell in row-major order raises the ``DomainError``
-    that ``MapParams`` raises for it.  Each dot product is a stacked
-    matmul, which rounds as the 1-d ``mu @ rates`` does; a sum over the
-    last axis does not.
+    An empty grid, or one of more than ``_MAX_GRID_CELLS`` cells, is
+    refused (``_grid_claim``), and the first invalid cell in row-major
+    order raises the ``DomainError`` that ``MapParams`` raises for it.
+    Each dot product is a stacked matmul, which rounds as the 1-d
+    ``mu @ rates`` does; a sum over the last axis does not.
     """
     ell = np.asarray(ells, dtype=float)[:, None]
     q = np.asarray(qs, dtype=float)[None, :]
-    if ell.size * q.size > _MAX_GRID_CELLS:
-        raise CapacityError(f"a {ell.size} x {q.size} grid exceeds the limit of {_MAX_GRID_CELLS} cells")
+    if (claim := _grid_claim(ell.size, q.size, lambda axis: f"len({axis})")) is not None:
+        raise (DomainError if min(ell.size, q.size) < 1 else CapacityError)(claim)
     e, v = ell[:, 0].tolist(), q[0].tolist()  # row 0, then column 0, meets the first invalid cell first
     for cell in (*zip(e[:1] * len(v), v), *zip(e, v[:1] * len(e))):
         MapParams(*cell)
@@ -507,10 +522,7 @@ def contraction_sum_distribution(ell: float, q: float, n: int) -> ContractionDis
     (48 MB) with a peak near 384 MB, too large to hold.
     """
     params = MapParams(ell=ell, q=q)
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    if n > MAX_N:
-        raise CapacityError(f"n={n} exceeds the limit {MAX_N}")
+    _refuse("n", n, _n_claim, DomainError if n < 1 else CapacityError)
     rates = contraction_rates(params)
     if np.max(np.abs(rates)) == 0.0:
         return ContractionDistribution(n=n, sums=np.zeros(1), log_probs=np.zeros(1))

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
-from .ensemble import SimConfig, lag_products
+from .errors import CapacityError, DomainError, _in_range, _refuse
+from .ensemble import _MAX_ENSEMBLE, SimConfig, lag_products
 from .mapcore import MapParams, _ell_claim
 from .markov import chain_autocovariance, coarse_measure
 
@@ -59,8 +59,7 @@ def bias_of_ell(ell: float) -> float:
 
 def ell_of_bias(b: float) -> float:
     """Inverse of ``bias_of_ell``, for b whose ell lies in the map's domain."""
-    if (claim := _bias_claim(b)) is not None:
-        raise DomainError(f"bias {claim}, got {b}")
+    _refuse("bias", b, _bias_claim)
     return 0.5 * (1.0 - 1.0 / (2.0 - b))
 
 
@@ -71,6 +70,12 @@ def _bias_claim(b: float) -> str | None:
     if _ell_claim(0.5 * (1.0 - 1.0 / (2.0 - b))) is not None:
         return "must be small enough for its ell, (1 - 1/(2 - bias))/2, to be positive"
     return None
+
+
+# the claims of an estimate's members, two for a standard error, and of the
+# lags that green_kubo_exact sums
+_n_ens_claim = _in_range(2, _MAX_ENSEMBLE)
+_k_max_claim = _in_range(1, _MAX_K)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -93,8 +98,7 @@ class GKConfig(SimConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.n_ens < 2:
-            raise DomainError("n_ens must be >= 2")
+        _refuse("n_ens", self.n_ens, _n_ens_claim)
         if self.ensemble_mode not in ("stationary", "microcanonical-equilibrium"):
             raise DomainError(f"unknown ensemble_mode {self.ensemble_mode!r}")
         if self.ensemble_mode == "microcanonical-equilibrium" and (self.params.ell != 0.25 or self.params.q != 0.0):
@@ -155,10 +159,7 @@ def green_kubo_exact(ell: float, k_max: int) -> GKResult:
     also gives the quoted bound on the neglected tail.  ``k_max`` is capped
     at ``_MAX_K``.
     """
-    if k_max < 1:
-        raise DomainError("k_max must be >= 1")
-    if k_max > _MAX_K:
-        raise CapacityError(f"k_max={k_max} exceeds the limit {_MAX_K}")
+    _refuse("k_max", k_max, _k_max_claim, DomainError if k_max < 1 else CapacityError)
     terms = chain_autocovariance(ell, PSI, k_max)
     partial = np.cumsum(terms)
     gamma = abs(0.5 - 2.0 * ell)

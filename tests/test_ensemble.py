@@ -289,6 +289,19 @@ class TestRegionSequences:
                 se = np.sqrt(max(P[i, j] * (1 - P[i, j]), 1e-12) / row_n[i])
                 assert abs(freq[i, j] - P[i, j]) < max(3 * se, 1e-9)
 
+    # ROADMAP items 1 and 16: no orbit takes a step that the chain forbids.
+    # One ulp below 1/8 some orbit lands on x = 1 exactly, which D sends to
+    # C's fixed point 1/2 (11 D -> C steps in this run)
+    @pytest.mark.parametrize(
+        "ell",
+        [0.15, pytest.param(math.nextafter(0.125, 0.0), marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))],
+    )
+    def test_no_transition_outside_the_chains_support(self, ell):
+        cfg = SimConfig(params=MapParams(ell, 0.0), n_ens=20_000, n_iter=4_000, burn_in=0, seed=1)
+        counts = transition_counts(cfg)
+        assert counts.sum() == 20_000 * 3_999
+        assert not counts[transition_matrix(ell) == 0].any()
+
 
 class TestEmpiricalDensity:
     def test_x_marginal_matches_projected_density(self):
@@ -337,13 +350,17 @@ class TestEmpiricalDensity:
         assert dof == bins - 1
         assert pvalue == float(sstats.chi2.sf(stat, dof))
 
-    def test_cell_cap(self):
-        from bakerlab.ensemble import _MAX_HIST_CELLS
+    def test_bin_cap(self):
+        from bakerlab.ensemble import _MAX_BINS
 
-        assert 500 * 500 <= _MAX_HIST_CELLS < 2001 * 2000
+        assert 500 <= _MAX_BINS < 2001
         cfg = SimConfig(params=PARAMS_EQ, n_ens=1, n_iter=1, burn_in=0, seed=1)
-        with pytest.raises(CapacityError, match="2001 x 2000"):
+        with pytest.raises(CapacityError, match=r"^nx must be <= 2000, got 2001$"):
             empirical_density(cfg, nx=2001, ny=2000)
+        with pytest.raises(CapacityError, match=r"^ny must be <= 2000, got 4000$"):
+            empirical_density(cfg, nx=1000, ny=4000)
+        with pytest.raises(DomainError, match=r"^ny must be >= 1, got 0$"):
+            empirical_density(cfg, nx=10, ny=0)
 
     def test_sample_count(self):
         cfg = SimConfig(params=PARAMS_EQ, n_ens=300, n_iter=7, burn_in=10, seed=1)
@@ -513,7 +530,7 @@ class TestCountMoments:
         n_ens, n_iter = 2**25, 2**14
         with pytest.raises(AssertionError, match="a worker started"):
             reduction(transport.GKConfig(params=PARAMS_EQ, n_ens=n_ens, n_iter=n_iter, seed=1))
-        with pytest.raises(CapacityError, match=r"n_ens \* n_iter\*\*2 must be <= 2\*\*53, got 33554432 \* 16385\*\*2"):
+        with pytest.raises(CapacityError, match=r"^n_iter must be <= 16384 at n_ens 33554432, got 16385$"):
             reduction(transport.GKConfig(params=PARAMS_EQ, n_ens=n_ens, n_iter=n_iter + 1, seed=1))
 
 
@@ -874,10 +891,22 @@ class TestSegmentMeanCounts:
 
         monkeypatch.setattr(ensemble, "_split", split)
         cfg = SimConfig(params=MapParams(0.15, 0.2), n_ens=_MAX_ENSEMBLE, n_iter=9, burn_in=0, seed=1)
-        with pytest.raises(DomainError, match="n_iter too small for one segment"):
+        with pytest.raises(DomainError, match=r"^n_iter must be >= seg_len \(10\) for one segment, got 9$"):
             segment_mean_counts(cfg, 10, 1.0, self.cells, len(self.GRID))
-        with pytest.raises(DomainError, match="seg_len must be >= 1"):
+        with pytest.raises(DomainError, match=r"^seg_len must be >= 1, got 0$"):
             segment_mean_counts(cfg, 0, 1.0, self.cells, len(self.GRID))
+
+    def test_fewer_segments_than_min_count_are_refused_before_any_worker_starts(self, monkeypatch):
+        def split(*_):
+            raise AssertionError("a worker started")
+
+        monkeypatch.setattr(ensemble, "_split", split)
+        cfg = SimConfig(params=MapParams(0.15, 0.2), n_ens=3, n_iter=39, burn_in=0, seed=1)
+        message = r"^n_ens x \(n_iter // seg_len\) segments must be >= min_count \(10\), got 3 x \(39 // 10\) = 9$"
+        with pytest.raises(DomainError, match=message):
+            segment_mean_counts(cfg, 10, 1.0, self.cells, len(self.GRID), min_count=10)
+        with pytest.raises(AssertionError, match="a worker started"):
+            segment_mean_counts(cfg, 10, 1.0, self.cells, len(self.GRID), min_count=9)
 
 
 def place_on_the_edges(monkeypatch, ell: float) -> None:

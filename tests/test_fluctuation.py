@@ -75,6 +75,11 @@ class TestFRConfig:
         assert len(g) == 41
         assert np.abs(g + g[::-1]).max() == 0.0
 
+    @pytest.mark.parametrize("delta", [0.0, np.nan, np.inf])
+    def test_delta_must_be_positive_and_finite(self, delta):
+        with pytest.raises(DomainError, match=rf"^delta must be positive and finite, got {delta}$"):
+            FRConfig(n=10, p_grid=symmetric_grid(1.0, 0.1), delta=delta)
+
     @pytest.mark.parametrize("min_count", [0, -5])
     def test_min_count_must_be_positive(self, min_count):
         with pytest.raises(DomainError, match="min_count"):
@@ -88,7 +93,7 @@ class TestFRConfig:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("spacing", [np.inf, np.nan, 0.0, -0.1])
     def test_symmetric_grid_refuses_a_spacing_before_using_it(self, spacing):
-        with pytest.raises(DomainError, match="spacing positive and finite"):
+        with pytest.raises(DomainError, match=rf"^spacing must be positive and finite, got {spacing}$"):
             symmetric_grid(2.0, spacing)
 
 
@@ -187,6 +192,16 @@ class TestEstimatePi:
         assert values.tobytes() == kept.tobytes()  # the input is left as it was
         assert (got == -1).any() and len(np.unique(got)) == len(grid) + 1
 
+    # ROADMAP item 11 (e): a value on the edge two cells share goes where
+    # np.round sends it, half to even, so +v and -v can land in cells that
+    # are not each other's mirror (+0.05 in p = 0.1, -0.05 in p = 0)
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 11 (e)")
+    @pytest.mark.parametrize("v", [0.05, 0.15, 0.25])
+    def test_cells_are_mirror_symmetric_at_shared_edges(self, v):
+        grid = symmetric_grid(2.0, 0.1)
+        plus, minus = _bin_values(np.array([v, -v]), grid, 0.05)
+        assert minus == len(grid) - 1 - plus
+
     def test_mc_matches_exact_cell_by_cell(self):
         n = 50
         dist = contraction_sum_distribution(ELL, Q, n)
@@ -227,7 +242,11 @@ class TestEstimatePi:
 
         monkeypatch.setattr(ensemble, "_split", split)
         sim = SimConfig(params=MapParams(ELL, Q), n_ens=10_000_000, n_iter=19, burn_in=0, seed=1)
-        with pytest.raises(DomainError, match="n_iter too small for one segment"):
+        with pytest.raises(DomainError, match=r"^n_iter must be >= seg_len \(20\) for one segment, got 19$"):
+            estimate_pi(fr_config(20), sim)
+        # a run of fewer segments than min_count leaves no cell admissible
+        sim = SimConfig(params=MapParams(ELL, Q), n_ens=24, n_iter=20, burn_in=0, seed=1)
+        with pytest.raises(DomainError, match=r"segments must be >= min_count \(25\), got 24 x \(20 // 20\) = 24$"):
             estimate_pi(fr_config(20), sim)
 
     def test_mc_memory_does_not_grow_with_the_ensemble(self, force_workers):

@@ -208,8 +208,13 @@ class TestMeanContractionRateGrid:
     @pytest.mark.parametrize("steps", [(2001, 2000), (1, 4_000_001)])
     def test_more_than_four_million_cells_are_refused_before_any_work(self, monkeypatch, steps):
         monkeypatch.setattr(markov, "_jacobians", lambda *args: pytest.fail("the grid was computed"))
-        with pytest.raises(CapacityError, match=f"a {steps[0]} x {steps[1]} grid exceeds the limit of 4000000 cells"):
+        message = rf"^len\(ells\) x len\(qs\) must be <= 4000000 cells, got {steps[0]} x {steps[1]}$"
+        with pytest.raises(CapacityError, match=message):
             mean_contraction_rate_grid(np.full(steps[0], 0.1), np.full(steps[1], 0.1))
+
+    def test_an_empty_grid_is_refused(self):
+        with pytest.raises(DomainError, match=r"^len\(qs\) must be >= 1, got 0$"):
+            mean_contraction_rate_grid(np.full(3, 0.1), np.array([]))
 
 
 class TestDBReport:
