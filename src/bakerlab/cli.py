@@ -128,29 +128,13 @@ def _choice(*values: str):
     return conv
 
 
-# the flip strip, which only the irreversible variant reads; None is the
-# map's own default, the B slab
-_STRIP = {"strip_x": (float, None), "strip_eps": (float, None)}
-
-
-def _params_from(resolved: dict) -> tuple[MapParams, dict]:
-    """The map parameters, and the options without the strip unless the
-    irreversible variant reads it."""
-    if resolved["variant"] is not MapVariant.IRREVERSIBLE:
-        resolved = _refuse_set(resolved, _STRIP, tuple(_STRIP), "--variant reversible")
-    else:  # the strip's default and bounds are mapcore's; a default width is checked too
-        x, eps = mc._strip_of(resolved["ell"], resolved["strip_x"], resolved["strip_eps"])
-        _require(resolved, strip_x=mc._strip_x_claim)
-        _require({"strip_eps": eps}, strip_eps=lambda v: mc._strip_eps_claim(v, x))
-    return MapParams(resolved["ell"], resolved["q"], resolved.get("strip_x"), resolved.get("strip_eps")), resolved
-
-
 def _ensemble_config(kind: type, params: MapParams, resolved: dict, **fields) -> es.SimConfig:
     """A ``kind`` of ``es.SimConfig`` (itself or ``tp.GKConfig``) over the
-    map ``params``, with the options' variant, ensemble sizes and seed;
-    a seed off the one 64-bit key word is refused in the terms of its flag."""
+    map ``params``, with the options' ensemble sizes, seed and variant, if
+    they have one (transport's x-only run reads none); a seed off the one
+    64-bit key word is refused in the terms of its flag."""
     _require(resolved, seed=es._seed_claim)
-    ensemble = {k: resolved[k] for k in ("variant", "n_ens", "n_iter", "seed")}
+    ensemble = {k: resolved[k] for k in ("variant", "n_ens", "n_iter", "seed") if k in resolved}
     return kind(params=params, **ensemble, **fields)
 
 
@@ -274,7 +258,10 @@ _DENSITY = {
     "ell": (float, 0.15),
     "q": (float, 0.0),
     "variant": (_variant, es.SimConfig.variant),
-    **_STRIP,
+    # the flip strip, which only the irreversible variant reads; None is the
+    # map's own default, the B slab
+    "strip_x": (float, None),
+    "strip_eps": (float, None),
     "n_ens": (int, 20_000),
     "n_iter": (int, 50),
     "burn_in": (int, 1_000),
@@ -286,7 +273,14 @@ _DENSITY = {
 
 def _cmd_density(resolved) -> _Run:
     _require(resolved, n_ens=es._n_ens_claim, n_iter=es._states_claim, burn_in=es._steps_claim, bins=es._bins_claim)
-    params, read = _params_from(resolved)
+    read = resolved
+    if resolved["variant"] is not MapVariant.IRREVERSIBLE:
+        read = _refuse_set(resolved, _DENSITY, ("strip_x", "strip_eps"), "--variant reversible")
+    else:  # the strip's default and bounds are mapcore's; a default width is checked too
+        x, eps = mc._strip_of(resolved["ell"], resolved["strip_x"], resolved["strip_eps"])
+        _require(resolved, strip_x=mc._strip_x_claim)
+        _require({"strip_eps": eps}, strip_eps=lambda v: mc._strip_eps_claim(v, x))
+    params = MapParams(resolved["ell"], resolved["q"], resolved["strip_x"], resolved["strip_eps"])
     config = _ensemble_config(es.SimConfig, params, resolved, burn_in=resolved["burn_in"])
     nb = resolved["bins"]
     bins = range(nb)  # the bin indices of either axis
@@ -336,8 +330,7 @@ def _cmd_surface(resolved) -> _Run:
 _FR = {
     "ell": (float, 0.15),
     "q": (float, 0.2),
-    "variant": (_variant, es.SimConfig.variant),
-    **_STRIP,
+    "variant": (_variant, es.SimConfig.variant),  # --source mc's, though its x-only run never reads it
     "n": (int, 200),
     "delta": (float, fl.FRConfig.delta),
     "p_max": (float, 2.0),
@@ -351,7 +344,7 @@ _FR = {
 }
 
 # options that only the mc source reads
-_MC_ONLY = ("variant", "strip_x", "strip_eps", "n_ens", "n_iter", "burn_in", "seed", "min_count")
+_MC_ONLY = ("variant", "n_ens", "n_iter", "burn_in", "seed", "min_count")
 
 
 def _fr_family(command: str, resolved: dict) -> tuple[fl.PiHistogram, fl.RateFunction, _Run]:
@@ -382,9 +375,8 @@ def _fr_family(command: str, resolved: dict) -> tuple[fl.PiHistogram, fl.RateFun
         claim = es._segments_claim(read["n_ens"], read["n_iter"], resolved["n"], resolved["min_count"], _flag)
         if claim is not None:
             raise DomainError(claim)
-        params, read = _params_from(read)
-        source = _ensemble_config(es.SimConfig, params, read, burn_in=0)
-        start = _xonly_start(source.n_ens, params)
+        source = _ensemble_config(es.SimConfig, MapParams(ell, q), read, burn_in=0)
+        start = _xonly_start(source.n_ens, source.params)
     pi = fl.estimate_pi(fr_cfg, source)
     rf = fl.rate_function(pi)
     zeta = ((p, z) for p, z in zip(rf.p, rf.zeta) if np.isfinite(z))
@@ -438,8 +430,6 @@ def _cmd_db(resolved) -> _Run:
 _TRANSPORT = {
     "ell": (float, 0.25),
     "q": (float, None),
-    "variant": (_variant, es.SimConfig.variant),
-    **_STRIP,
     "mode": (_choice("equilibrium", "stationary"), "equilibrium"),
     "n_ens": (int, 100_000),
     "n_iter": (int, 50),
@@ -465,7 +455,7 @@ def _biases(sweep: str) -> np.ndarray:
 
 
 # options that --sweep derives from each bias or does not use
-_NOT_SWEPT = ("ell", "q", "mode", "strip_x", "strip_eps", "k_max")
+_NOT_SWEPT = ("ell", "q", "mode", "k_max")
 
 
 def _cmd_transport(resolved) -> _Run:
@@ -493,14 +483,10 @@ def _cmd_transport(resolved) -> _Run:
     if mc._q_claim(q) is not None:  # the default q = 1/2 - 2 ell rounds to 1/2 for ell <= 2**-56
         raise DomainError(f"--ell must be large enough for the default --q, 1/2 - 2 ell, to lie below 1/2, "
                           f"got {resolved['ell']}")
-    params, read = _params_from(dict(read, q=q))
-    if resolved["mode"] == "equilibrium" and (params.ell, params.q) != (0.25, 0.0):
-        raise DomainError(
-            f"--mode equilibrium requires --ell 0.25 and --q 0, got --ell {params.ell} and --q {params.q}; "
-            "use --mode stationary at other (ell, q)"
-        )
+    if resolved["mode"] == "equilibrium" and (claim := tp._equilibrium_claim(resolved["ell"], q, _flag)) is not None:
+        raise DomainError(f"--mode equilibrium {claim}; use --mode stationary at other (ell, q)")
     mode = "microcanonical-equilibrium" if resolved["mode"] == "equilibrium" else "stationary"
-    cfg = _ensemble_config(tp.GKConfig, params, resolved, ensemble_mode=mode)
+    cfg = _ensemble_config(tp.GKConfig, MapParams(resolved["ell"], q), resolved, ensemble_mode=mode)
     exact = tp.green_kubo_exact(resolved["ell"], resolved["k_max"])
     result = tp.green_kubo_estimate(cfg)
     return _Run(
@@ -513,8 +499,8 @@ def _cmd_transport(resolved) -> _Run:
             ),
         },
         f"L={result.value:.6f} +- {result.stderr:.6f} (exact chain: {exact.value:.6f})",
-        dict(read, q=resolved["q"]),  # the option as given; None means 1/2 - 2 ell
-        _xonly_start(cfg.n_ens, params),
+        read,  # q as given; None means 1/2 - 2 ell
+        _xonly_start(cfg.n_ens, cfg.params),
         None if result.converged else "partial sums did not converge",
     )
 

@@ -52,6 +52,7 @@ from .mapcore import (
     contraction_rates,
     region_indices,
     region_reverse,
+    _TOP,
     _advance,
     _coefficient_table,
 )
@@ -159,14 +160,14 @@ def _philox(key, start: int) -> np.random.Generator:
 
 
 def _dither(v: np.ndarray, gen) -> np.ndarray:
-    """``clip(v + (u - 0.5) * 2 * _DITHER_SCALE, 0, 1)`` for uniform u,
+    """``clip(v + (u - 0.5) * 2 * _DITHER_SCALE, 0, _TOP)`` for uniform u,
     written into ``v``, which is returned."""
     d = gen.random(len(v))
     d -= 0.5
     d *= 2.0
     d *= _DITHER_SCALE
     v += d
-    return v.clip(0.0, 1.0, out=v)
+    return v.clip(0.0, _TOP, out=v)
 
 
 def _stationary_x(x: np.ndarray, ell: float) -> None:

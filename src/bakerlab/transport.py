@@ -14,6 +14,7 @@ chain expression sum_k [psi^T diag(mu) P^k psi - <psi>^2].
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -78,6 +79,13 @@ _n_ens_claim = _in_range(2, _MAX_ENSEMBLE)
 _k_max_claim = _in_range(1, _MAX_K)
 
 
+def _equilibrium_claim(ell: float, q: float, name: Callable[[str], str] = str) -> str | None:
+    """Why (``ell``, ``q``) is not (1/4, 0), the equilibrium mode's one point, or None; ``name`` prints each field."""
+    if (ell, q) == (0.25, 0.0):
+        return None
+    return f"requires {name('ell')} 0.25 and {name('q')} 0, got {name('ell')} {ell} and {name('q')} {q}"
+
+
 @dataclass(frozen=True, kw_only=True)
 class GKConfig(SimConfig):
     """A ``SimConfig`` with the burn-in default and checks of one transport
@@ -101,8 +109,9 @@ class GKConfig(SimConfig):
         _refuse("n_ens", self.n_ens, _n_ens_claim)
         if self.ensemble_mode not in ("stationary", "microcanonical-equilibrium"):
             raise DomainError(f"unknown ensemble_mode {self.ensemble_mode!r}")
-        if self.ensemble_mode == "microcanonical-equilibrium" and (self.params.ell != 0.25 or self.params.q != 0.0):
-            raise DomainError("microcanonical-equilibrium mode requires ell = 1/4 and q = 0")
+        if self.ensemble_mode == "microcanonical-equilibrium":
+            if (claim := _equilibrium_claim(self.params.ell, self.params.q)) is not None:
+                raise DomainError(f"microcanonical-equilibrium mode {claim}")
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from bakerlab.ensemble import SimConfig, _segment_means
+from bakerlab.ensemble import _CHUNK, SimConfig, _run, _segment_means
 from bakerlab.errors import DomainError
 
 
@@ -30,6 +30,44 @@ def uniformity_chi_square(counts: np.ndarray) -> tuple[float, int, float]:
     expected = total / counts.size
     stat = float(((counts - expected) ** 2 / expected).sum())
     dof = counts.size - 1
+    return stat, dof, float(chdtrc(dof, stat))
+
+
+def word_counts(config: SimConfig) -> np.ndarray:
+    """N[i, j, k], the (4, 4, 4) counts of the region words i j k of three
+    consecutive kept states over all members of the x-only run of
+    ``config``, evolved one ``_CHUNK`` of members at a time in this process."""
+    counts = np.zeros(64, dtype=np.int64)
+    for a in range(0, config.n_ens, _CHUNK):
+        pair = None  # r_{t-1} r_t of each member, as 4 r_{t-1} + r_t
+        for t, (_, _, r, _) in enumerate(_run(config, False, (a, min(a + _CHUNK, config.n_ens)))):
+            if t >= 2:
+                word = 4 * pair + r
+                counts += np.bincount(word, minlength=64)
+                pair = word & 15
+            else:
+                pair = r.astype(np.intp) if pair is None else 4 * pair + r
+    return counts.reshape(4, 4, 4)
+
+
+def markov_order_chi_square(counts: np.ndarray) -> tuple[float, int, float]:
+    """Anderson-Goodman chi-square of order-2 word counts N[i, j, k] against
+    first order, "i and k are independent given j"; returns (statistic,
+    dof, p-value).  Each j is a contingency table of predecessors i by
+    successors k, expected N[i, j, .] N[., j, k] / N[., j, .]; a row or
+    column with no count is a structural zero and adds no degree of
+    freedom, so the dof sum (rows - 1)(columns - 1) over j."""
+    counts = np.asarray(counts, dtype=float)
+    stat, dof = 0.0, 0
+    for j in range(counts.shape[1]):
+        table = counts[:, j, :]
+        rows, cols = table.sum(axis=1), table.sum(axis=0)
+        rows, cols, table = rows[rows > 0], cols[cols > 0], table[rows > 0][:, cols > 0]
+        if rows.size == 0:
+            continue
+        expected = np.outer(rows, cols) / rows.sum()
+        stat += float(((table - expected) ** 2 / expected).sum())
+        dof += (rows.size - 1) * (cols.size - 1)
     return stat, dof, float(chdtrc(dof, stat))
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from stats import segment_means, uniformity_chi_square
+from stats import markov_order_chi_square, segment_means, uniformity_chi_square, word_counts
 
 from bakerlab import ensemble, mapcore, transport
 from bakerlab.errors import CapacityError, DomainError, WorkerError
@@ -290,17 +290,50 @@ class TestRegionSequences:
                 assert abs(freq[i, j] - P[i, j]) < max(3 * se, 1e-9)
 
     # ROADMAP items 1 and 16: no orbit takes a step that the chain forbids.
-    # One ulp below 1/8 some orbit lands on x = 1 exactly, which D sends to
-    # C's fixed point 1/2 (11 D -> C steps in this run)
-    @pytest.mark.parametrize(
-        "ell",
-        [0.15, pytest.param(math.nextafter(0.125, 0.0), marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))],
-    )
+    # One ulp below 1/8 this run held 11 D -> C steps while images were
+    # clipped to [0, 1]: an orbit landed on x = 1 exactly, which D sends to
+    # C's fixed point 1/2; the clip below 1 keeps it out of reach
+    @pytest.mark.parametrize("ell", [0.15, math.nextafter(0.125, 0.0)])
     def test_no_transition_outside_the_chains_support(self, ell):
         cfg = SimConfig(params=MapParams(ell, 0.0), n_ens=20_000, n_iter=4_000, burn_in=0, seed=1)
         counts = transition_counts(cfg)
         assert counts.sum() == 20_000 * 3_999
         assert not counts[transition_matrix(ell) == 0].any()
+
+    # ROADMAP item 16: every exact answer assumes that the region sequence is
+    # the first-order chain.  At 1/8 float orbits collapse onto x = 1/2
+    # (ROADMAP item 1), and the order-2 test sees it in 4,000 states
+    # (chi-square 65.3, 4 dof, p = 2.3e-13; 2.8 and p = 0.59 at 0.15)
+    @pytest.mark.parametrize(
+        "ell", [0.15, pytest.param(0.125, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))]
+    )
+    def test_region_sequence_is_first_order_markov(self, ell):
+        cfg = SimConfig(params=MapParams(ell, 0.0), n_ens=20_000, n_iter=4_000, burn_in=0, seed=1)
+        counts = word_counts(cfg)
+        assert counts.sum() == 20_000 * 3_998
+        _, dof, pvalue = markov_order_chi_square(counts)
+        assert dof == 4
+        assert pvalue >= 0.01
+
+    def test_word_counts_extend_the_transition_counts(self):
+        """Over a run one state shorter, N[i, j, .] are the (i, j) counts of
+        ``transition_counts``, across a chunk edge."""
+        cfg = SimConfig(params=MapParams(0.2, 0.1), n_ens=ensemble._CHUNK + 5, n_iter=9, burn_in=0, seed=4)
+        counts = word_counts(cfg)
+        assert np.array_equal(counts.sum(axis=2), transition_counts(replace(cfg, n_iter=8)))
+
+    def test_order_chi_square_sums_the_contingency_tests_of_each_middle_region(self):
+        counts = np.random.default_rng(2).integers(0, 50, size=(4, 4, 4))
+        counts[:, 1, :] = 0  # a middle region never seen
+        counts[2, 2, :] = 0  # a structural zero row
+        counts[:, 3, 0] = 0  # and column
+        stat, dof, pvalue = markov_order_chi_square(counts)
+        tables = [counts[:, j, :] for j in (0, 2, 3)]
+        tables = [t[t.sum(axis=1) > 0][:, t.sum(axis=0) > 0] for t in tables]
+        reference = [sstats.chi2_contingency(t, correction=False) for t in tables]
+        assert stat == pytest.approx(sum(r.statistic for r in reference), rel=1e-12)
+        assert dof == sum(r.dof for r in reference) == 3 * 3 + 2 * 3 + 3 * 2
+        assert pvalue == pytest.approx(float(sstats.chi2.sf(stat, dof)), rel=1e-9)
 
 
 class TestEmpiricalDensity:
@@ -1027,11 +1060,12 @@ class TestXOnlyPath:
     )
     def test_step_matches_unblocked_expression(self, monkeypatch, params, n):
         """The x-only loop from starts on the partition and strip edges, where
-        a tie decides the branch, against ``clip(ax[r] x + bx[r], 0, 1)``
+        a tie decides the branch, against ``clip(ax[r] x + bx[r], 0, 1 - 2**-53)``
         with r from whole-array comparisons (then the dither at ell = 1/4):
         its regions and the phi and count word that its one gather fetches."""
         x0 = np.random.default_rng(n).random(n)
-        edges = [0.0, params.ell, 0.5, 0.75, 1.0, params.strip_x, params.strip_x + params.strip_eps]
+        edges = [0.0, params.ell, 0.5, 0.75, 1.0, params.strip_x, params.strip_x + params.strip_eps,
+                 np.nextafter(params.ell, 0.0)]
         x0[: len(edges)] = edges[:n]
 
         def start(x, ell):
@@ -1049,9 +1083,18 @@ class TestXOnlyPath:
             assert np.array_equal(r, rr)
             assert np.array_equal(rows[:, 2], phi[rr])
             assert np.array_equal(rows[:, 3], ensemble._LANES[rr])
-            xr = np.clip(ax[rr] * xr + bx[rr], 0.0, 1.0)
+            xr = np.clip(ax[rr] * xr + bx[rr], 0.0, np.nextafter(1.0, 0.0))
             if params.ell == 0.25:
                 xr = ensemble._dither(xr, ensemble._philox(key, k * n))
+
+    def test_dither_clips_as_the_step_does(self):
+        """Into [0, 1 - 2**-53], in place: a dithered x is never 1 (ROADMAP item 1)."""
+        v = np.full(1000, mapcore._TOP)
+        v[:500] = 0.0
+        key = np.array([5, ensemble._DITHER_SUBKEY_X], dtype=np.uint64)
+        assert ensemble._dither(v, ensemble._philox(key, 0)) is v
+        assert v.min() == 0.0 and v.max() == mapcore._TOP == np.nextafter(1.0, 0.0)
+        assert 100 < (v[:500] == 0.0).sum() < 400 and 100 < (v[500:] == mapcore._TOP).sum() < 400
 
     def test_x_table(self):
         """Row r is (ax[r], bx[r], phi[r], _LANES[r]), phi 0 where None, and

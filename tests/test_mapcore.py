@@ -1,3 +1,4 @@
+import math
 import warnings
 from fractions import Fraction
 
@@ -210,8 +211,21 @@ class TestBakerStep:
     @settings(max_examples=200)
     def test_image_stays_in_square(self, x, y, ell, q):
         xn, yn = _step1(x, y, MapParams(ell, q))
-        assert 0.0 <= xn <= 1.0
-        assert 0.0 <= yn <= 1.0
+        assert 0.0 <= xn < 1.0
+        assert 0.0 <= yn < 1.0
+
+    # ROADMAP item 1: the A image of x one ulp below ell rounds to exactly 1,
+    # which D would send to C's fixed point 1/2, a step that P_DC = 0 forbids
+    @pytest.mark.parametrize("ell", [0.0625, 0.1, math.nextafter(0.125, 0.0), 0.125, 0.2, 0.25])
+    def test_no_image_reaches_one(self, ell):
+        params = MapParams(ell, 0.0)
+        ax, bx, _, _ = branch_coefficients(params)
+        x = np.array([math.nextafter(ell, 0.0)])
+        assert ax[0] * x[0] + bx[0] == 1.0  # unclipped
+        x, y = step_arrays(x, np.zeros(1), params)
+        assert x[0] == math.nextafter(1.0, 0.0) == mapcore._TOP
+        x, y = step_arrays(x, y, params)
+        assert x[0] == 0.5 - 2.0**-52
 
 
 class TestJacobians:
@@ -337,8 +351,8 @@ def _unblocked_step(x, y, params, variant):
     """The whole-array expression ``step_arrays`` must reproduce bit for bit."""
     ax, bx, ay, by = branch_coefficients(params)
     r = (x >= params.ell).astype(np.int8) + (x >= 0.5).astype(np.int8) + (x >= 0.75).astype(np.int8)
-    xn = np.clip(ax[r] * x + bx[r], 0.0, 1.0)
-    yn = np.clip(ay[r] * y + by[r], 0.0, 1.0)
+    xn = np.clip(ax[r] * x + bx[r], 0.0, np.nextafter(1.0, 0.0))
+    yn = np.clip(ay[r] * y + by[r], 0.0, np.nextafter(1.0, 0.0))
     if variant is MapVariant.IRREVERSIBLE and params.strip_eps > 0.0:
         hi = params.strip_x + params.strip_eps
         flip = (xn >= params.strip_x) & (xn <= hi) & (yn < 0.5)
@@ -363,7 +377,8 @@ class TestBlockedKernel:
     def test_matches_unblocked_expression(self, params, n):
         gen = np.random.default_rng(n)
         # partition and strip edges, where a tie decides the branch or the flip
-        edges = [0.0, params.ell, 0.5, 0.75, 1.0, params.strip_x, params.strip_x + params.strip_eps]
+        edges = [0.0, params.ell, 0.5, 0.75, 1.0, params.strip_x, params.strip_x + params.strip_eps,
+                 np.nextafter(params.ell, 0.0)]  # whose A image rounds to 1 at these ell but 0.15
         x0 = gen.random(n)
         x0[: len(edges)] = edges[:n]
         y0 = gen.random(n)

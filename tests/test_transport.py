@@ -165,9 +165,11 @@ class TestEstimate:
 
     def test_equilibrium_mode_requires_quarter_point(self):
         sizes = dict(n_ens=2, n_iter=1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^microcanonical-equilibrium mode requires ell 0\.25 and q 0, "
+                           r"got ell 0\.15 and q 0\.0$"):
             GKConfig(params=MapParams(0.15, 0.0), ensemble_mode="microcanonical-equilibrium", **sizes)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^microcanonical-equilibrium mode requires ell 0\.25 and q 0, "
+                           r"got ell 0\.25 and q 0\.1$"):
             GKConfig(params=MapParams(0.25, 0.1), ensemble_mode="microcanonical-equilibrium", **sizes)
 
     @pytest.mark.parametrize("ell", [0.15, 0.2, 0.25])
