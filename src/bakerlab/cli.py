@@ -3,8 +3,8 @@ then writes plot-ready CSV artifacts and a JSON manifest, so a failed run
 writes nothing.
 
 The library states each bound of an option once and refuses a value off
-it; the CLI asks the same statement before any work and only names the
-flag, so a refused run does no work and writes nothing.
+it before any work; its refusal names the fields apart from its text, and
+the CLI prints each field as its flag, so a refused run writes nothing.
 
 Exit codes: 0 success, 1 usage/validation error, 2 numeric or convergence
 failure, 3 selftest failure.  Floats are written with 17 significant digits
@@ -14,7 +14,6 @@ so that re-running a command reproduces byte-identical CSV bodies.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -26,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .errors import BakerlabError, DomainError, _require as _require_fields
+from .errors import BakerlabError, DomainError, _refusal, _require
 from .mapcore import (
     MapParams,
     MapVariant,
@@ -131,9 +130,7 @@ def _choice(*values: str):
 def _ensemble_config(kind: type, params: MapParams, resolved: dict, **fields) -> es.SimConfig:
     """A ``kind`` of ``es.SimConfig`` (itself or ``tp.GKConfig``) over the
     map ``params``, with the options' ensemble sizes, seed and variant, if
-    they have one (transport's x-only run reads none); a seed off the one
-    64-bit key word is refused in the terms of its flag."""
-    _require(resolved, seed=es._seed_claim)
+    they have one (transport's x-only run reads none)."""
     ensemble = {k: resolved[k] for k in ("variant", "n_ens", "n_iter", "seed") if k in resolved}
     return kind(params=params, **ensemble, **fields)
 
@@ -152,16 +149,20 @@ def _xonly_start(n_ens: int, *params: MapParams) -> dict:
 
 # the flag, or flag expression, of each library field that the flag of its
 # own name does not set
-_FLAGS = {"seg_len": "--n", "spacing": "(2 --delta)", "ells": "--ell-steps", "qs": "--q-steps"}
+_FLAGS = {
+    "seg_len": "--n",
+    "spacing": "(2 --delta)",
+    "len(ells)": "--ell-steps",
+    "len(qs)": "--q-steps",
+    "nx": "--bins",
+    "ny": "--bins",
+    "bias": "--sweep",
+}
 
 
 def _flag(field: str) -> str:
-    """The flag that sets the library's ``field``: the name a compound claim prints for it."""
+    """The flag that sets the library's ``field``: the name a refusal prints for it."""
     return _FLAGS.get(field, "--" + field.replace("_", "-"))
-
-
-# refuse the first named option that is set and whose claim refuses it, in the terms of its flag
-_require = functools.partial(_require_fields, name=_flag)
 
 
 def _refuse_set(resolved: dict, spec: dict, names: tuple, context: str) -> dict:
@@ -272,14 +273,9 @@ _DENSITY = {
 
 
 def _cmd_density(resolved) -> _Run:
-    _require(resolved, n_ens=es._n_ens_claim, n_iter=es._states_claim, burn_in=es._steps_claim, bins=es._bins_claim)
     read = resolved
     if resolved["variant"] is not MapVariant.IRREVERSIBLE:
         read = _refuse_set(resolved, _DENSITY, ("strip_x", "strip_eps"), "--variant reversible")
-    else:  # the strip's default and bounds are mapcore's; a default width is checked too
-        x, eps = mc._strip_of(resolved["ell"], resolved["strip_x"], resolved["strip_eps"])
-        _require(resolved, strip_x=mc._strip_x_claim)
-        _require({"strip_eps": eps}, strip_eps=lambda v: mc._strip_eps_claim(v, x))
     params = MapParams(resolved["ell"], resolved["q"], resolved["strip_x"], resolved["strip_eps"])
     config = _ensemble_config(es.SimConfig, params, resolved, burn_in=resolved["burn_in"])
     nb = resolved["bins"]
@@ -315,8 +311,9 @@ _SURFACE = {
 
 
 def _cmd_surface(resolved) -> _Run:
-    if (claim := mk._grid_claim(resolved["ell_steps"], resolved["q_steps"], _flag)) is not None:
-        raise DomainError(claim)
+    # the library's claim, asked before linspace builds axes of that many points
+    if (claim := mk._grid_claim(resolved["ell_steps"], resolved["q_steps"])) is not None:
+        raise _refusal(claim)
     ells = np.linspace(resolved["ell_min"], resolved["ell_max"], resolved["ell_steps"])
     qs = np.linspace(resolved["q_min"], resolved["q_max"], resolved["q_steps"])
     rates = mk.mean_contraction_rate_grid(ells, qs)
@@ -351,30 +348,24 @@ def _fr_family(command: str, resolved: dict) -> tuple[fl.PiHistogram, fl.RateFun
     """Body of fr and ratefunc: the cell masses from the exact law or the
     ensemble and their rate function, with the run that writes ``pi.csv``
     and ``zeta.csv``; each command adds its own artifact and summary."""
-    # the exact law is capped at n = MAX_N; the ensemble's segments are not
-    _require(resolved, n=mk._n_claim if resolved["source"] == "exact" else fl._count_claim, min_count=fl._count_claim)
     ell, q = resolved["ell"], resolved["q"]
     if (claim := fl._mean_rate_claim(mk.mean_contraction_rate(ell, q))) is not None:  # before any law or ensemble
         raise DomainError(f"--q {q} at --ell {ell}: the {claim}; choose a larger --q")
     # the p cells: cells of half width --delta side by side, from -p_max to p_max
     _require(resolved, delta=fl._positive_claim, p_max=fl._positive_claim)
     p_max, delta = resolved["p_max"], resolved["delta"]
-    if (claim := fl._cells_claim(p_max, 2.0 * delta, _flag)) is not None:
-        raise DomainError(f"--p-max {p_max} at --delta {delta} {claim}")
+    if (claim := fl._cells_claim(p_max, 2.0 * delta)) is not None:
+        raise _refusal(f"--p-max {p_max} at --delta {delta} {claim}")
     grid = fl.symmetric_grid(p_max, 2.0 * delta)
     if fl._p_grid_claim(grid) is not None:
         raise DomainError(f"--p-max {p_max} leaves no cell beside p = 0 at --delta {delta}; it must exceed --delta")
     fr_cfg = fl.FRConfig(n=resolved["n"], p_grid=grid, delta=delta, min_count=resolved["min_count"])
     if resolved["source"] == "exact":
         read = _refuse_set(resolved, _FR, _MC_ONLY, "--source exact")
-        source = mk.contraction_sum_distribution(resolved["ell"], resolved["q"], resolved["n"])
+        source = mk.contraction_sum_distribution(ell, q, resolved["n"])
         start = None
     else:
         read = _refuse_set(resolved, _FR, ("burn_in",), f"{command} --source mc, {_STATIONARY_X}")
-        _require(read, n_ens=es._n_ens_claim, n_iter=es._states_claim)
-        claim = es._segments_claim(read["n_ens"], read["n_iter"], resolved["n"], resolved["min_count"], _flag)
-        if claim is not None:
-            raise DomainError(claim)
         source = _ensemble_config(es.SimConfig, MapParams(ell, q), read, burn_in=0)
         start = _xonly_start(source.n_ens, source.params)
     pi = fl.estimate_pi(fr_cfg, source)
@@ -442,15 +433,13 @@ _TRANSPORT = {
 
 
 def _biases(sweep: str) -> np.ndarray:
-    """The comma-separated bias list of ``--sweep``."""
+    """The comma-separated bias list of ``--sweep``, each refused by ``tp.bias_sweep`` off its domain."""
     try:
         biases = [float(tok) for tok in sweep.split(",") if tok.strip()]
     except ValueError as exc:
         raise BakerlabError(f"--sweep: {exc}") from None
     if not biases:
         raise BakerlabError(f"--sweep: no bias values in {sweep!r}")
-    for bias in biases:
-        _require({"sweep": bias}, sweep=tp._bias_claim)
     return np.array(biases)
 
 
@@ -459,14 +448,10 @@ _NOT_SWEPT = ("ell", "q", "mode", "k_max")
 
 
 def _cmd_transport(resolved) -> _Run:
-    _require(resolved, n_ens=tp._n_ens_claim, n_iter=es._states_claim, k_max=tp._k_max_claim)
-    if (claim := es._moment_claim(resolved["n_ens"], resolved["n_iter"], _flag)) is not None:
-        raise DomainError(claim)
-    biases = None if resolved["sweep"] is None else _biases(resolved["sweep"])
     read = _refuse_set(resolved, _TRANSPORT, ("burn_in",), f"transport, {_STATIONARY_X}")
-
-    if biases is not None:
+    if resolved["sweep"] is not None:
         read = _refuse_set(read, _TRANSPORT, _NOT_SWEPT, "--sweep")
+        biases = _biases(resolved["sweep"])
         base = _ensemble_config(tp.GKConfig, MapParams(ell=0.25, q=0.0), resolved)
         rows = tp.bias_sweep(biases, base)
         bad = sum(0 if r.converged else 1 for _, r in rows)
@@ -483,8 +468,8 @@ def _cmd_transport(resolved) -> _Run:
     if mc._q_claim(q) is not None:  # the default q = 1/2 - 2 ell rounds to 1/2 for ell <= 2**-56
         raise DomainError(f"--ell must be large enough for the default --q, 1/2 - 2 ell, to lie below 1/2, "
                           f"got {resolved['ell']}")
-    if resolved["mode"] == "equilibrium" and (claim := tp._equilibrium_claim(resolved["ell"], q, _flag)) is not None:
-        raise DomainError(f"--mode equilibrium {claim}; use --mode stationary at other (ell, q)")
+    if resolved["mode"] == "equilibrium" and (claim := tp._equilibrium_claim(resolved["ell"], q)) is not None:
+        raise _refusal(f"--mode equilibrium {claim}; use --mode stationary at other (ell, q)")
     mode = "microcanonical-equilibrium" if resolved["mode"] == "equilibrium" else "stationary"
     cfg = _ensemble_config(tp.GKConfig, MapParams(resolved["ell"], q), resolved, ensemble_mode=mode)
     exact = tp.green_kubo_exact(resolved["ell"], resolved["k_max"])
@@ -701,7 +686,9 @@ def main(argv=None) -> int:
             return args.fn()
         return _write_run(args.command, _resolve(args), args.fn)
     except (BakerlabError, OSError) as exc:
-        print(f"{args.command}: error: {exc}", file=sys.stderr)
+        # a library refusal names each field it refuses as the field's flag
+        message = exc.named(_flag) if isinstance(exc, BakerlabError) else exc
+        print(f"{args.command}: error: {message}", file=sys.stderr)
         # RuntimeError covers every numeric failure class in bakerlab.errors
         return _NUMERIC_EXIT if isinstance(exc, (RuntimeError, OSError)) else _USAGE_EXIT
 

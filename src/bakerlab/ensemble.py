@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, WorkerError, _in_range, _refuse, _require
+from .errors import CapacityError, DomainError, WorkerError, _in_range, _refusal, _refuse, _require
 from .mapcore import (
     MapParams,
     MapVariant,
@@ -108,8 +108,8 @@ def _needs_dither(params: MapParams) -> bool:
     return params.ell == 0.25
 
 
-# each count's claim: a count of states or of burn-in steps may be 0, a
-# reduction reads at least one kept state, and the seed is one key word
+# each count's claim: a count of burn-in steps may be 0, a run keeps at
+# least one state, and the seed is one key word
 _n_ens_claim = _in_range(1, _MAX_ENSEMBLE)
 _steps_claim = _in_range(0)
 _states_claim = _in_range(1)
@@ -117,27 +117,25 @@ _bins_claim = _in_range(1, _MAX_BINS)
 _seed_claim = _in_range(0, 2**64 - 1)
 
 
-def _moment_claim(n_ens: int, n_iter: int, name: Callable[[str], str] = str) -> str | None:
+def _moment_claim(n_ens: int, n_iter: int) -> str | None:
     """Why ``n_ens`` members of ``n_iter`` kept states pass ``_MAX_MOMENT``,
-    which bounds n_ens n_iter**2, or None; ``name`` prints each field."""
+    which bounds n_ens n_iter**2, or None."""
     longest = math.isqrt(_MAX_MOMENT // n_ens)
     if n_iter <= longest:
         return None
-    return f"{name('n_iter')} must be <= {longest} at {name('n_ens')} {n_ens}, got {n_iter}"
+    return f"{{n_iter}} must be <= {longest} at {{n_ens}} {n_ens}, got {n_iter}"
 
 
-def _segments_claim(
-    n_ens: int, n_iter: int, seg_len: int, min_count: int, name: Callable[[str], str] = str
-) -> str | None:
+def _segments_claim(n_ens: int, n_iter: int, seg_len: int, min_count: int) -> str | None:
     """Why ``n_ens`` members of ``n_iter`` states make no segment of
     ``seg_len`` states, or fewer than ``min_count``, so that no cell can
-    count ``min_count``; or None.  ``name`` prints each field."""
+    count ``min_count``; or None."""
     if n_iter < seg_len:
-        return f"{name('n_iter')} must be >= {name('seg_len')} ({seg_len}) for one segment, got {n_iter}"
+        return f"{{n_iter}} must be >= {{seg_len}} ({seg_len}) for one segment, got {n_iter}"
     if (segments := n_ens * (n_iter // seg_len)) >= min_count:
         return None
-    return (f"{name('n_ens')} x ({name('n_iter')} // {name('seg_len')}) segments must be >= {name('min_count')} "
-            f"({min_count}), got {n_ens} x ({n_iter} // {seg_len}) = {segments}")
+    return (f"{{n_ens}} x ({{n_iter}} // {{seg_len}}) segments must be >= {{min_count}} ({min_count}), "
+            f"got {n_ens} x ({n_iter} // {seg_len}) = {segments}")
 
 
 def _seed_key(seed: int) -> np.uint64:
@@ -216,11 +214,11 @@ def _run(config: SimConfig, with_y: bool, members: tuple[int, int], phi: np.ndar
 
     Discards ``burn_in`` states, then yields ``(x, y, r, rows)`` at each of
     the ``n_iter`` kept states, taking ``burn_in + n_iter - 1`` steps in
-    all, and none when ``n_iter`` is 0.  Each step is taken when the
-    consumer asks for the next state.  Each state's int8 regions r are
-    looked up once, after the dither, and one gather at r writes the
-    (b - a, 4) ``rows``: of ``_coefficient_table(params)`` with ``with_y``,
-    else of ``_x_table(params, phi)``, and y is None.  The next step is
+    all.  Each step is taken when the consumer asks for the next state.
+    Each state's int8 regions r are looked up once, after the dither, and
+    one gather at r writes the (b - a, 4) ``rows``: of
+    ``_coefficient_table(params)`` with ``with_y``, else of
+    ``_x_table(params, phi)``, and y is None.  The next step is
     ``mapcore._advance`` on those rows, which steps x, and y, in place.
     Each call takes all b - a members, which ``_split`` keeps to at most
     ``_CHUNK``.
@@ -228,8 +226,6 @@ def _run(config: SimConfig, with_y: bool, members: tuple[int, int], phi: np.ndar
     Every yielded array is valid until the consumer asks for the next
     state; a consumer that keeps one copies it.
     """
-    if config.n_iter == 0:
-        return
     params, n = config.params, config.n_ens
     a, b = members
     pts = _philox(_seed_key(config.seed), 2 * a).random((b - a, 2))
@@ -362,11 +358,11 @@ class SimConfig:
     """One reproducible simulation run.
 
     The ensemble starts with x in its stationary law and y uniform;
-    ``n_iter`` states per member are produced after ``burn_in`` steps
-    discarded after that start, and the first produced state is the
-    post-burn-in point itself.  x-only reductions are stationary at any
-    ``burn_in``, including 0; the y-marginal needs a burn-in to forget its
-    uniform start.
+    ``n_iter`` states per member, at least one, are produced after
+    ``burn_in`` steps discarded after that start, and the first produced
+    state is the post-burn-in point itself.  x-only reductions are
+    stationary at any ``burn_in``, including 0; the y-marginal needs a
+    burn-in to forget its uniform start.
     """
 
     params: MapParams
@@ -377,7 +373,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):  # checked before any worker starts
-        _require(vars(self), n_ens=_n_ens_claim, n_iter=_steps_claim, burn_in=_steps_claim, seed=_seed_claim)
+        _require(vars(self), n_ens=_n_ens_claim, n_iter=_states_claim, burn_in=_steps_claim, seed=_seed_claim)
 
 
 def sample_ensemble(n: int, seed: int) -> np.ndarray:
@@ -387,8 +383,7 @@ def sample_ensemble(n: int, seed: int) -> np.ndarray:
     counter stream keyed by the seed, in counter order.  The seed is one
     64-bit key word, so it must lie in [0, 2**64).
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    _refuse("n", n, _in_range(1))
     return _philox(_seed_key(seed), 0).random((int(n), 2))
 
 
@@ -412,7 +407,6 @@ class Histogram2D:
 
 def empirical_density(config: SimConfig, nx: int, ny: int) -> Histogram2D:
     """Histogram of all post-burn-in states (n_ens * n_iter samples)."""
-    _refuse("n_iter", config.n_iter, _states_claim)
     for name, bins in ("nx", nx), ("ny", ny):
         _refuse(name, bins, _bins_claim, DomainError if bins < 1 else CapacityError)
 
@@ -479,7 +473,7 @@ def segment_mean_counts(
     """
     _refuse("seg_len", seg_len, _in_range(1))
     if (claim := _segments_claim(config.n_ens, config.n_iter, seg_len, min_count)) is not None:
-        raise DomainError(claim)
+        raise _refusal(claim)
 
     def part(a, b, counts):
         for means in _segment_means(config, seg_len, (a, b)):
@@ -531,9 +525,8 @@ def _lag_sums(config: SimConfig, phi: np.ndarray | None) -> tuple[np.ndarray, np
     row, into a packed float64 that holds it exactly, flushed before a lane
     carries.  Refused before any worker starts if the sums could not hold
     the moments exactly: an entry of Σc cᵀ reaches n_ens n_iter²."""
-    _refuse("n_iter", config.n_iter, _states_claim)
     if (claim := _moment_claim(config.n_ens, config.n_iter)) is not None:
-        raise CapacityError(claim)
+        raise _refusal(claim, CapacityError)
     t = config.n_iter
 
     def part(a, b, sums):

@@ -14,7 +14,6 @@ call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .errors import (
     InsufficientFluctuationsError,
     NormalizationError,
     _in_range,
+    _refusal,
     _require,
 )
 from .ensemble import SimConfig, segment_mean_counts
@@ -54,18 +54,14 @@ def _positive_claim(value: float) -> str | None:
     return None if 0.0 < value < np.inf else "must be positive and finite"
 
 
-def _cells_claim(p_max: float, spacing: float, name: Callable[[str], str] = str) -> str | None:
+def _cells_claim(p_max: float, spacing: float) -> str | None:
     """Why ``symmetric_grid(p_max, spacing)`` has more than
-    ``_MAX_GRID_CELLS`` cells, or None; ``name`` prints each field."""
+    ``_MAX_GRID_CELLS`` cells, or None."""
     k = round(min(p_max / spacing, _MAX_GRID_CELLS))  # min() keeps inf out of round()
     if 2 * k + 1 <= _MAX_GRID_CELLS:
         return None
     half = _MAX_GRID_CELLS // 2
-    return f"makes more than {_MAX_GRID_CELLS} cells: {name('p_max')} / {name('spacing')} must round to <= {half}"
-
-
-# the claim of the segment length n and of the admissibility count min_count
-_count_claim = _in_range(1)
+    return f"makes more than {_MAX_GRID_CELLS} cells: {{p_max}} / {{spacing}} must round to <= {half}"
 
 
 def _p_grid_claim(grid: np.ndarray) -> str | None:
@@ -84,7 +80,7 @@ def symmetric_grid(p_max: float, spacing: float) -> np.ndarray:
     so the grid is exactly symmetric."""
     _require({"p_max": p_max, "spacing": spacing}, p_max=_positive_claim, spacing=_positive_claim)
     if (claim := _cells_claim(p_max, spacing)) is not None:
-        raise CapacityError(f"a p grid over [-{p_max}, {p_max}] with cells {spacing} apart {claim}")
+        raise _refusal(f"a p grid over [-{p_max}, {p_max}] with cells {spacing} apart {claim}", CapacityError)
     k = round(p_max / spacing)
     return np.arange(-k, k + 1) * spacing
 
@@ -100,7 +96,7 @@ class FRConfig:
     min_count: int = 25
 
     def __post_init__(self):
-        _require(vars(self), n=_count_claim, min_count=_count_claim, delta=_positive_claim)
+        _require(vars(self), n=_in_range(1), min_count=_in_range(1), delta=_positive_claim)
         grid = np.asarray(self.p_grid, dtype=float)
         if (claim := _p_grid_claim(grid)) is not None:
             raise DomainError(f"p_grid {claim}")

@@ -96,11 +96,6 @@ def _q_claim(q: float) -> str | None:
     return None if 0.0 <= q < 0.5 else "must lie in [0, 1/2)"
 
 
-def _strip_of(ell: float, strip_x: float | None, strip_eps: float | None) -> tuple[float, float]:
-    """The flip strip's (x, eps), each None at its default: [ell, 1/2], the B slab."""
-    return (ell if strip_x is None else strip_x), (0.5 - ell if strip_eps is None else strip_eps)
-
-
 def _strip_x_claim(strip_x: float) -> str | None:
     """Why the strip's left edge is off [0, 1) (NaN is), or None."""
     return None if 0.0 <= strip_x < 1.0 else "must lie in [0, 1)"
@@ -119,7 +114,8 @@ class MapParams:
     with 1/(2 ell) finite and 0 <= q < 1/2 (q = 0 is the equilibrium line).  There
     every branch coefficient is finite and every Jacobian positive: J_A = (1 - 2q)/(4 ell)
     >= 1 - 2q >= 2**-53, J_B = 1 - q/(1 - 2 ell) >= 2**-53 as 1 - 2 ell >= 1/2 > q,
-    J_C >= 1 and J_D = 4 ell + 2q > 0.  The flip strip, its default and bounds stated by ``_strip_*``, is in [0, 1].
+    J_C >= 1 and J_D = 4 ell + 2q > 0.  The flip strip, [ell, 1/2] (the B slab) by
+    default and bounded by ``_strip_*``, is in [0, 1].
     """
 
     ell: float
@@ -127,10 +123,10 @@ class MapParams:
     strip_x: float | None = None
     strip_eps: float | None = None
 
-    def __post_init__(self):
-        x, eps = _strip_of(self.ell, self.strip_x, self.strip_eps)
+    def __post_init__(self):  # a strip_x or strip_eps left None takes its default
+        x = self.ell if self.strip_x is None else self.strip_x
         object.__setattr__(self, "strip_x", x)
-        object.__setattr__(self, "strip_eps", eps)
+        object.__setattr__(self, "strip_eps", 0.5 - self.ell if self.strip_eps is None else self.strip_eps)
         claims = dict(ell=_ell_claim, q=_q_claim, strip_x=_strip_x_claim)
         _require(vars(self), **claims, strip_eps=lambda v: _strip_eps_claim(v, x))
 

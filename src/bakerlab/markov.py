@@ -23,12 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CapacityError, DomainError, _in_range, _refuse
+from .errors import CapacityError, DomainError, _in_range, _refusal, _refuse
 from .mapcore import MapParams, Region, ReversalScheme, _jacobians, contraction_rates, region_reverse
 
 __all__ = [
@@ -57,19 +57,15 @@ MAX_N = 2000
 _MAX_GRID_CELLS = 4_000_000
 
 
-# the claim of the step count n of an exact law
-_n_claim = _in_range(1, MAX_N)
-
-
-def _grid_claim(n_ell: int, n_q: int, name: Callable[[str], str] = str) -> str | None:
+def _grid_claim(n_ell: int, n_q: int) -> str | None:
     """Why an (ell, q) grid of ``n_ell`` x ``n_q`` points is refused, each
-    axis needing one, or None; ``name`` prints each axis, ells or qs."""
-    for axis, points in ("ells", n_ell), ("qs", n_q):
+    axis needing one, or None."""
+    for axis, points in ("len(ells)", n_ell), ("len(qs)", n_q):
         if (claim := _in_range(1)(points)) is not None:
-            return f"{name(axis)} {claim}, got {points}"
+            return f"{{{axis}}} {claim}, got {points}"
     if n_ell * n_q <= _MAX_GRID_CELLS:
         return None
-    return f"{name('ells')} x {name('qs')} must be <= {_MAX_GRID_CELLS} cells, got {n_ell} x {n_q}"
+    return f"{{len(ells)}} x {{len(qs)}} must be <= {_MAX_GRID_CELLS} cells, got {n_ell} x {n_q}"
 
 
 class ProjectedDensity(NamedTuple):
@@ -147,8 +143,8 @@ def mean_contraction_rate_grid(ells: np.ndarray, qs: np.ndarray) -> np.ndarray:
     """
     ell = np.asarray(ells, dtype=float)[:, None]
     q = np.asarray(qs, dtype=float)[None, :]
-    if (claim := _grid_claim(ell.size, q.size, lambda axis: f"len({axis})")) is not None:
-        raise (DomainError if min(ell.size, q.size) < 1 else CapacityError)(claim)
+    if (claim := _grid_claim(ell.size, q.size)) is not None:
+        raise _refusal(claim, DomainError if min(ell.size, q.size) < 1 else CapacityError)
     e, v = ell[:, 0].tolist(), q[0].tolist()  # row 0, then column 0, meets the first invalid cell first
     for cell in (*zip(e[:1] * len(v), v), *zip(e, v[:1] * len(e))):
         MapParams(*cell)
@@ -158,8 +154,7 @@ def mean_contraction_rate_grid(ells: np.ndarray, qs: np.ndarray) -> np.ndarray:
 def chain_autocovariance(ell: float, phi: np.ndarray, k_max: int) -> np.ndarray:
     """Stationary autocovariances cov(phi_0, phi_k) of a region observable
     for k = 0..k_max: (mu * phi) @ P^k phi - (mu @ phi)^2 on the jump chain."""
-    if k_max < 0:
-        raise DomainError("k_max must be >= 0")
+    _refuse("k_max", k_max, _in_range(0))
     mu = coarse_measure(ell)
     P = transition_matrix(ell)
     mean = float(mu @ phi)
@@ -522,7 +517,7 @@ def contraction_sum_distribution(ell: float, q: float, n: int) -> ContractionDis
     (48 MB) with a peak near 384 MB, too large to hold.
     """
     params = MapParams(ell=ell, q=q)
-    _refuse("n", n, _n_claim, DomainError if n < 1 else CapacityError)
+    _refuse("n", n, _in_range(1, MAX_N), DomainError if n < 1 else CapacityError)
     rates = contraction_rates(params)
     if np.max(np.abs(rates)) == 0.0:
         return ContractionDistribution(n=n, sums=np.zeros(1), log_probs=np.zeros(1))

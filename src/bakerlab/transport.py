@@ -14,14 +14,13 @@ chain expression sum_k [psi^T diag(mu) P^k psi - <psi>^2].
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, _in_range, _refuse
-from .ensemble import _MAX_ENSEMBLE, SimConfig, lag_products
+from .errors import CapacityError, DomainError, _in_range, _refusal, _refuse
+from .ensemble import _MAX_ENSEMBLE, SimConfig, _moment_claim, lag_products
 from .mapcore import MapParams, _ell_claim
-from .markov import chain_autocovariance, coarse_measure
+from .markov import chain_autocovariance
 
 __all__ = [
     "PSI",
@@ -73,17 +72,11 @@ def _bias_claim(b: float) -> str | None:
     return None
 
 
-# the claims of an estimate's members, two for a standard error, and of the
-# lags that green_kubo_exact sums
-_n_ens_claim = _in_range(2, _MAX_ENSEMBLE)
-_k_max_claim = _in_range(1, _MAX_K)
-
-
-def _equilibrium_claim(ell: float, q: float, name: Callable[[str], str] = str) -> str | None:
-    """Why (``ell``, ``q``) is not (1/4, 0), the equilibrium mode's one point, or None; ``name`` prints each field."""
+def _equilibrium_claim(ell: float, q: float) -> str | None:
+    """Why (``ell``, ``q``) is not (1/4, 0), the equilibrium mode's one point, or None."""
     if (ell, q) == (0.25, 0.0):
         return None
-    return f"requires {name('ell')} 0.25 and {name('q')} 0, got {name('ell')} {ell} and {name('q')} {q}"
+    return f"requires {{ell}} 0.25 and {{q}} 0, got {{ell}} {ell} and {{q}} {q}"
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -104,14 +97,16 @@ class GKConfig(SimConfig):
     burn_in: int = 0
     ensemble_mode: str = "stationary"
 
-    def __post_init__(self):
+    def __post_init__(self):  # the run's own bounds first: two members for a standard error, exact moments
+        _refuse("n_ens", self.n_ens, _in_range(2, _MAX_ENSEMBLE))
+        if (claim := _moment_claim(self.n_ens, self.n_iter)) is not None:
+            raise _refusal(claim, CapacityError)
         super().__post_init__()
-        _refuse("n_ens", self.n_ens, _n_ens_claim)
         if self.ensemble_mode not in ("stationary", "microcanonical-equilibrium"):
             raise DomainError(f"unknown ensemble_mode {self.ensemble_mode!r}")
         if self.ensemble_mode == "microcanonical-equilibrium":
             if (claim := _equilibrium_claim(self.params.ell, self.params.q)) is not None:
-                raise DomainError(f"microcanonical-equilibrium mode {claim}")
+                raise _refusal(f"microcanonical-equilibrium mode {claim}")
 
 
 @dataclass(frozen=True)
@@ -168,7 +163,7 @@ def green_kubo_exact(ell: float, k_max: int) -> GKResult:
     also gives the quoted bound on the neglected tail.  ``k_max`` is capped
     at ``_MAX_K``.
     """
-    _refuse("k_max", k_max, _k_max_claim, DomainError if k_max < 1 else CapacityError)
+    _refuse("k_max", k_max, _in_range(1, _MAX_K), DomainError if k_max < 1 else CapacityError)
     terms = chain_autocovariance(ell, PSI, k_max)
     partial = np.cumsum(terms)
     gamma = abs(0.5 - 2.0 * ell)
@@ -178,7 +173,7 @@ def green_kubo_exact(ell: float, k_max: int) -> GKResult:
         stderr=None,
         partial_sums=partial,
         converged=True,
-        psi_mean=float(coarse_measure(ell) @ PSI),
+        psi_mean=mean_current(ell),
         tail_bound=tail,
         second_eigenvalue=gamma,
     )

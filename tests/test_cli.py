@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import bakerlab
 from bakerlab import fluctuation as fl
-from bakerlab.cli import _MC_ONLY, _NOT_SWEPT, _resolve, build_parser, main
+from bakerlab.cli import _COMMANDS, _MC_ONLY, _NOT_SWEPT, _resolve, build_parser, main
 from bakerlab.ensemble import SimConfig, empirical_density, worker_count
 from bakerlab.mapcore import MapParams, MapVariant, ReversalScheme
 from bakerlab.markov import contraction_sum_distribution, db_report, mean_contraction_rate
@@ -916,12 +917,63 @@ class TestBadInput:
         (["fr", "--source", "exact", "--ell", "0.25", "--q", "1e-17"],
          "--q 1e-17 at --ell 0.25: the mean contraction rate is 0 (equilibrium), so the normalized statistic e_n "
          "is undefined; choose a larger --q"),
+        # refused only by the library's configs and reductions, in the terms of the flags
+        (["transport", "--n-ens", "0"], "--n-ens must be >= 2, got 0"),
+        (["transport", "--sweep", "0.1", "--n-iter", "0"], "--n-iter must be >= 1, got 0"),
+        (["density", "--n-iter", "-1"], "--n-iter must be >= 1, got -1"),
+        (["fr", "--source", "mc", "--n-iter", "-1"], "--n-iter must be >= 1, got -1"),
+        (["density", "--bins", "-1"], "--bins must be >= 1, got -1"),
+        (["density", "--variant", "irreversible", "--strip-x", "0.5", "--strip-eps", "0.6"],
+         "--strip-eps must lie in [0, 1 - 0.5], got 0.6"),
     ]
 
     @pytest.mark.parametrize("argv, reason", GRID_ERRORS, ids=[" ".join(argv) for argv, _ in GRID_ERRORS])
     def test_grid_errors_name_the_option(self, tmp_path, capsys, argv, reason):
         assert run(argv + ["--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.strip().splitlines() == [f"{argv[0]}: error: {reason}"]
+        assert not any(tmp_path.iterdir())
+
+    # library field names that are no flag's name
+    FIELD_NAMES = ("n_ens", "n_iter", "burn_in", "seg_len", "min_count", "k_max", "p_max", "strip_x", "strip_eps",
+                   "nx", "ny", "spacing", "len(ells)", "len(qs)")
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in GRID_ERRORS], ids=[" ".join(argv) for argv, _ in GRID_ERRORS])
+    def test_no_refusal_prints_a_bare_field_name(self, tmp_path, monkeypatch, capsys, argv):
+        """Each field a refusal names is printed as flags of the command,
+        and no library field name or placeholder is left in the line."""
+        named, flag = [], bakerlab.cli._flag
+        monkeypatch.setattr(bakerlab.cli, "_flag", lambda field: named.append(field) or flag(field))
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 1
+        line = capsys.readouterr().err
+        spec = next(spec for command, _, spec, _ in _COMMANDS if command == argv[0])
+        options = {"--" + option.replace("_", "-") for option in spec}
+        for field in named:
+            assert set(re.findall(r"--[a-z][a-z-]*", flag(field))) <= options and "--" in flag(field), field
+        for name in self.FIELD_NAMES:
+            assert not re.search(rf"(?<![\w-]){re.escape(name)}(?!\w)", line), name
+        assert "{" not in line and "}" not in line
+
+    @pytest.mark.parametrize("name", ["{n_ens}", "{", "}{}", "{0}"])
+    @pytest.mark.parametrize("where", ["config", "out", "sweep"])
+    def test_user_text_is_never_read_as_a_template(self, tmp_path, capsys, name, where):
+        """A path or a value the user typed is printed as typed, braces and all."""
+        (tmp_path / name).write_text("keep\n")
+        path = tmp_path / name
+        argv, expected = {
+            "config": (["density", "--config", str(path / "c.cfg")], f"--config {path / 'c.cfg'}: Not a directory"),
+            "out": (["db", "--out", str(path / "o")], f"--out {path / 'o'}: {path} exists and is not a directory"),
+            "sweep": (["transport", "--sweep", name], f"--sweep: could not convert string to float: {name!r}"),
+        }[where]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"{argv[0]}: error: {expected}"]
+        assert (tmp_path / name).read_text() == "keep\n"
+
+    def test_transport_count_moments_are_refused_before_any_lag_is_summed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(bakerlab.transport, "chain_autocovariance", lambda *args: pytest.fail("a lag was summed"))
+        argv = ["transport", "--k-max", "1000000", "--n-iter", "13422", "--n-ens", "50000000"]
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["transport: error: --n-iter must be <= 13421 at --n-ens 50000000, got 13422"]
         assert not any(tmp_path.iterdir())
 
     def test_fifty_million_segment_means_run(self, tmp_path, capsys):

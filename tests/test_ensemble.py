@@ -41,6 +41,11 @@ PARAMS_EQ = MapParams(ell=0.15, q=0.0)
 
 
 class TestSampling:
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_point_is_refused_naming_the_count(self, n):
+        with pytest.raises(DomainError, match=rf"^n must be >= 1, got {n}$"):
+            sample_ensemble(n, seed=5)
+
     def test_reproducible(self):
         a = sample_ensemble(1000, seed=5)
         b = sample_ensemble(1000, seed=5)
@@ -190,11 +195,10 @@ class TestRun:
     def test_zero_iterations_returns_initial_ensemble(self):
         pts = sample_ensemble(500, seed=9)
         for ell in (0.15, 0.25):
-            cfg = SimConfig(params=MapParams(ell, 0.0), n_ens=500, n_iter=0, burn_in=0, seed=9)
-            x, y = next(whole(replace(cfg, n_iter=1)))
+            cfg = SimConfig(params=MapParams(ell, 0.0), n_ens=500, n_iter=1, burn_in=0, seed=9)
+            x, y = next(whole(cfg))
             np.testing.assert_allclose(x, stationary_inverse_cdf(pts[:, 0], ell), rtol=0, atol=1e-15)
             assert np.array_equal(y, pts[:, 1])
-            assert list(whole(cfg)) == []
         assert np.array_equal(x, pts[:, 0])  # at ell = 1/4 the start map is the identity
 
     def test_stream_layout(self):
@@ -213,9 +217,18 @@ class TestRun:
             steps += 1
         assert steps == cfg.n_iter
 
+    @pytest.mark.parametrize("burn_in", [0, 5])
+    @pytest.mark.parametrize("n_iter", [0, -1])
+    def test_a_run_that_keeps_no_state_is_refused(self, burn_in, n_iter):
+        """Every reduction reads a kept state, so the config refuses a run of
+        none, in the one form of a refusal that names the field."""
+        with pytest.raises(DomainError, match=rf"^n_iter must be >= 1, got {n_iter}$") as refused:
+            SimConfig(params=PARAMS_EQ, n_ens=40, n_iter=n_iter, burn_in=burn_in)
+        assert refused.value.fields == ("n_iter",)
+
     @pytest.mark.parametrize("params", [PARAMS_EQ, MapParams(ell=0.25, q=0.0)], ids=["0.15", "0.25-dither"])
     @pytest.mark.parametrize("with_y", [True, False], ids=["xy", "x-only"])
-    @pytest.mark.parametrize("burn_in,n_iter", [(7, 12), (0, 1), (5, 0), (0, 0)])
+    @pytest.mark.parametrize("burn_in,n_iter", [(7, 12), (0, 1)])
     def test_no_step_after_the_last_kept_state(self, monkeypatch, params, with_y, burn_in, n_iter):
         """Steps counted where the loop takes them, the one ``_advance`` of
         both modes.  x and y are copied, as the next step overwrites them."""
@@ -230,7 +243,7 @@ class TestRun:
         expected = reference_run(cfg, with_y)
         monkeypatch.setattr(ensemble, "_advance", counting)
         states = [(x.copy(), None if y is None else y.copy()) for x, y in whole(cfg, with_y)]
-        assert len(calls) == (burn_in + n_iter - 1 if n_iter else 0)
+        assert len(calls) == burn_in + n_iter - 1
         assert len(states) == n_iter
         for (x, y), (ex, ey) in zip(states, expected, strict=True):
             assert np.array_equal(x, ex)
@@ -565,6 +578,29 @@ class TestCountMoments:
             reduction(transport.GKConfig(params=PARAMS_EQ, n_ens=n_ens, n_iter=n_iter, seed=1))
         with pytest.raises(CapacityError, match=r"^n_iter must be <= 16384 at n_ens 33554432, got 16385$"):
             reduction(transport.GKConfig(params=PARAMS_EQ, n_ens=n_ens, n_iter=n_iter + 1, seed=1))
+
+
+    @pytest.mark.parametrize(
+        "reduction",
+        [
+            lambda cfg: odd_observable_mean(cfg, transport.PSI, ReversalScheme.Q3),
+            lambda cfg: lag_products(cfg, transport.PSI),
+        ],
+        ids=["odd-mean", "lag-products"],
+    )
+    def test_a_sim_config_past_2_53_is_refused_before_any_worker_starts(self, monkeypatch, reduction):
+        """A ``GKConfig`` refuses such a run when it is built; a plain
+        ``SimConfig`` is refused by the reduction, naming both fields."""
+
+        def split(*_):
+            raise AssertionError("a worker started")
+
+        monkeypatch.setattr(ensemble, "_split", split)
+        cfg = SimConfig(params=PARAMS_EQ, n_ens=2**25, n_iter=2**14 + 1, burn_in=0, seed=1)
+        with pytest.raises(CapacityError, match=r"^n_iter must be <= 16384 at n_ens 33554432, got 16385$") as refused:
+            reduction(cfg)
+        assert refused.value.fields == ("n_iter", "n_ens")
+        assert refused.value.named(str.upper) == "N_ITER must be <= 16384 at N_ENS 33554432, got 16385"
 
 
 class TestSegmentMeans:
@@ -928,6 +964,13 @@ class TestSegmentMeanCounts:
             segment_mean_counts(cfg, 10, 1.0, self.cells, len(self.GRID))
         with pytest.raises(DomainError, match=r"^seg_len must be >= 1, got 0$"):
             segment_mean_counts(cfg, 0, 1.0, self.cells, len(self.GRID))
+
+    def test_no_kept_state_is_refused_as_by_every_reduction(self):
+        """``n_iter = 0`` makes no segment, but is refused as a run of no
+        kept state, in the terms ``empirical_density`` and the lag sums use."""
+        with pytest.raises(DomainError, match=r"^n_iter must be >= 1, got 0$"):
+            cfg = SimConfig(params=MapParams(0.15, 0.2), n_ens=10, n_iter=0, burn_in=0, seed=1)
+            segment_mean_counts(cfg, 10, 1.0, self.cells, len(self.GRID))
 
     def test_fewer_segments_than_min_count_are_refused_before_any_worker_starts(self, monkeypatch):
         def split(*_):

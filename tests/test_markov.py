@@ -589,6 +589,10 @@ class TestAutocovariance:
         with pytest.raises(DomainError):
             chain_autocovariance(0.15, PSI, -1)
 
+    def test_a_negative_lag_count_is_refused_naming_the_value(self):
+        with pytest.raises(DomainError, match=r"^k_max must be >= 0, got -1$"):
+            chain_autocovariance(0.15, contraction_rates(MapParams(0.15, 0.2)), -1)
+
     def test_c2_closed_form(self):
         c = np.log(1.4)
         psi_var = 0.625 - 0.0625

@@ -85,6 +85,13 @@ class TestExactTransport:
         with pytest.raises(CapacityError, match=r"^k_max must be <= 1000000, got 1000001$"):
             green_kubo_exact(0.15, 1_000_001)
 
+    @pytest.mark.parametrize("ell", [0.05, 0.15, 0.2368])
+    def test_reports_the_mean_current_the_estimate_subtracts(self, ell):
+        """mu @ PSI rounds to 0.24999999999999997 at ell = 0.15, a bit off
+        ``mean_current``; both results report the one value."""
+        cfg = GKConfig(params=MapParams(ell, 0.5 - 2.0 * ell), n_ens=2, n_iter=1)
+        assert green_kubo_exact(ell, 3).psi_mean == green_kubo_estimate(cfg).psi_mean == mean_current(ell)
+
     def test_quarter_point_terms_and_total(self):
         res = green_kubo_exact(0.25, 30)
         terms = np.diff(res.partial_sums, prepend=0.0)
@@ -145,6 +152,18 @@ class TestEstimate:
         assert a.value == b.value
         assert a.stderr == b.stderr
         assert np.array_equal(a.partial_sums, b.partial_sums)
+
+    @pytest.mark.parametrize("n_ens", [0, 1])
+    def test_fewer_than_two_members_are_refused_before_the_base_config(self, n_ens):
+        """Two members for a standard error: the transport bound, not
+        ``SimConfig``'s n_ens >= 1, refuses 0 as well as 1."""
+        with pytest.raises(DomainError, match=rf"^n_ens must be >= 2, got {n_ens}$"):
+            GKConfig(params=MapParams(0.25, 0.0), n_ens=n_ens, n_iter=1)
+
+    def test_count_moments_past_2_53_are_refused_when_the_config_is_built(self):
+        with pytest.raises(CapacityError, match=r"^n_iter must be <= 13421 at n_ens 50000000, got 13422$"):
+            GKConfig(params=MapParams(0.25, 0.0), n_ens=50_000_000, n_iter=13_422)
+        assert GKConfig(params=MapParams(0.25, 0.0), n_ens=50_000_000, n_iter=13_421).n_iter == 13_421
 
     def test_config_is_a_sim_config(self):
         sizes = dict(n_ens=2, n_iter=1)
