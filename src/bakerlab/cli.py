@@ -76,7 +76,16 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _resolve(args: argparse.Namespace) -> dict:
+class _Options(dict):
+    """The resolved options by name, with ``given``: the names that a flag
+    or a ``--config`` key set."""
+
+    def __init__(self, values: dict, given: frozenset):
+        super().__init__(values)
+        self.given = given
+
+
+def _resolve(args: argparse.Namespace) -> _Options:
     """Merge CLI > config file > defaults over the command's option table
     {name: (converter, default)}; config-file values go through the same
     converters as flags."""
@@ -98,7 +107,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     # the map's domain, before any grid or map is built
     _require(resolved, ell=mc._ell_claim, ell_min=mc._ell_claim, ell_max=mc._ell_claim)
     _require(resolved, q=mc._q_claim, q_min=mc._q_claim, q_max=mc._q_claim)
-    return resolved
+    return _Options(resolved, frozenset(n for n in spec if getattr(args, n) is not None or n in file_values))
 
 
 def _variant(s: str) -> MapVariant:
@@ -137,8 +146,11 @@ def _ensemble_config(kind: type, params: MapParams, resolved: dict, **fields) ->
 
 # The ensemble starts x in its exact stationary law, so the x-only commands
 # (fr and ratefunc with --source mc, transport) discard no steps and refuse
-# a --burn-in off its default; only density, whose y starts uniform, reads it.
+# a --burn-in; only density, whose y starts uniform, reads it.  They accept
+# it unread at its default, 1000, alone of all unread options, because the
+# benchmark's argv passes it (benchmarks/workloads.py; ROADMAP item 14).
 _STATIONARY_X = "whose x starts in its stationary law"
+_UNREAD_BURN_IN = 1_000
 
 
 def _xonly_start(n_ens: int, *params: MapParams) -> dict:
@@ -165,13 +177,14 @@ def _flag(field: str) -> str:
     return _FLAGS.get(field, "--" + field.replace("_", "-"))
 
 
-def _refuse_set(resolved: dict, spec: dict, names: tuple, context: str) -> dict:
-    """Refuse the first of ``names`` set off its ``spec`` default: ``context``
-    ignores it.  Returns the options that remain, the ones the run reads."""
+def _refuse_set(resolved: _Options, names: tuple, context: str, accepted=None) -> _Options:
+    """Refuse the first of ``names`` that a flag or a ``--config`` key gives,
+    at any value but ``accepted``: ``context`` does not read it.  Returns
+    the options that remain, the ones the run reads."""
     for name in names:
-        if resolved[name] != spec[name][1]:
+        if name in resolved.given and resolved[name] != accepted:
             raise BakerlabError(f"{_flag(name)} cannot be combined with {context}")
-    return {k: v for k, v in resolved.items() if k not in names}
+    return _Options({k: v for k, v in resolved.items() if k not in names}, resolved.given)
 
 
 def _write_csv(path: Path, header: str, row_format: str, rows) -> None:
@@ -275,7 +288,7 @@ _DENSITY = {
 def _cmd_density(resolved) -> _Run:
     read = resolved
     if resolved["variant"] is not MapVariant.IRREVERSIBLE:
-        read = _refuse_set(resolved, _DENSITY, ("strip_x", "strip_eps"), "--variant reversible")
+        read = _refuse_set(resolved, ("strip_x", "strip_eps"), "--variant reversible")
     params = MapParams(resolved["ell"], resolved["q"], resolved["strip_x"], resolved["strip_eps"])
     config = _ensemble_config(es.SimConfig, params, resolved, burn_in=resolved["burn_in"])
     nb = resolved["bins"]
@@ -335,7 +348,7 @@ _FR = {
     "min_count": (int, fl.FRConfig.min_count),
     "n_ens": (int, 10_000),
     "n_iter": (int, 2_000),
-    "burn_in": (int, 1_000),
+    "burn_in": (int, _UNREAD_BURN_IN),
     "seed": (int, es.SimConfig.seed),
     "out": (str, None),
 }
@@ -361,11 +374,11 @@ def _fr_family(command: str, resolved: dict) -> tuple[fl.PiHistogram, fl.RateFun
         raise DomainError(f"--p-max {p_max} leaves no cell beside p = 0 at --delta {delta}; it must exceed --delta")
     fr_cfg = fl.FRConfig(n=resolved["n"], p_grid=grid, delta=delta, min_count=resolved["min_count"])
     if resolved["source"] == "exact":
-        read = _refuse_set(resolved, _FR, _MC_ONLY, "--source exact")
+        read = _refuse_set(resolved, _MC_ONLY, "--source exact")
         source = mk.contraction_sum_distribution(ell, q, resolved["n"])
         start = None
     else:
-        read = _refuse_set(resolved, _FR, ("burn_in",), f"{command} --source mc, {_STATIONARY_X}")
+        read = _refuse_set(resolved, ("burn_in",), f"{command} --source mc, {_STATIONARY_X}", _UNREAD_BURN_IN)
         source = _ensemble_config(es.SimConfig, MapParams(ell, q), read, burn_in=0)
         start = _xonly_start(source.n_ens, source.params)
     pi = fl.estimate_pi(fr_cfg, source)
@@ -424,7 +437,7 @@ _TRANSPORT = {
     "mode": (_choice("equilibrium", "stationary"), "equilibrium"),
     "n_ens": (int, 100_000),
     "n_iter": (int, 50),
-    "burn_in": (int, 1_000),
+    "burn_in": (int, _UNREAD_BURN_IN),
     "seed": (int, es.SimConfig.seed),
     "k_max": (int, 50),
     "sweep": (str, None),
@@ -448,9 +461,9 @@ _NOT_SWEPT = ("ell", "q", "mode", "k_max")
 
 
 def _cmd_transport(resolved) -> _Run:
-    read = _refuse_set(resolved, _TRANSPORT, ("burn_in",), f"transport, {_STATIONARY_X}")
+    read = _refuse_set(resolved, ("burn_in",), f"transport, {_STATIONARY_X}", _UNREAD_BURN_IN)
     if resolved["sweep"] is not None:
-        read = _refuse_set(read, _TRANSPORT, _NOT_SWEPT, "--sweep")
+        read = _refuse_set(read, _NOT_SWEPT, "--sweep")
         biases = _biases(resolved["sweep"])
         base = _ensemble_config(tp.GKConfig, MapParams(ell=0.25, q=0.0), resolved)
         rows = tp.bias_sweep(biases, base)

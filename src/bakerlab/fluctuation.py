@@ -64,25 +64,24 @@ def _cells_claim(p_max: float, spacing: float) -> str | None:
     return f"makes more than {_MAX_GRID_CELLS} cells: {{p_max}} / {{spacing}} must round to <= {half}"
 
 
+def _grid(k: int, spacing: float) -> np.ndarray:
+    """(-k..k) x ``spacing``, the one p grid: ``symmetric_grid`` builds it and ``FRConfig`` takes only it."""
+    return np.arange(-k, k + 1) * spacing
+
+
 def _p_grid_claim(grid: np.ndarray) -> str | None:
-    """Why ``grid`` is not 3 or more cell centers, increasing, symmetric and uniform (to 1e-12), or None."""
-    if grid.ndim != 1 or len(grid) < 3:
-        return "must be a 1-d grid with at least 3 cells"
-    if np.any(np.diff(grid) <= 0):
-        return "must be strictly increasing"
-    if np.max(np.abs(grid + grid[::-1])) > 1e-12:
-        return "must be symmetric about 0"
-    return "must be uniform" if np.max(np.abs(np.diff(grid) - float(grid[1] - grid[0]))) > 1e-12 else None
+    """Why ``grid`` is not exactly ``_grid(k, grid[k + 1])`` with k >= 1 and a positive spacing, or None."""
+    k = len(grid) // 2 if grid.ndim == 1 else 0
+    exact = k >= 1 and grid[k + 1] > 0 and np.array_equal(grid, _grid(k, grid[k + 1]))
+    return None if exact else "must be symmetric_grid's (-k..k) x spacing, with k >= 1 and spacing > 0"
 
 
 def symmetric_grid(p_max: float, spacing: float) -> np.ndarray:
-    """Cell centers -p_max..p_max, ``spacing`` apart, built from integers
-    so the grid is exactly symmetric."""
+    """The ``_grid`` of cell centers -p_max..p_max, ``spacing`` apart."""
     _require({"p_max": p_max, "spacing": spacing}, p_max=_positive_claim, spacing=_positive_claim)
     if (claim := _cells_claim(p_max, spacing)) is not None:
         raise _refusal(f"a p grid over [-{p_max}, {p_max}] with cells {spacing} apart {claim}", CapacityError)
-    k = round(p_max / spacing)
-    return np.arange(-k, k + 1) * spacing
+    return _grid(round(p_max / spacing), spacing)
 
 
 @dataclass(frozen=True)
@@ -100,22 +99,22 @@ class FRConfig:
         grid = np.asarray(self.p_grid, dtype=float)
         if (claim := _p_grid_claim(grid)) is not None:
             raise DomainError(f"p_grid {claim}")
-        if 2.0 * self.delta > float(grid[1] - grid[0]) + 1e-12:
+        if 2.0 * self.delta > grid[len(grid) // 2 + 1]:
             raise DomainError("cells overlap: need 2*delta <= grid spacing")
         object.__setattr__(self, "p_grid", grid)
 
 
 def _bin_values(values: np.ndarray, grid: np.ndarray, delta: float):
-    """Cell index for each value, -1 when the value falls in no cell.
-    Shared by the simulated and exact sources so both bin identically."""
-    spacing = float(grid[1] - grid[0])
-    t = np.subtract(values, grid[0])  # the one float temporary, reused
-    t /= spacing
-    idx = np.round(t, out=t).astype(np.int64)
-    inside = idx >= 0
-    inside &= idx < len(grid)
-    # an index outside the grid is clipped only so that take cannot raise:
-    # its value is already outside
+    """Cell index for each value, -1 when it falls in no cell, for both the
+    simulated and the exact source: |e| is binned, half to even, then signed,
+    so -e lands in the mirror of e's cell (p_{k-j} = -p_{k+j} bitwise)."""
+    k = len(grid) // 2
+    t = np.abs(values)  # the one float temporary, reused
+    t /= grid[k + 1]
+    inside = np.round(t, out=t) <= k
+    idx = np.copysign(t, values, out=t).astype(np.int64)
+    idx += k
+    # clipped only so that take cannot raise: an index off the grid is already outside
     np.subtract(values, np.take(grid, idx, mode="clip", out=t), out=t)
     inside &= np.abs(t, out=t) < delta + 1e-12
     idx[~inside] = -1

@@ -151,33 +151,31 @@ def mean_contraction_rate_grid(ells: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return (_coarse_measure(ell)[..., None, :] @ -np.log(_jacobians(ell, q))[..., :, None])[..., 0, 0]
 
 
+def _second_eigenvalue(ell: float) -> float:
+    """lambda = 1/2 - 2 ell: the jump chain's eigenvalues are 1, lambda, 0 and 0."""
+    return 0.5 - 2.0 * ell
+
+
 def chain_autocovariance(ell: float, phi: np.ndarray, k_max: int) -> np.ndarray:
     """Stationary autocovariances cov(phi_0, phi_k) of a region observable
-    for k = 0..k_max: (mu * phi) @ P^k phi - (mu @ phi)^2 on the jump chain."""
+    for k = 0..k_max on the jump chain: (mu * phi) @ P^k phi - (mu @ phi)^2
+    at k = 0 and 1, and cov_1 lambda^(k - 1) past that."""
     _refuse("k_max", k_max, _in_range(0))
     mu = coarse_measure(ell)
-    P = transition_matrix(ell)
     mean = float(mu @ phi)
     weights = mu * phi
-    u = np.array(phi, dtype=float)
-    cov = np.empty(k_max + 1)
-    for k in range(k_max + 1):
-        cov[k] = float(weights @ u) - mean * mean
-        u = P @ u
+    cov = np.full(k_max + 1, float(weights @ (transition_matrix(ell) @ phi)) - mean * mean)
+    cov[1:] *= _second_eigenvalue(ell) ** np.arange(k_max)
+    cov[0] = float(weights @ phi) - mean * mean
     return cov
 
 
-# lags summed by contraction_c2; the covariances decay geometrically with
-# ratio |1/2 - 2 ell| < 1/2, so the neglected tail is far below rounding
-_C2_LAGS = 200
-
-
 def contraction_c2(ell: float, q: float) -> float:
-    """Integrated autocovariance C2 = var + 2 sum_{k>=1} cov(L_0, L_k);
-    the curvature of the Gaussian rate-function approximation is
-    mean^2 / (2 C2)."""
-    cov = chain_autocovariance(ell, contraction_rates(MapParams(ell=ell, q=q)), _C2_LAGS)
-    return float(cov[0] + 2.0 * cov[1:].sum())
+    """Integrated autocovariance C2 = var + 2 sum_{k>=1} cov(L_0, L_k),
+    which is cov_0 + 2 cov_1 / (1 - lambda); the curvature of the Gaussian
+    rate-function approximation is mean^2 / (2 C2)."""
+    cov = chain_autocovariance(ell, contraction_rates(MapParams(ell=ell, q=q)), 1)
+    return float(cov[0] + 2.0 * cov[1] / (1.0 - _second_eigenvalue(ell)))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import CapacityError, DomainError, _in_range, _refusal, _refuse
 from .ensemble import _MAX_ENSEMBLE, SimConfig, _moment_claim, lag_products
 from .mapcore import MapParams, _ell_claim
-from .markov import chain_autocovariance
+from .markov import _second_eigenvalue, chain_autocovariance
 
 __all__ = [
     "PSI",
@@ -40,8 +40,8 @@ PSI.setflags(write=False)
 
 # relative drift of the last quarter of partial sums accepted as converged
 _DRIFT_TOL = 0.01
-# most lags green_kubo_exact sums, one Python-level matrix-vector product a
-# lag: about 3 s at the cap, and a larger k_max can exhaust memory
+# most lags green_kubo_exact sums; its terms and partial sums hold k_max + 1
+# floats each, so a larger k_max can exhaust memory
 _MAX_K = 1_000_000
 
 
@@ -158,15 +158,15 @@ def green_kubo_estimate(config: GKConfig) -> GKResult:
 def green_kubo_exact(ell: float, k_max: int) -> GKResult:
     """Exact transport partial sums from the coarse chain.
 
-    Correlations decay geometrically with the subdominant eigenvalue
-    |1/2 - 2 ell| of the transition matrix (reported, in closed form), which
-    also gives the quoted bound on the neglected tail.  ``k_max`` is capped
-    at ``_MAX_K``.
+    Correlations decay geometrically with the chain's second eigenvalue
+    lambda = ``markov._second_eigenvalue(ell)`` (reported), which also gives
+    the quoted bound on the neglected tail.  ``k_max`` is capped at
+    ``_MAX_K``.
     """
     _refuse("k_max", k_max, _in_range(1, _MAX_K), DomainError if k_max < 1 else CapacityError)
     terms = chain_autocovariance(ell, PSI, k_max)
     partial = np.cumsum(terms)
-    gamma = abs(0.5 - 2.0 * ell)
+    gamma = _second_eigenvalue(ell)
     tail = abs(terms[-1]) * gamma / (1.0 - gamma)
     return GKResult(
         value=float(partial[-1]),

@@ -14,6 +14,7 @@ CLI's parser with every subcommand, the reference for
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -127,3 +128,22 @@ def eager_parser(argv=None):
     """``build_parser()``, all seven subcommands with their options, whatever
     ``argv`` names."""
     return build_parser()
+
+
+def chain_autocovariance_rational(ell, phi, k_max):
+    """Exact autocovariances cov(phi_0, phi_k), k = 0..k_max, of a region
+    observable on the jump chain, in ``fractions`` arithmetic: ``ell`` and
+    ``phi`` are read as the rationals their floats are, mu and P are rebuilt
+    from their closed forms, and P^k phi is iterated lag by lag with no
+    rounding.  The rational Green-Kubo reference."""
+    ell, phi = Fraction(ell), [Fraction(v) for v in phi]
+    a, b = 2 * ell, 1 - 2 * ell  # the chance to enter A and B from B or D
+    mu = [w / (1 + 4 * ell) for w in (a, b, a, a)]
+    mean = sum(m * v for m, v in zip(mu, phi))
+    u, cov = phi, []
+    for _ in range(k_max + 1):
+        cov.append(sum(m * p * v for m, p, v in zip(mu, phi, u)) - mean * mean)
+        from_ac = (u[2] + u[3]) / 2  # A and C go to C or D, 1/2 each
+        from_bd = a * u[0] + b * u[1]
+        u = [from_ac, from_bd, from_ac, from_bd]
+    return cov

@@ -50,6 +50,17 @@ def word_counts(config: SimConfig) -> np.ndarray:
     return counts.reshape(4, 4, 4)
 
 
+def final_x(config: SimConfig) -> np.ndarray:
+    """x of every member at the last kept state of the x-only run of
+    ``config``, evolved one ``_CHUNK`` of members at a time in this process."""
+    parts = []
+    for a in range(0, config.n_ens, _CHUNK):
+        for x, _, _, _ in _run(config, False, (a, min(a + _CHUNK, config.n_ens))):
+            pass
+        parts.append(x.copy())
+    return np.concatenate(parts)
+
+
 def markov_order_chi_square(counts: np.ndarray) -> tuple[float, int, float]:
     """Anderson-Goodman chi-square of order-2 word counts N[i, j, k] against
     first order, "i and k are independent given j"; returns (statistic,

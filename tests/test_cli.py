@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import re
@@ -423,6 +424,20 @@ class TestManifestStart:
         assert "start" not in json.loads((out / "manifest.json").read_text())
 
 
+class TestBenchmarkArgv:
+    def test_x_only_runs_accept_the_benchmarks_burn_in(self, tmp_path, monkeypatch):
+        """The mc_xonly workload passes --burn-in 1000 to fr --source mc and to
+        transport, which do not read it; its argv, with 2,000 members, still
+        run."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        argvs = [command.argv for command in importlib.import_module("workloads").commands("mc_xonly", 3, tmp_path)]
+        assert [argv[:1] for argv in argvs] == [["fr"], ["fr"], ["transport"], ["transport"]]
+        for argv in argvs:
+            assert argv[argv.index("--burn-in") + 1] == "1000"
+            argv[argv.index("--n-ens") + 1] = "2000"
+            assert run(argv) == 0, argv
+
+
 class TestManifest:
     @pytest.mark.parametrize(
         "argv",
@@ -468,10 +483,10 @@ class TestManifest:
         ]],
     )
     def test_config_holds_the_options_the_run_read(self, tmp_path, argv, absent, present):
-        """``config`` is the option table minus the options the run refuses
-        off their default: the exact source reads no ensemble option, a
-        sweep no point option, an x-only run no burn-in and a reversible run
-        no strip."""
+        """``config`` is the option table minus the options the run does not
+        read, which it refuses when given: the exact source reads no
+        ensemble option, a sweep no point option, an x-only run no burn-in
+        and a reversible run no strip."""
         out = tmp_path / "o"
         assert run(argv + ["--out", str(out)]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
@@ -925,10 +940,43 @@ class TestBadInput:
         (["density", "--bins", "-1"], "--bins must be >= 1, got -1"),
         (["density", "--variant", "irreversible", "--strip-x", "0.5", "--strip-eps", "0.6"],
          "--strip-eps must lie in [0, 1 - 0.5], got 0.6"),
+        # an option the run does not read is refused at any value, its default too,
+        # from a flag or from a config file (GRID_CONFIGS)
+        (["fr", "--source", "exact", "--n-ens", "10000"], "--n-ens cannot be combined with --source exact"),
+        (["fr", "--n", "20", "--n-ens", "10000", "--seed", "0"], "--n-ens cannot be combined with --source exact"),
+        (["ratefunc", "--source", "exact", "--seed", "0"], "--seed cannot be combined with --source exact"),
+        (["fr", "--variant", "reversible"], "--variant cannot be combined with --source exact"),
+        (["ratefunc", "--min-count", "25"], "--min-count cannot be combined with --source exact"),
+        (["fr", "--burn-in", "1000"], "--burn-in cannot be combined with --source exact"),
+        (["transport", "--sweep", "0.1", "--k-max", "50"], "--k-max cannot be combined with --sweep"),
+        (["transport", "--sweep", "0.1", "--k-max", "50", "--mode", "equilibrium", "--ell", "0.25"],
+         "--ell cannot be combined with --sweep"),
+        (["transport", "--sweep", "0.1", "--mode", "equilibrium"], "--mode cannot be combined with --sweep"),
+        (["fr", "--config", "n_ens.cfg"], "--n-ens cannot be combined with --source exact"),
+        (["transport", "--config", "sweep.cfg"], "--k-max cannot be combined with --sweep"),
+        (["transport", "--config", "sweep.cfg", "--k-max", "20"], "--k-max cannot be combined with --sweep"),
+        # the x-only runs accept only the default --burn-in, 1000, unread
+        (["transport", "--sweep", "0.1", "--config", "burn_in.cfg"],
+         "--burn-in cannot be combined with transport, whose x starts in its stationary law"),
     ]
 
+    # the config files that GRID_ERRORS rows name, each giving an option the run does not read
+    GRID_CONFIGS = {
+        "n_ens.cfg": "n_ens = 10000\n",
+        "sweep.cfg": "sweep = 0.1\nk_max = 50\n",
+        "burn_in.cfg": "burn_in = 999\n",
+    }
+
+    @pytest.fixture
+    def grid_configs(self, tmp_path_factory, monkeypatch):
+        """Writes GRID_CONFIGS in a directory of their own and runs there."""
+        where = tmp_path_factory.mktemp("configs")
+        for name, text in self.GRID_CONFIGS.items():
+            (where / name).write_text(text)
+        monkeypatch.chdir(where)
+
     @pytest.mark.parametrize("argv, reason", GRID_ERRORS, ids=[" ".join(argv) for argv, _ in GRID_ERRORS])
-    def test_grid_errors_name_the_option(self, tmp_path, capsys, argv, reason):
+    def test_grid_errors_name_the_option(self, tmp_path, capsys, grid_configs, argv, reason):
         assert run(argv + ["--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.strip().splitlines() == [f"{argv[0]}: error: {reason}"]
         assert not any(tmp_path.iterdir())
@@ -938,7 +986,7 @@ class TestBadInput:
                    "nx", "ny", "spacing", "len(ells)", "len(qs)")
 
     @pytest.mark.parametrize("argv", [argv for argv, _ in GRID_ERRORS], ids=[" ".join(argv) for argv, _ in GRID_ERRORS])
-    def test_no_refusal_prints_a_bare_field_name(self, tmp_path, monkeypatch, capsys, argv):
+    def test_no_refusal_prints_a_bare_field_name(self, tmp_path, monkeypatch, capsys, grid_configs, argv):
         """Each field a refusal names is printed as flags of the command,
         and no library field name or placeholder is left in the line."""
         named, flag = [], bakerlab.cli._flag

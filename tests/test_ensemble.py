@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from stats import markov_order_chi_square, segment_means, uniformity_chi_square, word_counts
+from stats import final_x, markov_order_chi_square, segment_means, uniformity_chi_square, word_counts
 
 from bakerlab import ensemble, mapcore, transport
 from bakerlab.errors import CapacityError, DomainError, WorkerError
@@ -305,8 +305,9 @@ class TestRegionSequences:
     # ROADMAP items 1 and 16: no orbit takes a step that the chain forbids.
     # One ulp below 1/8 this run held 11 D -> C steps while images were
     # clipped to [0, 1]: an orbit landed on x = 1 exactly, which D sends to
-    # C's fixed point 1/2; the clip below 1 keeps it out of reach
-    @pytest.mark.parametrize("ell", [0.15, math.nextafter(0.125, 0.0)])
+    # C's fixed point 1/2; the clip below 1 keeps it out of reach.  The
+    # collapse at 1/16 and 1/4 - 1 ulp takes no forbidden step either
+    @pytest.mark.parametrize("ell", [0.15, math.nextafter(0.125, 0.0), 0.0625, math.nextafter(0.25, 0.0)])
     def test_no_transition_outside_the_chains_support(self, ell):
         cfg = SimConfig(params=MapParams(ell, 0.0), n_ens=20_000, n_iter=4_000, burn_in=0, seed=1)
         counts = transition_counts(cfg)
@@ -316,9 +317,15 @@ class TestRegionSequences:
     # ROADMAP item 16: every exact answer assumes that the region sequence is
     # the first-order chain.  At 1/8 float orbits collapse onto x = 1/2
     # (ROADMAP item 1), and the order-2 test sees it in 4,000 states
-    # (chi-square 65.3, 4 dof, p = 2.3e-13; 2.8 and p = 0.59 at 0.15)
+    # (chi-square 65.3, 4 dof, p = 2.3e-13; 2.8 and p = 0.59 at 0.15), and
+    # at 1/4 - 1 ulp, where every member collapses (6.4e6); 1/16 passes in
+    # 4,000 states (11.1, p = 0.025)
     @pytest.mark.parametrize(
-        "ell", [0.15, pytest.param(0.125, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))]
+        "ell",
+        [0.15, 0.0625] + [
+            pytest.param(ell, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))
+            for ell in (0.125, math.nextafter(0.25, 0.0))
+        ],
     )
     def test_region_sequence_is_first_order_markov(self, ell):
         cfg = SimConfig(params=MapParams(ell, 0.0), n_ens=20_000, n_iter=4_000, burn_in=0, seed=1)
@@ -327,6 +334,22 @@ class TestRegionSequences:
         _, dof, pvalue = markov_order_chi_square(counts)
         assert dof == 4
         assert pvalue >= 0.01
+
+    # ROADMAP item 1: float orbits land on C's fixed point x = 1/2 and stay,
+    # and members merge.  After 4,000 states 23 members sit at 1/2 at 1/8
+    # (19,976 distinct x), 2 at 1/16 (19,999) and all 20,000 at 1/4 - 1 ulp
+    @pytest.mark.parametrize(
+        "ell",
+        [0.15] + [
+            pytest.param(ell, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1"))
+            for ell in (0.125, 0.0625, math.nextafter(0.25, 0.0))
+        ],
+    )
+    def test_no_member_ends_at_one_half_and_no_two_share_x(self, ell):
+        x = final_x(SimConfig(params=MapParams(ell, 0.0), n_ens=20_000, n_iter=4_000, burn_in=0, seed=1))
+        assert len(x) == 20_000
+        assert not (x == 0.5).any()
+        assert len(np.unique(x)) == len(x)
 
     def test_word_counts_extend_the_transition_counts(self):
         """Over a run one state shorter, N[i, j, .] are the (i, j) counts of

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 from scipy.special import logsumexp
 
@@ -69,6 +71,30 @@ class TestFRConfig:
     def test_cells_must_not_overlap(self):
         with pytest.raises(DomainError):
             FRConfig(n=10, p_grid=symmetric_grid(1.0, 0.1), delta=0.2)
+
+    def test_cells_may_touch_but_not_overlap_by_an_ulp(self):
+        """2 delta is compared with the grid's exact spacing, with no tolerance."""
+        grid = symmetric_grid(1.0, 0.1)
+        assert FRConfig(n=10, p_grid=grid, delta=0.05).delta == 0.05
+        with pytest.raises(DomainError, match=r"^cells overlap: need 2\*delta <= grid spacing$"):
+            FRConfig(n=10, p_grid=grid, delta=np.nextafter(0.05, 1.0))
+
+    # linspace's points are within 1 ulp of symmetric_grid(2.0, 0.1)'s but not
+    # equal; the even grid is symmetric and uniform but has no cell at p = 0
+    @pytest.mark.parametrize(
+        "grid",
+        [np.linspace(-2, 2, 41), (np.arange(-20, 20) + 0.5) * 0.1, np.array([0.0]), symmetric_grid(2.0, 0.1)[::-1]],
+        ids=["linspace", "even", "one cell", "decreasing"],
+    )
+    def test_only_a_grid_of_symmetric_grid_is_accepted(self, grid):
+        claim = r"p_grid must be symmetric_grid's \(-k\.\.k\) x spacing, with k >= 1 and spacing > 0"
+        with pytest.raises(DomainError, match=rf"^{claim}$"):
+            FRConfig(n=10, p_grid=grid)
+
+    @pytest.mark.parametrize("p_max, spacing", [(2.0, 0.1), (7.0, 0.2), (8.0, 0.05), (0.1, 0.1), (5000.0, 1.0)])
+    def test_every_grid_of_symmetric_grid_is_accepted(self, p_max, spacing):
+        grid = symmetric_grid(p_max, spacing)
+        assert FRConfig(n=10, p_grid=list(grid), delta=spacing / 2).p_grid.tobytes() == grid.tobytes()
 
     def test_symmetric_grid_exact(self):
         g = symmetric_grid(2.0, 0.1)
@@ -176,31 +202,65 @@ class TestEstimatePi:
 
     @pytest.mark.parametrize("p_max,spacing,delta", [(2.0, 0.1, 0.05), (7.0, 0.2, 0.08), (8.0, 0.1, 0.025)])
     def test_bin_values_match_the_formula_bitwise(self, p_max, spacing, delta):
-        """The in-place binning against the formula written out with fresh
-        arrays: round to the nearest grid point, keep it when the value lies
-        within delta + 1e-12 of it."""
+        """The in-place binning against the folded rule written out with
+        fresh arrays: round |value| / spacing half to even to j, give the
+        index k + j or k - j the value's sign, and keep it when the value
+        lies within delta + 1e-12 of that grid point."""
         grid = symmetric_grid(p_max, spacing)
         rng = np.random.default_rng(int(p_max))
         edges = np.concatenate([grid + s * (delta + e) for s in (-1, 1) for e in (0.0, 1e-12, -1e-12, 2e-12)])
         values = np.concatenate([rng.uniform(-1.5 * p_max, 1.5 * p_max, 10_000), grid, grid + spacing / 2, edges])
         kept = values.copy()
-        idx = np.round((values - grid[0]) / float(grid[1] - grid[0])).astype(np.int64)
+        k = len(grid) // 2
+        j = np.round(np.abs(values) / spacing).astype(np.int64)
+        idx = k + np.where(values < 0, -j, j)
         clipped = np.clip(idx, 0, len(grid) - 1)
-        inside = (idx >= 0) & (idx < len(grid)) & (np.abs(values - grid[clipped]) < delta + 1e-12)
+        inside = (j <= k) & (np.abs(values - grid[clipped]) < delta + 1e-12)
         got = _bin_values(values, grid, delta)
         assert got.dtype == np.int64 and got.tobytes() == np.where(inside, clipped, -1).tobytes()
         assert values.tobytes() == kept.tobytes()  # the input is left as it was
         assert (got == -1).any() and len(np.unique(got)) == len(grid) + 1
 
-    # ROADMAP item 11 (e): a value on the edge two cells share goes where
-    # np.round sends it, half to even, so +v and -v can land in cells that
-    # are not each other's mirror (+0.05 in p = 0.1, -0.05 in p = 0)
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 11 (e)")
+    # a value on the edge two cells share goes where rounding |v| / spacing
+    # half to even sends it, and -v to the mirror of that cell, as the
+    # per-cell ratio pi(p) / pi(-p) of fr_check needs
     @pytest.mark.parametrize("v", [0.05, 0.15, 0.25])
     def test_cells_are_mirror_symmetric_at_shared_edges(self, v):
         grid = symmetric_grid(2.0, 0.1)
         plus, minus = _bin_values(np.array([v, -v]), grid, 0.05)
         assert minus == len(grid) - 1 - plus
+
+    @pytest.mark.parametrize("half_width", [0.5, 0.4, 0.25], ids=["touching", "gapped", "half"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 200),
+        spacing=st.floats(1e-3, 10.0),
+        extra=st.lists(st.floats(-2e3, 2e3), max_size=20),
+    )
+    def test_a_value_and_its_negation_land_in_mirror_cells(self, half_width, k, spacing, extra):
+        """``_bin_values(-v)`` is the mirror cell of ``_bin_values(v)``, or
+        both are -1, on grids with 2 delta = spacing and 2 delta < spacing,
+        at every cell edge j spacing +- delta +- 1e-12 and elsewhere."""
+        grid = symmetric_grid(k * spacing, spacing)
+        assert len(grid) == 2 * k + 1
+        delta = half_width * spacing
+        j = np.arange(k + 2)[:, None] * spacing
+        edges = (j + np.array([-delta, delta])[:, None, None] + np.array([-1e-12, 0.0, 1e-12])).ravel()
+        values = np.concatenate([edges, j.ravel(), np.array(extra)])
+        plus, minus = _bin_values(values, grid, delta), _bin_values(-values, grid, delta)
+        assert np.array_equal(minus, np.where(plus >= 0, 2 * k - plus, -1))
+
+    @pytest.mark.parametrize("n", [200, 1000, 2000])
+    def test_exact_atoms_and_their_mirrors_land_in_mirror_cells(self, n):
+        """The law at (1/8, 1/4) is a lattice whose atoms come in mirror
+        pairs, some of them on edges that two cells share; each atom lands
+        in the mirror of its partner's cell."""
+        dist = contraction_sum_distribution(0.125, 0.25, n)
+        e = dist.sums / (n * dist.mean_time_average())
+        assert np.array_equal(np.sort(e), np.sort(-e))
+        grid = symmetric_grid(2.0, 0.1)
+        plus, minus = _bin_values(e, grid, 0.05), _bin_values(-e, grid, 0.05)
+        assert np.array_equal(minus, np.where(plus >= 0, len(grid) - 1 - plus, -1))
 
     def test_mc_matches_exact_cell_by_cell(self):
         n = 50

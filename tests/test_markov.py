@@ -1,12 +1,19 @@
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_distribution, log_dp_long_double, scaled_dp_by_visit, stationary_by_eigensolve
+from oracles import (
+    brute_force_distribution,
+    chain_autocovariance_rational,
+    log_dp_long_double,
+    scaled_dp_by_visit,
+    stationary_by_eigensolve,
+)
 
 from bakerlab import markov
 from bakerlab.errors import CapacityError, DomainError
@@ -588,6 +595,36 @@ class TestAutocovariance:
         assert np.array_equal(np.cumsum(terms), green_kubo_exact(0.15, 10).partial_sums)
         with pytest.raises(DomainError):
             chain_autocovariance(0.15, PSI, -1)
+
+    # cov_0 and cov_1 each subtract (mu @ phi)^2, which rounds them by a few
+    # eps (mu @ |phi|)^2; the closed form carries cov_1's error down with
+    # lambda^(k - 1), and its largest error besides is 2.9e-11 relative
+    # (ell = 1e-6).  A per-lag loop of P @ u kept that error at every lag: it
+    # read 4.4e-16 at lag 60 and ell = 0.05, where the exact value is 9.05e-25
+    @pytest.mark.parametrize("ell", [1e-6, 0.05, 0.15, 0.2368, 0.25])
+    @pytest.mark.parametrize("phi", ["psi", "rates at q = 0", "rates at q = 0.2"])
+    def test_lag_covariances_match_exact_rationals(self, ell, phi):
+        """Every lag k = 0..60 lies within 1e-9 relative of its exact
+        rational value, plus 8 eps (mu @ |phi|)^2 lambda^(k - 1) for the
+        rounding of the subtraction, and the Green-Kubo sum and C2 within
+        1e-9 of the sum of their terms' magnitudes (C2 nearly cancels on the
+        q = 0 line)."""
+        from bakerlab.transport import PSI, green_kubo_exact
+
+        rates = {"psi": PSI, "rates at q = 0": 0.0, "rates at q = 0.2": 0.2}[phi]
+        phi = rates if phi == "psi" else contraction_rates(MapParams(ell, rates))
+        exact = chain_autocovariance_rational(ell, phi, 60)
+        got = chain_autocovariance(ell, phi, 60)
+        rounding = 8 * Fraction(2.0**-52) * Fraction(float(coarse_measure(ell) @ np.abs(phi))) ** 2
+        lam = Fraction(1, 2) - 2 * Fraction(ell)
+        for k, (g, e) in enumerate(zip(got.tolist(), exact)):
+            assert abs(Fraction(g) - e) <= abs(e) / 10**9 + rounding * lam ** max(k - 1, 0), k
+        if phi is PSI:
+            got, total, scale = green_kubo_exact(ell, 60).value, sum(exact), sum(map(abs, exact))
+        else:  # past lag 60 the terms fall below lambda^60 <= 2^-60 of cov_1
+            got, total = contraction_c2(ell, rates), exact[0] + 2 * sum(exact[1:])
+            scale = abs(exact[0]) + 2 * sum(map(abs, exact[1:]))
+        assert abs(Fraction(got) - total) <= scale / 10**9
 
     def test_a_negative_lag_count_is_refused_naming_the_value(self):
         with pytest.raises(DomainError, match=r"^k_max must be >= 0, got -1$"):
